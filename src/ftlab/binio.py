@@ -8,7 +8,10 @@ Standalone tensor files carry the magic "FTT0" before the payload.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
+import sys
 from typing import BinaryIO
 
 import numpy as np
@@ -20,6 +23,23 @@ MAX_RANK = 8
 
 class FormatError(Exception):
     """Raised when a binary tensor or checkpoint stream is malformed."""
+
+
+# Tensor data longer than this is checked against the bytes left in the
+# stream before it is read, so corrupt dims end in FormatError instead of
+# an overflow or a huge allocation; shorter reads just come up short.
+_CHECKED_READ = 1 << 16
+
+
+def _bytes_left(f: BinaryIO) -> int | None:
+    """Bytes from the current position to the end, or None if not seekable."""
+    try:
+        pos = f.tell()
+        end = f.seek(0, io.SEEK_END)
+        f.seek(pos)
+    except (AttributeError, OSError, ValueError):
+        return None
+    return end - pos
 
 
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
@@ -50,10 +70,13 @@ def read_tensor_payload(f: BinaryIO, what: str = "tensor") -> np.ndarray:
     for i in range(rank):
         (d,) = struct.unpack("<I", _read_exact(f, 4, f"dim {i} of {what}"))
         dims.append(d)
-    count = 1
-    for d in dims:
-        count *= d
-    raw = _read_exact(f, 4 * count, f"data of {what}")
+    nbytes = 4 * math.prod(dims)
+    if nbytes > _CHECKED_READ:
+        left = _bytes_left(f)
+        if nbytes > (sys.maxsize if left is None else left):
+            raise FormatError(f"truncated stream while reading data of {what} "
+                              f"(dims {dims} need {nbytes} bytes, {left} left)")
+    raw = _read_exact(f, nbytes, f"data of {what}")
     return np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
 
 
@@ -68,7 +91,11 @@ def write_named_tensor(f: BinaryIO, name: str, array: np.ndarray) -> None:
 
 def read_named_tensor(f: BinaryIO, what: str = "tensor") -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<H", _read_exact(f, 2, f"name length of {what}"))
-    name = _read_exact(f, name_len, f"name of {what}").decode("utf-8")
+    raw = _read_exact(f, name_len, f"name of {what}")
+    try:
+        name = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{what}: name {raw!r} is not valid UTF-8") from None
     return name, read_tensor_payload(f, f"{what} '{name}'")
 
 

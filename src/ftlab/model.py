@@ -261,8 +261,8 @@ class StagedModel:
                              f"model input shape {self.input_shape}")
         return forward(self.stages, batch, labels)
 
-    def backward(self, cache, labels):
-        return backward(self.stages, cache, labels)
+    def backward(self, cache, labels, start: int = 0):
+        return backward(self.stages, cache, labels, start)
 
     def predict(self, batch) -> np.ndarray:
         """Class scores without loss; accepts any batch of model input shape."""
@@ -435,6 +435,9 @@ def load_checkpoint(path) -> Checkpoint:
                 tensors[name] = arr
     except binio.FormatError as e:
         raise CheckpointError(str(e)) from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"metadata must be a JSON object, "
+                              f"got {type(meta).__name__}")
     for key in ("arch", "digest", "input_shape", "num_labels", "seed", "iterations"):
         if key not in meta:
             raise CheckpointError(f"metadata missing field {key!r}")

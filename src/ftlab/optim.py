@@ -110,6 +110,16 @@ class SgdState:
         return cls(momentum, vel)
 
 
+def lowest_trainable_stage(stage_names, schedule: MultiplierSchedule) -> int:
+    """Index of the first stage with a non-zero rate, len(stage_names) if none.
+
+    Every stage below it is frozen, so backward can stop there. The scale
+    is positive, so a multiplier of 0 is exactly an effective rate of 0.
+    """
+    return next((i for i, name in enumerate(stage_names)
+                 if schedule.stage_multipliers[name] != 0), len(stage_names))
+
+
 def sgd_step(model: StagedModel, grads: dict[str, np.ndarray], state: SgdState,
              schedule: MultiplierSchedule, policy: LrPolicy,
              iteration: int) -> None:
@@ -185,6 +195,7 @@ def train(model: StagedModel, train_set: LabeledDataset,
         raise ValueError(f"batch_size must be in [1, {len(train_set)}], "
                          f"got {batch_size}")
     schedule.check_covers(model.stage_names)
+    first_trainable = lowest_trainable_stage(model.stage_names, schedule)
     cadence = eval_every if eval_every else max(1, policy.step_size // 10)
 
     rng = np.random.default_rng(seed)
@@ -204,7 +215,7 @@ def train(model: StagedModel, train_set: LabeledDataset,
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
         _, _, cache = model.forward(train_set.features[idx], train_set.labels[idx])
-        grads = model.backward(cache, train_set.labels[idx])
+        grads = model.backward(cache, train_set.labels[idx], first_trainable)
         sgd_step(model, grads, state, schedule, policy, it)
         done = it + 1
         if done % cadence == 0 or done == policy.total_iterations:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import pytest
 
@@ -10,8 +11,26 @@ from ftlab.cli import ModelConfig, RunConfig, main
 from ftlab.data import load_dataset
 from ftlab.experiment import (RunRecord, append_records, derive_seed,
                               percent_gain)
-from ftlab.model import load_checkpoint, transfer_init
+from ftlab.model import CheckpointError, load_checkpoint, transfer_init
 from ftlab.optim import evaluate
+
+
+def crafted_checkpoint(meta: bytes, tensors: bytes = b"", count: int = 0) -> bytes:
+    """FTLB header around raw metadata and raw named-tensor bytes."""
+    return (b"FTLB" + struct.pack("<II", 1, len(meta)) + meta
+            + struct.pack("<I", count) + tensors)
+
+
+# each one escaped load_checkpoint as a bare Python exception before
+MALFORMED_CHECKPOINTS = {
+    "rank8_max_dims": crafted_checkpoint(
+        b"{}", struct.pack("<H", 1) + b"w" + struct.pack("<B8I", 8, *[0xFFFFFFFF] * 8),
+        count=1),
+    "non_utf8_name": crafted_checkpoint(
+        b"{}", struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<BIf", 1, 1, 0.0),
+        count=1),
+    "metadata_not_object": crafted_checkpoint(b"5"),
+}
 
 
 def read_ledger_lines(path):
@@ -200,6 +219,19 @@ class TestFinetune:
         config = write_config(tmp_path / "c.json", cfg)
         assert main(["finetune", config, "--out", str(tmp_path / "o")]) == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_source_checkpoint_exits_1(self, tmp_path, data_root,
+                                                 source_run, capsys, case):
+        path = tmp_path / "bad.ftlb"
+        path.write_bytes(MALFORMED_CHECKPOINTS[case])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        cfg = self.finetune_cfg(data_root, source_run, {"ll": 0.1})
+        cfg["source_checkpoint"] = str(path)
+        config = write_config(tmp_path / "c.json", cfg)
+        assert main(["finetune", config, "--out", str(tmp_path / "o")]) == 1
+        assert "source checkpoint" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ftlab.model import LayerSpec, StageSpec, build_staged_network
-from ftlab.nn_core import (backward, forward, grad_check, param_count,
-                           softmax_cross_entropy)
+from ftlab.model import (LayerSpec, StageSpec, build_staged_network,
+                         mini_staged_spec)
+from ftlab.nn_core import (Conv2d, MaxPool, backward, forward, grad_check,
+                           param_count, softmax_cross_entropy)
+from ftlab.optim import MultiplierSchedule, lowest_trainable_stage
 
 
 def two_layer_model(seed=123):
@@ -53,6 +55,24 @@ def scalar_loss_oracle(w1, b1, w2, b2, xs, ys):
         s = sum(exps)
         total += -math.log(exps[ys[i]] / s)
     return total / len(xs)
+
+
+def naive_conv2d(x, w, b):
+    """Same-size stride-1 zero-padded convolution by loops over pixels and taps."""
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    p = k // 2
+    y = np.empty((n, f, h, wd))
+    for i in range(h):
+        for j in range(wd):
+            acc = np.tile(b, (n, 1))
+            for a in range(k):
+                for bb in range(k):
+                    u, v = i + a - p, j + bb - p
+                    if 0 <= u < h and 0 <= v < wd:
+                        acc = acc + x[:, :, u, v] @ w[:, :, a, bb].T
+            y[:, :, i, j] = acc
+    return y
 
 
 # value computed once with scalar_loss_oracle on the seed-123 model below
@@ -186,6 +206,103 @@ class TestBackward:
         grads = m.backward(cache, np.zeros(3, dtype=int))
         total = sum(float(np.abs(g).sum()) for g in grads.values())
         assert total < 1e-8
+
+
+class TestConv2d:
+    """Conv2d against naive_conv2d: values, and gradients by central differences.
+
+    The loss sum(naive_conv2d(x, w, b) * r) is linear in every input, so its
+    central differences are exact up to roundoff and give dW, db and dX.
+    """
+
+    @pytest.mark.parametrize("batch", [1, 256])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_matches_naive_reference(self, k, batch):
+        rng = np.random.default_rng(10 * k + batch)
+        x = rng.uniform(-1, 1, size=(batch, 2, 5, 7))
+        w = rng.uniform(-1, 1, size=(3, 2, k, k))
+        b = rng.uniform(-1, 1, size=3)
+        r = rng.uniform(-1, 1, size=(batch, 3, 5, 7))
+        layer = Conv2d(w, b)
+        y, cache = layer.forward(x)
+        assert y.shape == r.shape
+        assert np.allclose(y, naive_conv2d(x, w, b), rtol=1e-12, atol=1e-12)
+        dx, grads = layer.backward(r, cache)
+
+        def central(arr, idx, eps=1e-3):
+            orig = arr[idx]
+            arr[idx] = orig + eps
+            lp = float((naive_conv2d(x, w, b) * r).sum())
+            arr[idx] = orig - eps
+            lm = float((naive_conv2d(x, w, b) * r).sum())
+            arr[idx] = orig
+            return (lp - lm) / (2 * eps)
+
+        for arr, g in ((w, grads["w"]), (b, grads["b"])):
+            assert g.shape == arr.shape
+            for idx in np.ndindex(arr.shape):
+                assert g[idx] == pytest.approx(central(arr, idx), rel=1e-7, abs=1e-7)
+        assert dx.shape == x.shape
+        # every pixel of the first and last example: corners, edges, interior
+        for idx in np.ndindex(x.shape[1:]):
+            for ex in {0, batch - 1}:
+                full = (ex,) + idx
+                assert dx[full] == pytest.approx(central(x, full), rel=1e-7, abs=1e-7)
+
+
+class TestMaxPool:
+    def test_ties_route_gradient_to_first_max(self):
+        # small integers, so most 2x2 windows hold a tie for the max
+        rng = np.random.default_rng(13)
+        x = rng.integers(-1, 2, size=(3, 2, 4, 6)).astype(float)
+        dy = rng.uniform(1, 2, size=(3, 2, 2, 3))
+        layer = MaxPool()
+        y, cache = layer.forward(x)
+        dx, _ = layer.backward(dy, cache)
+        want_y = np.empty_like(dy)
+        want_dx = np.zeros_like(x)
+        for n, c, i, j in np.ndindex(dy.shape):
+            window = x[n, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
+            a, b = divmod(int(window.argmax()), 2)  # first max, row-major
+            want_y[n, c, i, j] = window[a, b]
+            want_dx[n, c, 2 * i + a, 2 * j + b] = dy[n, c, i, j]
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(dx, want_dx)
+
+
+class TestFrozenPrefixElision:
+    def four_stage_model(self):
+        return build_staged_network(mini_staged_spec(widths=(2, 3, 3),
+                                                     input_shape=(1, 8, 8)),
+                                    (1, 8, 8), num_labels=3, seed=11)
+
+    @pytest.mark.parametrize("mults, start", [
+        ((0.0, 0.0, 0.0, 1.0), 3),     # head only
+        ((0.0, 0.0, 1.0, 2.0), 2),     # frozen prefix of 2 stages
+        ((0.0, 0.0, 0.0, 0.0), 4),     # all frozen
+    ])
+    def test_elided_gradients_bitwise_equal_full(self, mults, start):
+        m = self.four_stage_model()
+        schedule = MultiplierSchedule(dict(zip(m.stage_names, mults)))
+        assert lowest_trainable_stage(m.stage_names, schedule) == start
+        x = np.random.default_rng(12).uniform(-1, 1, size=(5, 1, 8, 8))
+        y = np.array([0, 1, 2, 0, 1])
+        _, _, cache = m.forward(x, y)
+        full = m.backward(cache, y)
+        elided = m.backward(cache, y, start)
+        kept = {s.name for s in m.stages[start:]}
+        assert set(elided) == {n for n in full if n.split("/")[0] in kept}
+        for name, g in elided.items():
+            assert g.tobytes() == full[name].tobytes()
+        if start == len(m.stages):
+            assert elided == {}
+
+    def test_start_out_of_range_rejected(self):
+        m = two_layer_model()
+        _, _, cache = m.forward(np.zeros((2, 4)), [0, 1])
+        for start in (-1, 3):
+            with pytest.raises(ValueError, match="start"):
+                backward(m.stages, cache, [0, 1], start)
 
 
 class TestGradCheck:

@@ -6,7 +6,8 @@ import pytest
 from ftlab.data import LabeledDataset
 from ftlab.model import LayerSpec, StageSpec, build_staged_network
 from ftlab.optim import (LrPolicy, MultiplierSchedule, SgdState, effective_lr,
-                         evaluate, lr_at, sgd_step, train, uniform_schedule)
+                         evaluate, lowest_trainable_stage, lr_at, sgd_step,
+                         train, uniform_schedule)
 
 REFERENCE_POLICY = LrPolicy(base_lr=0.01, step_size=300_000,
                         total_iterations=900_000, gamma=0.1)
@@ -128,22 +129,28 @@ class TestSgdStep:
             assert np.allclose(arr, before[name] + expected_delta, rtol=1e-12)
 
     def test_frozen_stages_untouched(self):
-        m = dense_model(seed=3)
+        # a frozen prefix (hidden) gets no gradient at all; a frozen stage
+        # above a trainable one (fc) still gets one, and sgd_step skips it
+        ds = toy_dataset(n_per_label=2, seed=7)
+        x, y = ds.features, ds.labels
         policy = LrPolicy(0.1, 10, 1000, gamma=1.0)
-        schedule = MultiplierSchedule({"hidden": 0.0, "fc": 1.0})
-        state = SgdState.for_model(m, momentum=0.9)
-        before = snapshot(m)
-        rng = np.random.default_rng(0)
-        for it in range(50):
-            grads = {name: rng.standard_normal(arr.shape)
-                     for name, arr in m.named_parameters()}
-            sgd_step(m, grads, state, schedule, policy, it)
-        after = snapshot(m)
-        assert np.array_equal(before["hidden/0/w"], after["hidden/0/w"])
-        assert np.array_equal(before["hidden/0/b"], after["hidden/0/b"])
-        assert not np.array_equal(before["fc/0/w"], after["fc/0/w"])
-        # frozen velocities never allocated energy
-        assert not state.velocities["hidden/0/w"].any()
+        for frozen, live in (("hidden", "fc"), ("fc", "hidden")):
+            m = dense_model(seed=3)
+            schedule = MultiplierSchedule({frozen: 0.0, live: 1.0})
+            start = lowest_trainable_stage(m.stage_names, schedule)
+            state = SgdState.for_model(m, momentum=0.9)
+            before = snapshot(m)
+            for it in range(50):
+                _, _, cache = m.forward(x, y)
+                grads = m.backward(cache, y, start)
+                assert (f"{frozen}/0/w" in grads) == (frozen == "fc")
+                sgd_step(m, grads, state, schedule, policy, it)
+            after = snapshot(m)
+            assert np.array_equal(before[f"{frozen}/0/w"], after[f"{frozen}/0/w"])
+            assert np.array_equal(before[f"{frozen}/0/b"], after[f"{frozen}/0/b"])
+            assert not np.array_equal(before[f"{live}/0/w"], after[f"{live}/0/w"])
+            # frozen velocities never allocated energy
+            assert not state.velocities[f"{frozen}/0/w"].any()
 
     def test_all_multipliers_zero_keeps_model_bit_identical(self):
         m = dense_model(seed=4)
