@@ -25,9 +25,9 @@ class FormatError(Exception):
     """Raised when a binary tensor or checkpoint stream is malformed."""
 
 
-# Tensor data longer than this is checked against the bytes left in the
-# stream before it is read, so corrupt dims end in FormatError instead of
-# an overflow or a huge allocation; shorter reads just come up short.
+# A read longer than this is checked against the bytes left in the stream
+# before it is made, so a corrupt length or dims end in FormatError instead
+# of an overflow or a huge allocation; shorter reads just come up short.
 _CHECKED_READ = 1 << 16
 
 
@@ -43,6 +43,11 @@ def _bytes_left(f: BinaryIO) -> int | None:
 
 
 def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
+    if n > _CHECKED_READ:
+        left = _bytes_left(f)
+        if n > (sys.maxsize if left is None else left):
+            raise FormatError(f"truncated stream while reading {what} "
+                              f"(wanted {n} bytes, {left} left)")
     buf = f.read(n)
     if len(buf) != n:
         raise FormatError(f"truncated stream while reading {what} "
@@ -70,13 +75,7 @@ def read_tensor_payload(f: BinaryIO, what: str = "tensor") -> np.ndarray:
     for i in range(rank):
         (d,) = struct.unpack("<I", _read_exact(f, 4, f"dim {i} of {what}"))
         dims.append(d)
-    nbytes = 4 * math.prod(dims)
-    if nbytes > _CHECKED_READ:
-        left = _bytes_left(f)
-        if nbytes > (sys.maxsize if left is None else left):
-            raise FormatError(f"truncated stream while reading data of {what} "
-                              f"(dims {dims} need {nbytes} bytes, {left} left)")
-    raw = _read_exact(f, nbytes, f"data of {what}")
+    raw = _read_exact(f, 4 * math.prod(dims), f"data of {what} (dims {dims})")
     return np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
 
 

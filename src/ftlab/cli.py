@@ -21,9 +21,9 @@ from .data import (SyntheticDomainSpec, gen_synthetic_domain, load_dataset,
                    partition_domain, save_dataset, split_train_val)
 from .experiment import (FinetuneTask, GraduatedSpec, GridSpec,
                          RecommenderConfig, RunRecord, append_records,
-                         derive_seed, graduated_schedule, read_ledger,
-                         render_report, report_from_records, run_il_ll_grid,
-                         scale_sweep)
+                         derive_seed, graduated_schedule, render_report,
+                         report_from_records, run_il_ll_grid, scale_sweep,
+                         scan_ledger)
 from .model import (CheckpointError, build_staged_network,
                     checkpoint_from_model, load_checkpoint, mini_staged_spec,
                     save_checkpoint, transfer_init)
@@ -490,11 +490,13 @@ def _emit_report(records, out_dir, status, sweep_summary=None) -> None:
 
 def cmd_report(ledger_path, out_dir=None) -> int:
     try:
-        records, skipped = read_ledger(ledger_path)
+        records, bad_lines = scan_ledger(ledger_path)
     except OSError as e:
         return _fail([f"cannot read ledger: {e}"])
+    skipped = len(bad_lines)
     if skipped:
-        print(f"warning: skipped {skipped} corrupt record(s)", file=sys.stderr)
+        print(f"warning: {ledger_path}: skipped {skipped} corrupt record(s) "
+              f"at line(s) {', '.join(map(str, bad_lines))}", file=sys.stderr)
     report = report_from_records(records)
     text = render_report(report, status="complete" if not skipped
                          else f"complete ({skipped} records skipped)")

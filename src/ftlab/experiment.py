@@ -174,11 +174,27 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        return cls(kind=d["kind"], task=d["task"], source=d["source"],
-                   seed=d["seed"], final_accuracy=d["final_accuracy"],
-                   best_accuracy=d["best_accuracy"], ll=d.get("ll"),
-                   il=d.get("il"), scale=d.get("scale"),
-                   checkpoint=d.get("checkpoint"))
+        """Parse one ledger object; a missing or mistyped field raises."""
+        rec = cls(kind=d["kind"], task=d["task"], source=d["source"],
+                  seed=d["seed"], final_accuracy=d["final_accuracy"],
+                  best_accuracy=d["best_accuracy"], ll=d.get("ll"),
+                  il=d.get("il"), scale=d.get("scale"),
+                  checkpoint=d.get("checkpoint"))
+        for name, kinds in _RECORD_TYPES.items():
+            value = getattr(rec, name)
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise TypeError(f"record field {name!r} has type "
+                                f"{type(value).__name__}")
+        return rec
+
+
+_NUMBER = (int, float)
+_RECORD_TYPES = {
+    "kind": str, "task": str, "source": str, "seed": int,
+    "final_accuracy": _NUMBER, "best_accuracy": _NUMBER,
+    "ll": _NUMBER + (type(None),), "il": _NUMBER + (type(None),),
+    "scale": _NUMBER + (type(None),), "checkpoint": (str, type(None)),
+}
 
 
 def append_records(path, records: Sequence[RunRecord]) -> None:
@@ -187,20 +203,29 @@ def append_records(path, records: Sequence[RunRecord]) -> None:
             f.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
 
 
+def scan_ledger(path) -> tuple[list[RunRecord], list[int]]:
+    """Parse a ledger: its records, and the 1-based numbers of corrupt lines.
+
+    A line is corrupt if it is not UTF-8, not JSON, or not a well-typed
+    record; it is skipped. Blank lines are ignored.
+    """
+    records = []
+    bad_lines = []
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    records.append(RunRecord.from_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError):
+                bad_lines.append(lineno)
+    return records, bad_lines
+
+
 def read_ledger(path) -> tuple[list[RunRecord], int]:
     """Parse a ledger; corrupt lines are skipped and counted."""
-    records = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(RunRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError):
-                skipped += 1
-    return records, skipped
+    records, bad_lines = scan_ledger(path)
+    return records, len(bad_lines)
 
 
 # --- experiment runners --------------------------------------------------------

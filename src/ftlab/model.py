@@ -20,7 +20,8 @@ import numpy as np
 
 from . import binio
 from .nn_core import (Conv2d, Dense, GlobalAvgPool, MaxPool, Relu,
-                      ResidualBlock, Stage, backward, forward, param_count)
+                      ResidualBlock, Stage, backward, forward, param_count,
+                      run_stages)
 
 CHECKPOINT_MAGIC = b"FTLB"
 CHECKPOINT_VERSION = 1
@@ -47,6 +48,13 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
+        for name in ("out_channels", "kernel_size", "out_features"):
+            size = getattr(self, name)
+            if size is not None and (isinstance(size, bool) or
+                                     not isinstance(size, (int, np.integer))
+                                     or size <= 0):
+                raise ValueError(f"{name} must be a positive integer, "
+                                 f"got {size!r}")
         if self.kind == "conv2d" and not self.out_channels:
             raise ValueError("conv2d layer needs out_channels")
         if self.kind == "residual-add" and not self.inner:
@@ -254,26 +262,23 @@ class StagedModel:
     def digest(self) -> str:
         return arch_digest(self.spec, self.input_shape)
 
-    def forward(self, batch, labels):
-        batch = np.asarray(batch)
-        if tuple(batch.shape[1:]) != self.input_shape:
-            raise ValueError(f"batch shape {tuple(batch.shape[1:])} does not match "
+    def check_input(self, batch) -> np.ndarray:
+        """The batch as float64, rejected unless it has the model input shape."""
+        x = np.asarray(batch, dtype=np.float64)
+        if tuple(x.shape[1:]) != self.input_shape:
+            raise ValueError(f"batch shape {tuple(x.shape[1:])} does not match "
                              f"model input shape {self.input_shape}")
-        return forward(self.stages, batch, labels)
+        return x
+
+    def forward(self, batch, labels):
+        return forward(self.stages, self.check_input(batch), labels)
 
     def backward(self, cache, labels, start: int = 0):
         return backward(self.stages, cache, labels, start)
 
     def predict(self, batch) -> np.ndarray:
         """Class scores without loss; accepts any batch of model input shape."""
-        x = np.asarray(batch, dtype=np.float64)
-        if tuple(x.shape[1:]) != self.input_shape:
-            raise ValueError(f"batch shape {tuple(x.shape[1:])} does not match "
-                             f"model input shape {self.input_shape}")
-        for stage in self.stages:
-            for layer in stage.layers:
-                x, _ = layer.forward(x)
-        return x
+        return run_stages(self.stages, self.check_input(batch))
 
     def clone(self) -> "StagedModel":
         return StagedModel(self.spec, copy.deepcopy(self.stages), self.input_shape,
@@ -435,13 +440,37 @@ def load_checkpoint(path) -> Checkpoint:
                 tensors[name] = arr
     except binio.FormatError as e:
         raise CheckpointError(str(e)) from None
+    _check_metadata(meta)
+    return Checkpoint(tensors, meta)
+
+
+_METADATA_TYPES = {"arch": list, "digest": str, "input_shape": list,
+                   "num_labels": int, "seed": int, "iterations": int}
+
+
+def _check_metadata(meta) -> None:
+    """Reject metadata whose required fields are missing or mistyped."""
     if not isinstance(meta, dict):
         raise CheckpointError(f"metadata must be a JSON object, "
                               f"got {type(meta).__name__}")
-    for key in ("arch", "digest", "input_shape", "num_labels", "seed", "iterations"):
+    for key, kind in _METADATA_TYPES.items():
         if key not in meta:
             raise CheckpointError(f"metadata missing field {key!r}")
-    return Checkpoint(tensors, meta)
+        if not isinstance(meta[key], kind) or isinstance(meta[key], bool):
+            raise CheckpointError(f"metadata field {key!r} must be of type "
+                                  f"{kind.__name__}, got "
+                                  f"{type(meta[key]).__name__}")
+    if not all(isinstance(d, int) and not isinstance(d, bool)
+               for d in meta["input_shape"]):
+        raise CheckpointError(f"metadata field 'input_shape' must hold integers, "
+                              f"got {meta['input_shape']!r}")
+    try:
+        stages = [StageSpec.from_dict(d) for d in meta["arch"]]
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"metadata field 'arch' is malformed: {e}") from None
+    if not stages or not all(isinstance(s.name, str) for s in stages):
+        raise CheckpointError("metadata field 'arch' must be a non-empty list "
+                              "of named stages")
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> StagedModel:

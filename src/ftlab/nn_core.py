@@ -285,6 +285,21 @@ def _as_labels(labels, batch_size: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def run_stages(stages: list[Stage], x: np.ndarray,
+               check_finite: bool = False) -> np.ndarray:
+    """Run a batch through a stage list: no loss, no caches, no shape checks.
+
+    With check_finite, a non-finite activation is rejected with the stage
+    named, as forward() does.
+    """
+    for stage in stages:
+        for layer in stage.layers:
+            x, _ = layer.forward(x)
+        if check_finite and not np.all(np.isfinite(x)):
+            raise ValueError(f"stage '{stage.name}': non-finite activation")
+    return x
+
+
 def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.ndarray, ForwardCache]:
     """Run the stage list on a batch and apply softmax cross-entropy.
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .model import StagedModel
+from .nn_core import backward, forward, run_stages
 
 
 @dataclass(frozen=True)
@@ -113,8 +114,9 @@ class SgdState:
 def lowest_trainable_stage(stage_names, schedule: MultiplierSchedule) -> int:
     """Index of the first stage with a non-zero rate, len(stage_names) if none.
 
-    Every stage below it is frozen, so backward can stop there. The scale
-    is positive, so a multiplier of 0 is exactly an effective rate of 0.
+    Every stage below it is frozen, so train() runs them once per call
+    and backward can stop there. The scale is positive, so a multiplier
+    of 0 is exactly an effective rate of 0.
     """
     return next((i for i, name in enumerate(stage_names)
                  if schedule.stage_multipliers[name] != 0), len(stage_names))
@@ -146,18 +148,34 @@ def sgd_step(model: StagedModel, grads: dict[str, np.ndarray], state: SgdState,
             param += v
 
 
+# evaluate() scores this many rows per batch; train() runs the frozen
+# prefix in batches of the same size
+EVAL_CHUNK = 256
+
+
+def _chunks(features: np.ndarray, labels: np.ndarray,
+            chunk: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(features, labels) views cut every chunk rows."""
+    return [(features[i:i + chunk], labels[i:i + chunk])
+            for i in range(0, len(labels), chunk)]
+
+
+def _accuracy(stages, batches) -> float:
+    """Top-1 accuracy of a stage list over (features, labels) batches."""
+    correct = total = 0
+    for x, y in batches:
+        correct += int((run_stages(stages, x).argmax(axis=1) == y).sum())
+        total += len(y)
+    return correct / total
+
+
 def evaluate(model: StagedModel, dataset: LabeledDataset,
-             chunk: int = 256) -> float:
+             chunk: int = EVAL_CHUNK) -> float:
     """Top-1 accuracy over a dataset."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    correct = 0
-    for start in range(0, len(dataset), chunk):
-        x = dataset.features[start:start + chunk]
-        y = dataset.labels[start:start + chunk]
-        scores = model.predict(x)
-        correct += int((scores.argmax(axis=1) == y).sum())
-    return correct / len(dataset)
+    features = model.check_input(dataset.features)
+    return _accuracy(model.stages, _chunks(features, dataset.labels, chunk))
 
 
 @dataclass
@@ -186,6 +204,12 @@ def train(model: StagedModel, train_set: LabeledDataset,
     Validation accuracy is recorded every eval_every iterations (default
     step_size // 10, minimum 1) and at the final iteration. The model is
     updated in place.
+
+    The stages below the lowest trainable one never change, so their
+    output is computed once per call, over both sets in evaluate()'s
+    batches, and every step and evaluation runs only the stages above.
+    Validation keeps evaluate()'s batches, so each recorded accuracy is
+    exactly evaluate() of the model at that point.
     """
     if len(train_set) == 0:
         raise ValueError("training set is empty")
@@ -196,7 +220,18 @@ def train(model: StagedModel, train_set: LabeledDataset,
                          f"got {batch_size}")
     schedule.check_covers(model.stage_names)
     first_trainable = lowest_trainable_stage(model.stage_names, schedule)
+    frozen = model.stages[:first_trainable]
+    live = model.stages[first_trainable:]
     cadence = eval_every if eval_every else max(1, policy.step_size // 10)
+
+    rows = model.check_input(train_set.features)
+    val_batches = _chunks(model.check_input(val_set.features), val_set.labels,
+                          EVAL_CHUNK)
+    if frozen:
+        rows = np.concatenate([
+            run_stages(frozen, rows[i:i + EVAL_CHUNK], check_finite=True)
+            for i in range(0, len(rows), EVAL_CHUNK)])
+        val_batches = [(run_stages(frozen, x), y) for x, y in val_batches]
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(train_set))
@@ -214,12 +249,13 @@ def train(model: StagedModel, train_set: LabeledDataset,
             cursor = 0
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
-        _, _, cache = model.forward(train_set.features[idx], train_set.labels[idx])
-        grads = model.backward(cache, train_set.labels[idx], first_trainable)
+        labels = train_set.labels[idx]
+        _, _, cache = forward(live, rows[idx], labels)
+        grads = backward(live, cache, labels)
         sgd_step(model, grads, state, schedule, policy, it)
         done = it + 1
         if done % cadence == 0 or done == policy.total_iterations:
-            acc = evaluate(model, val_set)
+            acc = _accuracy(live, val_batches)
             trace.append((done, acc))
             if acc > best_acc:
                 best_acc = acc

@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,19 @@ MALFORMED_CHECKPOINTS = {
         b"{}", struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<BIf", 1, 1, 0.0),
         count=1),
     "metadata_not_object": crafted_checkpoint(b"5"),
+    # a 4 GB metadata read: a MemoryError under a memory limit
+    "metadata_length_past_end": b"FTLB" + struct.pack("<II", 1, 0xFFFFFFF0),
+    # every field present, but "arch" cannot be iterated
+    "arch_not_a_list": crafted_checkpoint(json.dumps(
+        {"arch": 5, "digest": "0", "input_shape": [1, 8, 8],
+         "iterations": 0, "num_labels": 3, "seed": 0}).encode()),
+    # a layer size that numpy cannot take as a shape
+    "layer_size_not_an_int": crafted_checkpoint(json.dumps(
+        {"arch": [{"name": "conv1", "layers": [{"kind": "conv2d",
+                                                "out_channels": "2"}]},
+                  {"name": "fc", "layers": [{"kind": "dense"}]}],
+         "digest": "0", "input_shape": [1, 8, 8], "iterations": 0,
+         "num_labels": 3, "seed": 0}).encode()),
 }
 
 
@@ -225,8 +239,15 @@ class TestFinetune:
                                                  source_run, capsys, case):
         path = tmp_path / "bad.ftlb"
         path.write_bytes(MALFORMED_CHECKPOINTS[case])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError):
+                load_checkpoint(path)
+            # no read sized by a corrupt field: nothing near its size is
+            # allocated, even where the allocation itself would succeed
+            assert tracemalloc.get_traced_memory()[1] < 1 << 24
+        finally:
+            tracemalloc.stop()
         cfg = self.finetune_cfg(data_root, source_run, {"ll": 0.1})
         cfg["source_checkpoint"] = str(path)
         config = write_config(tmp_path / "c.json", cfg)
@@ -373,6 +394,27 @@ class TestReport:
             f.write("garbage\n{}\n")
         assert main(["report", str(ledger)]) == 0
         assert "skipped 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_line", [
+        b"\xff\xfe\n",
+        # joins the fabric/garment row of the gain table
+        b'{"kind": "ll", "task": "fabric", "source": "garment", "seed": 0, '
+        b'"ll": 0.5, "il": 0.0, "final_accuracy": 0.5, '
+        b'"best_accuracy": "high"}\n',
+    ], ids=["not_utf8", "accuracy_not_a_number"])
+    def test_malformed_line_skipped_with_its_number(self, tmp_path, capsys,
+                                                    bad_line):
+        ledger = tmp_path / "ledger.jsonl"
+        self.write_gain_ledger(ledger)
+        good_lines = len(ledger.read_bytes().splitlines())
+        with open(ledger, "ab") as f:
+            f.write(bad_line)
+        assert main(["report", str(ledger)]) == 0
+        captured = capsys.readouterr()
+        assert (f"{ledger}: skipped 1 corrupt record(s) at line(s) "
+                f"{good_lines + 1}") in captured.err
+        assert "fabric" in captured.out
+        assert "1 records skipped" in captured.out
 
     def test_missing_ledger_is_validation_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 1

@@ -12,7 +12,8 @@ from ftlab.experiment import (FinetuneTask, GraduatedSpec, GridSpec,
                               graduated_schedule, most_frequent_best_scale,
                               percent_gain, read_ledger, recommend_multipliers,
                               render_report, report_from_records,
-                              run_il_ll_grid, run_ll_experiment, scale_sweep)
+                              run_il_ll_grid, run_ll_experiment, scale_sweep,
+                              scan_ledger)
 from ftlab.model import (build_staged_network, checkpoint_from_model,
                          load_checkpoint, mini_staged_spec, save_checkpoint)
 from ftlab.optim import LrPolicy, effective_lr
@@ -296,6 +297,20 @@ class TestLedger:
         back, skipped = read_ledger(path)
         assert len(back) == 1
         assert skipped == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", True), ("seed", 1.5), ("best_accuracy", "high"),
+        ("final_accuracy", None), ("ll", [0.1]), ("task", 3),
+        ("checkpoint", 7)])
+    def test_mistyped_fields_are_corrupt_lines(self, tmp_path, field, value):
+        good = RunRecord(kind="ll", task="t", source="s", seed=0,
+                         final_accuracy=0.1, best_accuracy=0.1, ll=0.01, il=0.0)
+        bad = dict(good.to_dict(), **{field: value})
+        path = tmp_path / "ledger.jsonl"
+        append_records(path, [good])
+        with open(path, "ab") as f:
+            f.write(b"\n" + json.dumps(bad).encode() + b"\n\xff\n")
+        assert scan_ledger(path) == ([good], [3, 4])
 
 
 class TestReports:

@@ -125,6 +125,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="tensor"):
             load_checkpoint(cut)
 
+    @pytest.mark.parametrize("field,value", [
+        ("arch", 5), ("arch", []), ("arch", [{"name": 1, "layers": []}]),
+        ("arch", [{"name": "a", "layers": [{"kind": "warp"}]}]),
+        ("arch", [{"name": "a", "layers": [{"kind": "conv2d",
+                                            "out_channels": "2"}]}]),
+        ("input_shape", "1x8x8"), ("input_shape", [1, 8.5, 8]),
+        ("num_labels", "3"), ("seed", None), ("iterations", True),
+        ("digest", 0)])
+    def test_mistyped_metadata_rejected(self, tmp_path, field, value):
+        m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5)
+        ckpt = checkpoint_from_model(m)
+        ckpt.metadata[field] = value
+        path = tmp_path / "m.ftlb"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError, match=field):
+            load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ftlb"
         path.write_bytes(b"NOPE" + b"\x00" * 64)

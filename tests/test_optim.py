@@ -1,10 +1,14 @@
 """Schedule math, SGD semantics, freeze invariance, and training loop tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ftlab.data import LabeledDataset
-from ftlab.model import LayerSpec, StageSpec, build_staged_network
+from ftlab.model import (LayerSpec, StageSpec, build_staged_network,
+                         mini_staged_spec)
+from ftlab.nn_core import Conv2d
 from ftlab.optim import (LrPolicy, MultiplierSchedule, SgdState, effective_lr,
                          evaluate, lowest_trainable_stage, lr_at, sgd_step,
                          train, uniform_schedule)
@@ -286,6 +290,134 @@ class TestTrain:
             final.append(snapshot(m))
         for name in final[0]:
             assert np.allclose(final[0][name], final[1][name], rtol=1e-9)
+
+
+def conv_model(seed=12):
+    """conv1 -> conv2 -> fc on 1x8x8 inputs."""
+    return build_staged_network(mini_staged_spec((2, 3), (1, 8, 8)), (1, 8, 8),
+                                3, seed=seed)
+
+
+def conv_dataset(n, seed):
+    """Noise images whose mean brightness, -1, 0 or +1, is the label."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 3, n)
+    x = rng.standard_normal((n, 1, 8, 8)) + (y - 1.0)[:, None, None, None]
+    return LabeledDataset(x, y, ("a", "b", "c"), "conv")
+
+
+def reference_train(model, train_set, val_set, schedule, policy, batch_size,
+                    seed, momentum=0.9, eval_every=None):
+    """Every step and evaluation runs the whole model on the batch."""
+    first_trainable = lowest_trainable_stage(model.stage_names, schedule)
+    cadence = eval_every if eval_every else max(1, policy.step_size // 10)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(train_set))
+    cursor = 0
+    state = SgdState.for_model(model, momentum)
+    trace = []
+    for it in range(policy.total_iterations):
+        if cursor + batch_size > len(order):
+            order = rng.permutation(len(train_set))
+            cursor = 0
+        idx = order[cursor:cursor + batch_size]
+        cursor += batch_size
+        _, _, cache = model.forward(train_set.features[idx], train_set.labels[idx])
+        grads = model.backward(cache, train_set.labels[idx], first_trainable)
+        sgd_step(model, grads, state, schedule, policy, it)
+        done = it + 1
+        if done % cadence == 0 or done == policy.total_iterations:
+            trace.append((done, evaluate(model, val_set)))
+    return trace
+
+
+HEAD_ONLY = {"conv1": 0.0, "conv2": 0.0, "fc": 1.0}
+CONV1_FROZEN = {"conv1": 0.0, "conv2": 1.0, "fc": 1.0}
+
+
+class TestFrozenPrefixCache:
+    """train() runs the frozen stages once per call, in evaluate()'s batches."""
+
+    # more than one 256-row batch on both sides, the last one partial
+    train_set = conv_dataset(300, seed=20)
+    val_set = conv_dataset(270, seed=21)
+    policy = LrPolicy(0.3, step_size=20, total_iterations=40)
+
+    @pytest.mark.parametrize("total_iterations", [1, 40])
+    def test_frozen_convs_run_once_per_batch_of_each_set(self, monkeypatch,
+                                                         total_iterations):
+        calls = {}
+        original = Conv2d.forward
+
+        def counting(layer, x):
+            calls[id(layer)] = calls.get(id(layer), 0) + 1
+            return original(layer, x)
+
+        monkeypatch.setattr(Conv2d, "forward", counting)
+        m = conv_model()
+        policy = LrPolicy(0.05, step_size=20, total_iterations=total_iterations)
+        train(m, self.train_set, self.val_set, MultiplierSchedule(HEAD_ONLY),
+              policy, batch_size=8, seed=1, eval_every=5)
+        convs = [layer for stage in m.stages for layer in stage.layers
+                 if isinstance(layer, Conv2d)]
+        expected = math.ceil(300 / 256) + math.ceil(270 / 256)
+        assert [calls.get(id(c), 0) for c in convs] == [expected] * len(convs)
+
+    @pytest.mark.parametrize("mults", [HEAD_ONLY, CONV1_FROZEN],
+                             ids=["head_only", "conv1_frozen"])
+    def test_matches_the_whole_model_loop(self, mults):
+        schedule = MultiplierSchedule(mults)
+        ref = conv_model()
+        ref_trace = reference_train(ref, self.train_set, self.val_set, schedule,
+                                    self.policy, batch_size=8, seed=2,
+                                    eval_every=5)
+        m = conv_model()
+        result = train(m, self.train_set, self.val_set, schedule, self.policy,
+                       batch_size=8, seed=2, eval_every=5)
+        assert result.trace == ref_trace
+        for (name, arr), (_, ref_arr) in zip(m.named_parameters(),
+                                             ref.named_parameters()):
+            assert np.max(np.abs(arr - ref_arr)) <= 1e-12, name
+        assert evaluate(result.best_model, self.val_set) == result.best_accuracy
+
+    @pytest.mark.parametrize("mults", [HEAD_ONLY, CONV1_FROZEN],
+                             ids=["head_only", "conv1_frozen"])
+    def test_frozen_tensors_bitwise_unchanged(self, mults):
+        m = conv_model()
+        before = snapshot(m)
+        result = train(m, self.train_set, self.val_set,
+                       MultiplierSchedule(mults), self.policy, batch_size=8,
+                       seed=3)
+        for net in (m, result.best_model):
+            for name, arr in net.named_parameters():
+                stage = name.split("/", 1)[0]
+                assert (arr.tobytes() == before[name].tobytes()) == (
+                    mults[stage] == 0.0), name
+
+    def test_non_finite_frozen_activation_names_its_stage(self):
+        m = conv_model()
+        m.stages[1].layers[0].b[0] = np.inf      # conv2, frozen
+        with pytest.raises(ValueError,
+                           match="stage 'conv2': non-finite activation"):
+            train(m, self.train_set, self.val_set,
+                  MultiplierSchedule(HEAD_ONLY), self.policy, batch_size=8,
+                  seed=4)
+
+    def test_input_shape_checked_up_front(self):
+        m = conv_model()
+        flat = LabeledDataset(self.train_set.features.reshape(300, 64),
+                              self.train_set.labels, ("a", "b", "c"))
+        with pytest.raises(ValueError, match="model input shape"):
+            train(m, flat, self.val_set, MultiplierSchedule(HEAD_ONLY),
+                  self.policy, batch_size=8, seed=5)
+
+    def test_predict_equals_the_per_layer_loop(self):
+        m = conv_model()
+        x = self.val_set.features
+        for stage in m.stages:
+            for layer in stage.layers:
+                x, _ = layer.forward(x)
+        assert m.predict(self.val_set.features).tobytes() == x.tobytes()
 
 
 def test_evaluate_on_known_predictions():
