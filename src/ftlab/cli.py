@@ -24,7 +24,7 @@ from .experiment import (FinetuneTask, GraduatedSpec, GridSpec,
                          derive_seed, graduated_schedule, render_report,
                          report_from_records, run_il_ll_grid, scale_sweep,
                          scan_ledger)
-from .model import (CheckpointError, build_staged_network,
+from .model import (Checkpoint, CheckpointError, build_staged_network,
                     checkpoint_from_model, load_checkpoint, mini_staged_spec,
                     save_checkpoint, transfer_init)
 from .nn_core import grad_check
@@ -289,6 +289,19 @@ def _resolve_schedule(cfg: RunConfig, model_stage_names, head_name,
     return None
 
 
+def _load_source(cfg: RunConfig, errors: list[str]) -> Checkpoint | None:
+    """The config's source checkpoint, digest checked; None, with the problem
+    added to errors, if it cannot be used."""
+    if not cfg.source_checkpoint:
+        errors.append("config needs 'source_checkpoint'")
+        return None
+    try:
+        return load_checkpoint(cfg.source_checkpoint)
+    except (OSError, CheckpointError) as e:
+        errors.append(f"source checkpoint: {e}")
+        return None
+
+
 def _fail(errors) -> int:
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
@@ -343,15 +356,7 @@ def cmd_finetune(cfg: RunConfig, out_dir) -> int:
     errors: list[str] = []
     if cfg.batch_size is None:
         errors.append("batch_size is required")
-    if not cfg.source_checkpoint:
-        errors.append("config needs 'source_checkpoint'")
-        source = None
-    else:
-        try:
-            source = load_checkpoint(cfg.source_checkpoint)
-        except (OSError, CheckpointError) as e:
-            errors.append(f"source checkpoint: {e}")
-            source = None
+    source = _load_source(cfg, errors)
     task = _resolve_task(cfg.data, "target", errors)
     stage_names = (tuple(s["name"] for s in source.metadata["arch"])
                    if source else ())
@@ -396,15 +401,7 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
         errors.append("batch_size is required")
     if (cfg.grid is None) == (cfg.graduated is None):
         errors.append("sweep config needs exactly one of 'grid' or 'graduated'")
-    if not cfg.source_checkpoint:
-        errors.append("config needs 'source_checkpoint'")
-        source = None
-    else:
-        try:
-            source = load_checkpoint(cfg.source_checkpoint)
-        except (OSError, CheckpointError) as e:
-            errors.append(f"source checkpoint: {e}")
-            source = None
+    source = _load_source(cfg, errors)
 
     tasks: list[FinetuneTask] = []
     if cfg.grid is not None:

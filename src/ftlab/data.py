@@ -345,14 +345,18 @@ def load_dataset(directory, domain_name: str | None = None) -> LabeledDataset:
                                  f"'<path>\\t<label>'") from None
             if label_name not in label_ids:
                 label_ids[label_name] = len(label_ids)
-            arr = binio.load_tensor_file(os.path.join(directory, rel))
+            try:
+                arr = binio.load_tensor_file(os.path.join(directory, rel))
+            except (OSError, binio.FormatError) as e:
+                raise ValueError(f"{manifest}:{lineno}: {rel}: {e}") from None
+            if features and arr.shape != features[0].shape:
+                raise ValueError(f"{manifest}:{lineno}: {rel}: mixed shapes: "
+                                 f"{arr.shape}, the first example has "
+                                 f"{features[0].shape}")
             features.append(arr.astype(np.float64))
             labels.append(label_ids[label_name])
     if not features:
         raise ValueError(f"{manifest} lists no examples")
-    shapes = {f.shape for f in features}
-    if len(shapes) > 1:
-        raise ValueError(f"examples have mixed shapes: {sorted(shapes)}")
     if domain_name is None:
         domain_name = os.path.basename(os.path.normpath(directory))
     return LabeledDataset(np.stack(features), np.array(labels),

@@ -273,8 +273,8 @@ class StagedModel:
     def forward(self, batch, labels):
         return forward(self.stages, self.check_input(batch), labels)
 
-    def backward(self, cache, labels, start: int = 0):
-        return backward(self.stages, cache, labels, start)
+    def backward(self, cache, labels):
+        return backward(self.stages, cache, labels)
 
     def predict(self, batch) -> np.ndarray:
         """Class scores without loss; accepts any batch of model input shape."""
@@ -378,7 +378,22 @@ class Checkpoint:
         return self.metadata["num_labels"]
 
     def arch_spec(self) -> tuple[StageSpec, ...]:
-        return tuple(StageSpec.from_dict(d) for d in self.metadata["arch"])
+        """The stored architecture, rejected unless the stored digest matches it."""
+        try:
+            spec = tuple(StageSpec.from_dict(d) for d in self.metadata["arch"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"metadata field 'arch' is malformed: {e}") from None
+        if not spec or not all(isinstance(s.name, str) for s in spec):
+            raise CheckpointError("metadata field 'arch' must be a non-empty list "
+                                  "of named stages")
+        try:
+            digest = arch_digest(spec, self.input_shape())
+        except ValueError as e:
+            raise CheckpointError(f"metadata field 'arch' is malformed: {e}") from None
+        if digest != self.digest:
+            raise CheckpointError("metadata digest does not match the stored "
+                                  "architecture")
+        return spec
 
     def input_shape(self) -> tuple[int, ...]:
         return tuple(self.metadata["input_shape"])
@@ -417,7 +432,7 @@ def save_checkpoint(model_or_ckpt, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and validate a checkpoint file."""
+    """Read and validate a checkpoint file, its digest included."""
     try:
         with open(path, "rb") as f:
             magic = binio._read_exact(f, 4, "magic")
@@ -441,7 +456,9 @@ def load_checkpoint(path) -> Checkpoint:
     except binio.FormatError as e:
         raise CheckpointError(str(e)) from None
     _check_metadata(meta)
-    return Checkpoint(tensors, meta)
+    ckpt = Checkpoint(tensors, meta)
+    ckpt.arch_spec()
+    return ckpt
 
 
 _METADATA_TYPES = {"arch": list, "digest": str, "input_shape": list,
@@ -464,23 +481,12 @@ def _check_metadata(meta) -> None:
                for d in meta["input_shape"]):
         raise CheckpointError(f"metadata field 'input_shape' must hold integers, "
                               f"got {meta['input_shape']!r}")
-    try:
-        stages = [StageSpec.from_dict(d) for d in meta["arch"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"metadata field 'arch' is malformed: {e}") from None
-    if not stages or not all(isinstance(s.name, str) for s in stages):
-        raise CheckpointError("metadata field 'arch' must be a non-empty list "
-                              "of named stages")
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> StagedModel:
     """Rebuild the saved model, restoring all parameters."""
-    spec = ckpt.arch_spec()
-    input_shape = ckpt.input_shape()
-    if arch_digest(spec, input_shape) != ckpt.digest:
-        raise CheckpointError("metadata digest does not match the stored architecture")
-    model = build_staged_network(spec, input_shape, ckpt.num_labels,
-                                 ckpt.metadata["seed"])
+    model = build_staged_network(ckpt.arch_spec(), ckpt.input_shape(),
+                                 ckpt.num_labels, ckpt.metadata["seed"])
     model.trained_iterations = ckpt.metadata["iterations"]
     _assign_tensors(model, ckpt, skip_head=False)
     return model

@@ -3,7 +3,9 @@
 Layers operate on float64 numpy arrays. Feature maps are laid out NCHW;
 dense layers take (batch, features). Each layer implements a pure
 forward(x) -> (y, cache) and backward(dy, cache) -> (dx, param_grads)
-pair, so the engine-level ops stay stateless and deterministic.
+pair, so the engine-level ops stay stateless and deterministic. A layer
+with parameters also has param_grads(dy, cache): backward's parameter
+gradients, computed without dx where the layer can.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 DTYPE = np.float64
 
@@ -41,11 +43,12 @@ class Dense:
         return x @ self.w + self.b, x
 
     def backward(self, dy, cache):
+        return dy @ self.w.T, self.param_grads(dy, cache)
+
+    def param_grads(self, dy, cache):
+        """The parameter half of backward: no input gradient."""
         x = cache
-        dw = x.T @ dy
-        db = dy.sum(axis=0)
-        dx = dy @ self.w.T
-        return dx, {"w": dw, "b": db}
+        return {"w": x.T @ dy, "b": dy.sum(axis=0)}
 
     def named_params(self) -> Iterator[tuple[str, np.ndarray]]:
         yield "w", self.w
@@ -60,13 +63,22 @@ def _pad(x: np.ndarray, p: int) -> np.ndarray:
     return xp
 
 
-def _windows(xp: np.ndarray, k: int) -> np.ndarray:
-    """Read-only (n, c, h, w, k, k) view of every k x k window of a padded map."""
-    return sliding_window_view(xp, (k, k), axis=(2, 3))
+def _columns(xp: np.ndarray, k: int) -> np.ndarray:
+    """(c*k*k, n*h*w) matrix of every k x k window of a padded NCHW map.
+
+    Row (ci, a, b) and column (m, i, j) hold xp[m, ci, i + a, j + b]. The
+    matrix is one copy of a read-only strided view of xp.
+    """
+    n, c, hp, wp = xp.shape
+    h, w = hp - k + 1, wp - k + 1
+    sn, sc, sh, sw = xp.strides
+    view = as_strided(xp, (c, k, k, n, h, w), (sc, sh, sw, sn, sh, sw),
+                      writeable=False)
+    return view.reshape(c * k * k, n * h * w)
 
 
-# Conv2d.forward copies the windows of at most about this many bytes at a
-# time. A training batch fits in one chunk. At evaluation batches of 96
+# Conv2d.forward builds the column matrix of at most about this many bytes
+# at a time. A training batch fits in one chunk. At evaluation batches of 96
 # and 256, one whole-batch copy was 35-60% slower per example than chunks
 # of this size (2-core VM, OpenBLAS), mostly from page faults on the large
 # temporaries.
@@ -76,7 +88,7 @@ _FORWARD_CHUNK_BYTES = 1 << 19
 class Conv2d:
     """3x3-style convolution, stride 1, zero padding k//2 (shape preserving).
 
-    Each of y, dW and dX is one tensordot over a strided window view of a
+    Each of y, dW and dX is one matrix product with the column matrix of a
     zero-padded tensor (the lowering to matrix products of Chellapilla et
     al. 2006), y in batch chunks of bounded size; only the padded input is
     kept for backward.
@@ -105,30 +117,33 @@ class Conv2d:
                              f"got {x.shape}")
         k = self.kernel_size
         xp = _pad(x, k // 2)
-        windows = _windows(xp, k)
         n, c, h, wd = x.shape
+        f = self.w.shape[0]
+        w = self.w.reshape(f, c * k * k)
         step = max(1, _FORWARD_CHUNK_BYTES // (c * k * k * h * wd * xp.itemsize))
-        out = np.empty((self.w.shape[0], n, h, wd), dtype=DTYPE)
+        out = np.empty((f, n, h, wd), dtype=DTYPE)
         for i in range(0, n, step):
-            # (f, c, k, k) . (m, c, h, w, k, k) -> (f, m, h, w)
-            out[:, i:i + step] = np.tensordot(self.w, windows[i:i + step],
-                                              axes=([1, 2, 3], [1, 4, 5]))
+            out[:, i:i + step] = (w @ _columns(xp[i:i + step], k)).reshape(f, -1, h, wd)
         out += self.b[:, None, None, None]
         return out.transpose(1, 0, 2, 3), xp
 
     def backward(self, dy, cache):
+        k = self.kernel_size
+        n, f, h, wd = dy.shape
+        # full correlation of dy with the flipped kernel
+        w = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(-1, f * k * k)
+        dx = w @ _columns(_pad(dy, k // 2), k)
+        return (dx.reshape(-1, n, h, wd).transpose(1, 0, 2, 3),
+                self.param_grads(dy, cache))
+
+    def param_grads(self, dy, cache):
+        """The parameter half of backward: no input gradient."""
         xp = cache
         k = self.kernel_size
-        p = k // 2
-        # (n, c, h, w, k, k) . (n, f, h, w) -> (c, k, k, f)
-        dw = np.tensordot(_windows(xp, k), dy, axes=([0, 2, 3], [0, 2, 3]))
-        # full correlation of dy with the flipped kernel:
-        # (f, c, k, k) . (n, f, h, w, k, k) -> (c, n, h, w)
-        dyp = _pad(dy, p)
-        dx = np.tensordot(self.w[:, :, ::-1, ::-1], _windows(dyp, k),
-                          axes=([0, 2, 3], [1, 4, 5]))
+        f = dy.shape[1]
+        dw = _columns(xp, k) @ dy.transpose(0, 2, 3, 1).reshape(-1, f)
         db = dy.sum(axis=(0, 2, 3))
-        return dx.transpose(1, 0, 2, 3), {"w": dw.transpose(3, 0, 1, 2), "b": db}
+        return {"w": dw.reshape(-1, k, k, f).transpose(3, 0, 1, 2), "b": db}
 
     def named_params(self):
         yield "w", self.w
@@ -227,6 +242,9 @@ class ResidualBlock:
             for pname, garr in g.items():
                 grads[f"{i}/{pname}"] = garr
         return dy + d, grads
+
+    def param_grads(self, dy, cache):
+        return self.backward(dy, cache)[1]
 
     def named_params(self):
         for i, layer in enumerate(self.inner):
@@ -332,32 +350,36 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
     return float(loss), probs, cache
 
 
-def backward(stages: list[Stage], cache: ForwardCache, labels,
-             start: int = 0) -> dict[str, np.ndarray]:
+def backward(stages: list[Stage], cache: ForwardCache, labels) -> dict[str, np.ndarray]:
     """Gradients of the mean loss for every parameter, keyed stage/layer/param.
 
     Requires the cache produced by forward() on the same batch and labels.
-    Only stages[start:] get gradients: the pass stops at stages[start], so
-    a frozen prefix costs no backward work. start == len(stages) gives {}.
+    The input gradient of the lowest layer with parameters is never needed,
+    so that layer runs only param_grads, and the layers below it run no
+    backward at all.
     """
     if not isinstance(cache, ForwardCache):
         raise ValueError("backward called without a forward cache; run forward first")
-    if not 0 <= start <= len(stages):
-        raise ValueError(f"start must be in [0, {len(stages)}], got {start}")
     y = _as_labels(labels, len(cache.labels))
     if not np.array_equal(y, cache.labels):
         raise ValueError("labels do not match the batch passed to forward")
     if len(cache.stage_caches) != len(stages):
         raise ValueError("cache does not match this stage list")
+    layers = [(f"{stage.name}/{li}", layer, c)
+              for stage, caches in zip(stages, cache.stage_caches)
+              for li, (layer, c) in enumerate(zip(stage.layers, caches))]
+    lowest = next((i for i, (_, layer, _) in enumerate(layers)
+                   if any(True for _ in layer.named_params())), len(layers))
     grads: dict[str, np.ndarray] = {}
     d = cache.dlogits
-    for si in reversed(range(start, len(stages))):
-        stage = stages[si]
-        layer_caches = cache.stage_caches[si]
-        for li in reversed(range(len(stage.layers))):
-            d, layer_grads = stage.layers[li].backward(d, layer_caches[li])
-            for pname, g in layer_grads.items():
-                grads[f"{stage.name}/{li}/{pname}"] = g
+    for i in reversed(range(lowest, len(layers))):
+        path, layer, c = layers[i]
+        if i == lowest:
+            layer_grads = layer.param_grads(d, c)
+        else:
+            d, layer_grads = layer.backward(d, c)
+        for pname, g in layer_grads.items():
+            grads[f"{path}/{pname}"] = g
     for name, g in grads.items():
         _check_finite(g, f"gradient of {name}")
     return grads

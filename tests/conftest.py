@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from ftlab import binio
 from ftlab.cli import main
 
 
@@ -11,6 +13,25 @@ def write_config(path, cfg: dict) -> str:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(cfg, f, indent=2)
     return str(path)
+
+
+# each one breaks line 2 of a three-line manifest
+BROKEN_DATASET_CASES = ("missing_tensor", "corrupt_tensor", "mixed_shape")
+
+
+def write_broken_dataset(directory, case: str) -> None:
+    """A dataset directory whose second example is broken as case says."""
+    (directory / "a").mkdir(parents=True)
+    for i in range(3):
+        shape = (1, 4, 5) if case == "mixed_shape" and i == 1 else (1, 4, 4)
+        binio.save_tensor_file(directory / "a" / f"{i}.ftt",
+                               np.zeros(shape, np.float32))
+    if case == "missing_tensor":
+        (directory / "a" / "1.ftt").unlink()
+    elif case == "corrupt_tensor":
+        (directory / "a" / "1.ftt").write_bytes(b"FTT1\x03\x01")
+    (directory / "manifest.tsv").write_text(
+        "".join(f"a/{i}.ftt\ta\n" for i in range(3)), encoding="utf-8")
 
 
 FAST_POLICY = {"base_lr": 0.01, "step_size": 20, "total_iterations": 40,

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: configs, pipelines, ledgers, reports, exit codes."""
 
+import io
 import json
 import os
 import struct
@@ -7,12 +8,16 @@ import tracemalloc
 
 import pytest
 
-from conftest import FAST_POLICY, TINY_MODEL, write_config
+from conftest import (BROKEN_DATASET_CASES, FAST_POLICY, TINY_MODEL,
+                      write_broken_dataset, write_config)
+from ftlab import binio
 from ftlab.cli import ModelConfig, RunConfig, main
 from ftlab.data import load_dataset
 from ftlab.experiment import (RunRecord, append_records, derive_seed,
                               percent_gain)
-from ftlab.model import CheckpointError, load_checkpoint, transfer_init
+from ftlab.model import (CheckpointError, build_staged_network,
+                         checkpoint_from_model, load_checkpoint,
+                         mini_staged_spec, transfer_init)
 from ftlab.optim import evaluate
 
 
@@ -20,6 +25,19 @@ def crafted_checkpoint(meta: bytes, tensors: bytes = b"", count: int = 0) -> byt
     """FTLB header around raw metadata and raw named-tensor bytes."""
     return (b"FTLB" + struct.pack("<II", 1, len(meta)) + meta
             + struct.pack("<I", count) + tensors)
+
+
+def forged_digest_checkpoint() -> bytes:
+    """A whole checkpoint of the TINY_MODEL net whose digest is 64 f's."""
+    shape = tuple(TINY_MODEL["input_shape"])
+    net = build_staged_network(mini_staged_spec(TINY_MODEL["widths"], shape),
+                               shape, 3, seed=0)
+    ckpt = checkpoint_from_model(net, {"digest": "f" * 64})
+    tensors = io.BytesIO()
+    for name, arr in ckpt.tensors.items():
+        binio.write_named_tensor(tensors, name, arr)
+    return crafted_checkpoint(json.dumps(ckpt.metadata).encode(),
+                              tensors.getvalue(), len(ckpt.tensors))
 
 
 # each one escaped load_checkpoint as a bare Python exception before
@@ -44,6 +62,8 @@ MALFORMED_CHECKPOINTS = {
                   {"name": "fc", "layers": [{"kind": "dense"}]}],
          "digest": "0", "input_shape": [1, 8, 8], "iterations": 0,
          "num_labels": 3, "seed": 0}).encode()),
+    # sound in every other way: it finetuned and exited 0
+    "digest_forged": forged_digest_checkpoint(),
 }
 
 
@@ -156,6 +176,17 @@ class TestTrainSource:
         config = write_config(tmp_path / "c.json", cfg)
         assert main(["train-source", config, "--out", str(tmp_path / "o")]) == 1
         assert "data" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", BROKEN_DATASET_CASES)
+    def test_broken_dataset_exits_1_naming_the_line(self, tmp_path, capsys,
+                                                    case):
+        write_broken_dataset(tmp_path / "ds", case)
+        cfg = {"policy": FAST_POLICY, "model": TINY_MODEL, "batch_size": 2,
+               "data": {"train_dir": str(tmp_path / "ds"),
+                        "val_dir": str(tmp_path / "ds")}}
+        config = write_config(tmp_path / "c.json", cfg)
+        assert main(["train-source", config, "--out", str(tmp_path / "o")]) == 1
+        assert "manifest.tsv:2: a/1.ftt" in capsys.readouterr().err
 
     def test_seed_override_recorded(self, tmp_path, data_root):
         cfg = {"policy": FAST_POLICY, "model": TINY_MODEL, "batch_size": 6,
@@ -340,6 +371,21 @@ class TestSweep:
         completed = [r for r in records if r["kind"] == "graduated"]
         assert 0 < len(completed) < 6
         assert "status: partial" in (out / "report.txt").read_text()
+
+    def test_forged_source_digest_exits_1_before_any_job(self, tmp_path,
+                                                         data_root, source_run,
+                                                         capsys):
+        path = tmp_path / "forged.ftlb"
+        path.write_bytes(MALFORMED_CHECKPOINTS["digest_forged"])
+        cfg = self.grid_cfg(data_root, source_run)
+        cfg["source_checkpoint"] = str(path)
+        config = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert main(["sweep", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "source checkpoint" in err and "digest" in err
+        assert "failed job" not in err
+        assert not out.exists()
 
     def test_grid_and_graduated_both_given_rejected(self, tmp_path, data_root,
                                                     source_run):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import BROKEN_DATASET_CASES, write_broken_dataset
 from ftlab import binio
 from ftlab.data import (LabeledDataset, SyntheticDomainSpec, domain_parameters,
                         gen_synthetic_domain, images_per_label, load_dataset,
@@ -281,3 +282,10 @@ class TestOnDiskFormat:
                                         encoding="utf-8")
         with pytest.raises(ValueError, match="mixed"):
             load_dataset(d)
+
+    @pytest.mark.parametrize("case", BROKEN_DATASET_CASES)
+    def test_broken_example_names_its_manifest_line(self, tmp_path, case):
+        write_broken_dataset(tmp_path / "ds", case)
+        with pytest.raises(ValueError, match=r"manifest\.tsv:2: ") as info:
+            load_dataset(tmp_path / "ds")
+        assert "a/1.ftt" in str(info.value)

@@ -177,6 +177,18 @@ class TestCheckpoint:
 
 
 class TestDigest:
+    def test_forged_digest_rejected_by_every_reader(self, tmp_path):
+        m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=6)
+        ckpt = checkpoint_from_model(m, {"digest": "f" * 64})
+        path = tmp_path / "forged.ftlb"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError, match="digest"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="digest"):
+            model_from_checkpoint(ckpt)
+        with pytest.raises(CheckpointError, match="digest"):
+            transfer_init(ckpt, 5, head_seed=0)
+
     def test_digest_ignores_head_output_size(self):
         spec = tiny_spec()
         a = build_staged_network(spec, (1, 8, 8), 10, seed=0)

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from ftlab import nn_core
 from ftlab.model import (LayerSpec, StageSpec, build_staged_network,
                          mini_staged_spec)
-from ftlab.nn_core import (Conv2d, MaxPool, backward, forward, grad_check,
-                           param_count, softmax_cross_entropy)
+from ftlab.nn_core import (Conv2d, Dense, MaxPool, backward, forward,
+                           grad_check, param_count, run_stages,
+                           softmax_cross_entropy)
 from ftlab.optim import MultiplierSchedule, lowest_trainable_stage
 
 
@@ -73,6 +76,42 @@ def naive_conv2d(x, w, b):
                         acc = acc + x[:, :, u, v] @ w[:, :, a, bb].T
             y[:, :, i, j] = acc
     return y
+
+
+def reference_conv(layer, x, dy):
+    """(y, dx, grads) by the earlier kernel: one tensordot over a
+    sliding_window_view per product, y in the same batch chunks."""
+    w, k = layer.w, layer.kernel_size
+    n, c, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (k // 2,) * 2, (k // 2,) * 2))
+    windows = sliding_window_view(xp, (k, k), axis=(2, 3))
+    step = max(1, nn_core._FORWARD_CHUNK_BYTES // (c * k * k * h * wd * 8))
+    y = np.empty((w.shape[0], n, h, wd))
+    for i in range(0, n, step):
+        y[:, i:i + step] = np.tensordot(w, windows[i:i + step],
+                                        axes=([1, 2, 3], [1, 4, 5]))
+    y += layer.b[:, None, None, None]
+    dw = np.tensordot(windows, dy, axes=([0, 2, 3], [0, 2, 3]))
+    dyp = np.pad(dy, ((0, 0), (0, 0), (k // 2,) * 2, (k // 2,) * 2))
+    dx = np.tensordot(w[:, :, ::-1, ::-1],
+                      sliding_window_view(dyp, (k, k), axis=(2, 3)),
+                      axes=([0, 2, 3], [1, 4, 5]))
+    return (y.transpose(1, 0, 2, 3), dx.transpose(1, 0, 2, 3),
+            {"w": dw.transpose(3, 0, 1, 2), "b": dy.sum(axis=(0, 2, 3))})
+
+
+def conv_layers_with_inputs(k, batch, seed):
+    """Every Conv2d of mini_staged_spec(kernel_size=k), with a batch of its input."""
+    net = build_staged_network(mini_staged_spec(kernel_size=k), (1, 16, 16),
+                               num_labels=4, seed=seed)
+    x = np.random.default_rng(seed).uniform(-1, 1, size=(batch, 1, 16, 16))
+    found = []
+    for stage in net.stages:
+        for layer in stage.layers:
+            if isinstance(layer, Conv2d):
+                found.append((layer, x))
+            x, _ = layer.forward(x)
+    return found
 
 
 # value computed once with scalar_loss_oracle on the seed-123 model below
@@ -250,6 +289,95 @@ class TestConv2d:
                 assert dx[full] == pytest.approx(central(x, full), rel=1e-7, abs=1e-7)
 
 
+class TestConvKernel:
+    """The column-matrix kernel against the earlier tensordot kernel, bitwise."""
+
+    # batch 256 takes several forward chunks at every layer
+    @pytest.mark.parametrize("batch", [8, 256])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_bitwise_equal_to_tensordot_kernel(self, k, batch):
+        layers = conv_layers_with_inputs(k, batch, seed=k + batch)
+        assert len(layers) == 5
+        rng = np.random.default_rng(k * batch)
+        for layer, x in layers:
+            y, cache = layer.forward(x)
+            n, f, h, wd = y.shape
+            # dy C-contiguous, and laid out channel-major as the kernel makes y
+            for dy in (rng.uniform(-1, 1, size=y.shape),
+                       rng.uniform(-1, 1, size=(f, n, h, wd)).transpose(1, 0, 2, 3)):
+                want_y, want_dx, want = reference_conv(layer, x, dy)
+                dx, grads = layer.backward(dy, cache)
+                assert y.tobytes() == want_y.tobytes()
+                assert dx.tobytes() == want_dx.tobytes()
+                for name in ("w", "b"):
+                    assert grads[name].tobytes() == want[name].tobytes()
+
+    @pytest.mark.parametrize("layer, x", [
+        (Conv2d(*(np.random.default_rng(1).uniform(-1, 1, size=s)
+                  for s in ((4, 3, 3, 3), (4,)))),
+         np.random.default_rng(2).uniform(-1, 1, size=(8, 3, 6, 6))),
+        (Dense(*(np.random.default_rng(3).uniform(-1, 1, size=s)
+                 for s in ((5, 4), (4,)))),
+         np.random.default_rng(4).uniform(-1, 1, size=(8, 5))),
+    ], ids=["conv2d", "dense"])
+    def test_param_grads_equal_backward_grads(self, layer, x):
+        y, cache = layer.forward(x)
+        dy = np.random.default_rng(5).uniform(-1, 1, size=y.shape)
+        _, full = layer.backward(dy, cache)
+        alone = layer.param_grads(dy, cache)
+        assert set(alone) == set(full) == {"w", "b"}
+        for name in full:
+            assert alone[name].tobytes() == full[name].tobytes()
+
+
+def spy_on_backward(monkeypatch, stages):
+    """Record, per layer path, each call of backward ("dx") and of
+    param_grads ("params"); a layer's backward calls its param_grads too."""
+    calls = {}
+    for stage in stages:
+        for li, layer in enumerate(stage.layers):
+            path = f"{stage.name}/{li}"
+            for method, kind in (("backward", "dx"), ("param_grads", "params")):
+                if hasattr(layer, method):
+                    def spy(*a, _f=getattr(layer, method), _p=path, _k=kind):
+                        calls.setdefault(_p, []).append(_k)
+                        return _f(*a)
+                    monkeypatch.setattr(layer, method, spy)
+    return calls
+
+
+class TestLowestLayerInputGradient:
+    """backward() never computes the input gradient of the lowest parameter layer."""
+
+    def test_from_scratch_model(self, monkeypatch):
+        m = build_staged_network(mini_staged_spec(), (1, 16, 16), 4, seed=2)
+        x = np.random.default_rng(3).uniform(-1, 1, size=(8, 1, 16, 16))
+        y = np.arange(8) % 4
+        _, _, cache = m.forward(x, y)
+        calls = spy_on_backward(monkeypatch, m.stages)
+        grads = m.backward(cache, y)
+        assert calls["conv1/0"] == ["params"]
+        for path in ("conv1/1", "conv2/0", "conv5/0", "fc/0"):
+            assert calls[path].count("dx") == 1
+        assert set(grads) == {name for name, _ in m.named_parameters()}
+
+    @pytest.mark.parametrize("first, lowest", [(2, "conv3/0"), (5, "fc/0")])
+    def test_live_stage_list(self, monkeypatch, first, lowest):
+        m = build_staged_network(mini_staged_spec(), (1, 16, 16), 4, seed=2)
+        x = np.random.default_rng(3).uniform(-1, 1, size=(8, 1, 16, 16))
+        y = np.arange(8) % 4
+        live = m.stages[first:]
+        _, _, cache = forward(live, run_stages(m.stages[:first], x), y)
+        calls = spy_on_backward(monkeypatch, m.stages)
+        grads = backward(live, cache, y)
+        assert calls[lowest] == ["params"]
+        assert all(kinds.count("dx") == 1 for path, kinds in calls.items()
+                   if path != lowest)
+        assert not any(path.split("/")[0] in m.stage_names[:first]
+                       for path in calls)
+        assert {n.split("/")[0] for n in grads} == set(m.stage_names[first:])
+
+
 class TestMaxPool:
     def test_ties_route_gradient_to_first_max(self):
         # small integers, so most 2x2 windows hold a tie for the max
@@ -271,6 +399,8 @@ class TestMaxPool:
 
 
 class TestFrozenPrefixElision:
+    """Backward over a live stage list gives the full backward's gradients."""
+
     def four_stage_model(self):
         return build_staged_network(mini_staged_spec(widths=(2, 3, 3),
                                                      input_shape=(1, 8, 8)),
@@ -289,20 +419,15 @@ class TestFrozenPrefixElision:
         y = np.array([0, 1, 2, 0, 1])
         _, _, cache = m.forward(x, y)
         full = m.backward(cache, y)
-        elided = m.backward(cache, y, start)
-        kept = {s.name for s in m.stages[start:]}
+        live = m.stages[start:]
+        _, _, live_cache = forward(live, run_stages(m.stages[:start], x), y)
+        elided = backward(live, live_cache, y)
+        kept = {s.name for s in live}
         assert set(elided) == {n for n in full if n.split("/")[0] in kept}
         for name, g in elided.items():
             assert g.tobytes() == full[name].tobytes()
         if start == len(m.stages):
             assert elided == {}
-
-    def test_start_out_of_range_rejected(self):
-        m = two_layer_model()
-        _, _, cache = m.forward(np.zeros((2, 4)), [0, 1])
-        for start in (-1, 3):
-            with pytest.raises(ValueError, match="start"):
-                backward(m.stages, cache, [0, 1], start)
 
 
 class TestGradCheck:
@@ -329,6 +454,16 @@ class TestGradCheck:
         x = np.random.default_rng(300 + seed).uniform(-1, 1, size=(4, 1, 8, 8))
         y = np.array([0, 1, 2, 0])
         assert grad_check(m.stages, x, y, epsilon=1e-5) < 1e-4
+
+    def test_residual_lowest_layer_under_1e4(self):
+        # the lowest parameter layer is a residual block: its param_grads
+        spec = (StageSpec("res", (LayerSpec("residual-add", inner=(
+                    LayerSpec("conv2d", out_channels=1), LayerSpec("relu"))),
+                                  LayerSpec("global-average-pool"))),
+                StageSpec("fc", (LayerSpec("dense"),)))
+        m = build_staged_network(spec, (1, 4, 4), num_labels=3, seed=0)
+        x = np.random.default_rng(300).uniform(-1, 1, size=(4, 1, 4, 4))
+        assert grad_check(m.stages, x, np.array([0, 1, 2, 0]), epsilon=1e-5) < 1e-4
 
     def test_epsilon_must_be_positive(self):
         m = two_layer_model()

@@ -10,8 +10,7 @@ from ftlab.model import (LayerSpec, StageSpec, build_staged_network,
                          mini_staged_spec)
 from ftlab.nn_core import Conv2d
 from ftlab.optim import (LrPolicy, MultiplierSchedule, SgdState, effective_lr,
-                         evaluate, lowest_trainable_stage, lr_at, sgd_step,
-                         train, uniform_schedule)
+                         evaluate, lr_at, sgd_step, train, uniform_schedule)
 
 REFERENCE_POLICY = LrPolicy(base_lr=0.01, step_size=300_000,
                         total_iterations=900_000, gamma=0.1)
@@ -133,21 +132,20 @@ class TestSgdStep:
             assert np.allclose(arr, before[name] + expected_delta, rtol=1e-12)
 
     def test_frozen_stages_untouched(self):
-        # a frozen prefix (hidden) gets no gradient at all; a frozen stage
-        # above a trainable one (fc) still gets one, and sgd_step skips it
+        # the frozen stage, below (hidden) or above (fc) the trainable one,
+        # gets a real non-zero gradient, and sgd_step skips it
         ds = toy_dataset(n_per_label=2, seed=7)
         x, y = ds.features, ds.labels
         policy = LrPolicy(0.1, 10, 1000, gamma=1.0)
         for frozen, live in (("hidden", "fc"), ("fc", "hidden")):
             m = dense_model(seed=3)
             schedule = MultiplierSchedule({frozen: 0.0, live: 1.0})
-            start = lowest_trainable_stage(m.stage_names, schedule)
             state = SgdState.for_model(m, momentum=0.9)
             before = snapshot(m)
             for it in range(50):
                 _, _, cache = m.forward(x, y)
-                grads = m.backward(cache, y, start)
-                assert (f"{frozen}/0/w" in grads) == (frozen == "fc")
+                grads = m.backward(cache, y)
+                assert grads[f"{frozen}/0/w"].any()
                 sgd_step(m, grads, state, schedule, policy, it)
             after = snapshot(m)
             assert np.array_equal(before[f"{frozen}/0/w"], after[f"{frozen}/0/w"])
@@ -309,7 +307,6 @@ def conv_dataset(n, seed):
 def reference_train(model, train_set, val_set, schedule, policy, batch_size,
                     seed, momentum=0.9, eval_every=None):
     """Every step and evaluation runs the whole model on the batch."""
-    first_trainable = lowest_trainable_stage(model.stage_names, schedule)
     cadence = eval_every if eval_every else max(1, policy.step_size // 10)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(train_set))
@@ -323,7 +320,7 @@ def reference_train(model, train_set, val_set, schedule, policy, batch_size,
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
         _, _, cache = model.forward(train_set.features[idx], train_set.labels[idx])
-        grads = model.backward(cache, train_set.labels[idx], first_trainable)
+        grads = model.backward(cache, train_set.labels[idx])
         sgd_step(model, grads, state, schedule, policy, it)
         done = it + 1
         if done % cadence == 0 or done == policy.total_iterations:
