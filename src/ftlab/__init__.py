@@ -10,8 +10,8 @@ from .experiment import (FinetuneTask, GraduatedSpec, GridSpec,
                          run_ll_experiment, scale_sweep)
 from .model import (Checkpoint, CheckpointError, LayerSpec, StagedModel,
                     StageSpec, arch_digest, build_staged_network,
-                    load_checkpoint, load_checkpoint_into, mini_staged_spec,
-                    model_from_checkpoint, save_checkpoint, transfer_init)
+                    load_checkpoint, mini_staged_spec, model_from_checkpoint,
+                    save_checkpoint, transfer_init)
 from .nn_core import backward, forward, grad_check, softmax_cross_entropy
 from .optim import (LrPolicy, MultiplierSchedule, SgdState, effective_lr,
                     evaluate, lr_at, sgd_step, train, uniform_schedule)

@@ -208,12 +208,15 @@ def load_config(path, seed_override=None, workers_override=None) -> RunConfig:
         raise ConfigError([f"cannot read config: {e}"]) from None
     except ValueError as e:
         raise ConfigError([f"config is not valid JSON: {e}"]) from None
-    cfg = RunConfig.from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError([f"config must be a JSON object, got "
+                           f"{type(raw).__name__}"])
+    # overrides go through the same validation as the fields they replace
     if seed_override is not None:
-        cfg = dataclasses.replace(cfg, seed=seed_override)
+        raw["seed"] = seed_override
     if workers_override is not None:
-        cfg = dataclasses.replace(cfg, workers=workers_override)
-    return cfg
+        raw["workers"] = workers_override
+    return RunConfig.from_dict(raw)
 
 
 def _write_config_copy(cfg: RunConfig, out_dir) -> None:
@@ -402,6 +405,14 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
     if (cfg.grid is None) == (cfg.graduated is None):
         errors.append("sweep config needs exactly one of 'grid' or 'graduated'")
     source = _load_source(cfg, errors)
+    if source is not None and cfg.graduated is not None:
+        # every job's schedule is built before the first job starts
+        stages = tuple(s["name"] for s in source.metadata["arch"])
+        try:
+            graduated_schedule(cfg.graduated, 1.0, stages[:-1], stages[-1])
+            MultiplierSchedule({stages[-1]: cfg.baseline_ll_multiplier})
+        except (TypeError, ValueError) as e:
+            errors.append(f"graduated: {e}")
 
     tasks: list[FinetuneTask] = []
     if cfg.grid is not None:
@@ -546,8 +557,8 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--workers", type=int, default=None,
-                       help="override the config worker count "
-                            "(single-threaded commands ignore it)")
+                       help="override the config worker count: processes "
+                            "that run sweep jobs (other commands ignore it)")
 
     for name, help_text in (("gen-data", "generate synthetic domains"),
                             ("train-source", "train a source model"),

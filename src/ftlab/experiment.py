@@ -8,18 +8,19 @@ append-only JSONL ledger from which all report numbers are recomputable.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .data import LabeledDataset
-from .model import Checkpoint, StagedModel, save_checkpoint, transfer_init
-from .optim import (LrPolicy, MultiplierSchedule, TrainResult, train,
-                    uniform_schedule)
+from .model import Checkpoint, save_checkpoint, transfer_init
+from .optim import LrPolicy, MultiplierSchedule, train, uniform_schedule
 
 
 def derive_seed(*parts) -> int:
@@ -78,11 +79,8 @@ class GridSpec:
         """0 plus every power of 10 from min_il up to LL (inclusive)."""
         values = [0.0]
         k = round(math.log10(self.min_il))
-        while True:
-            v = 10.0 ** k
-            if v > ll * (1 + 1e-9):
-                break
-            values.append(v)
+        while 10.0 ** k <= ll * (1 + 1e-9):
+            values.append(10.0 ** k)
             k += 1
         return tuple(values)
 
@@ -127,23 +125,19 @@ def graduated_schedule(spec: GraduatedSpec, scale: float,
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     names = list(inner_stage_names)
-    mults = {}
+    values = spec.inner_multipliers
     if spec.layout == "per_stage":
-        if len(spec.inner_multipliers) != len(names):
+        if len(values) != len(names):
             raise ValueError(f"{len(names)} inner stages but "
-                             f"{len(spec.inner_multipliers)} multipliers")
-        for name, m in zip(names, spec.inner_multipliers):
-            mults[name] = m
+                             f"{len(values)} multipliers")
     else:  # shared_first: first two stages share the smallest multiplier
         if len(names) < 2:
             raise ValueError("shared_first layout needs at least two inner stages")
-        if len(spec.inner_multipliers) < len(names) - 1:
+        if len(values) < len(names) - 1:
             raise ValueError(f"{len(names)} inner stages need at least "
                              f"{len(names) - 1} multipliers for shared_first")
-        mults[names[0]] = spec.inner_multipliers[0]
-        mults[names[1]] = spec.inner_multipliers[0]
-        for i, name in enumerate(names[2:], start=1):
-            mults[name] = spec.inner_multipliers[i]
+        values = values[:1] + values
+    mults = dict(zip(names, values))
     mults[head_name] = spec.head_multiplier
     return MultiplierSchedule(mults, scale)
 
@@ -166,20 +160,13 @@ class RunRecord:
     checkpoint: str | None = None
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "task": self.task, "source": self.source,
-                "ll": self.ll, "il": self.il, "scale": self.scale,
-                "seed": self.seed, "final_accuracy": self.final_accuracy,
-                "best_accuracy": self.best_accuracy,
-                "checkpoint": self.checkpoint}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
         """Parse one ledger object; a missing or mistyped field raises."""
-        rec = cls(kind=d["kind"], task=d["task"], source=d["source"],
-                  seed=d["seed"], final_accuracy=d["final_accuracy"],
-                  best_accuracy=d["best_accuracy"], ll=d.get("ll"),
-                  il=d.get("il"), scale=d.get("scale"),
-                  checkpoint=d.get("checkpoint"))
+        rec = cls(**{f.name: d.get(f.name) if f.default is None else d[f.name]
+                     for f in dataclasses.fields(cls)})
         for name, kinds in _RECORD_TYPES.items():
             value = getattr(rec, name)
             if not isinstance(value, kinds) or isinstance(value, bool):
@@ -209,8 +196,7 @@ def scan_ledger(path) -> tuple[list[RunRecord], list[int]]:
     A line is corrupt if it is not UTF-8, not JSON, or not a well-typed
     record; it is skipped. Blank lines are ignored.
     """
-    records = []
-    bad_lines = []
+    records, bad_lines = [], []
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             try:
@@ -245,18 +231,64 @@ class JobFailure:
     error: str
 
 
-def _finetune_job(source: Checkpoint, task: FinetuneTask,
-                  schedule: MultiplierSchedule, policy: LrPolicy,
-                  batch_size: int, data_seed: int, head_seed: int,
-                  momentum: float) -> tuple[StagedModel, TrainResult]:
-    model = transfer_init(source, task.train.num_labels, head_seed)
-    result = train(model, task.train, task.val, schedule, policy, batch_size,
-                   data_seed, momentum=momentum)
-    return model, result
+class WorkerDiedError(RuntimeError):
+    """A job's worker process died before the job finished."""
 
 
-def _source_name(source: Checkpoint) -> str:
-    return str(source.metadata.get("domain", source.metadata.get("seed", "source")))
+@dataclass(frozen=True)
+class JobInputs:
+    """What the jobs of one call share. Pool workers inherit it by fork."""
+
+    source: Checkpoint
+    tasks: Mapping[str, FinetuneTask]
+    policy: LrPolicy
+    batch_size: int
+    momentum: float
+
+
+@dataclass(frozen=True)
+class JobSpec:
+    """One job: all that a pool worker is sent for it."""
+
+    kind: str                     # "ll" | "grid" | "graduated" | "baseline"
+    name: str                     # names the job in a JobFailure
+    task_id: str
+    schedule: MultiplierSchedule
+    seed: int                     # the seed recorded in the ledger
+    seed_parts: tuple             # the data and head seeds derive from these
+    ll: float | None = None
+    il: float | None = None
+    scale: float | None = None
+    save_path: str | os.PathLike | None = None
+    checkpoint: str | None = None  # save_path as the ledger refers to it
+
+
+def run_job(inputs: JobInputs, spec: JobSpec) -> RunRecord:
+    """transfer_init -> train -> save the best model -> its RunRecord."""
+    task = inputs.tasks[spec.task_id]
+    model = transfer_init(inputs.source, task.train.num_labels,
+                          derive_seed(*spec.seed_parts, "head"))
+    result = train(model, task.train, task.val, spec.schedule, inputs.policy,
+                   inputs.batch_size, derive_seed(*spec.seed_parts, "data"),
+                   momentum=inputs.momentum)
+    if spec.save_path is not None:
+        save_checkpoint(result.best_model, spec.save_path)
+    meta = inputs.source.metadata
+    return RunRecord(kind=spec.kind, task=spec.task_id,
+                     source=str(meta.get("domain", meta.get("seed", "source"))),
+                     seed=spec.seed, final_accuracy=result.final_accuracy,
+                     best_accuracy=result.best_accuracy, ll=spec.ll,
+                     il=spec.il, scale=spec.scale, checkpoint=spec.checkpoint)
+
+
+def _rate_job(source: Checkpoint, policy: LrPolicy, task_id: str, kind: str,
+              ll: float, il: float, seed: int, **save) -> JobSpec:
+    """A job training the head at rate ll and every inner stage at rate il."""
+    stages = tuple(s["name"] for s in source.metadata["arch"])
+    schedule = uniform_schedule(stages, stages[-1], inner=il / policy.base_lr,
+                                head=ll / policy.base_lr)
+    return JobSpec(kind, f"ll={ll:g} il={il:g}", task_id, schedule, seed,
+                   (seed,), ll=ll, il=il, **save)
 
 
 def run_ll_experiment(source: Checkpoint, task: FinetuneTask, ll: float,
@@ -270,28 +302,10 @@ def run_ll_experiment(source: Checkpoint, task: FinetuneTask, ll: float,
     """
     if not ll > 0:
         raise ValueError(f"last-layer rate must be positive, got {ll}")
-    return _run_rate_job(source, task, ll=ll, il=0.0, kind="ll", policy=policy,
-                         batch_size=batch_size, seed=seed, momentum=momentum,
-                         save_path=save_path, checkpoint_ref=checkpoint_ref)
-
-
-def _run_rate_job(source, task, ll, il, kind, policy, batch_size, seed,
-                  momentum, save_path=None, checkpoint_ref=None) -> RunRecord:
-    spec_stages = tuple(s["name"] for s in source.metadata["arch"])
-    head = spec_stages[-1]
-    schedule = uniform_schedule(spec_stages, head, inner=il / policy.base_lr,
-                                head=ll / policy.base_lr)
-    _, result = _finetune_job(source, task, schedule, policy, batch_size,
-                              data_seed=derive_seed(seed, "data"),
-                              head_seed=derive_seed(seed, "head"),
-                              momentum=momentum)
-    if save_path is not None:
-        save_checkpoint(result.best_model, save_path)
-    return RunRecord(kind=kind, task=task.task_id, source=_source_name(source),
-                     ll=ll, il=il, seed=seed,
-                     final_accuracy=result.final_accuracy,
-                     best_accuracy=result.best_accuracy,
-                     checkpoint=checkpoint_ref)
+    inputs = JobInputs(source, {task.task_id: task}, policy, batch_size, momentum)
+    return run_job(inputs, _rate_job(source, policy, task.task_id, "ll", ll, 0.0,
+                                     seed, save_path=save_path,
+                                     checkpoint=checkpoint_ref))
 
 
 @dataclass
@@ -327,17 +341,10 @@ def run_il_ll_grid(source: Checkpoint, task: FinetuneTask, grid: GridSpec,
     Every cell uses the same data/head seeds (fixed-seed methodology), so
     an IL=0 cell reproduces run_ll_experiment for the same LL bit-exactly.
     """
-    jobs = [(ll, il) for ll in grid.ll_values for il in grid.il_values(ll)]
-
-    def run_cell(cell):
-        ll, il = cell
-        return _run_rate_job(source, task, ll=ll, il=il, kind="grid",
-                             policy=policy, batch_size=batch_size, seed=seed,
-                             momentum=momentum)
-
-    results, failures = _run_jobs(jobs, run_cell, workers, collect_failures,
-                                  job_name=lambda c: f"ll={c[0]:g} il={c[1]:g}")
-    records = [r for r in results if r is not None]
+    inputs = JobInputs(source, {task.task_id: task}, policy, batch_size, momentum)
+    specs = [_rate_job(source, policy, task.task_id, "grid", ll, il, seed)
+             for ll in grid.ll_values for il in grid.il_values(ll)]
+    records, failures = _run_jobs(inputs, specs, workers, collect_failures)
     summaries = {}
     for ll in grid.ll_values:
         by_il = {r.il: r.best_accuracy for r in records if r.ll == ll}
@@ -347,10 +354,9 @@ def run_il_ll_grid(source: Checkpoint, task: FinetuneTask, grid: GridSpec,
         summaries[ll] = LlSummary(ll=ll, accuracy_by_il=by_il, beta=beta(accs),
                                   alpha=alpha(by_il), max_accuracy=max(accs),
                                   min_accuracy=min(accs))
-    max_diff = None
-    if len(summaries) >= 2:
-        lo, hi = min(summaries), max(summaries)
-        max_diff = summaries[hi].max_accuracy - summaries[lo].max_accuracy
+    max_diff = (summaries[max(summaries)].max_accuracy
+                - summaries[min(summaries)].max_accuracy
+                if len(summaries) >= 2 else None)
     return GridResult(records, summaries, max_diff, failures)
 
 
@@ -394,10 +400,8 @@ def most_frequent_best_scale(records: Sequence[RunRecord],
         missing = [s for s in scales if s not in by_scale]
         if missing:
             raise ValueError(f"task '{task}' missing records for scales {missing}")
-    votes: dict[float, int] = {}
-    for by_scale in table.values():
-        best = min(scales, key=lambda s: (-by_scale[s], s))
-        votes[best] = votes.get(best, 0) + 1
+    votes = Counter(min(scales, key=lambda s: (-by_scale[s], s))
+                    for by_scale in table.values())
     return min(votes, key=lambda s: (-votes[s], s))
 
 
@@ -413,8 +417,8 @@ def scale_sweep(source: Checkpoint, tasks: Sequence[FinetuneTask],
 
     Reports the mean accuracy with the per-task best scale, the mean at the
     single most frequently optimal scale, and the frozen-inner baseline
-    mean. Each job is seeded independently from (master_seed, task id,
-    scale).
+    mean. Each job is seeded from (master_seed, task id, scale). A schedule
+    that does not fit the stages raises ValueError before any job runs.
     """
     if not tasks:
         raise ValueError("scale sweep needs at least one task")
@@ -425,62 +429,35 @@ def scale_sweep(source: Checkpoint, tasks: Sequence[FinetuneTask],
     if len(by_id) != len(tasks):
         raise ValueError("task ids must be unique")
 
-    def ckpt_args(filename):
-        if save_dir is None:
-            return None, None
-        rel = f"{save_rel}/{filename}" if save_rel else filename
-        return os.path.join(save_dir, filename), rel
-
-    def run_one(job):
-        task_id, scale = job
-        task = by_id[task_id]
-        path, ref = ckpt_args(f"{task_id}_scale{scale:g}.ftlb")
-        schedule = graduated_schedule(spec, scale, inner, head)
-        _, result = _finetune_job(
-            source, task, schedule, policy, batch_size,
-            data_seed=derive_seed(master_seed, task_id, scale, "data"),
-            head_seed=derive_seed(master_seed, task_id, scale, "head"),
-            momentum=momentum)
-        if path is not None:
-            save_checkpoint(result.best_model, path)
-        return RunRecord(kind="graduated", task=task_id,
-                         source=_source_name(source), scale=scale,
-                         seed=derive_seed(master_seed, task_id, scale, "data"),
-                         final_accuracy=result.final_accuracy,
-                         best_accuracy=result.best_accuracy, checkpoint=ref)
-
-    def run_baseline(task_id):
-        task = by_id[task_id]
-        path, ref = ckpt_args(f"{task_id}_baseline.ftlb")
-        schedule = MultiplierSchedule(
-            {name: 0.0 for name in inner} | {head: baseline_ll_multiplier})
-        _, result = _finetune_job(
-            source, task, schedule, policy, batch_size,
-            data_seed=derive_seed(master_seed, task_id, "baseline", "data"),
-            head_seed=derive_seed(master_seed, task_id, "baseline", "head"),
-            momentum=momentum)
-        if path is not None:
-            save_checkpoint(result.best_model, path)
-        return RunRecord(kind="baseline", task=task_id,
-                         source=_source_name(source),
-                         ll=baseline_ll_multiplier, il=0.0,
-                         seed=derive_seed(master_seed, task_id, "baseline", "data"),
-                         final_accuracy=result.final_accuracy,
-                         best_accuracy=result.best_accuracy, checkpoint=ref)
-
+    baseline = MultiplierSchedule(
+        {name: 0.0 for name in inner} | {head: baseline_ll_multiplier})
+    specs = [_sweep_job("graduated", f"{t.task_id} scale={s:g}", t.task_id,
+                        graduated_schedule(spec, s, inner, head),
+                        (master_seed, t.task_id, s), save_dir, save_rel,
+                        f"{t.task_id}_scale{s:g}.ftlb", scale=s)
+             for t in tasks for s in spec.scales]
+    specs += [_sweep_job("baseline", f"{t.task_id} baseline", t.task_id,
+                         baseline, (master_seed, t.task_id, "baseline"),
+                         save_dir, save_rel, f"{t.task_id}_baseline.ftlb",
+                         ll=baseline_ll_multiplier, il=0.0)
+              for t in tasks]
     if save_dir is not None:
         os.makedirs(save_dir, exist_ok=True)
-    jobs = [(t.task_id, s) for t in tasks for s in spec.scales]
-    results, failures = _run_jobs(jobs, run_one, workers, collect_failures,
-                                  job_name=lambda j: f"{j[0]} scale={j[1]:g}")
-    base_results, base_failures = _run_jobs(
-        [t.task_id for t in tasks], run_baseline, workers, collect_failures,
-        job_name=lambda t: f"{t} baseline")
-    failures += base_failures
-    records = [r for r in results if r is not None]
-    baseline_records = [r for r in base_results if r is not None]
-    return _analyze_sweep(records, baseline_records, spec.scales,
-                          tuple(t.task_id for t in tasks), failures)
+    inputs = JobInputs(source, by_id, policy, batch_size, momentum)
+    records, failures = _run_jobs(inputs, specs, workers, collect_failures)
+    return _analyze_sweep([r for r in records if r.kind == "graduated"],
+                          [r for r in records if r.kind == "baseline"],
+                          spec.scales, tuple(by_id), failures)
+
+
+def _sweep_job(kind, name, task_id, schedule, seed_parts, save_dir, save_rel,
+               filename, **fields) -> JobSpec:
+    """A job seeded from seed_parts; it saves to save_dir/filename if set."""
+    if save_dir is not None:
+        fields.update(save_path=os.path.join(save_dir, filename),
+                      checkpoint=f"{save_rel}/{filename}" if save_rel else filename)
+    return JobSpec(kind, name, task_id, schedule,
+                   derive_seed(*seed_parts, "data"), seed_parts, **fields)
 
 
 def _analyze_sweep(records, baseline_records, scales, task_ids,
@@ -494,16 +471,10 @@ def _analyze_sweep(records, baseline_records, scales, task_ids,
         best_per_task[t] = (s, table[t][s])
     best_mean = (sum(a for _, a in best_per_task.values()) / len(best_per_task)
                  if best_per_task else None)
-    fixed_means = {}
-    if complete:
-        for s in scales:
-            fixed_means[s] = sum(table[t][s] for t in complete) / len(complete)
-    mfbs = None
-    mfbs_mean = None
-    if complete:
-        mfbs = most_frequent_best_scale(
-            [r for r in records if r.task in complete], scales)
-        mfbs_mean = fixed_means[mfbs]
+    fixed_means = ({s: sum(table[t][s] for t in complete) / len(complete)
+                    for s in scales} if complete else {})
+    mfbs = (most_frequent_best_scale([r for r in records if r.task in complete],
+                                     scales) if complete else None)
     base_mean = (sum(r.best_accuracy for r in baseline_records)
                  / len(baseline_records) if baseline_records else None)
     return ScaleSweepResult(records=records, baseline_records=baseline_records,
@@ -512,32 +483,74 @@ def _analyze_sweep(records, baseline_records, scales, task_ids,
                             best_per_task_mean=best_mean,
                             fixed_scale_means=fixed_means,
                             most_frequent_best_scale=mfbs,
-                            most_frequent_scale_mean=mfbs_mean,
+                            most_frequent_scale_mean=fixed_means.get(mfbs),
                             baseline_mean=base_mean, failures=failures)
 
 
-def _run_jobs(jobs, fn, workers, collect_failures, job_name):
-    """Run jobs in submission order, optionally in a thread pool.
+def _run_jobs(inputs: JobInputs, specs: Sequence[JobSpec], workers: int,
+              collect_failures: bool) -> tuple[list[RunRecord], list[JobFailure]]:
+    """Run every job; records and failures come back in submission order.
 
-    Returns (results, failures); failed jobs yield None in results when
-    collect_failures is set, otherwise the first error propagates.
+    With workers > 1 the jobs run in up to that many forked processes; only
+    the specs and the outcomes are pickled. With collect_failures set, a job
+    that raises, or whose worker process dies, becomes a JobFailure;
+    otherwise the first error propagates, a dead worker as WorkerDiedError.
     """
-    def guarded(job):
-        try:
-            return fn(job), None
-        except Exception as e:  # noqa: BLE001 - partial-failure policy
-            if not collect_failures:
-                raise
-            return None, JobFailure(job_name(job), f"{type(e).__name__}: {e}")
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(guarded, jobs))
+    if workers > 1 and len(specs) > 1:
+        outcomes = _pool_outcomes(inputs, specs, workers, collect_failures)
     else:
-        outcomes = [guarded(j) for j in jobs]
-    results = [r for r, _ in outcomes]
-    failures = [f for _, f in outcomes if f is not None]
-    return results, failures
+        outcomes = [_outcome(spec, inputs, collect_failures) for spec in specs]
+    return ([r for r, _ in outcomes if r is not None],
+            [f for _, f in outcomes if f is not None])
+
+
+def _outcome(spec: JobSpec, inputs: JobInputs, collect_failures: bool):
+    try:
+        return run_job(inputs, spec), None
+    except Exception as e:  # noqa: BLE001 - partial-failure policy
+        if not collect_failures:
+            raise
+        return None, JobFailure(spec.name, f"{type(e).__name__}: {e}")
+
+
+_worker_args = ()   # (inputs, collect_failures) in a pool worker
+
+
+def _enter_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _worker_outcome(spec: JobSpec):
+    return _outcome(spec, *_worker_args)
+
+
+def _pool_outcomes(inputs, specs, workers, collect_failures):
+    # Imported here: runs without a pool need not load multiprocessing (about
+    # 1 MB). Fork hands inputs to the workers unpickled. It is spelled out
+    # because Python 3.14 no longer makes it the default start method.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(min(workers, len(specs)),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_enter_worker,
+                             initargs=(inputs, collect_failures)) as pool:
+        futures = [pool.submit(_worker_outcome, spec) for spec in specs]
+        try:
+            return [_pool_outcome(f, spec, collect_failures)
+                    for f, spec in zip(futures, specs)]
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _pool_outcome(future, spec: JobSpec, collect_failures: bool):
+    try:
+        return future.result()
+    except BrokenExecutor:   # the pool lost a worker process
+        if not collect_failures:
+            raise WorkerDiedError(f"a worker process died before job "
+                                  f"{spec.name!r} finished") from None
+        return None, JobFailure(spec.name, "worker process died")
 
 
 # --- learning-rate recommendation ---------------------------------------------
@@ -629,19 +642,15 @@ def report_from_records(records: Sequence[RunRecord]) -> dict:
         complete = {ll: ils for ll, ils in by_ll_il.items() if len(ils) >= 2}
         if not complete:
             continue
-        row = {"target": task, "source": source,
-               "alpha": {f"{ll:g}": alpha(ils) for ll, ils in sorted(complete.items())},
-               "beta": {f"{ll:g}": beta(list(ils.values()))
-                        for ll, ils in sorted(complete.items())},
-               "max_accuracy": {f"{ll:g}": max(ils.values())
-                                for ll, ils in sorted(complete.items())}}
-        if len(complete) >= 2:
-            lo, hi = min(complete), max(complete)
-            row["max_diff"] = (max(complete[hi].values())
-                               - max(complete[lo].values()))
-        else:
-            row["max_diff"] = None
-        best_rate_table.append(row)
+        items = sorted(complete.items())
+        lo, hi = min(complete), max(complete)
+        best_rate_table.append({
+            "target": task, "source": source,
+            "alpha": {f"{ll:g}": alpha(ils) for ll, ils in items},
+            "beta": {f"{ll:g}": beta(list(ils.values())) for ll, ils in items},
+            "max_accuracy": {f"{ll:g}": max(ils.values()) for ll, ils in items},
+            "max_diff": (max(complete[hi].values()) - max(complete[lo].values())
+                         if len(complete) >= 2 else None)})
 
     return {"note": ACCURACY_NOTE, "gain_table": gain_table,
             "best_rate_table": best_rate_table}
@@ -651,18 +660,13 @@ def _fmt_pct(x) -> str:
     return "-" if x is None else f"{100.0 * x:.2f}%"
 
 
-def _fmt_gain(x) -> str:
-    return "-" if x is None else f"{x:.2f}%"
-
-
 def _render_rows(header: list[str], rows: list[list[str]]) -> str:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(header)]
     def line(cells):
         return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
-    out = [line(header), line(["-" * w for w in widths])]
-    out.extend(line(r) for r in rows)
-    return "\n".join(out)
+    return "\n".join([line(header), line(["-" * w for w in widths])]
+                     + [line(r) for r in rows])
 
 
 def render_report(report: dict, status: str = "complete") -> str:
@@ -672,12 +676,10 @@ def render_report(report: dict, status: str = "complete") -> str:
     lls1 = sorted({ll for row in report["gain_table"]
                    for ll in row["accuracy_by_ll"]}, key=float)
     header = ["Target", "Source"] + [f"LL-{ll}" for ll in lls1] + ["% Gain"]
-    rows = []
-    for row in report["gain_table"]:
-        cells = [row["target"], row["source"]]
-        cells += [_fmt_pct(row["accuracy_by_ll"].get(ll)) for ll in lls1]
-        cells.append(_fmt_gain(row["percent_gain"]))
-        rows.append(cells)
+    rows = [[row["target"], row["source"]]
+            + [_fmt_pct(row["accuracy_by_ll"].get(ll)) for ll in lls1]
+            + ["-" if row["percent_gain"] is None else f"{row['percent_gain']:.2f}%"]
+            for row in report["gain_table"]]
     parts.append("## Accuracy by last-layer rate (inner stages frozen)")
     parts.append(_render_rows(header, rows) if rows else "(no records)")
 
@@ -687,16 +689,13 @@ def render_report(report: dict, status: str = "complete") -> str:
                + [f"alpha_{ll}" for ll in lls2]
                + [f"beta_{ll}" for ll in lls2]
                + ["max_hi-max_lo"])
-    rows2 = []
-    for row in report["best_rate_table"]:
-        cells = [row["target"], row["source"]]
-        cells += [("-" if row["alpha"].get(ll) is None
-                   else f"{row['alpha'][ll]:g}") for ll in lls2]
-        cells += [("-" if row["beta"].get(ll) is None
-                   else f"{row['beta'][ll]:.2f}%") for ll in lls2]
-        cells.append(_fmt_pct(row["max_diff"]) if row["max_diff"] is not None
-                     else "-")
-        rows2.append(cells)
+    rows2 = [[row["target"], row["source"]]
+             + [("-" if row["alpha"].get(ll) is None
+                 else f"{row['alpha'][ll]:g}") for ll in lls2]
+             + [("-" if row["beta"].get(ll) is None
+                 else f"{row['beta'][ll]:.2f}%") for ll in lls2]
+             + [_fmt_pct(row["max_diff"])]
+             for row in report["best_rate_table"]]
     parts.append("## Best inner rate and accuracy spread per last-layer rate")
     parts.append(_render_rows(header2, rows2) if rows2 else "(no records)")
     return "\n\n".join(parts) + "\n"

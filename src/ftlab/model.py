@@ -492,24 +492,6 @@ def model_from_checkpoint(ckpt: Checkpoint) -> StagedModel:
     return model
 
 
-def load_checkpoint_into(model: StagedModel, ckpt: Checkpoint) -> StagedModel:
-    """Load checkpoint weights into an existing model of the same architecture.
-
-    Rejects digest mismatches, and rejects label-count mismatches (use
-    transfer_init to move weights onto a different head).
-    """
-    if ckpt.digest != model.digest():
-        raise CheckpointError("architecture digest mismatch between checkpoint "
-                              "and model")
-    if ckpt.num_labels != model.num_labels:
-        raise CheckpointError(
-            f"head mismatch: checkpoint has {ckpt.num_labels} labels, model has "
-            f"{model.num_labels}; use transfer_init to replace the head")
-    _assign_tensors(model, ckpt, skip_head=False)
-    model.trained_iterations = ckpt.metadata["iterations"]
-    return model
-
-
 def _assign_tensors(model: StagedModel, ckpt: Checkpoint, skip_head: bool) -> None:
     head = model.head_name
     expected = dict(model.named_parameters())

@@ -1,11 +1,13 @@
 """Shared fixtures: generated dataset directories and a trained source model."""
 
 import json
+import os
+import time
 
 import numpy as np
 import pytest
 
-from ftlab import binio
+from ftlab import binio, experiment
 from ftlab.cli import main
 
 
@@ -32,6 +34,31 @@ def write_broken_dataset(directory, case: str) -> None:
         (directory / "a" / "1.ftt").write_bytes(b"FTT1\x03\x01")
     (directory / "manifest.tsv").write_text(
         "".join(f"a/{i}.ftt\ta\n" for i in range(3)), encoding="utf-8")
+
+
+def die_in_worker(monkeypatch, job_name: str, checkpoint_dir=None,
+                  others: int = 0) -> None:
+    """Make the job named job_name end its worker process with os._exit(3).
+
+    Forked pool workers inherit the patched runner; never run it serially.
+    With checkpoint_dir set, the job first waits until that directory holds
+    the checkpoints of `others` other jobs, and then a little longer, so
+    that every other job has finished and sent its record back.
+    """
+    run_job = experiment.run_job
+
+    def dying(inputs, spec):
+        if spec.name != job_name:
+            return run_job(inputs, spec)
+        if checkpoint_dir is not None:
+            deadline = time.monotonic() + 60
+            while (len(os.listdir(checkpoint_dir)) < others
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            time.sleep(0.5)
+        os._exit(3)
+
+    monkeypatch.setattr(experiment, "run_job", dying)
 
 
 FAST_POLICY = {"base_lr": 0.01, "step_size": 20, "total_iterations": 40,

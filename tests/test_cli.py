@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from conftest import (BROKEN_DATASET_CASES, FAST_POLICY, TINY_MODEL,
-                      write_broken_dataset, write_config)
+                      die_in_worker, write_broken_dataset, write_config)
 from ftlab import binio
 from ftlab.cli import ModelConfig, RunConfig, main
 from ftlab.data import load_dataset
@@ -116,6 +116,12 @@ class TestRunConfig:
     def test_unreadable_config_is_validation_error(self, tmp_path):
         assert main(["train-source", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_config_that_is_not_an_object_is_validation_error(self, tmp_path,
+                                                              capsys):
+        config = write_config(tmp_path / "c.json", [1])
+        assert main(["train-source", config, "--out", str(tmp_path / "o")]) == 1
+        assert "JSON object" in capsys.readouterr().err
 
     def test_default_model_config(self):
         cfg = RunConfig.from_dict({"policy": dict(FAST_POLICY)})
@@ -384,6 +390,71 @@ class TestSweep:
         assert main(["sweep", config, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "source checkpoint" in err and "digest" in err
+        assert "failed job" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_override_validated_like_the_config_field(
+            self, tmp_path, data_root, source_run, capsys, workers):
+        config = write_config(tmp_path / "c.json",
+                              self.grid_cfg(data_root, source_run))
+        out = tmp_path / "o"
+        assert main(["sweep", config, "--out", str(out),
+                     "--workers", workers]) == 1
+        assert "workers must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def sweep_tree(self, out):
+        names = ["ledger.jsonl", "report.txt", "report.json"]
+        names += sorted(f"checkpoints/{n}" for n in os.listdir(out / "checkpoints"))
+        return {name: (out / name).read_bytes() for name in names}
+
+    def test_worker_count_does_not_change_outputs(self, tmp_path, data_root,
+                                                  source_run):
+        config = write_config(tmp_path / "c.json",
+                              self.graduated_cfg(data_root, source_run))
+        trees = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            assert main(["sweep", config, "--out", str(out),
+                         "--workers", workers]) == 0
+            trees.append(self.sweep_tree(out))
+        assert len(trees[0]) == 3 + 8
+        assert trees[0] == trees[1]
+
+    def test_dead_worker_gives_partial_sweep(self, tmp_path, data_root,
+                                             source_run, capsys, monkeypatch):
+        config = write_config(tmp_path / "c.json",
+                              self.graduated_cfg(data_root, source_run))
+        whole = tmp_path / "whole"
+        assert main(["sweep", config, "--out", str(whole)]) == 0
+        out = tmp_path / "o"
+        # the last of the 8 jobs dies once the others have saved their models
+        die_in_worker(monkeypatch, "far baseline", out / "checkpoints", others=7)
+        assert main(["sweep", config, "--out", str(out), "--workers", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "failed job far baseline: worker process died" in err
+        lines = (out / "ledger.jsonl").read_bytes().splitlines(keepends=True)
+        assert lines == (whole / "ledger.jsonl").read_bytes().splitlines(
+            keepends=True)[:7]
+        assert "status: partial" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("inner_multipliers", [0, 2, 4], "2 inner stages but 3 multipliers"),
+        ("baseline_ll_multiplier", -1.0, "multiplier must be >= 0")])
+    def test_schedules_checked_before_any_job(self, tmp_path, data_root,
+                                              source_run, capsys, field,
+                                              value, message):
+        cfg = self.graduated_cfg(data_root, source_run)
+        if field == "inner_multipliers":     # the tiny net has 2 inner stages
+            cfg["graduated"][field] = value
+        else:
+            cfg[field] = value
+        config = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert main(["sweep", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
         assert "failed job" not in err
         assert not out.exists()
 

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import die_in_worker
 from ftlab.data import SyntheticDomainSpec, gen_synthetic_domain, split_train_val
 from ftlab.experiment import (FinetuneTask, GraduatedSpec, GridSpec,
-                              RecommenderConfig, RunRecord, alpha,
+                              JobFailure, RecommenderConfig, RunRecord,
+                              WorkerDiedError, alpha,
                               append_records, beta, derive_seed,
                               graduated_schedule, most_frequent_best_scale,
                               percent_gain, read_ledger, recommend_multipliers,
@@ -446,16 +448,33 @@ class TestRunGrid:
         assert cell.best_accuracy == solo.best_accuracy
         assert cell.final_accuracy == solo.final_accuracy
 
+    def test_process_pool_matches_serial(self, tmp_path):
+        source = small_source_checkpoint(tmp_path)
+        task = small_task()
+        grid = GridSpec(ll_values=(0.01, 0.1))
+        serial = run_il_ll_grid(source, task, grid, FAST_POLICY, 6, seed=3)
+        for workers in (2, 3):
+            pooled = run_il_ll_grid(source, task, grid, FAST_POLICY, 6, seed=3,
+                                    workers=workers)
+            assert pooled.records == serial.records
+            assert pooled.summaries == serial.summaries
+            assert pooled.max_diff == serial.max_diff
+        # the IL=0 cell of a pooled grid still reproduces the head-only job
+        cell = next(r for r in pooled.records if r.ll == 0.1 and r.il == 0.0)
+        solo = run_ll_experiment(source, task, 0.1, FAST_POLICY, 6, seed=3)
+        assert (cell.best_accuracy, cell.final_accuracy) == (
+            solo.best_accuracy, solo.final_accuracy)
+
 
 class TestScaleSweep:
-    def sweep(self, tmp_path, workers=1, tasks=None):
+    def sweep(self, tmp_path, workers=1, tasks=None, batch_size=6, **kwargs):
         source = small_source_checkpoint(tmp_path)
         if tasks is None:
             tasks = [small_task("taskA", seed=21), small_task("taskB", seed=22)]
         spec = GraduatedSpec(inner_multipliers=(0.0, 2.0), head_multiplier=4.0,
                              scales=(0.25, 1.0, 4.0))
-        return scale_sweep(source, tasks, spec, FAST_POLICY, batch_size=6,
-                           master_seed=7, workers=workers)
+        return scale_sweep(source, tasks, spec, FAST_POLICY, batch_size,
+                           master_seed=7, workers=workers, **kwargs)
 
     def test_job_accounting_exact(self, tmp_path):
         result = self.sweep(tmp_path)
@@ -472,11 +491,54 @@ class TestScaleSweep:
         assert result.most_frequent_scale_mean == fixed[
             result.most_frequent_best_scale]
 
-    def test_thread_pool_matches_serial(self, tmp_path):
+    def test_process_pool_matches_serial(self, tmp_path):
         serial = self.sweep(tmp_path)
-        threaded = self.sweep(tmp_path, workers=3)
-        assert serial.records == threaded.records
-        assert serial.baseline_records == threaded.baseline_records
+        for workers in (2, 3):
+            pooled = self.sweep(tmp_path, workers=workers)
+            assert pooled.records == serial.records
+            assert pooled.baseline_records == serial.baseline_records
+            assert pooled.best_per_task == serial.best_per_task
+            assert pooled.baseline_mean == serial.baseline_mean
+
+    def failing_tasks(self):
+        # taskB trains on 16 examples, so batch 20 fails every one of its jobs
+        return [small_task("taskA", seed=21), small_task("taskB", seed=22,
+                                                          labels=2)]
+
+    def test_job_error_in_worker_reported_as_serially(self, tmp_path):
+        serial, pooled = [self.sweep(tmp_path, workers, self.failing_tasks(), 20,
+                                     collect_failures=True)
+                          for workers in (1, 2)]
+        assert len(serial.failures) == 4
+        assert serial.failures[0].job == "taskB scale=0.25"
+        assert serial.failures[0].error.startswith("ValueError: batch_size")
+        assert pooled.failures == serial.failures
+        assert pooled.records == serial.records
+        assert pooled.baseline_records == serial.baseline_records
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_job_error_propagates_without_collect_failures(self, tmp_path,
+                                                           workers):
+        with pytest.raises(ValueError, match="batch_size"):
+            self.sweep(tmp_path, workers, self.failing_tasks(), 20)
+
+    def test_dead_worker_costs_only_its_job(self, tmp_path, monkeypatch):
+        serial = self.sweep(tmp_path, save_dir=tmp_path / "serial")
+        save_dir = tmp_path / "pooled"
+        # the last job dies once the other 7 have saved their checkpoints
+        die_in_worker(monkeypatch, "taskB baseline", save_dir, others=7)
+        pooled = self.sweep(tmp_path, workers=2, save_dir=save_dir,
+                            collect_failures=True)
+        assert pooled.failures == [JobFailure("taskB baseline",
+                                              "worker process died")]
+        assert pooled.records == serial.records
+        assert pooled.baseline_records == serial.baseline_records[:1]
+
+    def test_dead_worker_without_collect_failures_is_typed(self, tmp_path,
+                                                           monkeypatch):
+        die_in_worker(monkeypatch, "taskA scale=1")
+        with pytest.raises(WorkerDiedError, match="worker process died"):
+            self.sweep(tmp_path, workers=2)
 
     def test_seeds_derived_from_master_task_and_scale(self, tmp_path):
         result = self.sweep(tmp_path)

@@ -5,9 +5,8 @@ import pytest
 
 from ftlab.model import (CheckpointError, LayerSpec, StageSpec, arch_digest,
                          build_staged_network, checkpoint_from_model,
-                         load_checkpoint, load_checkpoint_into,
-                         mini_staged_spec, model_from_checkpoint,
-                         save_checkpoint, transfer_init)
+                         load_checkpoint, mini_staged_spec,
+                         model_from_checkpoint, save_checkpoint, transfer_init)
 
 
 def params_of(model):
@@ -157,23 +156,6 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
-
-    def test_label_count_mismatch_on_load_into(self, tmp_path):
-        spec = tiny_spec()
-        small = build_staged_network(spec, (1, 8, 8), 10, seed=6)
-        path = tmp_path / "small.ftlb"
-        save_checkpoint(small, path)
-        big = build_staged_network(spec, (1, 8, 8), 102, seed=6)
-        with pytest.raises(CheckpointError, match="transfer_init"):
-            load_checkpoint_into(big, load_checkpoint(path))
-
-    def test_digest_mismatch_on_load_into(self, tmp_path):
-        m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=6)
-        path = tmp_path / "m.ftlb"
-        save_checkpoint(m, path)
-        other = build_staged_network(tiny_spec(True), (1, 8, 8), 3, seed=6)
-        with pytest.raises(CheckpointError, match="digest"):
-            load_checkpoint_into(other, load_checkpoint(path))
 
 
 class TestDigest:
