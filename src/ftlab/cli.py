@@ -9,7 +9,6 @@ number in a report can be traced back to the exact inputs. Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -17,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import DecodeError, check, decode, encode
 from .data import (SyntheticDomainSpec, gen_synthetic_domain, load_dataset,
                    partition_domain, save_dataset, split_train_val)
 from .experiment import (FinetuneTask, GraduatedSpec, GridSpec,
@@ -25,8 +25,8 @@ from .experiment import (FinetuneTask, GraduatedSpec, GridSpec,
                          report_from_records, run_il_ll_grid, scale_sweep,
                          scan_ledger)
 from .model import (Checkpoint, CheckpointError, build_staged_network,
-                    checkpoint_from_model, load_checkpoint, mini_staged_spec,
-                    save_checkpoint, transfer_init)
+                    checkpoint_from_model, layer_shapes, load_checkpoint,
+                    mini_staged_spec, save_checkpoint, transfer_init)
 from .nn_core import grad_check
 from .optim import (LrPolicy, MultiplierSchedule, train, uniform_schedule)
 
@@ -34,17 +34,16 @@ LEDGER_NAME = "ledger.jsonl"
 CONFIG_COPY_NAME = "config.json"
 
 
-class ConfigError(Exception):
-    """Carries every validation problem found in a config."""
-
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
+# every problem found in a config, each prefixed with its path
+ConfigError = DecodeError
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Mini staged-net settings (stage widths plus head)."""
+    """Mini staged-net settings (stage widths plus head).
+
+    Settings that do not give a valid net are rejected when it is made.
+    """
 
     input_shape: tuple[int, ...] = (1, 16, 16)
     widths: tuple[int, ...] = (4, 4, 8, 8, 8)
@@ -53,43 +52,39 @@ class ModelConfig:
     pools: tuple[bool, ...] | None = None
     head_name: str = "fc"
 
+    def __post_init__(self):
+        layer_shapes(self.build_spec(), self.input_shape)
+
     def build_spec(self):
         return mini_staged_spec(widths=self.widths, input_shape=self.input_shape,
                                 kernel_size=self.kernel_size,
                                 residual=self.residual, head_name=self.head_name,
                                 pools=self.pools)
 
-    def to_dict(self) -> dict:
-        return {"input_shape": list(self.input_shape),
-                "widths": list(self.widths),
-                "kernel_size": self.kernel_size, "residual": self.residual,
-                "pools": None if self.pools is None else list(self.pools),
-                "head_name": self.head_name}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if "input_shape" in d:
-            d["input_shape"] = tuple(d["input_shape"])
-        if "widths" in d:
-            d["widths"] = tuple(d["widths"])
-        if d.get("pools") is not None:
-            d["pools"] = tuple(bool(p) for p in d["pools"])
-        return cls(**d)
+def _positive(n) -> bool:
+    return n is None or n >= 1
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything that determines a run; serialized next to every ledger."""
+    """Everything that determines a run; serialized next to every ledger.
+
+    Read with codec.decode and written with codec.encode, so config.json
+    holds every field, defaults included, with the values as given.
+    """
 
     policy: LrPolicy
     model: ModelConfig = ModelConfig()
     # no default batch size: the training method never states one, so
     # commands that train require it explicitly
-    batch_size: int | None = None
-    momentum: float = 0.9
+    batch_size: int | None = field(
+        default=None, metadata=check(_positive, "must be a positive integer"))
+    momentum: float = field(
+        default=0.9, metadata=check(lambda m: 0 <= m < 1, "must be in [0, 1)"))
     seed: int = 0
-    workers: int = 1
+    workers: int = field(
+        default=1, metadata=check(_positive, "must be a positive integer"))
     data: dict = field(default_factory=dict)
     schedule: dict | None = None
     grid: GridSpec | None = None
@@ -99,106 +94,6 @@ class RunConfig:
     recommender: RecommenderConfig | None = None
     domains: tuple[SyntheticDomainSpec, ...] | None = None
 
-    def to_dict(self) -> dict:
-        d = {
-            "policy": {"base_lr": self.policy.base_lr,
-                       "step_size": self.policy.step_size,
-                       "total_iterations": self.policy.total_iterations,
-                       "gamma": self.policy.gamma},
-            "model": self.model.to_dict(),
-            "batch_size": self.batch_size,
-            "momentum": self.momentum,
-            "seed": self.seed,
-            "workers": self.workers,
-            "data": self.data,
-            "schedule": self.schedule,
-            "baseline_ll_multiplier": self.baseline_ll_multiplier,
-            "source_checkpoint": self.source_checkpoint,
-            "grid": None if self.grid is None else
-                {"ll_values": list(self.grid.ll_values),
-                 "min_il": self.grid.min_il},
-            "graduated": None if self.graduated is None else
-                {"inner_multipliers": list(self.graduated.inner_multipliers),
-                 "head_multiplier": self.graduated.head_multiplier,
-                 "scales": list(self.graduated.scales),
-                 "layout": self.graduated.layout},
-            "recommender": None if self.recommender is None else
-                {"breakpoints": [list(b) for b in self.recommender.breakpoints]},
-            "domains": None if self.domains is None else
-                [dataclasses.asdict(s) for s in self.domains],
-        }
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        errors = []
-        known = {"policy", "model", "batch_size", "momentum", "seed", "workers",
-                 "data", "schedule", "grid", "graduated",
-                 "baseline_ll_multiplier", "source_checkpoint", "recommender",
-                 "domains"}
-        for key in d:
-            if key not in known:
-                errors.append(f"unknown config field {key!r}")
-
-        def parse(name, fn, default):
-            try:
-                return fn()
-            except (TypeError, ValueError, KeyError) as e:
-                errors.append(f"{name}: {e}")
-                return default
-
-        policy = parse("policy", lambda: LrPolicy(**d["policy"]) if "policy" in d
-                       else _missing("policy"), None)
-        model = parse("model", lambda: ModelConfig.from_dict(d.get("model", {})),
-                      ModelConfig())
-        grid = parse("grid", lambda: None if d.get("grid") is None else
-                     GridSpec(ll_values=tuple(d["grid"].get("ll_values", (0.01, 0.1))),
-                              min_il=d["grid"].get("min_il", 1e-4)), None)
-        graduated = parse(
-            "graduated", lambda: None if d.get("graduated") is None else
-            GraduatedSpec(
-                inner_multipliers=tuple(d["graduated"].get(
-                    "inner_multipliers", (0.0, 1.0, 2.0, 4.0, 8.0))),
-                head_multiplier=d["graduated"].get("head_multiplier", 16.0),
-                scales=tuple(d["graduated"].get(
-                    "scales", GraduatedSpec().scales)),
-                layout=d["graduated"].get("layout", "per_stage")), None)
-        recommender = parse(
-            "recommender", lambda: None if d.get("recommender") is None else
-            RecommenderConfig(breakpoints=tuple(
-                (float(t), float(r))
-                for t, r in d["recommender"]["breakpoints"])), None)
-        domains = parse(
-            "domains", lambda: None if d.get("domains") is None else
-            tuple(SyntheticDomainSpec(**spec) for spec in d["domains"]), None)
-
-        batch_size = d.get("batch_size")
-        momentum = d.get("momentum", 0.9)
-        seed = d.get("seed", 0)
-        workers = d.get("workers", 1)
-        if batch_size is not None and (not isinstance(batch_size, int)
-                                       or batch_size < 1):
-            errors.append(f"batch_size must be a positive integer, got {batch_size!r}")
-        if not 0 <= momentum < 1:
-            errors.append(f"momentum must be in [0, 1), got {momentum!r}")
-        if not isinstance(seed, int):
-            errors.append(f"seed must be an integer, got {seed!r}")
-        if not isinstance(workers, int) or workers < 1:
-            errors.append(f"workers must be a positive integer, got {workers!r}")
-        if errors:
-            raise ConfigError(errors)
-        return cls(policy=policy, model=model, batch_size=batch_size,
-                   momentum=momentum, seed=seed, workers=workers,
-                   data=d.get("data", {}), schedule=d.get("schedule"),
-                   grid=grid, graduated=graduated,
-                   baseline_ll_multiplier=d.get("baseline_ll_multiplier", 10.0),
-                   source_checkpoint=d.get("source_checkpoint"),
-                   recommender=recommender, domains=domains)
-
-
-def _missing(name):
-    raise KeyError(f"required section {name!r} missing")
-
 
 def load_config(path, seed_override=None, workers_override=None) -> RunConfig:
     try:
@@ -206,7 +101,7 @@ def load_config(path, seed_override=None, workers_override=None) -> RunConfig:
             raw = json.load(f)
     except OSError as e:
         raise ConfigError([f"cannot read config: {e}"]) from None
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise ConfigError([f"config is not valid JSON: {e}"]) from None
     if not isinstance(raw, dict):
         raise ConfigError([f"config must be a JSON object, got "
@@ -216,13 +111,13 @@ def load_config(path, seed_override=None, workers_override=None) -> RunConfig:
         raw["seed"] = seed_override
     if workers_override is not None:
         raw["workers"] = workers_override
-    return RunConfig.from_dict(raw)
+    return decode(RunConfig, raw)
 
 
 def _write_config_copy(cfg: RunConfig, out_dir) -> None:
     path = os.path.join(out_dir, CONFIG_COPY_NAME)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
+        json.dump(encode(cfg), f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -292,6 +187,17 @@ def _resolve_schedule(cfg: RunConfig, model_stage_names, head_name,
     return None
 
 
+def _check_input_shape(tasks, input_shape, errors: list[str]) -> None:
+    """Add an error for each task whose examples do not fit the model input."""
+    shape = tuple(input_shape)
+    for task in tasks:
+        found = {task.train.example_shape, task.val.example_shape} - {shape}
+        if found:
+            errors.append(f"data ({task.task_id}): examples of shape "
+                          f"{sorted(found)[0]} do not fit the model input "
+                          f"shape {shape}")
+
+
 def _load_source(cfg: RunConfig, errors: list[str]) -> Checkpoint | None:
     """The config's source checkpoint, digest checked; None, with the problem
     added to errors, if it cannot be used."""
@@ -331,6 +237,8 @@ def cmd_train_source(cfg: RunConfig, out_dir) -> int:
     if cfg.batch_size is None:
         errors.append("batch_size is required")
     task = _resolve_task(cfg.data, "source", errors)
+    if task:
+        _check_input_shape([task], cfg.model.input_shape, errors)
     if errors:
         return _fail(errors)
     os.makedirs(out_dir, exist_ok=True)
@@ -365,6 +273,8 @@ def cmd_finetune(cfg: RunConfig, out_dir) -> int:
                    if source else ())
     schedule = (None if source is None else
                 _resolve_schedule(cfg, stage_names, stage_names[-1], errors))
+    if source and task:
+        _check_input_shape([task], source.input_shape(), errors)
     if errors:
         return _fail(errors)
     os.makedirs(out_dir, exist_ok=True)
@@ -429,6 +339,8 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
                                   task_id=entry.get("id"))
                 if t:
                     tasks.append(t)
+    if source:
+        _check_input_shape(tasks, source.input_shape(), errors)
     if errors:
         return _fail(errors)
 

@@ -8,7 +8,6 @@ append-only JSONL ledger from which all report numbers are recomputable.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -18,6 +17,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .codec import decode, encode
 from .data import LabeledDataset
 from .model import Checkpoint, save_checkpoint, transfer_init
 from .optim import LrPolicy, MultiplierSchedule, train, uniform_schedule
@@ -160,28 +160,13 @@ class RunRecord:
     checkpoint: str | None = None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return encode(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        """Parse one ledger object; a missing or mistyped field raises."""
-        rec = cls(**{f.name: d.get(f.name) if f.default is None else d[f.name]
-                     for f in dataclasses.fields(cls)})
-        for name, kinds in _RECORD_TYPES.items():
-            value = getattr(rec, name)
-            if not isinstance(value, kinds) or isinstance(value, bool):
-                raise TypeError(f"record field {name!r} has type "
-                                f"{type(value).__name__}")
-        return rec
-
-
-_NUMBER = (int, float)
-_RECORD_TYPES = {
-    "kind": str, "task": str, "source": str, "seed": int,
-    "final_accuracy": _NUMBER, "best_accuracy": _NUMBER,
-    "ll": _NUMBER + (type(None),), "il": _NUMBER + (type(None),),
-    "scale": _NUMBER + (type(None),), "checkpoint": (str, type(None)),
-}
+    def from_dict(cls, d) -> "RunRecord":
+        """Parse one ledger object; a missing, unknown or mistyped field
+        raises DecodeError."""
+        return decode(cls, d)
 
 
 def append_records(path, records: Sequence[RunRecord]) -> None:
@@ -193,8 +178,9 @@ def append_records(path, records: Sequence[RunRecord]) -> None:
 def scan_ledger(path) -> tuple[list[RunRecord], list[int]]:
     """Parse a ledger: its records, and the 1-based numbers of corrupt lines.
 
-    A line is corrupt if it is not UTF-8, not JSON, or not a well-typed
-    record; it is skipped. Blank lines are ignored.
+    A line is corrupt if it is not UTF-8, not JSON, or not a record with
+    every field present, known and well typed; it is skipped. Blank lines
+    are ignored.
     """
     records, bad_lines = [], []
     with open(path, "rb") as f:
@@ -203,7 +189,7 @@ def scan_ledger(path) -> tuple[list[RunRecord], list[int]]:
                 line = raw.decode("utf-8").strip()
                 if line:
                     records.append(RunRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, RecursionError):   # DecodeError included
                 bad_lines.append(lineno)
     return records, bad_lines
 

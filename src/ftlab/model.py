@@ -12,13 +12,15 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import binio
+from .codec import decode
 from .nn_core import (Conv2d, Dense, GlobalAvgPool, MaxPool, Relu,
                       ResidualBlock, Stage, backward, forward, param_count,
                       run_stages)
@@ -26,7 +28,6 @@ from .nn_core import (Conv2d, Dense, GlobalAvgPool, MaxPool, Relu,
 CHECKPOINT_MAGIC = b"FTLB"
 CHECKPOINT_VERSION = 1
 
-PARAM_KINDS = ("dense", "conv2d")
 VALID_KINDS = ("dense", "conv2d", "relu", "max-pool", "global-average-pool",
                "residual-add")
 
@@ -43,7 +44,7 @@ class LayerSpec:
     out_channels: int | None = None   # conv2d
     kernel_size: int = 3              # conv2d
     out_features: int | None = None   # dense
-    inner: tuple["LayerSpec", ...] | None = None  # residual-add
+    inner: tuple[LayerSpec, ...] | None = None  # residual-add
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
@@ -71,13 +72,6 @@ class LayerSpec:
             d["inner"] = [s.to_dict() for s in self.inner]
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LayerSpec":
-        d = dict(d)
-        if "inner" in d and d["inner"] is not None:
-            d["inner"] = tuple(cls.from_dict(s) for s in d["inner"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -86,11 +80,6 @@ class StageSpec:
 
     def to_dict(self) -> dict:
         return {"name": self.name, "layers": [s.to_dict() for s in self.layers]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StageSpec":
-        return cls(name=d["name"],
-                   layers=tuple(LayerSpec.from_dict(s) for s in d["layers"]))
 
 
 def conv_stage(name: str, out_channels: int, kernel_size: int = 3,
@@ -145,65 +134,88 @@ def mini_staged_spec(widths: Sequence[int] = (4, 4, 8, 8, 8),
     return tuple(stages)
 
 
-def _walk_shapes(spec: Sequence[StageSpec], input_shape: Sequence[int]):
-    """Infer every layer's parameter shapes; reject incompatible stages.
+class LayerShape(NamedTuple):
+    """One layer as the walker sees it; path is "i", or "i/j" in a residual."""
 
-    Returns ([(stage_name, layer_path, kind, param_shapes), ...], out_shape).
+    stage: str
+    path: str
+    kind: str
+    in_shape: tuple
+    out_shape: tuple
+    param_shapes: tuple       # (w, b) shapes for dense and conv2d, else ()
+
+
+def layer_shapes(spec: Sequence[StageSpec],
+                 input_shape: Sequence[int]) -> list[LayerShape]:
+    """Every layer of spec in build order, residual inner layers included.
+
+    This holds every shape rule of the model; a spec that breaks one
+    raises ValueError. The head's out_features may be left unset; its
+    shapes then hold None.
     """
+    spec = tuple(spec)
+    if not spec:
+        raise ValueError("model spec must contain at least one stage")
+    names = [s.name for s in spec]
+    if len(set(names)) != len(names):
+        raise ValueError(f"stage names must be unique, got {names}")
+    head = spec[-1]
+    if len(head.layers) != 1 or head.layers[0].kind != "dense":
+        raise ValueError(f"last stage '{head.name}' must be a single dense head")
     shape = tuple(input_shape)
+    if not shape or min(shape) < 1:
+        raise ValueError(f"input shape must hold positive sizes, got {shape}")
+    records: list[LayerShape] = []
     prev_stage = "<input>"
-    records = []
     for stage in spec:
         for li, layer in enumerate(stage.layers):
-            recs, shape = _walk_layer(layer, f"{li}", shape, stage.name, prev_stage)
-            records.extend((stage.name,) + r for r in recs)
+            shape = _walk_layer(stage.name, prev_stage, str(li), layer, shape,
+                                records)
         prev_stage = stage.name
-    if len(shape) != 1:
-        raise ValueError(f"stage '{spec[-1].name}' must end with a flat feature "
-                         f"vector, got shape {shape}")
-    return records, shape
+    if any(None in r.out_shape for r in records[:-1]):
+        raise ValueError("every dense layer below the head needs out_features")
+    return records
 
 
-def _walk_layer(layer: LayerSpec, path: str, shape: tuple, stage_name: str,
-                prev_stage: str):
+def _walk_layer(stage: str, prev_stage: str, path: str, layer: LayerSpec,
+                shape: tuple, records: list) -> tuple:
+    """Append the records of one layer to records; return its output shape."""
     def fail(msg):
-        raise ValueError(f"incompatible shapes between stages '{prev_stage}' and "
-                         f"'{stage_name}': {msg}")
+        raise ValueError(f"incompatible shapes between stages '{prev_stage}' "
+                         f"and '{stage}': {msg}")
 
-    if layer.kind == "conv2d":
-        if len(shape) != 3:
-            fail(f"conv2d needs (C, H, W) input, got {shape}")
+    kind = layer.kind
+    if kind in ("conv2d", "max-pool", "global-average-pool") and len(shape) != 3:
+        fail(f"{kind} needs (C, H, W) input, got {shape}")
+    params: tuple = ()
+    out = shape                                  # relu, residual-add
+    if kind == "conv2d":
         k = layer.kernel_size
-        pshapes = ((layer.out_channels, shape[0], k, k), (layer.out_channels,))
-        return [(path, "conv2d", pshapes)], (layer.out_channels, shape[1], shape[2])
-    if layer.kind == "dense":
+        if k % 2 == 0:
+            raise ValueError(f"stage '{stage}': conv2d kernel size must be odd, "
+                             f"got {k}")
+        params = ((layer.out_channels, shape[0], k, k), (layer.out_channels,))
+        out = (layer.out_channels,) + shape[1:]
+    elif kind == "dense":
         if len(shape) != 1:
             fail(f"dense needs a flat input, got {shape}")
-        out = layer.out_features
-        return [(path, "dense", ((shape[0], out), (out,)))], (out,)
-    if layer.kind == "relu":
-        return [(path, "relu", ())], shape
-    if layer.kind == "max-pool":
-        if len(shape) != 3:
-            fail(f"max-pool needs (C, H, W) input, got {shape}")
+        params = ((shape[0], layer.out_features), (layer.out_features,))
+        out = (layer.out_features,)
+    elif kind == "max-pool":
         if shape[1] % 2 or shape[2] % 2:
             fail(f"max-pool needs even spatial dims, got {shape}")
-        return [(path, "max-pool", ())], (shape[0], shape[1] // 2, shape[2] // 2)
-    if layer.kind == "global-average-pool":
-        if len(shape) != 3:
-            fail(f"global-average-pool needs (C, H, W) input, got {shape}")
-        return [(path, "global-average-pool", ())], (shape[0],)
-    if layer.kind == "residual-add":
-        records = [(path, "residual-add", ())]
-        inner_shape = shape
-        for ii, ispec in enumerate(layer.inner):
-            recs, inner_shape = _walk_layer(ispec, f"{path}/{ii}", inner_shape,
-                                            stage_name, prev_stage)
-            records.extend(recs)
-        if inner_shape != shape:
-            fail(f"residual-add inner chain changed shape {shape} -> {inner_shape}")
-        return records, shape
-    raise ValueError(f"unknown layer kind {layer.kind!r}")
+        out = (shape[0], shape[1] // 2, shape[2] // 2)
+    elif kind == "global-average-pool":
+        out = shape[:1]
+    records.append(LayerShape(stage, path, kind, shape, out, params))
+    if kind == "residual-add":
+        inner = shape
+        for ii, sub in enumerate(layer.inner):
+            inner = _walk_layer(stage, prev_stage, f"{path}/{ii}", sub, inner,
+                                records)
+        if inner != shape:
+            fail(f"residual-add inner chain changed shape {shape} -> {inner}")
+    return out
 
 
 def arch_digest(spec: Sequence[StageSpec], input_shape: Sequence[int]) -> str:
@@ -212,16 +224,10 @@ def arch_digest(spec: Sequence[StageSpec], input_shape: Sequence[int]) -> str:
     The head output size (last dense layer) is masked so checkpoints
     transfer across label counts.
     """
-    records, _ = _walk_shapes(spec, input_shape)
-    triples = []
-    for stage_name, path, kind, pshapes in records:
-        triples.append([stage_name, path, kind, [list(s) for s in pshapes]])
-    # mask the head dense output size
-    for rec in reversed(triples):
-        if rec[2] == "dense":
-            rec[3][0][1] = None
-            rec[3][1][0] = None
-            break
+    triples = [[r.stage, r.path, r.kind, [list(s) for s in r.param_shapes]]
+               for r in layer_shapes(spec, input_shape)]
+    head_w, head_b = triples[-1][3]     # the last layer is the dense head
+    head_w[1] = head_b[0] = None
     payload = json.dumps({"input_shape": list(input_shape), "layers": triples},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -285,74 +291,44 @@ class StagedModel:
                            self.num_labels, self.seed, self.trained_iterations)
 
 
-def _init_layer(layer_spec: LayerSpec, in_shape: tuple, rng: np.random.Generator):
-    if layer_spec.kind == "conv2d":
-        k = layer_spec.kernel_size
-        fan_in = in_shape[0] * k * k
-        limit = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-limit, limit, size=(layer_spec.out_channels, in_shape[0], k, k))
-        b = rng.uniform(-limit, limit, size=layer_spec.out_channels)
-        return Conv2d(w, b), (layer_spec.out_channels, in_shape[1], in_shape[2])
-    if layer_spec.kind == "dense":
-        fan_in = in_shape[0]
-        limit = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-limit, limit, size=(fan_in, layer_spec.out_features))
-        b = rng.uniform(-limit, limit, size=layer_spec.out_features)
-        return Dense(w, b), (layer_spec.out_features,)
-    if layer_spec.kind == "relu":
-        return Relu(), in_shape
-    if layer_spec.kind == "max-pool":
-        return MaxPool(), (in_shape[0], in_shape[1] // 2, in_shape[2] // 2)
-    if layer_spec.kind == "global-average-pool":
-        return GlobalAvgPool(), (in_shape[0],)
-    if layer_spec.kind == "residual-add":
-        inner = []
-        shape = in_shape
-        for ispec in layer_spec.inner:
-            l, shape = _init_layer(ispec, shape, rng)
-            inner.append(l)
-        return ResidualBlock(inner), in_shape
-    raise ValueError(f"unknown layer kind {layer_spec.kind!r}")
+_LAYER_TYPES = {"conv2d": Conv2d, "dense": Dense, "relu": Relu,
+                "max-pool": MaxPool, "global-average-pool": GlobalAvgPool,
+                "residual-add": lambda: ResidualBlock([])}
 
 
 def build_staged_network(spec: Sequence[StageSpec], input_shape: Sequence[int],
                          num_labels: int, seed: int) -> StagedModel:
     """Build and deterministically initialize a staged model.
 
-    Weights use scaled uniform fan-in initialization U(-1/sqrt(fan_in),
-    1/sqrt(fan_in)); biases start at zero. The last stage must be a dense
-    head; its out_features may be left unset to take num_labels.
+    Weights and biases alike are drawn from the scaled uniform fan-in
+    initialization U(-1/sqrt(fan_in), 1/sqrt(fan_in)), layer by layer in
+    build order. The last stage must be a dense head; its out_features
+    may be left unset to take num_labels.
     """
-    spec = tuple(spec)
-    if not spec:
-        raise ValueError("model spec must contain at least one stage")
     if num_labels < 2:
         raise ValueError(f"num_labels must be at least 2, got {num_labels}")
-    names = [s.name for s in spec]
-    if len(set(names)) != len(names):
-        raise ValueError(f"stage names must be unique, got {names}")
+    spec = tuple(spec)
+    layer_shapes(spec, input_shape)    # every rule, before the head is read
     head = spec[-1]
-    if len(head.layers) != 1 or head.layers[0].kind != "dense":
-        raise ValueError(f"last stage '{head.name}' must be a single dense head")
     head_out = head.layers[0].out_features
     if head_out is not None and head_out != num_labels:
         raise ValueError(f"head outputs {head_out} but num_labels is {num_labels}")
-    if head_out is None:
-        head = StageSpec(head.name,
-                         (replace(head.layers[0], out_features=num_labels),))
-        spec = spec[:-1] + (head,)
-    # validates all adjacent shapes before any allocation
-    _walk_shapes(spec, input_shape)
-
+    spec = spec[:-1] + (StageSpec(head.name, (replace(head.layers[0],
+                                                      out_features=num_labels),)),)
     rng = np.random.default_rng(seed)
-    stages = []
-    shape = tuple(input_shape)
-    for stage_spec in spec:
-        layers = []
-        for layer_spec in stage_spec.layers:
-            layer, shape = _init_layer(layer_spec, shape, rng)
-            layers.append(layer)
-        stages.append(Stage(stage_spec.name, layers))
+    stages = [Stage(s.name, []) for s in spec]
+    # the layer list that takes the layers at (stage, parent path)
+    members = {(s.name, ""): s.layers for s in stages}
+    for rec in layer_shapes(spec, input_shape):
+        params = ()
+        if rec.param_shapes:                    # fan_in = w.size / b.size
+            w_shape, b_shape = rec.param_shapes
+            limit = 1.0 / np.sqrt(math.prod(w_shape) // b_shape[0])
+            params = [rng.uniform(-limit, limit, size=s) for s in rec.param_shapes]
+        layer = _LAYER_TYPES[rec.kind](*params)
+        members[rec.stage, rec.path.rpartition("/")[0]].append(layer)
+        if rec.kind == "residual-add":
+            members[rec.stage, rec.path] = layer.inner
     return StagedModel(spec, stages, tuple(input_shape), num_labels, seed)
 
 
@@ -380,15 +356,9 @@ class Checkpoint:
     def arch_spec(self) -> tuple[StageSpec, ...]:
         """The stored architecture, rejected unless the stored digest matches it."""
         try:
-            spec = tuple(StageSpec.from_dict(d) for d in self.metadata["arch"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise CheckpointError(f"metadata field 'arch' is malformed: {e}") from None
-        if not spec or not all(isinstance(s.name, str) for s in spec):
-            raise CheckpointError("metadata field 'arch' must be a non-empty list "
-                                  "of named stages")
-        try:
+            spec = decode(tuple[StageSpec, ...], self.metadata["arch"])
             digest = arch_digest(spec, self.input_shape())
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:  # DecodeError included
             raise CheckpointError(f"metadata field 'arch' is malformed: {e}") from None
         if digest != self.digest:
             raise CheckpointError("metadata digest does not match the stored "
@@ -446,7 +416,7 @@ def load_checkpoint(path) -> Checkpoint:
                 "<I", binio._read_exact(f, 4, "metadata length"))
             try:
                 meta = json.loads(binio._read_exact(f, meta_len, "metadata"))
-            except ValueError as e:
+            except (ValueError, RecursionError) as e:
                 raise CheckpointError(f"corrupt metadata block: {e}") from None
             (count,) = struct.unpack("<I", binio._read_exact(f, 4, "tensor count"))
             tensors: dict[str, np.ndarray] = {}

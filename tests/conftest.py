@@ -1,5 +1,6 @@
 """Shared fixtures: generated dataset directories and a trained source model."""
 
+import hashlib
 import json
 import os
 import time
@@ -59,6 +60,27 @@ def die_in_worker(monkeypatch, job_name: str, checkpoint_dir=None,
         os._exit(3)
 
     monkeypatch.setattr(experiment, "run_job", dying)
+
+
+def one_conv_metadata(kernel_size: int) -> dict:
+    """Tensor-free checkpoint metadata of a conv-relu-pool net on 1x8x8 input.
+
+    The digest is computed here by the documented formula, not by
+    arch_digest, so it matches the arch even where the model rejects it.
+    """
+    arch = [{"name": "conv1", "layers": [
+                {"kind": "conv2d", "out_channels": 2, "kernel_size": kernel_size},
+                {"kind": "relu"}, {"kind": "global-average-pool"}]},
+            {"name": "fc", "layers": [{"kind": "dense", "out_features": 3}]}]
+    layers = [["conv1", "0", "conv2d", [[2, 1, kernel_size, kernel_size], [2]]],
+              ["conv1", "1", "relu", []],
+              ["conv1", "2", "global-average-pool", []],
+              ["fc", "0", "dense", [[2, None], [None]]]]
+    payload = json.dumps({"input_shape": [1, 8, 8], "layers": layers},
+                         sort_keys=True, separators=(",", ":"))
+    return {"arch": arch, "digest": hashlib.sha256(payload.encode()).hexdigest(),
+            "input_shape": [1, 8, 8], "iterations": 0, "num_labels": 3,
+            "seed": 0}
 
 
 FAST_POLICY = {"base_lr": 0.01, "step_size": 20, "total_iterations": 40,

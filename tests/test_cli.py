@@ -9,10 +9,13 @@ import tracemalloc
 import pytest
 
 from conftest import (BROKEN_DATASET_CASES, FAST_POLICY, TINY_MODEL,
-                      die_in_worker, write_broken_dataset, write_config)
+                      die_in_worker, one_conv_metadata, write_broken_dataset,
+                      write_config)
 from ftlab import binio
-from ftlab.cli import ModelConfig, RunConfig, main
-from ftlab.data import load_dataset
+from ftlab.cli import ConfigError, ModelConfig, RunConfig, load_config, main
+from ftlab.codec import decode, encode
+from ftlab.data import (SyntheticDomainSpec, gen_synthetic_domain,
+                        load_dataset, save_dataset)
 from ftlab.experiment import (RunRecord, append_records, derive_seed,
                               percent_gain)
 from ftlab.model import (CheckpointError, build_staged_network,
@@ -96,9 +99,9 @@ class TestRunConfig:
         }
 
     def test_parse_serialize_round_trip(self):
-        cfg = RunConfig.from_dict(self.full_config_dict())
-        again = RunConfig.from_dict(cfg.to_dict())
-        assert again == cfg
+        cfg = decode(RunConfig, self.full_config_dict())
+        assert encode(cfg) == self.full_config_dict()
+        assert decode(RunConfig, encode(cfg)) == cfg
 
     def test_validation_collects_every_error(self, capsys, tmp_path):
         bad = {"policy": {"base_lr": -1, "step_size": 0,
@@ -124,7 +127,7 @@ class TestRunConfig:
         assert "JSON object" in capsys.readouterr().err
 
     def test_default_model_config(self):
-        cfg = RunConfig.from_dict({"policy": dict(FAST_POLICY)})
+        cfg = decode(RunConfig, {"policy": dict(FAST_POLICY)})
         assert cfg.model == ModelConfig()
         assert cfg.batch_size is None and cfg.workers == 1
 
@@ -136,6 +139,82 @@ class TestRunConfig:
         config = write_config(tmp_path / "c.json", cfg)
         assert main(["train-source", config, "--out", str(tmp_path / "o")]) == 1
         assert "batch_size" in capsys.readouterr().err
+
+
+# (command, config fields replaced, a fragment of the error); each one ran, or
+# ended in a traceback, before
+MALFORMED_CONFIGS = {
+    "momentum_not_a_number": ("train-source", {"momentum": "x"},
+                              "momentum must be a finite number"),
+    "batch_size_bool": ("train-source", {"batch_size": True},
+                        "batch_size must be an integer"),
+    "seed_bool": ("train-source", {"seed": True}, "seed must be an integer"),
+    "residual_not_a_bool": ("train-source",
+                            {"model": dict(TINY_MODEL, residual="no")},
+                            "model.residual must be a boolean"),
+    "grid_key_typo": ("sweep", {"grid": {"ll_value": [5]}},
+                      "unknown field 'grid.ll_value'"),
+    "zero_width": ("train-source", {"model": dict(TINY_MODEL, widths=[4, 0])},
+                   "out_channels must be a positive integer"),
+    "even_kernel": ("train-source", {"model": dict(TINY_MODEL, kernel_size=4)},
+                    "kernel size must be odd"),
+    "pools_wrong_length": ("train-source",
+                           {"model": dict(TINY_MODEL, pools=[True])},
+                           "pools and widths must have the same length"),
+    # a checkpoint whose digest matches its arch, which has a 4x4 kernel
+    "even_kernel_checkpoint": ("sweep", {}, "kernel size must be odd"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_exits_1_with_only_errors_before_any_output(
+            self, tmp_path, data_root, source_run, capsys, case):
+        command, fields, fragment = MALFORMED_CONFIGS[case]
+        source = source_run / "source.ftlb"
+        if case == "even_kernel_checkpoint":
+            source = tmp_path / "even.ftlb"
+            source.write_bytes(crafted_checkpoint(
+                json.dumps(one_conv_metadata(4)).encode()))
+        cfg = {"policy": FAST_POLICY, "model": TINY_MODEL, "batch_size": 6,
+               "seed": 3, "source_checkpoint": str(source),
+               "data": {"dataset": str(data_root / "srcdom"),
+                        "partition_seed": 4},
+               "grid": {"ll_values": [0.1]}}
+        config = write_config(tmp_path / "c.json", dict(cfg, **fields))
+        out = tmp_path / "o"
+        assert main([command, config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert lines and all(line.startswith("error: ") for line in lines)
+        assert fragment in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_even_kernel_model_is_config_error(self, tmp_path):
+        config = write_config(tmp_path / "c.json",
+                              {"policy": FAST_POLICY,
+                               "model": {"kernel_size": 4}})
+        with pytest.raises(ConfigError, match="kernel size must be odd"):
+            load_config(config)
+
+    @pytest.mark.parametrize("command", ["train-source", "finetune", "sweep"])
+    def test_examples_that_do_not_fit_the_model_exit_1_before_any_output(
+            self, tmp_path, source_run, capsys, command):
+        images = tmp_path / "4x4"
+        save_dataset(gen_synthetic_domain(SyntheticDomainSpec(
+            "small", num_labels=3, examples_per_label=4, image_size=4,
+            motif_size=4, num_motifs=2)), images)
+        cfg = {"policy": FAST_POLICY, "model": TINY_MODEL, "batch_size": 2,
+               "source_checkpoint": str(source_run / "source.ftlb"),
+               "data": {"train_dir": str(images), "val_dir": str(images)},
+               "schedule": {"ll": 0.1}, "grid": {"ll_values": [0.1]}}
+        config = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert main([command, config, "--out", str(out)]) == 1
+        assert ("examples of shape (1, 4, 4) do not fit the model input shape "
+                "(1, 8, 8)") in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGenData:

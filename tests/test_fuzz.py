@@ -1,0 +1,166 @@
+"""Property tests over the readers of configs, ledgers and checkpoints.
+
+Each test mutates one valid input, as parsed JSON or as raw bytes, and
+requires the reader to take it or to end in its own typed error (for the
+ledger: a skipped line), never in any other exception. The runs are
+derandomized, so they are the same on every run.
+"""
+
+import io
+import json
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import FAST_POLICY, TINY_MODEL
+from ftlab import binio
+from ftlab.cli import ConfigError, RunConfig, load_config
+from ftlab.codec import decode, encode
+from ftlab.experiment import RunRecord, scan_ledger
+from ftlab.model import (CheckpointError, build_staged_network,
+                         checkpoint_from_model, load_checkpoint,
+                         mini_staged_spec, transfer_init)
+
+FUZZ = settings(derandomize=True, database=None, max_examples=60,
+                deadline=None)
+
+# an explicit alphabet: drawing from all of Unicode first builds a table of
+# its categories, which takes seconds and is written to disk
+ALPHABET = "az_./-\u00e9\u2603\x00 \"\\"
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.floats()
+    | st.text(ALPHABET, max_size=4),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(ALPHABET, max_size=4), kids,
+                                    max_size=3)),
+    max_leaves=6)
+
+CONFIG = {
+    "policy": FAST_POLICY,
+    "model": dict(TINY_MODEL, kernel_size=3, residual=True, pools=None,
+                  head_name="fc"),
+    "batch_size": 4, "momentum": 0.5, "seed": 11, "workers": 2,
+    "data": {"dataset": "x", "partition_seed": 1},
+    "schedule": {"ll": 0.01, "il": 0.0},
+    "grid": {"ll_values": [0.01, 0.1], "min_il": 0.0001},
+    "graduated": {"inner_multipliers": [0, 1], "head_multiplier": 16,
+                  "scales": [0.25, 1.0], "layout": "per_stage"},
+    "baseline_ll_multiplier": 10.0,
+    "source_checkpoint": "src.ftlb",
+    "recommender": {"breakpoints": [[0, 0.0001], [25, 0.001]]},
+    "domains": [{"name": "d", "num_labels": 3, "examples_per_label": 4,
+                 "image_size": 8, "motif_size": 4}],
+}
+
+CHECKPOINT = checkpoint_from_model(build_staged_network(
+    mini_staged_spec((2, 3), (1, 8, 8), residual=True), (1, 8, 8), 3, seed=0))
+
+
+def _tensor_bytes(tensors) -> bytes:
+    out = io.BytesIO(struct.pack("<I", len(tensors)))
+    out.seek(0, io.SEEK_END)
+    for name, arr in tensors.items():
+        binio.write_named_tensor(out, name, arr)
+    return out.getvalue()
+
+
+TENSOR_BYTES = _tensor_bytes(CHECKPOINT.tensors)
+
+RECORD = RunRecord(kind="ll", task="t", source="s", seed=0,
+                   final_accuracy=0.5, best_accuracy=0.75, ll=0.1, il=0.0,
+                   checkpoint="c.ftlb")
+
+
+def _paths(value, path=()):
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+def _mutate(value, path, action, new, key, splice) -> bytes:
+    holder = {"": json.loads(json.dumps(value))}     # a deep copy
+    parent, last = holder, ""
+    for k in path:
+        parent, last = parent[last], k
+    if action == "add" and isinstance(parent[last], dict):
+        parent[last][key] = new
+    elif action == "drop" and parent is not holder:
+        del parent[last]
+    else:
+        parent[last] = new
+    blob = json.dumps(holder[""]).encode()
+    if splice is not None:
+        i, n, insert = splice
+        blob = blob[:i] + insert + blob[i + n:]
+    return blob
+
+
+def encoded(value):
+    """JSON bytes of value with one node replaced or dropped, or a key added
+    to one object; some with a byte range replaced too."""
+    return st.builds(_mutate, st.just(value),
+                     st.sampled_from(list(_paths(value))),
+                     st.sampled_from(["replace", "drop", "add"]), JSON_VALUES,
+                     st.text(ALPHABET, max_size=6),
+                     st.none() | st.tuples(st.integers(0, 400),
+                                           st.integers(0, 8),
+                                           st.binary(max_size=8)))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@FUZZ
+@given(blob=encoded(CONFIG))
+def test_config_loads_or_is_config_error(scratch, blob):
+    path = scratch / "config.json"
+    path.write_bytes(blob)
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    assert decode(RunConfig, encode(cfg)) == cfg
+
+
+@FUZZ
+@given(line=encoded(RECORD.to_dict()))
+def test_ledger_line_is_a_record_or_skipped(scratch, line):
+    path = scratch / "ledger.jsonl"
+    path.write_bytes(json.dumps(RECORD.to_dict()).encode() + b"\n" + line
+                     + b"\n")
+    records, bad_lines = scan_ledger(path)
+    assert records[0] == RECORD and 1 not in bad_lines
+    assert all(decode(RunRecord, r.to_dict()) == r for r in records)
+
+
+@FUZZ
+@given(meta=encoded(CHECKPOINT.metadata))
+def test_checkpoint_metadata_loads_or_is_checkpoint_error(scratch, meta):
+    path = scratch / "mutated.ftlb"
+    path.write_bytes(b"FTLB" + struct.pack("<II", 1, len(meta)) + meta
+                     + TENSOR_BYTES)
+    try:
+        ckpt = load_checkpoint(path)
+    except CheckpointError:
+        return
+    transfer_init(ckpt, 4, head_seed=0)     # what finetune and sweep do next
+
+
+def test_deep_nesting_is_each_readers_error(scratch):
+    deep = b"[" * 100_000
+    (scratch / "deep.json").write_bytes(deep)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(scratch / "deep.json")
+    (scratch / "deep.jsonl").write_bytes(deep + b"\n")
+    assert scan_ledger(scratch / "deep.jsonl") == ([], [1])
+    (scratch / "deep.ftlb").write_bytes(
+        b"FTLB" + struct.pack("<II", 1, len(deep)) + deep)
+    with pytest.raises(CheckpointError, match="metadata"):
+        load_checkpoint(scratch / "deep.ftlb")

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from ftlab.model import (CheckpointError, LayerSpec, StageSpec, arch_digest,
-                         build_staged_network, checkpoint_from_model,
-                         load_checkpoint, mini_staged_spec,
-                         model_from_checkpoint, save_checkpoint, transfer_init)
+from conftest import one_conv_metadata
+from ftlab.model import (Checkpoint, CheckpointError, LayerSpec, StageSpec,
+                         arch_digest, build_staged_network,
+                         checkpoint_from_model, layer_shapes, load_checkpoint,
+                         mini_staged_spec, model_from_checkpoint,
+                         save_checkpoint, transfer_init)
 
 
 def params_of(model):
@@ -83,6 +85,41 @@ class TestBuild:
             build_staged_network(spec, (1, 7, 7), 3, seed=0)
 
 
+class TestLayerShapes:
+    def test_residual_inner_layers_walked_in_build_order(self):
+        records = layer_shapes(tiny_spec(residual=True), (1, 8, 8))
+        conv1 = [(r.path, r.kind, r.in_shape, r.out_shape, r.param_shapes)
+                 for r in records if r.stage == "conv1"]
+        assert conv1 == [
+            ("0", "conv2d", (1, 8, 8), (2, 8, 8), ((2, 1, 3, 3), (2,))),
+            ("1", "relu", (2, 8, 8), (2, 8, 8), ()),
+            ("2", "residual-add", (2, 8, 8), (2, 8, 8), ()),
+            ("2/0", "conv2d", (2, 8, 8), (2, 8, 8), ((2, 2, 3, 3), (2,))),
+            ("2/1", "relu", (2, 8, 8), (2, 8, 8), ()),
+            ("3", "max-pool", (2, 8, 8), (2, 4, 4), ())]
+        assert records[-1].param_shapes == ((3, None), (None,))
+
+    def test_weights_then_biases_drawn_from_the_fan_in_range(self):
+        m = build_staged_network(tiny_spec(residual=True), (1, 8, 8), 3, seed=9)
+        rng = np.random.default_rng(9)
+        params = [arr for _, arr in m.named_parameters()]
+        for w, b in zip(params[::2], params[1::2]):
+            limit = 1.0 / np.sqrt(w.size // b.size)         # 1 / sqrt(fan_in)
+            assert np.array_equal(w, rng.uniform(-limit, limit, size=w.shape))
+            assert np.array_equal(b, rng.uniform(-limit, limit, size=b.shape))
+
+    @pytest.mark.parametrize("kernel_size", [2, 4])
+    def test_even_kernel_rejected(self, kernel_size):
+        with pytest.raises(ValueError, match="kernel size must be odd"):
+            layer_shapes(mini_staged_spec((2, 3), (1, 8, 8), kernel_size), (1, 8, 8))
+
+    def test_dense_below_head_needs_out_features(self):
+        spec = (StageSpec("hidden", (LayerSpec("dense"),)),
+                StageSpec("fc", (LayerSpec("dense"),)))
+        with pytest.raises(ValueError, match="out_features"):
+            layer_shapes(spec, (4,))
+
+
 class TestCheckpoint:
     def test_save_load_preserves_names_and_shapes(self, tmp_path):
         m = build_staged_network(tiny_spec(True), (1, 8, 8), 3, seed=2)
@@ -140,6 +177,15 @@ class TestCheckpoint:
         save_checkpoint(ckpt, path)
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
+
+    def test_even_kernel_arch_rejected_although_digest_matches(self, tmp_path):
+        odd, even = tmp_path / "odd.ftlb", tmp_path / "even.ftlb"
+        save_checkpoint(Checkpoint({}, one_conv_metadata(3)), odd)
+        save_checkpoint(Checkpoint({}, one_conv_metadata(4)), even)
+        spec = load_checkpoint(odd).arch_spec()     # the digest formula holds
+        assert arch_digest(spec, (1, 8, 8)) == one_conv_metadata(3)["digest"]
+        with pytest.raises(CheckpointError, match="kernel size must be odd"):
+            load_checkpoint(even)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ftlb"
