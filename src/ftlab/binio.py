@@ -76,7 +76,10 @@ def read_tensor_payload(f: BinaryIO, what: str = "tensor") -> np.ndarray:
         (d,) = struct.unpack("<I", _read_exact(f, 4, f"dim {i} of {what}"))
         dims.append(d)
     raw = _read_exact(f, 4 * math.prod(dims), f"data of {what} (dims {dims})")
-    return np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+    try:
+        return np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+    except ValueError as e:     # a zero dim beside dims too large for numpy
+        raise FormatError(f"{what}: dims {dims}: {e}") from None
 
 
 def write_named_tensor(f: BinaryIO, name: str, array: np.ndarray) -> None:

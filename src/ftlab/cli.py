@@ -19,14 +19,14 @@ import numpy as np
 from .codec import DecodeError, check, decode, encode
 from .data import (SyntheticDomainSpec, gen_synthetic_domain, load_dataset,
                    partition_domain, save_dataset, split_train_val)
-from .experiment import (FinetuneTask, GraduatedSpec, GridSpec,
-                         RecommenderConfig, RunRecord, append_records,
+from .experiment import (FinetuneTask, GraduatedSpec, GridSpec, JobInputs,
+                         JobSpec, RecommenderConfig, RunRecord, append_records,
                          derive_seed, graduated_schedule, render_report,
-                         report_from_records, run_il_ll_grid, scale_sweep,
-                         scan_ledger)
+                         report_from_records, run_il_ll_grid, run_job,
+                         scale_sweep, scan_ledger)
 from .model import (Checkpoint, CheckpointError, build_staged_network,
                     checkpoint_from_model, layer_shapes, load_checkpoint,
-                    mini_staged_spec, save_checkpoint, transfer_init)
+                    mini_staged_spec, save_checkpoint)
 from .nn_core import grad_check
 from .optim import (LrPolicy, MultiplierSchedule, train, uniform_schedule)
 
@@ -67,11 +67,62 @@ def _positive(n) -> bool:
 
 
 @dataclass(frozen=True)
+class SplitConfig:
+    train_fraction: float
+    seed: int
+
+
+@dataclass(frozen=True)
+class TaskData:
+    """One task's data, in one of the TASK_FORMS."""
+
+    dataset: str | None = None
+    partition_seed: int | None = None
+    split: SplitConfig | None = None
+    train_dir: str | None = None
+    val_dir: str | None = None
+
+
+TASK_FORMS = ({"dataset", "partition_seed"}, {"dataset", "split"},
+              {"train_dir", "val_dir"})
+
+
+@dataclass(frozen=True)
+class TaskEntry(TaskData):
+    id: str | None = None           # the task id; default: its domain name
+
+
+@dataclass(frozen=True)
+class DataConfig(TaskData):
+    tasks: tuple[TaskEntry, ...] | None = None    # a graduated sweep's tasks
+
+
+@dataclass(frozen=True)
+class ScheduleConfig:
+    """A finetune schedule in one of the SCHEDULE_FORMS."""
+
+    stage_multipliers: dict[str, float] | None = None
+    ll: float | None = None         # rates: the multipliers are derived
+    il: float | None = None
+    graduated_scale: float | None = None    # uses the graduated section
+    scale: float | None = None
+
+
+# each schedule form, and the fields that may go with it
+SCHEDULE_FORMS = {"stage_multipliers": {"scale"}, "ll": {"il", "scale"},
+                  "graduated_scale": set()}
+
+
+def _set_fields(section) -> set[str]:
+    return {name for name, value in vars(section).items() if value is not None}
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Everything that determines a run; serialized next to every ledger.
 
     Read with codec.decode and written with codec.encode, so config.json
-    holds every field, defaults included, with the values as given.
+    holds every field, defaults and nulls included, with the values as given.
     """
 
     policy: LrPolicy
@@ -85,8 +136,8 @@ class RunConfig:
     seed: int = 0
     workers: int = field(
         default=1, metadata=check(_positive, "must be a positive integer"))
-    data: dict = field(default_factory=dict)
-    schedule: dict | None = None
+    data: DataConfig = DataConfig()
+    schedule: ScheduleConfig | None = None
     grid: GridSpec | None = None
     graduated: GraduatedSpec | None = None
     baseline_ll_multiplier: float = 10.0
@@ -121,70 +172,70 @@ def _write_config_copy(cfg: RunConfig, out_dir) -> None:
         f.write("\n")
 
 
-def _resolve_task(data_cfg: dict, role: str, errors: list[str],
+def _resolve_task(entry: TaskData, role: str, errors: list[str],
                   task_id: str | None = None) -> FinetuneTask | None:
     """Build a task from one data entry.
 
-    Three forms: dataset+partition_seed (uses the transfer target and its
-    validation partition), dataset+split (stratified train/val split), or
-    explicit train_dir/val_dir.
+    Three forms: dataset+partition_seed (the role's partitions: the source
+    or the transfer target, each with its validation partition),
+    dataset+split (stratified train/val split), or train_dir+val_dir.
     """
-    try:
-        if "dataset" in data_cfg and "partition_seed" in data_cfg:
-            ds = load_dataset(data_cfg["dataset"])
-            part = partition_domain(ds, data_cfg["partition_seed"])
-            if role == "source":
-                train_ds, val_ds = part.source_train, part.val_source
-            else:
-                train_ds, val_ds = part.target, part.val_target
-            return FinetuneTask(task_id or ds.domain_name, train_ds, val_ds)
-        if "dataset" in data_cfg and "split" in data_cfg:
-            ds = load_dataset(data_cfg["dataset"])
-            split = data_cfg["split"]
-            train_ds, val_ds = split_train_val(ds, split["train_fraction"],
-                                               split["seed"])
-            return FinetuneTask(task_id or ds.domain_name, train_ds, val_ds)
-        if "train_dir" in data_cfg and "val_dir" in data_cfg:
-            train_ds = load_dataset(data_cfg["train_dir"])
-            val_ds = load_dataset(data_cfg["val_dir"])
-            return FinetuneTask(task_id or train_ds.domain_name, train_ds, val_ds)
+    given = _set_fields(entry) - {"id"}
+    if given not in TASK_FORMS:
         errors.append(f"data entry needs dataset+partition_seed, dataset+split, "
-                      f"or train_dir+val_dir; got keys {sorted(data_cfg)}")
-    except (OSError, ValueError, KeyError) as e:
-        errors.append(f"data ({role}): {e}")
-    return None
-
-
-def _resolve_schedule(cfg: RunConfig, model_stage_names, head_name,
-                      errors: list[str]) -> MultiplierSchedule | None:
-    s = cfg.schedule
-    if s is None:
-        errors.append("config needs a 'schedule' section")
+                      f"or train_dir+val_dir; got fields {sorted(given)}")
         return None
     try:
-        if "stage_multipliers" in s:
-            return MultiplierSchedule(dict(s["stage_multipliers"]),
-                                      s.get("scale", 1.0))
-        if "ll" in s:
-            ll = float(s["ll"])
-            il = float(s.get("il", 0.0))
-            return uniform_schedule(model_stage_names, head_name,
-                                    inner=il / cfg.policy.base_lr,
-                                    head=ll / cfg.policy.base_lr,
-                                    scale=s.get("scale", 1.0))
-        if "graduated_scale" in s:
-            if cfg.graduated is None:
-                errors.append("schedule uses graduated_scale but config has no "
-                              "'graduated' section")
-                return None
-            return graduated_schedule(cfg.graduated, s["graduated_scale"],
-                                      inner_stage_names=model_stage_names[:-1],
-                                      head_name=head_name)
-        errors.append(f"schedule needs stage_multipliers, ll/il, or "
-                      f"graduated_scale; got keys {sorted(s)}")
-    except (TypeError, ValueError) as e:
+        if entry.train_dir is not None:
+            train_ds = load_dataset(entry.train_dir)
+            return FinetuneTask(task_id or train_ds.domain_name, train_ds,
+                                load_dataset(entry.val_dir))
+        ds = load_dataset(entry.dataset)
+        if entry.split is not None:
+            sets = split_train_val(ds, entry.split.train_fraction,
+                                   entry.split.seed)
+        else:
+            part = partition_domain(ds, entry.partition_seed)
+            sets = ((part.source_train, part.val_source) if role == "source"
+                    else (part.target, part.val_target))
+        return FinetuneTask(task_id or ds.domain_name, *sets)
+    except (OSError, ValueError) as e:
+        errors.append(f"data ({role}): {e}")
+        return None
+
+
+def _resolve_schedule(cfg: RunConfig, stage_names,
+                      errors: list[str]) -> dict | None:
+    """The schedule section for a net of these stages, the last one its head:
+    the finetune job's schedule, and the kind, ll, il and scale it records."""
+    s = cfg.schedule
+    given = _set_fields(s) if s else set()
+    if not any(form in given and given <= {form} | extra
+               for form, extra in SCHEDULE_FORMS.items()):
+        errors.append(f"schedule needs one of stage_multipliers (+scale), ll "
+                      f"(+il, +scale) or graduated_scale; got {sorted(given)}")
+        return None
+    scale = 1.0 if s.scale is None else s.scale
+    *inner, head = stage_names
+    try:
+        if s.ll is not None:
+            il, base = 0.0 if s.il is None else s.il, cfg.policy.base_lr
+            job = dict(kind="grid" if il else "ll", ll=s.ll, il=il, scale=s.scale,
+                       schedule=uniform_schedule(stage_names, head, il / base,
+                                                 s.ll / base, scale))
+        elif s.stage_multipliers is not None:
+            job = dict(kind="custom", scale=s.scale, schedule=MultiplierSchedule(
+                dict(s.stage_multipliers), scale))
+        elif cfg.graduated is None:
+            raise ValueError("graduated_scale needs a 'graduated' section")
+        else:
+            job = dict(kind="graduated", scale=s.graduated_scale, schedule=(
+                graduated_schedule(cfg.graduated, s.graduated_scale, inner, head)))
+        job["schedule"].check_covers(stage_names)
+    except ValueError as e:
         errors.append(f"schedule: {e}")
-    return None
+        return None
+    return job
 
 
 def _check_input_shape(tasks, input_shape, errors: list[str]) -> None:
@@ -269,42 +320,30 @@ def cmd_finetune(cfg: RunConfig, out_dir) -> int:
         errors.append("batch_size is required")
     source = _load_source(cfg, errors)
     task = _resolve_task(cfg.data, "target", errors)
-    stage_names = (tuple(s["name"] for s in source.metadata["arch"])
-                   if source else ())
-    schedule = (None if source is None else
-                _resolve_schedule(cfg, stage_names, stage_names[-1], errors))
-    if source and task:
-        _check_input_shape([task], source.input_shape(), errors)
+    if source:
+        job = _resolve_schedule(
+            cfg, tuple(s["name"] for s in source.metadata["arch"]), errors)
+        if task:
+            _check_input_shape([task], source.input_shape(), errors)
     if errors:
         return _fail(errors)
     os.makedirs(out_dir, exist_ok=True)
     _write_config_copy(cfg, out_dir)
+    ckpt_rel = f"finetuned_{task.task_id}.ftlb"
+    ckpt_path = os.path.join(out_dir, ckpt_rel)
     try:
-        model = transfer_init(source, task.train.num_labels,
-                              head_seed=derive_seed(cfg.seed, "head"))
-        result = train(model, task.train, task.val, schedule, cfg.policy,
-                       cfg.batch_size, seed=derive_seed(cfg.seed, "data"),
-                       momentum=cfg.momentum)
+        record = run_job(JobInputs(source, {task.task_id: task}, cfg.policy,
+                                   cfg.batch_size, cfg.momentum), JobSpec(
+            name=task.task_id, task_id=task.task_id, seed=cfg.seed,
+            seed_parts=(cfg.seed,), save_path=ckpt_path, checkpoint=ckpt_rel,
+            **job))
     except (ValueError, CheckpointError) as e:
         return _fail([str(e)])
-    ckpt_rel = f"finetuned_{task.task_id}.ftlb"
-    save_checkpoint(checkpoint_from_model(result.best_model,
-                                          {"domain": task.train.domain_name}),
-                    os.path.join(out_dir, ckpt_rel))
-    s = cfg.schedule
-    record = RunRecord(
-        kind="ll" if s.get("ll") is not None and s.get("il", 0.0) == 0.0
-        else ("graduated" if "graduated_scale" in s else
-              ("grid" if "ll" in s else "custom")),
-        task=task.task_id, source=str(source.metadata.get("domain", "source")),
-        ll=s.get("ll"), il=s.get("il", 0.0 if "ll" in s else None),
-        scale=s.get("graduated_scale", s.get("scale")),
-        seed=cfg.seed, final_accuracy=result.final_accuracy,
-        best_accuracy=result.best_accuracy, checkpoint=ckpt_rel)
     append_records(os.path.join(out_dir, LEDGER_NAME), [record])
-    print(f"finetuned checkpoint: {os.path.join(out_dir, ckpt_rel)}")
-    print(f"best val accuracy: {result.best_accuracy:.4f} "
-          f"(iteration {result.best_iteration})")
+    print(f"finetuned checkpoint: {ckpt_path}")
+    # the saved best model's iteration count is the iteration it was taken at
+    print(f"best val accuracy: {record.best_accuracy:.4f} "
+          f"(iteration {load_checkpoint(ckpt_path).metadata['iterations']})")
     return 0
 
 
@@ -324,21 +363,17 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
         except (TypeError, ValueError) as e:
             errors.append(f"graduated: {e}")
 
-    tasks: list[FinetuneTask] = []
+    tasks: list = []
     if cfg.grid is not None:
-        task = _resolve_task(cfg.data, "target", errors)
-        if task:
-            tasks = [task]
+        tasks = [_resolve_task(cfg.data, "target", errors)]
     elif cfg.graduated is not None:
-        entries = cfg.data.get("tasks")
-        if not entries:
-            errors.append("graduated sweep needs data.tasks")
+        if not cfg.data.tasks or _set_fields(cfg.data) != {"tasks"}:
+            errors.append(f"graduated sweep needs data.tasks and no other data "
+                          f"field; got fields {sorted(_set_fields(cfg.data))}")
         else:
-            for entry in entries:
-                t = _resolve_task(entry, "target", errors,
-                                  task_id=entry.get("id"))
-                if t:
-                    tasks.append(t)
+            tasks = [_resolve_task(entry, "target", errors, entry.id)
+                     for entry in cfg.data.tasks]
+    tasks = [t for t in tasks if t]
     if source:
         _check_input_shape(tasks, source.input_shape(), errors)
     if errors:

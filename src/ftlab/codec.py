@@ -2,13 +2,13 @@
 
 `decode` builds a value of a type from parsed JSON, reading dataclass
 field types with typing.get_type_hints: nested dataclasses by recursion,
-lists as `tuple[...]`, null as the None of `X | None`. It coerces
-nothing: a bool needs a JSON boolean, an int an integer that is not a
-boolean, a float any finite number, and a value is kept as given, so
-encoding it again writes the same JSON. A key that is not a field is an
-error at every level. Every problem found is reported at once, each
-prefixed with its path, as in "graduated.scales[1]". `encode` is the
-inverse: dataclasses become objects and tuples lists.
+lists as `tuple[...]`, objects as `dict[str, ...]`, null as the None of
+`X | None`. It coerces nothing: a bool needs a JSON boolean, an int an
+integer that is not a boolean, a float any finite number, and a value is
+kept as given, so encoding it again writes the same JSON. A key that is
+not a field is an error at every level. Every problem found is reported
+at once, each prefixed with its path, as in "graduated.scales[1]".
+`encode` is the inverse: dataclasses become objects and tuples lists.
 """
 
 from __future__ import annotations
@@ -79,7 +79,11 @@ def _decode(tp, value, path: str, errors: list[str]):
             return None
         return tuple(_decode(t, v, f"{path}[{i}]", errors)
                      for i, (t, v) in enumerate(zip(types, value)))
-    kinds, name = _KINDS[tp]
+    if typing.get_origin(tp) is dict and isinstance(value, dict):
+        # JSON object keys are strings, so only the values are decoded
+        return {k: _decode(args[1], v, _join(path, k), errors)
+                for k, v in value.items()}
+    kinds, name = _KINDS[typing.get_origin(tp) or tp]
     if (not isinstance(value, kinds)
             or (isinstance(value, bool) and tp is not bool)
             or (isinstance(value, float) and not math.isfinite(value))):

@@ -333,28 +333,36 @@ def load_dataset(directory, domain_name: str | None = None) -> LabeledDataset:
     label_ids: dict[str, int] = {}
     features = []
     labels = []
-    with open(manifest, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                rel, label_name = line.split("\t")
-            except ValueError:
-                raise ValueError(f"{manifest}:{lineno}: expected "
-                                 f"'<path>\\t<label>'") from None
-            if label_name not in label_ids:
-                label_ids[label_name] = len(label_ids)
-            try:
-                arr = binio.load_tensor_file(os.path.join(directory, rel))
-            except (OSError, binio.FormatError) as e:
-                raise ValueError(f"{manifest}:{lineno}: {rel}: {e}") from None
-            if features and arr.shape != features[0].shape:
-                raise ValueError(f"{manifest}:{lineno}: {rel}: mixed shapes: "
-                                 f"{arr.shape}, the first example has "
-                                 f"{features[0].shape}")
-            features.append(arr.astype(np.float64))
-            labels.append(label_ids[label_name])
+    with open(manifest, "rb") as f:
+        # bytes.splitlines ends lines where text mode's universal newlines do
+        raw_lines = f.read().splitlines()
+    for lineno, raw in enumerate(raw_lines, 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{manifest}:{lineno}: "
+                             f"{raw.decode('utf-8', 'backslashreplace')}: "
+                             f"not valid UTF-8") from None
+        if not line:
+            continue
+        try:
+            rel, label_name = line.split("\t")
+        except ValueError:
+            raise ValueError(f"{manifest}:{lineno}: expected "
+                             f"'<path>\\t<label>'") from None
+        if label_name not in label_ids:
+            label_ids[label_name] = len(label_ids)
+        try:
+            arr = binio.load_tensor_file(os.path.join(directory, rel))
+        except (OSError, ValueError, binio.FormatError) as e:
+            # a NUL byte in the path is a ValueError of open()
+            raise ValueError(f"{manifest}:{lineno}: {rel}: {e}") from None
+        if features and arr.shape != features[0].shape:
+            raise ValueError(f"{manifest}:{lineno}: {rel}: mixed shapes: "
+                             f"{arr.shape}, the first example has "
+                             f"{features[0].shape}")
+        features.append(arr.astype(np.float64))
+        labels.append(label_ids[label_name])
     if not features:
         raise ValueError(f"{manifest} lists no examples")
     if domain_name is None:

@@ -19,7 +19,8 @@ from typing import Mapping, Sequence
 
 from .codec import decode, encode
 from .data import LabeledDataset
-from .model import Checkpoint, save_checkpoint, transfer_init
+from .model import (Checkpoint, checkpoint_from_model, save_checkpoint,
+                    transfer_init)
 from .optim import LrPolicy, MultiplierSchedule, train, uniform_schedule
 
 
@@ -258,7 +259,8 @@ def run_job(inputs: JobInputs, spec: JobSpec) -> RunRecord:
                    inputs.batch_size, derive_seed(*spec.seed_parts, "data"),
                    momentum=inputs.momentum)
     if spec.save_path is not None:
-        save_checkpoint(result.best_model, spec.save_path)
+        save_checkpoint(checkpoint_from_model(result.best_model, {
+            "domain": task.train.domain_name}), spec.save_path)
     meta = inputs.source.metadata
     return RunRecord(kind=spec.kind, task=spec.task_id,
                      source=str(meta.get("domain", meta.get("seed", "source"))),
@@ -394,10 +396,8 @@ def most_frequent_best_scale(records: Sequence[RunRecord],
 def scale_sweep(source: Checkpoint, tasks: Sequence[FinetuneTask],
                 spec: GraduatedSpec, policy: LrPolicy, batch_size: int,
                 master_seed: int, baseline_ll_multiplier: float = 10.0,
-                momentum: float = 0.9, workers: int = 1,
-                inner_stage_names: Sequence[str] | None = None,
-                head_name: str | None = None,
-                save_dir=None, save_rel: str | None = None,
+                momentum: float = 0.9, workers: int = 1, save_dir=None,
+                save_rel: str | None = None,
                 collect_failures: bool = False) -> ScaleSweepResult:
     """Run |tasks| x |scales| graduated jobs plus one head-only baseline each.
 
@@ -408,9 +408,7 @@ def scale_sweep(source: Checkpoint, tasks: Sequence[FinetuneTask],
     """
     if not tasks:
         raise ValueError("scale sweep needs at least one task")
-    arch_stages = tuple(s["name"] for s in source.metadata["arch"])
-    inner = tuple(inner_stage_names) if inner_stage_names else arch_stages[:-1]
-    head = head_name if head_name else arch_stages[-1]
+    *inner, head = (s["name"] for s in source.metadata["arch"])
     by_id = {t.task_id: t for t in tasks}
     if len(by_id) != len(tasks):
         raise ValueError("task ids must be unique")

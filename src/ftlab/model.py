@@ -254,10 +254,6 @@ class StagedModel:
     def head_name(self) -> str:
         return self.stages[-1].name
 
-    @property
-    def inner_stage_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.stages[:-1])
-
     def named_parameters(self):
         for stage in self.stages:
             yield from stage.named_params()
@@ -363,6 +359,11 @@ class Checkpoint:
         if digest != self.digest:
             raise CheckpointError("metadata digest does not match the stored "
                                   "architecture")
+        # the digest masks the head's size, so it is checked on its own
+        head_out = spec[-1].layers[0].out_features
+        if head_out is not None and head_out != self.num_labels:
+            raise CheckpointError(f"head outputs {head_out} but num_labels is "
+                                  f"{self.num_labels}")
         return spec
 
     def input_shape(self) -> tuple[int, ...]:
@@ -463,17 +464,16 @@ def model_from_checkpoint(ckpt: Checkpoint) -> StagedModel:
 
 
 def _assign_tensors(model: StagedModel, ckpt: Checkpoint, skip_head: bool) -> None:
-    head = model.head_name
+    """Copy ckpt's tensors into model's parameters, the head's unless skip_head."""
+    skip = model.head_name + "/" if skip_head else None
     expected = dict(model.named_parameters())
     for name in expected:
-        if skip_head and name.startswith(head + "/"):
-            continue
-        if name not in ckpt.tensors:
+        if name not in ckpt.tensors and not (skip and name.startswith(skip)):
             raise CheckpointError(f"checkpoint missing tensor {name!r}")
     for name, arr in ckpt.tensors.items():
         if name not in expected:
             raise CheckpointError(f"checkpoint has unexpected tensor {name!r}")
-        if skip_head and name.startswith(head + "/"):
+        if skip and name.startswith(skip):
             continue
         target = expected[name]
         if tuple(arr.shape) != tuple(target.shape):
@@ -498,11 +498,5 @@ def transfer_init(source: Checkpoint, target_num_labels: int,
     new_spec = spec[:-1] + (new_head,)
     model = build_staged_network(new_spec, source.input_shape(),
                                  target_num_labels, head_seed)
-    _assign_tensors(model, _drop_head_tensors(source, head.name), skip_head=True)
+    _assign_tensors(model, source, skip_head=True)
     return model
-
-
-def _drop_head_tensors(ckpt: Checkpoint, head_name: str) -> Checkpoint:
-    tensors = {n: a for n, a in ckpt.tensors.items()
-               if not n.startswith(head_name + "/")}
-    return Checkpoint(tensors, ckpt.metadata)

@@ -84,9 +84,6 @@ class MultiplierSchedule:
             raise ValueError(f"schedule/model stage mismatch: missing {missing}, "
                              f"unknown {extra}")
 
-    def with_scale(self, scale: float) -> "MultiplierSchedule":
-        return MultiplierSchedule(dict(self.stage_multipliers), scale)
-
 
 def uniform_schedule(model_stage_names, head_name: str, inner: float,
                      head: float, scale: float = 1.0) -> MultiplierSchedule:
@@ -153,11 +150,11 @@ def sgd_step(model: StagedModel, grads: dict[str, np.ndarray], state: SgdState,
 EVAL_CHUNK = 256
 
 
-def _chunks(features: np.ndarray, labels: np.ndarray,
-            chunk: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(features, labels) views cut every chunk rows."""
-    return [(features[i:i + chunk], labels[i:i + chunk])
-            for i in range(0, len(labels), chunk)]
+def _chunks(features: np.ndarray,
+            labels: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(features, labels) views cut every EVAL_CHUNK rows."""
+    return [(features[i:i + EVAL_CHUNK], labels[i:i + EVAL_CHUNK])
+            for i in range(0, len(labels), EVAL_CHUNK)]
 
 
 def _accuracy(stages, batches) -> float:
@@ -169,13 +166,12 @@ def _accuracy(stages, batches) -> float:
     return correct / total
 
 
-def evaluate(model: StagedModel, dataset: LabeledDataset,
-             chunk: int = EVAL_CHUNK) -> float:
-    """Top-1 accuracy over a dataset."""
+def evaluate(model: StagedModel, dataset: LabeledDataset) -> float:
+    """Top-1 accuracy over a dataset, in batches of EVAL_CHUNK rows."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     features = model.check_input(dataset.features)
-    return _accuracy(model.stages, _chunks(features, dataset.labels, chunk))
+    return _accuracy(model.stages, _chunks(features, dataset.labels))
 
 
 @dataclass
@@ -225,8 +221,7 @@ def train(model: StagedModel, train_set: LabeledDataset,
     cadence = eval_every if eval_every else max(1, policy.step_size // 10)
 
     rows = model.check_input(train_set.features)
-    val_batches = _chunks(model.check_input(val_set.features), val_set.labels,
-                          EVAL_CHUNK)
+    val_batches = _chunks(model.check_input(val_set.features), val_set.labels)
     if frozen:
         rows = np.concatenate([
             run_stages(frozen, rows[i:i + EVAL_CHUNK], check_finite=True)

@@ -19,7 +19,8 @@ def write_config(path, cfg: dict) -> str:
 
 
 # each one breaks line 2 of a three-line manifest
-BROKEN_DATASET_CASES = ("missing_tensor", "corrupt_tensor", "mixed_shape")
+BROKEN_DATASET_CASES = ("missing_tensor", "corrupt_tensor", "mixed_shape",
+                        "nul_in_path", "not_utf8")
 
 
 def write_broken_dataset(directory, case: str) -> None:
@@ -33,8 +34,12 @@ def write_broken_dataset(directory, case: str) -> None:
         (directory / "a" / "1.ftt").unlink()
     elif case == "corrupt_tensor":
         (directory / "a" / "1.ftt").write_bytes(b"FTT1\x03\x01")
-    (directory / "manifest.tsv").write_text(
-        "".join(f"a/{i}.ftt\ta\n" for i in range(3)), encoding="utf-8")
+    lines = [f"a/{i}.ftt\ta\n".encode() for i in range(3)]
+    if case == "nul_in_path":
+        lines[1] = b"a/1.ftt\x00\ta\n"
+    elif case == "not_utf8":
+        lines[1] = b"a/1.ftt\ta\xff\n"
+    (directory / "manifest.tsv").write_bytes(b"".join(lines))
 
 
 def die_in_worker(monkeypatch, job_name: str, checkpoint_dir=None,

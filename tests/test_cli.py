@@ -15,13 +15,13 @@ from ftlab import binio
 from ftlab.cli import ConfigError, ModelConfig, RunConfig, load_config, main
 from ftlab.codec import decode, encode
 from ftlab.data import (SyntheticDomainSpec, gen_synthetic_domain,
-                        load_dataset, save_dataset)
-from ftlab.experiment import (RunRecord, append_records, derive_seed,
-                              percent_gain)
+                        load_dataset, save_dataset, split_train_val)
+from ftlab.experiment import (FinetuneTask, RunRecord, append_records,
+                              derive_seed, percent_gain, run_ll_experiment)
 from ftlab.model import (CheckpointError, build_staged_network,
                          checkpoint_from_model, load_checkpoint,
-                         mini_staged_spec, transfer_init)
-from ftlab.optim import evaluate
+                         mini_staged_spec, save_checkpoint, transfer_init)
+from ftlab.optim import LrPolicy, evaluate
 
 
 def crafted_checkpoint(meta: bytes, tensors: bytes = b"", count: int = 0) -> bytes:
@@ -30,12 +30,13 @@ def crafted_checkpoint(meta: bytes, tensors: bytes = b"", count: int = 0) -> byt
             + struct.pack("<I", count) + tensors)
 
 
-def forged_digest_checkpoint() -> bytes:
-    """A whole checkpoint of the TINY_MODEL net whose digest is 64 f's."""
+def tiny_checkpoint(edit) -> bytes:
+    """A whole checkpoint of the TINY_MODEL net, its metadata changed by edit."""
     shape = tuple(TINY_MODEL["input_shape"])
     net = build_staged_network(mini_staged_spec(TINY_MODEL["widths"], shape),
                                shape, 3, seed=0)
-    ckpt = checkpoint_from_model(net, {"digest": "f" * 64})
+    ckpt = checkpoint_from_model(net)
+    edit(ckpt.metadata)
     tensors = io.BytesIO()
     for name, arr in ckpt.tensors.items():
         binio.write_named_tensor(tensors, name, arr)
@@ -66,7 +67,11 @@ MALFORMED_CHECKPOINTS = {
          "digest": "0", "input_shape": [1, 8, 8], "iterations": 0,
          "num_labels": 3, "seed": 0}).encode()),
     # sound in every other way: it finetuned and exited 0
-    "digest_forged": forged_digest_checkpoint(),
+    "digest_forged": tiny_checkpoint(lambda meta: meta.update(digest="f" * 64)),
+    # the digest masks the head's size, so it matched; a 7-way head with
+    # num_labels 3 failed only when the model was rebuilt
+    "head_size_not_num_labels": tiny_checkpoint(
+        lambda meta: meta["arch"][-1]["layers"][0].update(out_features=7)),
 }
 
 
@@ -86,8 +91,10 @@ class TestRunConfig:
             "momentum": 0.5,
             "seed": 11,
             "workers": 2,
-            "data": {"dataset": "x", "partition_seed": 1},
-            "schedule": {"ll": 0.01, "il": 0.0},
+            "data": {"dataset": "x", "partition_seed": 1, "split": None,
+                     "train_dir": None, "val_dir": None, "tasks": None},
+            "schedule": {"stage_multipliers": None, "ll": 0.01, "il": 0.0,
+                         "graduated_scale": None, "scale": None},
             "grid": {"ll_values": [0.01, 0.1], "min_il": 0.0001},
             "graduated": {"inner_multipliers": [0, 1, 2, 4, 8],
                           "head_multiplier": 16, "scales": [0.25, 1.0],
@@ -163,6 +170,62 @@ MALFORMED_CONFIGS = {
                            "pools and widths must have the same length"),
     # a checkpoint whose digest matches its arch, which has a 4x4 kernel
     "even_kernel_checkpoint": ("sweep", {}, "kernel size must be odd"),
+    # the data and schedule sections; fields given as a function take the
+    # path of a real dataset
+    "dataset_not_a_string": ("finetune",
+                             {"data": {"dataset": 5, "partition_seed": 4},
+                              "schedule": {"ll": 0.1}},
+                             "data.dataset must be a string"),
+    "task_not_an_object": ("sweep",
+                           {"grid": None, "data": {"tasks": [5]},
+                            "graduated": {"inner_multipliers": [0, 2]}},
+                           "data.tasks[0] must be an object"),
+    "train_fraction_not_a_number": (
+        "finetune", lambda ds: {"data": {"dataset": ds, "split": {
+            "train_fraction": "0.5", "seed": 5}}, "schedule": {"ll": 0.1}},
+        "data.split.train_fraction must be a finite number"),
+    "split_without_seed": (
+        "finetune", lambda ds: {"data": {"dataset": ds, "split": {
+            "train_fraction": 0.5}}, "schedule": {"ll": 0.1}},
+        "data.split.seed is required"),
+    "data_key_unknown": (
+        "finetune", lambda ds: {"data": {"dataset": ds, "partition_seed": 4,
+                                         "partition": 1},
+                                "schedule": {"ll": 0.1}},
+        "unknown field 'data.partition'"),
+    # the tasks were ignored
+    "tasks_beside_one_task": (
+        "finetune", lambda ds: {"data": {"dataset": ds, "partition_seed": 4,
+                                         "tasks": [{"train_dir": ds,
+                                                    "val_dir": ds}]},
+                                "schedule": {"ll": 0.1}},
+        "data entry needs dataset+partition_seed"),
+    # the one task was ignored
+    "one_task_beside_tasks": (
+        "sweep", lambda ds: {"grid": None,
+                             "graduated": {"inner_multipliers": [0, 2],
+                                           "scales": [1.0]},
+                             "data": {"dataset": ds, "partition_seed": 4,
+                                      "tasks": [{"dataset": ds,
+                                                 "partition_seed": 4}]}},
+        "graduated sweep needs data.tasks and no other data field"),
+    "schedule_key_unknown": ("finetune", {"schedule": {"ll": 0.1, "lr": 0.1}},
+                             "unknown field 'schedule.lr'"),
+    "ll_not_a_number": ("finetune", {"schedule": {"ll": "0.1"}},
+                        "schedule.ll must be a finite number"),
+    # trained at ll and recorded scale 0.25
+    "ll_with_graduated_scale": (
+        "finetune", {"schedule": {"ll": 0.1, "graduated_scale": 0.25}},
+        "schedule needs one of stage_multipliers"),
+    "multiplier_not_a_number": (
+        "finetune", {"schedule": {"stage_multipliers": {
+            "conv1": 0.0, "conv2": "1", "fc": 1.0}}},
+        "schedule.stage_multipliers.conv2 must be a finite number"),
+    # failed only after config.json was written
+    "stage_multipliers_missing_a_stage": (
+        "finetune", {"schedule": {"stage_multipliers": {"conv1": 0.0,
+                                                        "conv2": 1.0}}},
+        "missing ['fc']"),
 }
 
 
@@ -171,6 +234,8 @@ class TestMalformedInput:
     def test_exits_1_with_only_errors_before_any_output(
             self, tmp_path, data_root, source_run, capsys, case):
         command, fields, fragment = MALFORMED_CONFIGS[case]
+        if callable(fields):
+            fields = fields(str(data_root / "srcdom"))
         source = source_run / "source.ftlb"
         if case == "even_kernel_checkpoint":
             source = tmp_path / "even.ftlb"
@@ -341,6 +406,41 @@ class TestFinetune:
         record = read_ledger_lines(out / "ledger.jsonl")[0]
         assert record["kind"] == "graduated"
         assert record["scale"] == 0.25
+
+    def test_ll_run_is_run_ll_experiment(self, tmp_path, data_root,
+                                         source_run):
+        cfg = self.finetune_cfg(data_root, source_run, {"ll": 0.1})
+        out = tmp_path / "o"
+        config = write_config(tmp_path / "c.json", cfg)
+        assert main(["finetune", config, "--out", str(out)]) == 0
+        task = FinetuneTask("near", *split_train_val(
+            load_dataset(data_root / "near"), 2 / 3, seed=5))
+        ref = run_ll_experiment(load_checkpoint(source_run / "source.ftlb"),
+                                task, 0.1, LrPolicy(**FAST_POLICY), 6, seed=8,
+                                save_path=tmp_path / "ref.ftlb",
+                                checkpoint_ref="ref.ftlb")
+        assert ((out / "finetuned_near.ftlb").read_bytes()
+                == (tmp_path / "ref.ftlb").read_bytes())
+        # the domain of the training set, as finetune wrote before
+        assert (load_checkpoint(out / "finetuned_near.ftlb").metadata["domain"]
+                == "near/train")
+        record = read_ledger_lines(out / "ledger.jsonl")[0]
+        assert record["checkpoint"] == "finetuned_near.ftlb"
+        assert dict(record, checkpoint="ref.ftlb") == ref.to_dict()
+
+    def test_source_without_domain_recorded_by_its_seed(self, tmp_path,
+                                                        data_root,
+                                                        source_run):
+        source = load_checkpoint(source_run / "source.ftlb")
+        del source.metadata["domain"]
+        save_checkpoint(source, tmp_path / "anonymous.ftlb")
+        cfg = self.finetune_cfg(data_root, source_run, {"ll": 0.1})
+        cfg["source_checkpoint"] = str(tmp_path / "anonymous.ftlb")
+        out = tmp_path / "o"
+        config = write_config(tmp_path / "c.json", cfg)
+        assert main(["finetune", config, "--out", str(out)]) == 0
+        record = read_ledger_lines(out / "ledger.jsonl")[0]
+        assert record["source"] == str(source.metadata["seed"])
 
     def test_missing_source_checkpoint_rejected(self, tmp_path, data_root,
                                                 source_run, capsys):

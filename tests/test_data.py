@@ -1,5 +1,7 @@
 """Partitioning protocol, splits, synthetic domains, and on-disk format tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,14 @@ class TestOnDiskFormat:
         path = tmp_path / "t.ftt"
         path.write_bytes(b"XXXX\x01\x02")
         with pytest.raises(binio.FormatError, match="magic"):
+            binio.load_tensor_file(path)
+
+    def test_zero_dim_beside_huge_dims_is_format_error(self, tmp_path):
+        path = tmp_path / "t.ftt"
+        # no data to read, but numpy cannot make an array of this shape
+        path.write_bytes(b"FTT0" + bytes([3]) + struct.pack(
+            "<3I", 0, 0xFFFFFFFF, 0xFFFFFFFF))
+        with pytest.raises(binio.FormatError, match="dims"):
             binio.load_tensor_file(path)
 
     def test_dataset_round_trip(self, tmp_path):

@@ -1,15 +1,19 @@
-"""Property tests over the readers of configs, ledgers and checkpoints.
+"""Property tests over the readers of configs, ledgers, checkpoints, tensor
+files and dataset manifests.
 
 Each test mutates one valid input, as parsed JSON or as raw bytes, and
 requires the reader to take it or to end in its own typed error (for the
-ledger: a skipped line), never in any other exception. The runs are
-derandomized, so they are the same on every run.
+ledger: a skipped line; for a manifest: a ValueError naming the manifest),
+never in any other exception. The runs are derandomized, so they are the
+same on every run.
 """
 
 import io
 import json
+import re
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,10 +22,13 @@ from conftest import FAST_POLICY, TINY_MODEL
 from ftlab import binio
 from ftlab.cli import ConfigError, RunConfig, load_config
 from ftlab.codec import decode, encode
+from ftlab.data import (SyntheticDomainSpec, gen_synthetic_domain,
+                        load_dataset, save_dataset)
 from ftlab.experiment import RunRecord, scan_ledger
 from ftlab.model import (CheckpointError, build_staged_network,
                          checkpoint_from_model, load_checkpoint,
-                         mini_staged_spec, transfer_init)
+                         mini_staged_spec, model_from_checkpoint,
+                         transfer_init)
 
 FUZZ = settings(derandomize=True, database=None, max_examples=60,
                 deadline=None)
@@ -68,6 +75,11 @@ def _tensor_bytes(tensors) -> bytes:
 
 
 TENSOR_BYTES = _tensor_bytes(CHECKPOINT.tensors)
+METADATA_BYTES = json.dumps(CHECKPOINT.metadata).encode()
+
+_payload = io.BytesIO()
+binio.write_tensor_payload(_payload, np.arange(6.0).reshape(1, 2, 3))
+TENSOR_FILE = binio.TENSOR_FILE_MAGIC + _payload.getvalue()
 
 RECORD = RunRecord(kind="ll", task="t", source="s", seed=0,
                    final_accuracy=0.5, best_accuracy=0.75, ll=0.1, il=0.0,
@@ -94,10 +106,17 @@ def _mutate(value, path, action, new, key, splice) -> bytes:
     else:
         parent[last] = new
     blob = json.dumps(holder[""]).encode()
-    if splice is not None:
-        i, n, insert = splice
-        blob = blob[:i] + insert + blob[i + n:]
-    return blob
+    return blob if splice is None else _splice(blob, splice)
+
+
+# (start, length, new bytes) of one byte range to replace
+SPLICES = st.tuples(st.integers(0, 400), st.integers(0, 8),
+                    st.binary(max_size=8))
+
+
+def _splice(blob: bytes, splice) -> bytes:
+    i, n, insert = splice
+    return blob[:i] + insert + blob[i + n:]
 
 
 def encoded(value):
@@ -106,10 +125,7 @@ def encoded(value):
     return st.builds(_mutate, st.just(value),
                      st.sampled_from(list(_paths(value))),
                      st.sampled_from(["replace", "drop", "add"]), JSON_VALUES,
-                     st.text(ALPHABET, max_size=6),
-                     st.none() | st.tuples(st.integers(0, 400),
-                                           st.integers(0, 8),
-                                           st.binary(max_size=8)))
+                     st.text(ALPHABET, max_size=6), st.none() | SPLICES)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +167,60 @@ def test_checkpoint_metadata_loads_or_is_checkpoint_error(scratch, meta):
     except CheckpointError:
         return
     transfer_init(ckpt, 4, head_seed=0)     # what finetune and sweep do next
+
+
+@FUZZ
+@given(splice=SPLICES)
+def test_checkpoint_tensors_load_or_are_checkpoint_error(scratch, splice):
+    path = scratch / "mutated.ftlb"
+    path.write_bytes(b"FTLB" + struct.pack("<II", 1, len(METADATA_BYTES))
+                     + METADATA_BYTES + _splice(TENSOR_BYTES, splice))
+    # both readers of the tensors: they are checked against the model there
+    for rebuild in (model_from_checkpoint,
+                    lambda ckpt: transfer_init(ckpt, 4, head_seed=0)):
+        try:
+            rebuild(load_checkpoint(path))
+        except CheckpointError:
+            pass
+
+
+@FUZZ
+@given(splice=SPLICES)
+def test_tensor_file_loads_or_is_format_error(scratch, splice):
+    blob = _splice(TENSOR_FILE, splice)
+    path = scratch / "mutated.ftt"
+    path.write_bytes(blob)
+    try:
+        arr = binio.load_tensor_file(path)
+    except binio.FormatError:
+        return
+    # magic, rank and dims, then every float32 of the data
+    assert len(blob) == 4 + 1 + 4 * arr.ndim + 4 * arr.size
+    assert arr.dtype == np.float32
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """A saved dataset's directory and the bytes of its manifest."""
+    directory = tmp_path_factory.mktemp("fuzzds")
+    save_dataset(gen_synthetic_domain(SyntheticDomainSpec(
+        "d", num_labels=2, examples_per_label=4, image_size=4, motif_size=4,
+        num_motifs=2)), directory)
+    return directory, (directory / "manifest.tsv").read_bytes()
+
+
+@FUZZ
+@given(splice=SPLICES)
+def test_manifest_loads_or_names_its_line(dataset, splice):
+    directory, original = dataset
+    manifest = directory / "manifest.tsv"
+    manifest.write_bytes(_splice(original, splice))
+    try:
+        load_dataset(directory)
+    except ValueError as e:
+        assert type(e) is ValueError
+        assert re.match(re.escape(str(manifest)) + "(:[0-9]+: | lists no)",
+                        str(e)), str(e)
 
 
 def test_deep_nesting_is_each_readers_error(scratch):

@@ -187,6 +187,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="kernel size must be odd"):
             load_checkpoint(even)
 
+    def test_head_size_must_be_num_labels_although_digest_matches(self,
+                                                                  tmp_path):
+        m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5)
+        ckpt = checkpoint_from_model(m)
+        ckpt.metadata["arch"][-1]["layers"][0]["out_features"] = 7
+        path = tmp_path / "m.ftlb"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError,
+                           match="head outputs 7 but num_labels is 3"):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match="head outputs 7"):
+            model_from_checkpoint(ckpt)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ftlb"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
