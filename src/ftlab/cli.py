@@ -21,9 +21,9 @@ from .data import (SyntheticDomainSpec, gen_synthetic_domain, load_dataset,
                    partition_domain, save_dataset, split_train_val)
 from .experiment import (FinetuneTask, GraduatedSpec, GridSpec, JobInputs,
                          JobSpec, RecommenderConfig, RunRecord, append_records,
-                         derive_seed, graduated_schedule, render_report,
-                         report_from_records, run_il_ll_grid, run_job,
-                         scale_sweep, scan_ledger)
+                         derive_seed, graduated_schedule, grid_jobs,
+                         render_report, report_from_records, run_job, run_jobs,
+                         scale_jobs, scan_ledger)
 from .model import (Checkpoint, CheckpointError, build_staged_network,
                     checkpoint_from_model, layer_shapes, load_checkpoint,
                     mini_staged_spec, save_checkpoint)
@@ -238,8 +238,9 @@ def _resolve_schedule(cfg: RunConfig, stage_names,
     return job
 
 
-def _check_input_shape(tasks, input_shape, errors: list[str]) -> None:
-    """Add an error for each task whose examples do not fit the model input."""
+def _check_tasks(tasks, input_shape, batch_size, errors: list[str]) -> None:
+    """Add an error for each task whose examples do not fit the model input,
+    or whose training set is smaller than one batch."""
     shape = tuple(input_shape)
     for task in tasks:
         found = {task.train.example_shape, task.val.example_shape} - {shape}
@@ -247,6 +248,9 @@ def _check_input_shape(tasks, input_shape, errors: list[str]) -> None:
             errors.append(f"data ({task.task_id}): examples of shape "
                           f"{sorted(found)[0]} do not fit the model input "
                           f"shape {shape}")
+        if batch_size is not None and batch_size > len(task.train):
+            errors.append(f"data ({task.task_id}): batch_size {batch_size} "
+                          f"exceeds the {len(task.train)} training examples")
 
 
 def _load_source(cfg: RunConfig, errors: list[str]) -> Checkpoint | None:
@@ -289,7 +293,7 @@ def cmd_train_source(cfg: RunConfig, out_dir) -> int:
         errors.append("batch_size is required")
     task = _resolve_task(cfg.data, "source", errors)
     if task:
-        _check_input_shape([task], cfg.model.input_shape, errors)
+        _check_tasks([task], cfg.model.input_shape, cfg.batch_size, errors)
     if errors:
         return _fail(errors)
     os.makedirs(out_dir, exist_ok=True)
@@ -324,7 +328,7 @@ def cmd_finetune(cfg: RunConfig, out_dir) -> int:
         job = _resolve_schedule(
             cfg, tuple(s["name"] for s in source.metadata["arch"]), errors)
         if task:
-            _check_input_shape([task], source.input_shape(), errors)
+            _check_tasks([task], source.input_shape(), cfg.batch_size, errors)
     if errors:
         return _fail(errors)
     os.makedirs(out_dir, exist_ok=True)
@@ -354,15 +358,6 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
     if (cfg.grid is None) == (cfg.graduated is None):
         errors.append("sweep config needs exactly one of 'grid' or 'graduated'")
     source = _load_source(cfg, errors)
-    if source is not None and cfg.graduated is not None:
-        # every job's schedule is built before the first job starts
-        stages = tuple(s["name"] for s in source.metadata["arch"])
-        try:
-            graduated_schedule(cfg.graduated, 1.0, stages[:-1], stages[-1])
-            MultiplierSchedule({stages[-1]: cfg.baseline_ll_multiplier})
-        except (TypeError, ValueError) as e:
-            errors.append(f"graduated: {e}")
-
     tasks: list = []
     if cfg.grid is not None:
         tasks = [_resolve_task(cfg.data, "target", errors)]
@@ -374,52 +369,32 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
             tasks = [_resolve_task(entry, "target", errors, entry.id)
                      for entry in cfg.data.tasks]
     tasks = [t for t in tasks if t]
-    if source:
-        _check_input_shape(tasks, source.input_shape(), errors)
+    if source and tasks:
+        _check_tasks(tasks, source.input_shape(), cfg.batch_size, errors)
+        # every job, and so every schedule, is built before anything is written
+        try:
+            specs = (grid_jobs(source, tasks[0].task_id, cfg.grid, cfg.policy,
+                               cfg.seed) if cfg.grid is not None else
+                     scale_jobs(source, [t.task_id for t in tasks],
+                                cfg.graduated, cfg.seed,
+                                cfg.baseline_ll_multiplier, out_dir))
+        except ValueError as e:
+            errors.append(f"sweep: {e}")
     if errors:
         return _fail(errors)
 
     os.makedirs(out_dir, exist_ok=True)
     _write_config_copy(cfg, out_dir)
-    records: list[RunRecord] = []
-    failures = []
-    sweep_summary = None
-
-    if cfg.grid is not None:
-        grid_result = run_il_ll_grid(source, tasks[0], cfg.grid, cfg.policy,
-                                     cfg.batch_size, cfg.seed,
-                                     momentum=cfg.momentum, workers=cfg.workers,
-                                     collect_failures=True)
-        records = grid_result.records
-        failures = grid_result.failures
-    else:
-        result = scale_sweep(source, tasks, cfg.graduated, cfg.policy,
-                             cfg.batch_size, cfg.seed,
-                             baseline_ll_multiplier=cfg.baseline_ll_multiplier,
-                             momentum=cfg.momentum, workers=cfg.workers,
-                             save_dir=os.path.join(out_dir, "checkpoints"),
-                             save_rel="checkpoints", collect_failures=True)
-        records = result.records + result.baseline_records
-        failures = result.failures
-        sweep_summary = {
-            "jobs_executed": result.jobs_executed,
-            "scales": list(result.scales),
-            "task_ids": list(result.task_ids),
-            "best_per_task": {t: {"scale": s, "accuracy": a}
-                              for t, (s, a) in sorted(result.best_per_task.items())},
-            "best_per_task_mean": result.best_per_task_mean,
-            "fixed_scale_means": {f"{s:g}": m for s, m in
-                                  sorted(result.fixed_scale_means.items())},
-            "most_frequent_best_scale": result.most_frequent_best_scale,
-            "most_frequent_scale_mean": result.most_frequent_scale_mean,
-            "baseline_mean": result.baseline_mean,
-        }
-
-    append_records(os.path.join(out_dir, LEDGER_NAME), records)
-    status = "partial" if failures else "complete"
-    _emit_report(records, out_dir, status, sweep_summary)
-    print(f"{len(records)} jobs recorded in "
-          f"{os.path.join(out_dir, LEDGER_NAME)}")
+    if cfg.graduated is not None:
+        os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
+    records, failures = run_jobs(
+        JobInputs(source, {t.task_id: t for t in tasks}, cfg.policy,
+                  cfg.batch_size, cfg.momentum), specs, cfg.workers)
+    ledger = os.path.join(out_dir, LEDGER_NAME)
+    append_records(ledger, records)
+    _write_report(report_from_records(records), "partial" if failures
+                  else "complete", out_dir)
+    print(f"{len(records)} jobs recorded in {ledger}")
     if failures:
         for f_ in failures:
             print(f"failed job {f_.job}: {f_.error}", file=sys.stderr)
@@ -428,16 +403,9 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
     return 0
 
 
-def _emit_report(records, out_dir, status, sweep_summary=None) -> None:
-    report = report_from_records(records)
-    if sweep_summary is not None:
-        report["scale_sweep"] = sweep_summary
-    text = render_report(report, status=status)
-    if sweep_summary is not None:
-        text += "\n## Scale sweep analysis\n"
-        text += json.dumps(sweep_summary, indent=2, sort_keys=True) + "\n"
+def _write_report(report: dict, status: str, out_dir) -> None:
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as f:
-        f.write(text)
+        f.write(render_report(report, status=status))
     with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -458,7 +426,7 @@ def cmd_report(ledger_path, out_dir=None) -> int:
     print(text, end="")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        _emit_report(records, out_dir, "complete")
+        _write_report(report, "complete", out_dir)
     return 0
 
 

@@ -218,10 +218,6 @@ class JobFailure:
     error: str
 
 
-class WorkerDiedError(RuntimeError):
-    """A job's worker process died before the job finished."""
-
-
 @dataclass(frozen=True)
 class JobInputs:
     """What the jobs of one call share. Pool workers inherit it by fork."""
@@ -296,6 +292,112 @@ def run_ll_experiment(source: Checkpoint, task: FinetuneTask, ll: float,
                                      checkpoint=checkpoint_ref))
 
 
+def grid_jobs(source: Checkpoint, task_id: str, grid: GridSpec,
+              policy: LrPolicy, seed: int) -> list[JobSpec]:
+    """One job per (LL, IL) cell of the grid, all with the same seeds."""
+    return [_rate_job(source, policy, task_id, "grid", ll, il, seed)
+            for ll in grid.ll_values for il in grid.il_values(ll)]
+
+
+def scale_jobs(source: Checkpoint, task_ids: Sequence[str],
+               spec: GraduatedSpec, master_seed: int,
+               baseline_ll_multiplier: float = 10.0,
+               out_dir=None) -> list[JobSpec]:
+    """|task_ids| x |scales| graduated jobs, then one head-only baseline each.
+
+    Each job is seeded from (master_seed, task id, scale). With out_dir set,
+    each saves its best model to out_dir/checkpoints/. Empty or repeated
+    task ids, or a schedule that does not fit the stages, raise ValueError.
+    """
+    if not task_ids:
+        raise ValueError("scale sweep needs at least one task")
+    if len(set(task_ids)) != len(task_ids):
+        raise ValueError(f"task ids must be unique, got {list(task_ids)}")
+    *inner, head = (s["name"] for s in source.metadata["arch"])
+    schedules = {s: graduated_schedule(spec, s, inner, head)
+                 for s in spec.scales}
+    baseline = MultiplierSchedule(
+        {name: 0.0 for name in inner} | {head: baseline_ll_multiplier})
+    specs = [_sweep_job("graduated", f"{t} scale={s:g}", t, schedule,
+                        (master_seed, t, s), out_dir, f"{t}_scale{s:g}.ftlb",
+                        scale=s)
+             for t in task_ids for s, schedule in schedules.items()]
+    return specs + [_sweep_job("baseline", f"{t} baseline", t, baseline,
+                               (master_seed, t, "baseline"), out_dir,
+                               f"{t}_baseline.ftlb",
+                               ll=baseline_ll_multiplier, il=0.0)
+                    for t in task_ids]
+
+
+def _sweep_job(kind, name, task_id, schedule, seed_parts, out_dir, filename,
+               **fields) -> JobSpec:
+    """A job seeded from seed_parts; it saves to out_dir/checkpoints if set."""
+    if out_dir is not None:
+        fields.update(save_path=os.path.join(out_dir, "checkpoints", filename),
+                      checkpoint=f"checkpoints/{filename}")
+    return JobSpec(kind, name, task_id, schedule,
+                   derive_seed(*seed_parts, "data"), seed_parts, **fields)
+
+
+def run_jobs(inputs: JobInputs, specs: Sequence[JobSpec],
+             workers: int = 1) -> tuple[list[RunRecord], list[JobFailure]]:
+    """Run every job; records and failures come back in submission order.
+
+    With workers > 1 the jobs run in up to that many forked processes; only
+    the specs and the outcomes are pickled. A job that raises, or whose
+    worker process dies, becomes a JobFailure.
+    """
+    if workers > 1 and len(specs) > 1:
+        outcomes = _pool_outcomes(inputs, specs, workers)
+    else:
+        outcomes = [_outcome(inputs, spec) for spec in specs]
+    return ([r for r, _ in outcomes if r is not None],
+            [f for _, f in outcomes if f is not None])
+
+
+def _outcome(inputs: JobInputs, spec: JobSpec):
+    try:
+        return run_job(inputs, spec), None
+    except Exception as e:  # noqa: BLE001 - partial-failure policy
+        return None, JobFailure(spec.name, f"{type(e).__name__}: {e}")
+
+
+_worker_inputs = None   # the JobInputs, in a pool worker
+
+
+def _enter_worker(inputs: JobInputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_outcome(spec: JobSpec):
+    return _outcome(_worker_inputs, spec)
+
+
+def _pool_outcomes(inputs, specs, workers):
+    # Imported here: runs without a pool need not load multiprocessing (about
+    # 1 MB). Fork hands inputs to the workers unpickled. It is spelled out
+    # because Python 3.14 no longer makes it the default start method.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(min(workers, len(specs)),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_enter_worker,
+                             initargs=(inputs,)) as pool:
+        futures = [pool.submit(_worker_outcome, spec) for spec in specs]
+        try:
+            return [_pool_outcome(f, spec) for f, spec in zip(futures, specs)]
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _pool_outcome(future, spec: JobSpec):
+    try:
+        return future.result()
+    except BrokenExecutor:   # the pool lost a worker process
+        return None, JobFailure(spec.name, "worker process died")
+
+
 @dataclass
 class LlSummary:
     """Per-LL derived metrics for a grid."""
@@ -322,17 +424,15 @@ class GridResult:
 
 def run_il_ll_grid(source: Checkpoint, task: FinetuneTask, grid: GridSpec,
                    policy: LrPolicy, batch_size: int, seed: int,
-                   momentum: float = 0.9, workers: int = 1,
-                   collect_failures: bool = False) -> GridResult:
+                   momentum: float = 0.9, workers: int = 1) -> GridResult:
     """One finetuning run per (LL, IL) cell plus derived per-LL metrics.
 
     Every cell uses the same data/head seeds (fixed-seed methodology), so
     an IL=0 cell reproduces run_ll_experiment for the same LL bit-exactly.
     """
     inputs = JobInputs(source, {task.task_id: task}, policy, batch_size, momentum)
-    specs = [_rate_job(source, policy, task.task_id, "grid", ll, il, seed)
-             for ll in grid.ll_values for il in grid.il_values(ll)]
-    records, failures = _run_jobs(inputs, specs, workers, collect_failures)
+    records, failures = run_jobs(
+        inputs, grid_jobs(source, task.task_id, grid, policy, seed), workers)
     summaries = {}
     for ll in grid.ll_values:
         by_il = {r.il: r.best_accuracy for r in records if r.ll == ll}
@@ -346,27 +446,6 @@ def run_il_ll_grid(source: Checkpoint, task: FinetuneTask, grid: GridSpec,
                 - summaries[min(summaries)].max_accuracy
                 if len(summaries) >= 2 else None)
     return GridResult(records, summaries, max_diff, failures)
-
-
-@dataclass
-class ScaleSweepResult:
-    """All graduated-sweep jobs for a task set plus the derived analyses."""
-
-    records: list[RunRecord]
-    baseline_records: list[RunRecord]
-    scales: tuple[float, ...]
-    task_ids: tuple[str, ...]
-    best_per_task: dict[str, tuple[float, float]]   # task -> (scale, accuracy)
-    best_per_task_mean: float | None
-    fixed_scale_means: dict[float, float]
-    most_frequent_best_scale: float | None
-    most_frequent_scale_mean: float | None
-    baseline_mean: float | None
-    failures: list[JobFailure] = field(default_factory=list)
-
-    @property
-    def jobs_executed(self) -> int:
-        return len(self.records)
 
 
 def _accuracy_table(records: Sequence[RunRecord]) -> dict[str, dict[float, float]]:
@@ -391,150 +470,6 @@ def most_frequent_best_scale(records: Sequence[RunRecord],
     votes = Counter(min(scales, key=lambda s: (-by_scale[s], s))
                     for by_scale in table.values())
     return min(votes, key=lambda s: (-votes[s], s))
-
-
-def scale_sweep(source: Checkpoint, tasks: Sequence[FinetuneTask],
-                spec: GraduatedSpec, policy: LrPolicy, batch_size: int,
-                master_seed: int, baseline_ll_multiplier: float = 10.0,
-                momentum: float = 0.9, workers: int = 1, save_dir=None,
-                save_rel: str | None = None,
-                collect_failures: bool = False) -> ScaleSweepResult:
-    """Run |tasks| x |scales| graduated jobs plus one head-only baseline each.
-
-    Reports the mean accuracy with the per-task best scale, the mean at the
-    single most frequently optimal scale, and the frozen-inner baseline
-    mean. Each job is seeded from (master_seed, task id, scale). A schedule
-    that does not fit the stages raises ValueError before any job runs.
-    """
-    if not tasks:
-        raise ValueError("scale sweep needs at least one task")
-    *inner, head = (s["name"] for s in source.metadata["arch"])
-    by_id = {t.task_id: t for t in tasks}
-    if len(by_id) != len(tasks):
-        raise ValueError("task ids must be unique")
-
-    baseline = MultiplierSchedule(
-        {name: 0.0 for name in inner} | {head: baseline_ll_multiplier})
-    specs = [_sweep_job("graduated", f"{t.task_id} scale={s:g}", t.task_id,
-                        graduated_schedule(spec, s, inner, head),
-                        (master_seed, t.task_id, s), save_dir, save_rel,
-                        f"{t.task_id}_scale{s:g}.ftlb", scale=s)
-             for t in tasks for s in spec.scales]
-    specs += [_sweep_job("baseline", f"{t.task_id} baseline", t.task_id,
-                         baseline, (master_seed, t.task_id, "baseline"),
-                         save_dir, save_rel, f"{t.task_id}_baseline.ftlb",
-                         ll=baseline_ll_multiplier, il=0.0)
-              for t in tasks]
-    if save_dir is not None:
-        os.makedirs(save_dir, exist_ok=True)
-    inputs = JobInputs(source, by_id, policy, batch_size, momentum)
-    records, failures = _run_jobs(inputs, specs, workers, collect_failures)
-    return _analyze_sweep([r for r in records if r.kind == "graduated"],
-                          [r for r in records if r.kind == "baseline"],
-                          spec.scales, tuple(by_id), failures)
-
-
-def _sweep_job(kind, name, task_id, schedule, seed_parts, save_dir, save_rel,
-               filename, **fields) -> JobSpec:
-    """A job seeded from seed_parts; it saves to save_dir/filename if set."""
-    if save_dir is not None:
-        fields.update(save_path=os.path.join(save_dir, filename),
-                      checkpoint=f"{save_rel}/{filename}" if save_rel else filename)
-    return JobSpec(kind, name, task_id, schedule,
-                   derive_seed(*seed_parts, "data"), seed_parts, **fields)
-
-
-def _analyze_sweep(records, baseline_records, scales, task_ids,
-                   failures) -> ScaleSweepResult:
-    table = _accuracy_table(records)
-    complete = [t for t in task_ids
-                if all(s in table.get(t, {}) for s in scales)]
-    best_per_task = {}
-    for t in complete:
-        s = min(scales, key=lambda sc: (-table[t][sc], sc))
-        best_per_task[t] = (s, table[t][s])
-    best_mean = (sum(a for _, a in best_per_task.values()) / len(best_per_task)
-                 if best_per_task else None)
-    fixed_means = ({s: sum(table[t][s] for t in complete) / len(complete)
-                    for s in scales} if complete else {})
-    mfbs = (most_frequent_best_scale([r for r in records if r.task in complete],
-                                     scales) if complete else None)
-    base_mean = (sum(r.best_accuracy for r in baseline_records)
-                 / len(baseline_records) if baseline_records else None)
-    return ScaleSweepResult(records=records, baseline_records=baseline_records,
-                            scales=tuple(scales), task_ids=tuple(task_ids),
-                            best_per_task=best_per_task,
-                            best_per_task_mean=best_mean,
-                            fixed_scale_means=fixed_means,
-                            most_frequent_best_scale=mfbs,
-                            most_frequent_scale_mean=fixed_means.get(mfbs),
-                            baseline_mean=base_mean, failures=failures)
-
-
-def _run_jobs(inputs: JobInputs, specs: Sequence[JobSpec], workers: int,
-              collect_failures: bool) -> tuple[list[RunRecord], list[JobFailure]]:
-    """Run every job; records and failures come back in submission order.
-
-    With workers > 1 the jobs run in up to that many forked processes; only
-    the specs and the outcomes are pickled. With collect_failures set, a job
-    that raises, or whose worker process dies, becomes a JobFailure;
-    otherwise the first error propagates, a dead worker as WorkerDiedError.
-    """
-    if workers > 1 and len(specs) > 1:
-        outcomes = _pool_outcomes(inputs, specs, workers, collect_failures)
-    else:
-        outcomes = [_outcome(spec, inputs, collect_failures) for spec in specs]
-    return ([r for r, _ in outcomes if r is not None],
-            [f for _, f in outcomes if f is not None])
-
-
-def _outcome(spec: JobSpec, inputs: JobInputs, collect_failures: bool):
-    try:
-        return run_job(inputs, spec), None
-    except Exception as e:  # noqa: BLE001 - partial-failure policy
-        if not collect_failures:
-            raise
-        return None, JobFailure(spec.name, f"{type(e).__name__}: {e}")
-
-
-_worker_args = ()   # (inputs, collect_failures) in a pool worker
-
-
-def _enter_worker(*args) -> None:
-    global _worker_args
-    _worker_args = args
-
-
-def _worker_outcome(spec: JobSpec):
-    return _outcome(spec, *_worker_args)
-
-
-def _pool_outcomes(inputs, specs, workers, collect_failures):
-    # Imported here: runs without a pool need not load multiprocessing (about
-    # 1 MB). Fork hands inputs to the workers unpickled. It is spelled out
-    # because Python 3.14 no longer makes it the default start method.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(min(workers, len(specs)),
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_enter_worker,
-                             initargs=(inputs, collect_failures)) as pool:
-        futures = [pool.submit(_worker_outcome, spec) for spec in specs]
-        try:
-            return [_pool_outcome(f, spec, collect_failures)
-                    for f, spec in zip(futures, specs)]
-        finally:
-            pool.shutdown(cancel_futures=True)
-
-
-def _pool_outcome(future, spec: JobSpec, collect_failures: bool):
-    try:
-        return future.result()
-    except BrokenExecutor:   # the pool lost a worker process
-        if not collect_failures:
-            raise WorkerDiedError(f"a worker process died before job "
-                                  f"{spec.name!r} finished") from None
-        return None, JobFailure(spec.name, "worker process died")
 
 
 # --- learning-rate recommendation ---------------------------------------------
@@ -595,7 +530,8 @@ def report_from_records(records: Sequence[RunRecord]) -> dict:
     Returns a machine-readable dict with a gain table (accuracy per
     last-layer rate with inner stages frozen, plus % gain) and a
     best-rate table (alpha, beta, and max accuracy per last-layer rate
-    plus the difference between the extremes' maxima).
+    plus the difference between the extremes' maxima), and, when the
+    records include graduated ones, a scale_sweep section.
     """
     rate_records = [r for r in records if r.kind in ("ll", "grid")
                     and r.ll is not None and r.il is not None]
@@ -636,8 +572,45 @@ def report_from_records(records: Sequence[RunRecord]) -> dict:
             "max_diff": (max(complete[hi].values()) - max(complete[lo].values())
                          if len(complete) >= 2 else None)})
 
-    return {"note": ACCURACY_NOTE, "gain_table": gain_table,
-            "best_rate_table": best_rate_table}
+    report = {"note": ACCURACY_NOTE, "gain_table": gain_table,
+              "best_rate_table": best_rate_table}
+    graduated = [r for r in records if r.kind == "graduated"
+                 and r.scale is not None]
+    if graduated:
+        report["scale_sweep"] = _scale_sweep_analysis(
+            graduated, [r for r in records if r.kind == "baseline"])
+    return report
+
+
+def _scale_sweep_analysis(graduated: Sequence[RunRecord],
+                          baselines: Sequence[RunRecord]) -> dict:
+    """Mean accuracy with each task at its best scale, at each fixed scale
+    and at the most frequent best scale, over the tasks that have a record
+    at every scale; and the mean of the frozen-inner baselines."""
+    table = _accuracy_table(graduated)
+    scales = sorted({r.scale for r in graduated})
+    complete = [t for t, by_scale in table.items()
+                if len(by_scale) == len(scales)]
+    best = {t: min(((s, table[t][s]) for s in scales),
+                   key=lambda sa: (-sa[1], sa[0])) for t in complete}
+    fixed = ({s: sum(table[t][s] for t in complete) / len(complete)
+              for s in scales} if complete else {})
+    mfbs = (most_frequent_best_scale([r for r in graduated if r.task in best],
+                                     scales) if complete else None)
+    return {
+        "jobs_executed": len(graduated),
+        "scales": scales,
+        "task_ids": list(dict.fromkeys(r.task for r in [*graduated, *baselines])),
+        "best_per_task": {t: {"scale": s, "accuracy": a}
+                          for t, (s, a) in sorted(best.items())},
+        "best_per_task_mean": (sum(a for _, a in best.values()) / len(best)
+                               if best else None),
+        "fixed_scale_means": {f"{s:g}": m for s, m in fixed.items()},
+        "most_frequent_best_scale": mfbs,
+        "most_frequent_scale_mean": fixed.get(mfbs),
+        "baseline_mean": (sum(r.best_accuracy for r in baselines) / len(baselines)
+                          if baselines else None),
+    }
 
 
 def _fmt_pct(x) -> str:
@@ -682,4 +655,7 @@ def render_report(report: dict, status: str = "complete") -> str:
              for row in report["best_rate_table"]]
     parts.append("## Best inner rate and accuracy spread per last-layer rate")
     parts.append(_render_rows(header2, rows2) if rows2 else "(no records)")
+    if "scale_sweep" in report:
+        parts.append("## Scale sweep analysis\n" + json.dumps(
+            report["scale_sweep"], indent=2, sort_keys=True))
     return "\n\n".join(parts) + "\n"

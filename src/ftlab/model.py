@@ -275,8 +275,8 @@ class StagedModel:
     def forward(self, batch, labels):
         return forward(self.stages, self.check_input(batch), labels)
 
-    def backward(self, cache, labels):
-        return backward(self.stages, cache, labels)
+    def backward(self, cache):
+        return backward(self.stages, cache)
 
     def predict(self, batch) -> np.ndarray:
         """Class scores without loss; accepts any batch of model input shape."""
@@ -423,7 +423,12 @@ def load_checkpoint(path) -> Checkpoint:
             tensors: dict[str, np.ndarray] = {}
             for i in range(count):
                 name, arr = binio.read_named_tensor(f, f"tensor {i + 1}/{count}")
+                if name in tensors:
+                    raise CheckpointError(f"tensor {i + 1}/{count}: name "
+                                          f"{name!r} repeats")
                 tensors[name] = arr
+            if f.read(1):
+                raise CheckpointError("trailing bytes after the last tensor")
     except binio.FormatError as e:
         raise CheckpointError(str(e)) from None
     _check_metadata(meta)

@@ -289,10 +289,7 @@ class ForwardCache:
     """Activations saved by forward() for the matching backward() call."""
 
     stage_caches: list
-    probs: np.ndarray
     dlogits: np.ndarray
-    labels: np.ndarray
-    batch_shape: tuple
 
 
 def _as_labels(labels, batch_size: int) -> np.ndarray:
@@ -346,23 +343,20 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
         raise ValueError(f"labels out of range for {x.shape[1]} classes")
     loss, probs, dlogits = softmax_cross_entropy(x, y)
     _check_finite(probs, "softmax")
-    cache = ForwardCache(stage_caches, probs, dlogits, y, tuple(batch.shape))
+    cache = ForwardCache(stage_caches, dlogits)
     return float(loss), probs, cache
 
 
-def backward(stages: list[Stage], cache: ForwardCache, labels) -> dict[str, np.ndarray]:
+def backward(stages: list[Stage], cache: ForwardCache) -> dict[str, np.ndarray]:
     """Gradients of the mean loss for every parameter, keyed stage/layer/param.
 
-    Requires the cache produced by forward() on the same batch and labels.
+    Requires the cache produced by forward() on the batch and labels.
     The input gradient of the lowest layer with parameters is never needed,
     so that layer runs only param_grads, and the layers below it run no
     backward at all.
     """
     if not isinstance(cache, ForwardCache):
         raise ValueError("backward called without a forward cache; run forward first")
-    y = _as_labels(labels, len(cache.labels))
-    if not np.array_equal(y, cache.labels):
-        raise ValueError("labels do not match the batch passed to forward")
     if len(cache.stage_caches) != len(stages):
         raise ValueError("cache does not match this stage list")
     layers = [(f"{stage.name}/{li}", layer, c)
@@ -407,7 +401,7 @@ def grad_check(stages: list[Stage], batch: np.ndarray, labels,
         raise ValueError(f"model has {total} parameters; grad_check supports "
                          f"at most {MAX_GRAD_CHECK_PARAMS}")
     _, _, cache = forward(stages, batch, labels)
-    analytic = backward(stages, cache, labels)
+    analytic = backward(stages, cache)
     worst = 0.0
     for stage in stages:
         for name, arr in stage.named_params():

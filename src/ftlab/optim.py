@@ -244,9 +244,8 @@ def train(model: StagedModel, train_set: LabeledDataset,
             cursor = 0
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
-        labels = train_set.labels[idx]
-        _, _, cache = forward(live, rows[idx], labels)
-        grads = backward(live, cache, labels)
+        _, _, cache = forward(live, rows[idx], train_set.labels[idx])
+        grads = backward(live, cache)
         sgd_step(model, grads, state, schedule, policy, it)
         done = it + 1
         if done % cadence == 0 or done == policy.total_iterations:

@@ -11,7 +11,7 @@ import pytest
 from conftest import (BROKEN_DATASET_CASES, FAST_POLICY, TINY_MODEL,
                       die_in_worker, one_conv_metadata, write_broken_dataset,
                       write_config)
-from ftlab import binio
+from ftlab import binio, experiment
 from ftlab.cli import ConfigError, ModelConfig, RunConfig, load_config, main
 from ftlab.codec import decode, encode
 from ftlab.data import (SyntheticDomainSpec, gen_synthetic_domain,
@@ -30,18 +30,21 @@ def crafted_checkpoint(meta: bytes, tensors: bytes = b"", count: int = 0) -> byt
             + struct.pack("<I", count) + tensors)
 
 
-def tiny_checkpoint(edit) -> bytes:
-    """A whole checkpoint of the TINY_MODEL net, its metadata changed by edit."""
+def tiny_checkpoint(edit=lambda meta: None, repeat: int = 0) -> bytes:
+    """A whole checkpoint of the TINY_MODEL net, its metadata changed by edit
+    and its first `repeat` tensors written a second time at the end."""
     shape = tuple(TINY_MODEL["input_shape"])
     net = build_staged_network(mini_staged_spec(TINY_MODEL["widths"], shape),
                                shape, 3, seed=0)
     ckpt = checkpoint_from_model(net)
     edit(ckpt.metadata)
+    items = list(ckpt.tensors.items())
+    items += items[:repeat]
     tensors = io.BytesIO()
-    for name, arr in ckpt.tensors.items():
+    for name, arr in items:
         binio.write_named_tensor(tensors, name, arr)
     return crafted_checkpoint(json.dumps(ckpt.metadata).encode(),
-                              tensors.getvalue(), len(ckpt.tensors))
+                              tensors.getvalue(), len(items))
 
 
 # each one escaped load_checkpoint as a bare Python exception before
@@ -72,6 +75,10 @@ MALFORMED_CHECKPOINTS = {
     # num_labels 3 failed only when the model was rebuilt
     "head_size_not_num_labels": tiny_checkpoint(
         lambda meta: meta["arch"][-1]["layers"][0].update(out_features=7)),
+    # the two below loaded: the bytes after the last tensor were ignored, and
+    # the second tensor of one name silently replaced the first
+    "trailing_bytes": tiny_checkpoint() + b"\0" * 700,
+    "tensor_name_repeats": tiny_checkpoint(repeat=1),
 }
 
 
@@ -279,6 +286,29 @@ class TestMalformedInput:
         assert main([command, config, "--out", str(out)]) == 1
         assert ("examples of shape (1, 4, 4) do not fit the model input shape "
                 "(1, 8, 8)") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-source", "finetune", "sweep"])
+    def test_batch_larger_than_a_training_set_exits_1_before_any_output(
+            self, tmp_path, data_root, source_run, capsys, command):
+        near = {"dataset": str(data_root / "near"),
+                "split": {"train_fraction": 2 / 3, "seed": 5}}   # 24 examples
+        cfg = {"policy": FAST_POLICY, "model": TINY_MODEL, "batch_size": 30,
+               "source_checkpoint": str(source_run / "source.ftlb"),
+               "data": near, "schedule": {"ll": 0.1}}
+        if command == "sweep":
+            # only the second task is too small: this ran a partial sweep
+            big = dict(near, id="big", split={"train_fraction": 5 / 6, "seed": 5})
+            cfg.update(graduated={"inner_multipliers": [0, 2]},
+                       data={"tasks": [big, dict(near, id="small")]})
+        config = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert main([command, config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: data ({'small' if command == 'sweep' else 'near'}): "
+            f"batch_size 30 exceeds the 24 training examples"]
+        assert captured.out == ""
         assert not out.exists()
 
 
@@ -541,21 +571,57 @@ class TestSweep:
         assert blobs[0] == blobs[1]
 
     def test_partial_failure_keeps_completed_jobs(self, tmp_path, data_root,
-                                                  source_run, capsys):
-        cfg = self.graduated_cfg(data_root, source_run)
-        # second task trains on 24 examples; batch 30 is impossible
-        cfg["batch_size"] = 30
-        cfg["data"]["tasks"][0]["split"] = {"train_fraction": 5 / 6, "seed": 5}
+                                                  source_run, capsys,
+                                                  monkeypatch):
+        run_job = experiment.run_job
+
+        def failing(inputs, spec):
+            if spec.task_id == "far":
+                raise ValueError("injected")
+            return run_job(inputs, spec)
+
+        monkeypatch.setattr(experiment, "run_job", failing)
         out = tmp_path / "o"
-        config = write_config(tmp_path / "c.json", cfg)
+        config = write_config(tmp_path / "c.json",
+                              self.graduated_cfg(data_root, source_run))
         rc = main(["sweep", config, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "partial" in err
+        assert "failed job far scale=0.25: ValueError: injected" in err
+        assert "sweep partial: 4 job(s) failed" in err
         records = read_ledger_lines(out / "ledger.jsonl")
-        completed = [r for r in records if r["kind"] == "graduated"]
-        assert 0 < len(completed) < 6
+        assert [(r["kind"], r["task"]) for r in records] == (
+            [("graduated", "near")] * 3 + [("baseline", "near")])
         assert "status: partial" in (out / "report.txt").read_text()
+        # the analysis names the tasks that the ledger holds
+        report = json.loads((out / "report.json").read_text())
+        assert report["scale_sweep"]["task_ids"] == ["near"]
+
+    @pytest.mark.parametrize("kind", ["grid", "graduated"])
+    def test_report_rewrites_a_complete_sweeps_report(self, tmp_path, data_root,
+                                                      source_run, kind):
+        cfg = getattr(self, f"{kind}_cfg")(data_root, source_run)
+        out = tmp_path / "o"
+        assert main(["sweep", write_config(tmp_path / "c.json", cfg),
+                     "--out", str(out)]) == 0
+        again = tmp_path / "again"
+        assert main(["report", str(out / "ledger.jsonl"), "--out",
+                     str(again)]) == 0
+        for name in ("report.txt", "report.json"):
+            assert (again / name).read_bytes() == (out / name).read_bytes()
+
+    def test_repeated_task_id_exits_1_before_any_output(self, tmp_path,
+                                                        data_root, source_run,
+                                                        capsys):
+        cfg = self.graduated_cfg(data_root, source_run)
+        cfg["data"]["tasks"][1]["id"] = "near"
+        out = tmp_path / "o"
+        assert main(["sweep", write_config(tmp_path / "c.json", cfg),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: sweep: task ids must be unique, got ['near', 'near']"]
+        assert not out.exists()
 
     def test_forged_source_digest_exits_1_before_any_job(self, tmp_path,
                                                          data_root, source_run,

@@ -8,14 +8,14 @@ import pytest
 from conftest import die_in_worker
 from ftlab.data import SyntheticDomainSpec, gen_synthetic_domain, split_train_val
 from ftlab.experiment import (FinetuneTask, GraduatedSpec, GridSpec,
-                              JobFailure, RecommenderConfig, RunRecord,
-                              WorkerDiedError, alpha,
-                              append_records, beta, derive_seed,
-                              graduated_schedule, most_frequent_best_scale,
-                              percent_gain, read_ledger, recommend_multipliers,
+                              JobFailure, JobInputs, RecommenderConfig,
+                              RunRecord, alpha, append_records, beta,
+                              derive_seed, graduated_schedule,
+                              most_frequent_best_scale, percent_gain,
+                              read_ledger, recommend_multipliers,
                               render_report, report_from_records,
-                              run_il_ll_grid, run_ll_experiment, scale_sweep,
-                              scan_ledger)
+                              run_il_ll_grid, run_jobs, run_ll_experiment,
+                              scale_jobs, scan_ledger)
 from ftlab.model import (build_staged_network, checkpoint_from_model,
                          load_checkpoint, mini_staged_spec, save_checkpoint)
 from ftlab.optim import LrPolicy, effective_lr
@@ -354,6 +354,35 @@ class TestReports:
     def test_empty_records_render_cleanly(self):
         text = render_report(report_from_records([]))
         assert "(no records)" in text
+        assert "scale_sweep" not in report_from_records(self.gain_records())
+
+    def test_scale_sweep_analysis_over_complete_tasks(self):
+        def rec(kind, task, acc, scale=None):
+            return RunRecord(kind=kind, task=task, source="s", seed=0,
+                             final_accuracy=acc, best_accuracy=acc,
+                             scale=scale)
+        # t2 lacks scale 2, so only t3 and t1 are analyzed; t4 only has its
+        # baseline
+        records = [rec("graduated", "t3", 0.5, 1.0),
+                   rec("graduated", "t3", 0.7, 2.0),
+                   rec("graduated", "t2", 0.9, 1.0),
+                   rec("graduated", "t1", 0.6, 2.0),
+                   rec("graduated", "t1", 0.6, 1.0),
+                   rec("baseline", "t1", 0.2), rec("baseline", "t4", 0.4)]
+        report = report_from_records(records)
+        assert report["scale_sweep"] == {
+            "jobs_executed": 5, "scales": [1.0, 2.0],
+            "task_ids": ["t3", "t2", "t1", "t4"],
+            "best_per_task": {"t1": {"scale": 1.0, "accuracy": 0.6},
+                              "t3": {"scale": 2.0, "accuracy": 0.7}},
+            "best_per_task_mean": (0.7 + 0.6) / 2,
+            "fixed_scale_means": {"1": (0.5 + 0.6) / 2, "2": (0.7 + 0.6) / 2},
+            "most_frequent_best_scale": 1.0,
+            "most_frequent_scale_mean": (0.5 + 0.6) / 2,
+            "baseline_mean": (0.2 + 0.4) / 2}
+        text = render_report(report)
+        assert text.endswith("## Scale sweep analysis\n" + json.dumps(
+            report["scale_sweep"], indent=2, sort_keys=True) + "\n")
 
 
 def small_source_checkpoint(tmp_path, num_labels=3):
@@ -467,38 +496,41 @@ class TestRunGrid:
 
 
 class TestScaleSweep:
-    def sweep(self, tmp_path, workers=1, tasks=None, batch_size=6, **kwargs):
+    def sweep(self, tmp_path, workers=1, tasks=None, batch_size=6,
+              out_dir=None):
+        """The records and failures of a 2-task sweep over 3 scales."""
         source = small_source_checkpoint(tmp_path)
         if tasks is None:
             tasks = [small_task("taskA", seed=21), small_task("taskB", seed=22)]
         spec = GraduatedSpec(inner_multipliers=(0.0, 2.0), head_multiplier=4.0,
                              scales=(0.25, 1.0, 4.0))
-        return scale_sweep(source, tasks, spec, FAST_POLICY, batch_size,
-                           master_seed=7, workers=workers, **kwargs)
+        specs = scale_jobs(source, [t.task_id for t in tasks], spec,
+                           master_seed=7, out_dir=out_dir)
+        if out_dir is not None:
+            (out_dir / "checkpoints").mkdir(parents=True)
+        inputs = JobInputs(source, {t.task_id: t for t in tasks}, FAST_POLICY,
+                           batch_size, 0.9)
+        return run_jobs(inputs, specs, workers)
 
     def test_job_accounting_exact(self, tmp_path):
-        result = self.sweep(tmp_path)
-        assert result.jobs_executed == 2 * 3
-        assert len(result.baseline_records) == 2
-        seen = {(r.task, r.scale) for r in result.records}
-        assert len(seen) == 6
+        records, failures = self.sweep(tmp_path)
+        assert failures == []
+        assert [r.kind for r in records] == ["graduated"] * 6 + ["baseline"] * 2
+        assert len({(r.task, r.scale) for r in records[:6]}) == 6
+        assert report_from_records(records)["scale_sweep"]["jobs_executed"] == 6
 
     def test_dominance_chain(self, tmp_path):
-        result = self.sweep(tmp_path)
-        fixed = result.fixed_scale_means
-        assert result.best_per_task_mean >= result.most_frequent_scale_mean
-        assert result.most_frequent_scale_mean >= min(fixed.values())
-        assert result.most_frequent_scale_mean == fixed[
-            result.most_frequent_best_scale]
+        result = report_from_records(self.sweep(tmp_path)[0])["scale_sweep"]
+        fixed = result["fixed_scale_means"]
+        assert result["best_per_task_mean"] >= result["most_frequent_scale_mean"]
+        assert result["most_frequent_scale_mean"] >= min(fixed.values())
+        assert result["most_frequent_scale_mean"] == fixed[
+            f"{result['most_frequent_best_scale']:g}"]
 
     def test_process_pool_matches_serial(self, tmp_path):
         serial = self.sweep(tmp_path)
         for workers in (2, 3):
-            pooled = self.sweep(tmp_path, workers=workers)
-            assert pooled.records == serial.records
-            assert pooled.baseline_records == serial.baseline_records
-            assert pooled.best_per_task == serial.best_per_task
-            assert pooled.baseline_mean == serial.baseline_mean
+            assert self.sweep(tmp_path, workers=workers) == serial
 
     def failing_tasks(self):
         # taskB trains on 16 examples, so batch 20 fails every one of its jobs
@@ -506,46 +538,31 @@ class TestScaleSweep:
                                                           labels=2)]
 
     def test_job_error_in_worker_reported_as_serially(self, tmp_path):
-        serial, pooled = [self.sweep(tmp_path, workers, self.failing_tasks(), 20,
-                                     collect_failures=True)
+        serial, pooled = [self.sweep(tmp_path, workers, self.failing_tasks(), 20)
                           for workers in (1, 2)]
-        assert len(serial.failures) == 4
-        assert serial.failures[0].job == "taskB scale=0.25"
-        assert serial.failures[0].error.startswith("ValueError: batch_size")
-        assert pooled.failures == serial.failures
-        assert pooled.records == serial.records
-        assert pooled.baseline_records == serial.baseline_records
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_job_error_propagates_without_collect_failures(self, tmp_path,
-                                                           workers):
-        with pytest.raises(ValueError, match="batch_size"):
-            self.sweep(tmp_path, workers, self.failing_tasks(), 20)
+        records, failures = serial
+        assert len(failures) == 4
+        assert failures[0].job == "taskB scale=0.25"
+        assert failures[0].error.startswith("ValueError: batch_size")
+        assert {r.task for r in records} == {"taskA"}
+        assert pooled == serial
 
     def test_dead_worker_costs_only_its_job(self, tmp_path, monkeypatch):
-        serial = self.sweep(tmp_path, save_dir=tmp_path / "serial")
-        save_dir = tmp_path / "pooled"
+        serial, _ = self.sweep(tmp_path, out_dir=tmp_path / "serial")
+        out_dir = tmp_path / "pooled"
         # the last job dies once the other 7 have saved their checkpoints
-        die_in_worker(monkeypatch, "taskB baseline", save_dir, others=7)
-        pooled = self.sweep(tmp_path, workers=2, save_dir=save_dir,
-                            collect_failures=True)
-        assert pooled.failures == [JobFailure("taskB baseline",
-                                              "worker process died")]
-        assert pooled.records == serial.records
-        assert pooled.baseline_records == serial.baseline_records[:1]
-
-    def test_dead_worker_without_collect_failures_is_typed(self, tmp_path,
-                                                           monkeypatch):
-        die_in_worker(monkeypatch, "taskA scale=1")
-        with pytest.raises(WorkerDiedError, match="worker process died"):
-            self.sweep(tmp_path, workers=2)
+        die_in_worker(monkeypatch, "taskB baseline", out_dir / "checkpoints",
+                      others=7)
+        records, failures = self.sweep(tmp_path, workers=2, out_dir=out_dir)
+        assert failures == [JobFailure("taskB baseline", "worker process died")]
+        assert records == serial[:7]
 
     def test_seeds_derived_from_master_task_and_scale(self, tmp_path):
-        result = self.sweep(tmp_path)
-        for r in result.records:
+        records, _ = self.sweep(tmp_path)
+        for r in records[:6]:
             assert r.seed == derive_seed(7, r.task, r.scale, "data")
 
     def test_unique_task_ids_required(self, tmp_path):
-        tasks = [small_task("same", seed=21), small_task("same", seed=22)]
         with pytest.raises(ValueError, match="unique"):
-            self.sweep(tmp_path, tasks=tasks)
+            scale_jobs(small_source_checkpoint(tmp_path), ["same", "same"],
+                       GraduatedSpec(inner_multipliers=(0.0, 2.0)), 7)

@@ -144,7 +144,7 @@ class TestSgdStep:
             before = snapshot(m)
             for it in range(50):
                 _, _, cache = m.forward(x, y)
-                grads = m.backward(cache, y)
+                grads = m.backward(cache)
                 assert grads[f"{frozen}/0/w"].any()
                 sgd_step(m, grads, state, schedule, policy, it)
             after = snapshot(m)
@@ -320,7 +320,7 @@ def reference_train(model, train_set, val_set, schedule, policy, batch_size,
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
         _, _, cache = model.forward(train_set.features[idx], train_set.labels[idx])
-        grads = model.backward(cache, train_set.labels[idx])
+        grads = model.backward(cache)
         sgd_step(model, grads, state, schedule, policy, it)
         done = it + 1
         if done % cadence == 0 or done == policy.total_iterations:
