@@ -353,6 +353,9 @@ def cmd_finetune(cfg: RunConfig, out_dir) -> int:
 
 def cmd_sweep(cfg: RunConfig, out_dir) -> int:
     errors: list[str] = []
+    ledger = os.path.join(out_dir, LEDGER_NAME)
+    if os.path.exists(ledger):
+        errors.append(f"{ledger} already exists: sweep into a new directory")
     if cfg.batch_size is None:
         errors.append("batch_size is required")
     if (cfg.grid is None) == (cfg.graduated is None):
@@ -390,7 +393,6 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
     records, failures = run_jobs(
         JobInputs(source, {t.task_id: t for t in tasks}, cfg.policy,
                   cfg.batch_size, cfg.momentum), specs, cfg.workers)
-    ledger = os.path.join(out_dir, LEDGER_NAME)
     append_records(ledger, records)
     _write_report(report_from_records(records), "partial" if failures
                   else "complete", out_dir)
@@ -421,12 +423,12 @@ def cmd_report(ledger_path, out_dir=None) -> int:
         print(f"warning: {ledger_path}: skipped {skipped} corrupt record(s) "
               f"at line(s) {', '.join(map(str, bad_lines))}", file=sys.stderr)
     report = report_from_records(records)
-    text = render_report(report, status="complete" if not skipped
-                         else f"complete ({skipped} records skipped)")
-    print(text, end="")
+    status = ("complete" if not skipped
+              else f"complete ({skipped} records skipped)")
+    print(render_report(report, status=status), end="")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        _write_report(report, "complete", out_dir)
+        _write_report(report, status, out_dir)
     return 0
 
 

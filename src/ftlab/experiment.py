@@ -21,7 +21,8 @@ from .codec import decode, encode
 from .data import LabeledDataset
 from .model import (Checkpoint, checkpoint_from_model, save_checkpoint,
                     transfer_init)
-from .optim import LrPolicy, MultiplierSchedule, train, uniform_schedule
+from .optim import (LrPolicy, MultiplierSchedule, frozen_prefix, prefix_key,
+                    train, uniform_schedule)
 
 
 def derive_seed(*parts) -> int:
@@ -205,11 +206,17 @@ def read_ledger(path) -> tuple[list[RunRecord], int]:
 
 @dataclass
 class FinetuneTask:
-    """A target learning task: id plus its train/validation datasets."""
+    """A target learning task: id plus its train/validation datasets.
+
+    prefixes memoizes the frozen-stage output over the two sets by
+    optim.prefix_key, so every job that freezes the same stages with the
+    same weights computes it once; run_job fills it.
+    """
 
     task_id: str
     train: LabeledDataset
     val: LabeledDataset
+    prefixes: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass
@@ -220,7 +227,8 @@ class JobFailure:
 
 @dataclass(frozen=True)
 class JobInputs:
-    """What the jobs of one call share. Pool workers inherit it by fork."""
+    """What the jobs of one call share. Pool workers inherit it by fork, and
+    each worker fills its own copy of the tasks' prefix memos."""
 
     source: Checkpoint
     tasks: Mapping[str, FinetuneTask]
@@ -247,13 +255,20 @@ class JobSpec:
 
 
 def run_job(inputs: JobInputs, spec: JobSpec) -> RunRecord:
-    """transfer_init -> train -> save the best model -> its RunRecord."""
+    """transfer_init -> train -> save the best model -> its RunRecord.
+
+    The frozen prefix comes from the task's memo, computed on a miss.
+    """
     task = inputs.tasks[spec.task_id]
     model = transfer_init(inputs.source, task.train.num_labels,
                           derive_seed(*spec.seed_parts, "head"))
+    key = prefix_key(model, spec.schedule)
+    if key not in task.prefixes:
+        task.prefixes[key] = frozen_prefix(model, spec.schedule, task.train,
+                                           task.val)
     result = train(model, task.train, task.val, spec.schedule, inputs.policy,
                    inputs.batch_size, derive_seed(*spec.seed_parts, "data"),
-                   momentum=inputs.momentum)
+                   momentum=inputs.momentum, prefix=task.prefixes[key])
     if spec.save_path is not None:
         save_checkpoint(checkpoint_from_model(result.best_model, {
             "domain": task.train.domain_name}), spec.save_path)

@@ -8,6 +8,7 @@ byte-identical through any number of steps.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,7 +112,7 @@ class SgdState:
 def lowest_trainable_stage(stage_names, schedule: MultiplierSchedule) -> int:
     """Index of the first stage with a non-zero rate, len(stage_names) if none.
 
-    Every stage below it is frozen, so train() runs them once per call
+    Every stage below it is frozen, so frozen_prefix() runs them once
     and backward can stop there. The scale is positive, so a multiplier
     of 0 is exactly an effective rate of 0.
     """
@@ -145,8 +146,8 @@ def sgd_step(model: StagedModel, grads: dict[str, np.ndarray], state: SgdState,
             param += v
 
 
-# evaluate() scores this many rows per batch; train() runs the frozen
-# prefix in batches of the same size
+# evaluate() scores this many rows per batch; frozen_prefix() runs the
+# frozen stages in batches of the same size
 EVAL_CHUNK = 256
 
 
@@ -174,6 +175,60 @@ def evaluate(model: StagedModel, dataset: LabeledDataset) -> float:
     return _accuracy(model.stages, _chunks(features, dataset.labels))
 
 
+def prefix_key(model: StagedModel, schedule: MultiplierSchedule) -> tuple:
+    """All that the frozen prefix of model under schedule depends on, besides
+    the data: the frozen stages' specs, which also fix the depth, the input
+    shape, and a sha256 of the frozen parameters' names and bytes."""
+    schedule.check_covers(model.stage_names)
+    depth = lowest_trainable_stage(model.stage_names, schedule)
+    h = hashlib.sha256()
+    for stage in model.stages[:depth]:
+        for name, arr in stage.named_params():
+            h.update(name.encode("utf-8"))
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return model.spec[:depth], model.input_shape, h.hexdigest()
+
+
+@dataclass(frozen=True, eq=False)
+class FrozenPrefix:
+    """The output of a model's frozen stages over a training and a
+    validation set, keyed by prefix_key. Every array is read-only."""
+
+    key: tuple
+    rows: np.ndarray                 # the training rows
+    val_batches: tuple               # (features, labels), cut every EVAL_CHUNK
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a; a itself stays writeable."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
+def frozen_prefix(model: StagedModel, schedule: MultiplierSchedule,
+                  train_set: LabeledDataset,
+                  val_set: LabeledDataset) -> FrozenPrefix:
+    """Run the stages below the lowest trainable one over both sets.
+
+    Both sets go through in evaluate()'s batches; a non-finite training
+    activation is rejected with its stage named. With no stage frozen the
+    rows are the sets' own features.
+    """
+    key = prefix_key(model, schedule)
+    frozen = model.stages[:lowest_trainable_stage(model.stage_names, schedule)]
+    rows = model.check_input(train_set.features)
+    val_batches = _chunks(model.check_input(val_set.features), val_set.labels)
+    if frozen:
+        rows = np.concatenate([
+            run_stages(frozen, rows[i:i + EVAL_CHUNK], check_finite=True)
+            for i in range(0, len(rows), EVAL_CHUNK)])
+        val_batches = [(run_stages(frozen, x), y) for x, y in val_batches]
+    return FrozenPrefix(key, _read_only(rows),
+                        tuple((_read_only(x), _read_only(y))
+                              for x, y in val_batches))
+
+
 @dataclass
 class TrainResult:
     """Outcome of one training run.
@@ -194,7 +249,8 @@ class TrainResult:
 def train(model: StagedModel, train_set: LabeledDataset,
           val_set: LabeledDataset, schedule: MultiplierSchedule,
           policy: LrPolicy, batch_size: int, seed: int,
-          momentum: float = 0.9, eval_every: int | None = None) -> TrainResult:
+          momentum: float = 0.9, eval_every: int | None = None,
+          prefix: FrozenPrefix | None = None) -> TrainResult:
     """Run policy.total_iterations SGD steps with seeded shuffling.
 
     Validation accuracy is recorded every eval_every iterations (default
@@ -202,10 +258,12 @@ def train(model: StagedModel, train_set: LabeledDataset,
     updated in place.
 
     The stages below the lowest trainable one never change, so their
-    output is computed once per call, over both sets in evaluate()'s
-    batches, and every step and evaluation runs only the stages above.
-    Validation keeps evaluate()'s batches, so each recorded accuracy is
-    exactly evaluate() of the model at that point.
+    output over both sets is computed before the first step, and every step
+    and evaluation runs only the stages above. A prefix from
+    frozen_prefix() on these two sets skips that computation; one whose key
+    differs from this model's raises ValueError. Validation keeps
+    evaluate()'s batches, so each recorded accuracy is exactly evaluate() of
+    the model at that point.
     """
     if len(train_set) == 0:
         raise ValueError("training set is empty")
@@ -214,19 +272,14 @@ def train(model: StagedModel, train_set: LabeledDataset,
     if not 0 < batch_size <= len(train_set):
         raise ValueError(f"batch_size must be in [1, {len(train_set)}], "
                          f"got {batch_size}")
-    schedule.check_covers(model.stage_names)
-    first_trainable = lowest_trainable_stage(model.stage_names, schedule)
-    frozen = model.stages[:first_trainable]
-    live = model.stages[first_trainable:]
+    if prefix is None:
+        prefix = frozen_prefix(model, schedule, train_set, val_set)
+    elif prefix.key != prefix_key(model, schedule):
+        raise ValueError("prefix was computed for other frozen stages, input "
+                         "shape or frozen weights than this model's")
+    live = model.stages[lowest_trainable_stage(model.stage_names, schedule):]
+    rows, val_batches = prefix.rows, prefix.val_batches
     cadence = eval_every if eval_every else max(1, policy.step_size // 10)
-
-    rows = model.check_input(train_set.features)
-    val_batches = _chunks(model.check_input(val_set.features), val_set.labels)
-    if frozen:
-        rows = np.concatenate([
-            run_stages(frozen, rows[i:i + EVAL_CHUNK], check_finite=True)
-            for i in range(0, len(rows), EVAL_CHUNK)])
-        val_batches = [(run_stages(frozen, x), y) for x, y in val_batches]
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(train_set))

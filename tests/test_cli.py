@@ -610,6 +610,20 @@ class TestSweep:
         for name in ("report.txt", "report.json"):
             assert (again / name).read_bytes() == (out / name).read_bytes()
 
+    def test_second_sweep_into_one_directory_exits_1_writing_nothing(
+            self, tmp_path, data_root, source_run, capsys):
+        config = write_config(tmp_path / "c.json",
+                              self.grid_cfg(data_root, source_run))
+        out = tmp_path / "o"
+        assert main(["sweep", config, "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["sweep", config, "--out", str(out)]) == 1
+        ledger = out / "ledger.jsonl"
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {ledger} already exists: sweep into a new directory"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_repeated_task_id_exits_1_before_any_output(self, tmp_path,
                                                         data_root, source_run,
                                                         capsys):
@@ -756,6 +770,17 @@ class TestReport:
             f.write("garbage\n{}\n")
         assert main(["report", str(ledger)]) == 0
         assert "skipped 2" in capsys.readouterr().err
+
+    def test_out_report_carries_the_printed_status(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        self.write_gain_ledger(ledger)
+        with open(ledger, "a") as f:
+            f.write("garbage\n")
+        out = tmp_path / "rep"
+        assert main(["report", str(ledger), "--out", str(out)]) == 0
+        status = "# status: complete (1 records skipped)"
+        assert capsys.readouterr().out.splitlines()[0] == status
+        assert (out / "report.txt").read_text().splitlines()[0] == status
 
     @pytest.mark.parametrize("bad_line", [
         b"\xff\xfe\n",

@@ -18,6 +18,7 @@ from ftlab.experiment import (FinetuneTask, GraduatedSpec, GridSpec,
                               scale_jobs, scan_ledger)
 from ftlab.model import (build_staged_network, checkpoint_from_model,
                          load_checkpoint, mini_staged_spec, save_checkpoint)
+from ftlab.nn_core import Conv2d
 from ftlab.optim import LrPolicy, effective_lr
 
 # reference accuracy pairs: (target, source, best, other, reported gain)
@@ -385,17 +386,17 @@ class TestReports:
             report["scale_sweep"], indent=2, sort_keys=True) + "\n")
 
 
-def small_source_checkpoint(tmp_path, num_labels=3):
+def small_source_checkpoint(tmp_path, num_labels=3, seed=11):
     spec = mini_staged_spec(widths=(2, 3), input_shape=(1, 8, 8))
-    model = build_staged_network(spec, (1, 8, 8), num_labels, seed=11)
-    path = tmp_path / "source.ftlb"
+    model = build_staged_network(spec, (1, 8, 8), num_labels, seed=seed)
+    path = tmp_path / f"source{seed}.ftlb"
     save_checkpoint(checkpoint_from_model(model, {"domain": "srcdom"}), path)
     return load_checkpoint(path)
 
 
-def small_task(task_id="taskA", seed=21, rho=0.9, labels=3):
+def small_task(task_id="taskA", seed=21, rho=0.9, labels=3, per_label=12):
     ds = gen_synthetic_domain(SyntheticDomainSpec(
-        task_id, labels, 12, image_size=8, motif_size=4, num_motifs=4,
+        task_id, labels, per_label, image_size=8, motif_size=4, num_motifs=4,
         relatedness=rho, seed=seed, family_seed=99))
     train_ds, val_ds = split_train_val(ds, 2 / 3, seed=5)
     return FinetuneTask(task_id, train_ds, val_ds)
@@ -442,6 +443,56 @@ class TestRunLlExperiment:
         task = small_task()
         with pytest.raises(ValueError, match="positive"):
             run_ll_experiment(source, task, 0.0, FAST_POLICY, 6, seed=1)
+
+
+class TestPrefixMemo:
+    """run_job computes a task's frozen prefix once per frozen weights."""
+
+    LLS = (0.01, 0.05, 0.1)
+
+    @staticmethod
+    def big_task():
+        # 300 training and 150 validation rows: two 256-row batches and one
+        return small_task(per_label=150)
+
+    def ll_runs(self, source, tasks, out_dir):
+        """A head-only job per LL, each on its task; records and checkpoints."""
+        out_dir.mkdir()
+        records = [run_ll_experiment(source, task, ll, FAST_POLICY, 6, seed=4,
+                                     save_path=out_dir / f"{ll:g}.ftlb")
+                   for task, ll in zip(tasks, self.LLS)]
+        return records, [(out_dir / f"{ll:g}.ftlb").read_bytes()
+                         for ll in self.LLS]
+
+    def test_jobs_on_one_task_run_the_frozen_convs_once(self, tmp_path,
+                                                        monkeypatch):
+        source = small_source_checkpoint(tmp_path)
+        fresh = self.ll_runs(source, [self.big_task() for _ in self.LLS],
+                             tmp_path / "fresh")
+        calls = []
+        original = Conv2d.forward
+
+        def counting(layer, x):
+            calls.append(len(x))
+            return original(layer, x)
+
+        monkeypatch.setattr(Conv2d, "forward", counting)
+        task = self.big_task()
+        shared = self.ll_runs(source, [task] * 3, tmp_path / "shared")
+        # conv1 and conv2, each over two training batches and one validation
+        assert sorted(calls) == sorted([256, 44, 150] * 2)
+        assert len(task.prefixes) == 1
+        assert shared == fresh
+
+    def test_other_frozen_weights_miss_the_memo(self, tmp_path):
+        task = small_task()
+        run_ll_experiment(small_source_checkpoint(tmp_path), task, 0.1,
+                          FAST_POLICY, 6, seed=4)
+        other = small_source_checkpoint(tmp_path, seed=12)
+        record = run_ll_experiment(other, task, 0.1, FAST_POLICY, 6, seed=4)
+        assert len(task.prefixes) == 2
+        assert record == run_ll_experiment(other, small_task(), 0.1,
+                                           FAST_POLICY, 6, seed=4)
 
 
 class TestRunGrid:

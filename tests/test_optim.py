@@ -10,7 +10,8 @@ from ftlab.model import (LayerSpec, StageSpec, build_staged_network,
                          mini_staged_spec)
 from ftlab.nn_core import Conv2d
 from ftlab.optim import (LrPolicy, MultiplierSchedule, SgdState, effective_lr,
-                         evaluate, lr_at, sgd_step, train, uniform_schedule)
+                         evaluate, frozen_prefix, lr_at, sgd_step, train,
+                         uniform_schedule)
 
 REFERENCE_POLICY = LrPolicy(base_lr=0.01, step_size=300_000,
                         total_iterations=900_000, gamma=0.1)
@@ -290,9 +291,9 @@ class TestTrain:
             assert np.allclose(final[0][name], final[1][name], rtol=1e-9)
 
 
-def conv_model(seed=12):
+def conv_model(seed=12, widths=(2, 3)):
     """conv1 -> conv2 -> fc on 1x8x8 inputs."""
-    return build_staged_network(mini_staged_spec((2, 3), (1, 8, 8)), (1, 8, 8),
+    return build_staged_network(mini_staged_spec(widths, (1, 8, 8)), (1, 8, 8),
                                 3, seed=seed)
 
 
@@ -330,6 +331,7 @@ def reference_train(model, train_set, val_set, schedule, policy, batch_size,
 
 HEAD_ONLY = {"conv1": 0.0, "conv2": 0.0, "fc": 1.0}
 CONV1_FROZEN = {"conv1": 0.0, "conv2": 1.0, "fc": 1.0}
+ALL_LIVE = {"conv1": 1.0, "conv2": 1.0, "fc": 1.0}
 
 
 class TestFrozenPrefixCache:
@@ -407,6 +409,32 @@ class TestFrozenPrefixCache:
         with pytest.raises(ValueError, match="model input shape"):
             train(m, flat, self.val_set, MultiplierSchedule(HEAD_ONLY),
                   self.policy, batch_size=8, seed=5)
+
+    @pytest.mark.parametrize("model, mults", [
+        (conv_model(seed=13), HEAD_ONLY), (conv_model(widths=(2, 4)), HEAD_ONLY),
+        (conv_model(), CONV1_FROZEN)],
+        ids=["other_weights", "other_widths", "other_depth"])
+    def test_prefix_of_another_model_or_depth_rejected(self, model, mults):
+        prefix = frozen_prefix(conv_model(), MultiplierSchedule(HEAD_ONLY),
+                               self.train_set, self.val_set)
+        with pytest.raises(ValueError, match="prefix was computed for other"):
+            train(model, self.train_set, self.val_set, MultiplierSchedule(mults),
+                  self.policy, batch_size=8, seed=6, prefix=prefix)
+
+    @pytest.mark.parametrize("mults", [HEAD_ONLY, ALL_LIVE],
+                             ids=["head_only", "all_live"])
+    def test_prefix_arrays_are_read_only(self, mults):
+        prefix = frozen_prefix(conv_model(), MultiplierSchedule(mults),
+                               self.train_set, self.val_set)
+        for arr in [prefix.rows, *(a for batch in prefix.val_batches
+                                   for a in batch)]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        # with no stage frozen the rows are views of the sets' own arrays,
+        # which stay writeable
+        for arr in (self.train_set.features, self.val_set.features,
+                    self.val_set.labels):
+            assert arr.flags.writeable
 
     def test_predict_equals_the_per_layer_loop(self):
         m = conv_model()
