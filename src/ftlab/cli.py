@@ -22,8 +22,8 @@ from .data import (SyntheticDomainSpec, gen_synthetic_domain, load_dataset,
 from .experiment import (FinetuneTask, GraduatedSpec, GridSpec, JobInputs,
                          JobSpec, RecommenderConfig, RunRecord, append_records,
                          derive_seed, graduated_schedule, grid_jobs,
-                         render_report, report_from_records, run_job, run_jobs,
-                         scale_jobs, scan_ledger)
+                         rate_schedule, render_report, report_from_records,
+                         run_job, run_jobs, scale_jobs, scan_ledger)
 from .model import (Checkpoint, CheckpointError, build_staged_network,
                     checkpoint_from_model, layer_shapes, load_checkpoint,
                     mini_staged_spec, save_checkpoint)
@@ -219,10 +219,10 @@ def _resolve_schedule(cfg: RunConfig, stage_names,
     *inner, head = stage_names
     try:
         if s.ll is not None:
-            il, base = 0.0 if s.il is None else s.il, cfg.policy.base_lr
+            il = 0.0 if s.il is None else s.il
             job = dict(kind="grid" if il else "ll", ll=s.ll, il=il, scale=s.scale,
-                       schedule=uniform_schedule(stage_names, head, il / base,
-                                                 s.ll / base, scale))
+                       schedule=rate_schedule(stage_names, cfg.policy, s.ll,
+                                              il, scale))
         elif s.stage_multipliers is not None:
             job = dict(kind="custom", scale=s.scale, schedule=MultiplierSchedule(
                 dict(s.stage_multipliers), scale))
@@ -325,8 +325,7 @@ def cmd_finetune(cfg: RunConfig, out_dir) -> int:
     source = _load_source(cfg, errors)
     task = _resolve_task(cfg.data, "target", errors)
     if source:
-        job = _resolve_schedule(
-            cfg, tuple(s["name"] for s in source.metadata["arch"]), errors)
+        job = _resolve_schedule(cfg, source.stage_names, errors)
         if task:
             _check_tasks([task], source.input_shape(), cfg.batch_size, errors)
     if errors:

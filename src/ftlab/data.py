@@ -325,8 +325,9 @@ def save_dataset(dataset: LabeledDataset, directory) -> None:
         f.writelines(lines)
 
 
-def load_dataset(directory, domain_name: str | None = None) -> LabeledDataset:
-    """Load a dataset directory; label ids follow first appearance order."""
+def load_dataset(directory) -> LabeledDataset:
+    """Load a dataset directory, its domain named after it; label ids follow
+    first appearance order."""
     manifest = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise FileNotFoundError(f"no {MANIFEST_NAME} in {directory}")
@@ -365,7 +366,6 @@ def load_dataset(directory, domain_name: str | None = None) -> LabeledDataset:
         labels.append(label_ids[label_name])
     if not features:
         raise ValueError(f"{manifest} lists no examples")
-    if domain_name is None:
-        domain_name = os.path.basename(os.path.normpath(directory))
     return LabeledDataset(np.stack(features), np.array(labels),
-                          tuple(label_ids), domain_name)
+                          tuple(label_ids),
+                          os.path.basename(os.path.normpath(directory)))

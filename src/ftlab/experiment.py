@@ -21,8 +21,7 @@ from .codec import decode, encode
 from .data import LabeledDataset
 from .model import (Checkpoint, checkpoint_from_model, save_checkpoint,
                     transfer_init)
-from .optim import (LrPolicy, MultiplierSchedule, frozen_prefix, prefix_key,
-                    train, uniform_schedule)
+from .optim import LrPolicy, MultiplierSchedule, train, uniform_schedule
 
 
 def derive_seed(*parts) -> int:
@@ -52,7 +51,8 @@ def beta(accuracies: Sequence[float]) -> float:
 
 
 def alpha(accuracy_by_il: Mapping[float, float]) -> float:
-    """Inner rate achieving the best accuracy; ties go to the smallest rate."""
+    """Inner rate achieving the best accuracy; ties go to the smallest rate.
+    Reports pick the best LL, best scale and most voted scale by it too."""
     if not accuracy_by_il:
         raise ValueError("alpha needs at least one (il, accuracy) entry")
     return min(accuracy_by_il, key=lambda il: (-accuracy_by_il[il], il))
@@ -210,7 +210,7 @@ class FinetuneTask:
 
     prefixes memoizes the frozen-stage output over the two sets by
     optim.prefix_key, so every job that freezes the same stages with the
-    same weights computes it once; run_job fills it.
+    same weights computes it once; run_job hands it to train, which fills it.
     """
 
     task_id: str
@@ -262,13 +262,9 @@ def run_job(inputs: JobInputs, spec: JobSpec) -> RunRecord:
     task = inputs.tasks[spec.task_id]
     model = transfer_init(inputs.source, task.train.num_labels,
                           derive_seed(*spec.seed_parts, "head"))
-    key = prefix_key(model, spec.schedule)
-    if key not in task.prefixes:
-        task.prefixes[key] = frozen_prefix(model, spec.schedule, task.train,
-                                           task.val)
     result = train(model, task.train, task.val, spec.schedule, inputs.policy,
                    inputs.batch_size, derive_seed(*spec.seed_parts, "data"),
-                   momentum=inputs.momentum, prefix=task.prefixes[key])
+                   momentum=inputs.momentum, prefixes=task.prefixes)
     if spec.save_path is not None:
         save_checkpoint(checkpoint_from_model(result.best_model, {
             "domain": task.train.domain_name}), spec.save_path)
@@ -280,13 +276,19 @@ def run_job(inputs: JobInputs, spec: JobSpec) -> RunRecord:
                      il=spec.il, scale=spec.scale, checkpoint=spec.checkpoint)
 
 
+def rate_schedule(stage_names: Sequence[str], policy: LrPolicy, ll: float,
+                  il: float, scale: float = 1.0) -> MultiplierSchedule:
+    """The last stage at rate ll and every other at rate il: the multipliers
+    that give those rates at iteration 0 of policy."""
+    return uniform_schedule(stage_names, stage_names[-1], il / policy.base_lr,
+                            ll / policy.base_lr, scale)
+
+
 def _rate_job(source: Checkpoint, policy: LrPolicy, task_id: str, kind: str,
               ll: float, il: float, seed: int, **save) -> JobSpec:
     """A job training the head at rate ll and every inner stage at rate il."""
-    stages = tuple(s["name"] for s in source.metadata["arch"])
-    schedule = uniform_schedule(stages, stages[-1], inner=il / policy.base_lr,
-                                head=ll / policy.base_lr)
-    return JobSpec(kind, f"ll={ll:g} il={il:g}", task_id, schedule, seed,
+    return JobSpec(kind, f"ll={ll:g} il={il:g}", task_id,
+                   rate_schedule(source.stage_names, policy, ll, il), seed,
                    (seed,), ll=ll, il=il, **save)
 
 
@@ -328,7 +330,7 @@ def scale_jobs(source: Checkpoint, task_ids: Sequence[str],
         raise ValueError("scale sweep needs at least one task")
     if len(set(task_ids)) != len(task_ids):
         raise ValueError(f"task ids must be unique, got {list(task_ids)}")
-    *inner, head = (s["name"] for s in source.metadata["arch"])
+    *inner, head = source.stage_names
     schedules = {s: graduated_schedule(spec, s, inner, head)
                  for s in spec.scales}
     baseline = MultiplierSchedule(
@@ -415,11 +417,11 @@ def _pool_outcome(future, spec: JobSpec):
 
 @dataclass
 class LlSummary:
-    """Per-LL derived metrics for a grid."""
+    """Per-LL derived metrics for a grid; beta is None if an accuracy is 0."""
 
     ll: float
     accuracy_by_il: dict[float, float]
-    beta: float
+    beta: float | None
     alpha: float
     max_accuracy: float
     min_accuracy: float
@@ -448,19 +450,30 @@ def run_il_ll_grid(source: Checkpoint, task: FinetuneTask, grid: GridSpec,
     inputs = JobInputs(source, {task.task_id: task}, policy, batch_size, momentum)
     records, failures = run_jobs(
         inputs, grid_jobs(source, task.task_id, grid, policy, seed), workers)
+    # every record has the task's id and the source's name: one table or none
+    by_ll_il = next(iter(_rate_table(records).values()), {})
+    return GridResult(records, *_ll_summaries(by_ll_il), failures)
+
+
+def _rate_table(records: Sequence[RunRecord]) -> dict:
+    """(task, source) -> LL -> IL -> accuracy; a cell's last record wins."""
+    table: dict = {}
+    for r in records:
+        if r.kind in ("ll", "grid") and r.ll is not None and r.il is not None:
+            table.setdefault((r.task, r.source), {}).setdefault(
+                r.ll, {})[r.il] = r.best_accuracy
+    return table
+
+
+def _ll_summaries(by_ll_il: Mapping[float, dict]) -> tuple[dict, float | None]:
+    """Each LL's LlSummary, in ascending LL, and GridResult's max_diff."""
     summaries = {}
-    for ll in grid.ll_values:
-        by_il = {r.il: r.best_accuracy for r in records if r.ll == ll}
-        if not by_il:
-            continue
+    for ll, by_il in sorted(by_ll_il.items()):
         accs = list(by_il.values())
-        summaries[ll] = LlSummary(ll=ll, accuracy_by_il=by_il, beta=beta(accs),
-                                  alpha=alpha(by_il), max_accuracy=max(accs),
-                                  min_accuracy=min(accs))
-    max_diff = (summaries[max(summaries)].max_accuracy
-                - summaries[min(summaries)].max_accuracy
-                if len(summaries) >= 2 else None)
-    return GridResult(records, summaries, max_diff, failures)
+        summaries[ll] = LlSummary(ll, by_il, beta(accs) if min(accs) > 0
+                                  else None, alpha(by_il), max(accs), min(accs))
+    maxima = [s.max_accuracy for s in summaries.values()]
+    return summaries, maxima[-1] - maxima[0] if len(maxima) >= 2 else None
 
 
 def _accuracy_table(records: Sequence[RunRecord]) -> dict[str, dict[float, float]]:
@@ -468,6 +481,11 @@ def _accuracy_table(records: Sequence[RunRecord]) -> dict[str, dict[float, float
     for r in records:
         table.setdefault(r.task, {})[r.scale] = r.best_accuracy
     return table
+
+
+def _best_scales(table: Mapping[str, dict], scales) -> dict[str, float]:
+    """Each task's best scale among scales; ties go to the smaller scale."""
+    return {t: alpha({s: by[s] for s in scales}) for t, by in table.items()}
 
 
 def most_frequent_best_scale(records: Sequence[RunRecord],
@@ -482,9 +500,7 @@ def most_frequent_best_scale(records: Sequence[RunRecord],
         missing = [s for s in scales if s not in by_scale]
         if missing:
             raise ValueError(f"task '{task}' missing records for scales {missing}")
-    votes = Counter(min(scales, key=lambda s: (-by_scale[s], s))
-                    for by_scale in table.values())
-    return min(votes, key=lambda s: (-votes[s], s))
+    return alpha(Counter(_best_scales(table, scales).values()))
 
 
 # --- learning-rate recommendation ---------------------------------------------
@@ -540,52 +556,29 @@ ACCURACY_NOTE = "accuracy = best top-1 over evaluation points"
 
 
 def report_from_records(records: Sequence[RunRecord]) -> dict:
-    """Recompute every reported number from raw ledger records.
-
-    Returns a machine-readable dict with a gain table (accuracy per
-    last-layer rate with inner stages frozen, plus % gain) and a
-    best-rate table (alpha, beta, and max accuracy per last-layer rate
-    plus the difference between the extremes' maxima), and, when the
-    records include graduated ones, a scale_sweep section.
-    """
-    rate_records = [r for r in records if r.kind in ("ll", "grid")
-                    and r.ll is not None and r.il is not None]
-    pairs = sorted({(r.task, r.source) for r in rate_records})
-
-    gain_table = []
-    for task, source in pairs:
-        by_ll: dict[float, float] = {}
-        for r in rate_records:
-            if r.task == task and r.source == source and r.il == 0.0:
-                by_ll[r.ll] = r.best_accuracy   # last record wins
-        if len(by_ll) < 2:
-            continue
-        best_ll = min(by_ll, key=lambda ll: (-by_ll[ll], ll))
-        others = [a for ll, a in by_ll.items() if ll != best_ll]
-        gain = percent_gain(by_ll[best_ll], min(others)) if min(others) > 0 else None
-        gain_table.append({"target": task, "source": source,
-                           "accuracy_by_ll": {f"{ll:g}": a
-                                              for ll, a in sorted(by_ll.items())},
-                           "best_ll": best_ll, "percent_gain": gain})
-
-    best_rate_table = []
-    for task, source in pairs:
-        by_ll_il: dict[float, dict[float, float]] = {}
-        for r in rate_records:
-            if r.task == task and r.source == source:
-                by_ll_il.setdefault(r.ll, {})[r.il] = r.best_accuracy
-        complete = {ll: ils for ll, ils in by_ll_il.items() if len(ils) >= 2}
-        if not complete:
-            continue
-        items = sorted(complete.items())
-        lo, hi = min(complete), max(complete)
-        best_rate_table.append({
-            "target": task, "source": source,
-            "alpha": {f"{ll:g}": alpha(ils) for ll, ils in items},
-            "beta": {f"{ll:g}": beta(list(ils.values())) for ll, ils in items},
-            "max_accuracy": {f"{ll:g}": max(ils.values()) for ll, ils in items},
-            "max_diff": (max(complete[hi].values()) - max(complete[lo].values())
-                         if len(complete) >= 2 else None)})
+    """Recompute every reported number from raw ledger records: a gain table
+    (accuracy per LL with inner stages frozen, and % gain) and a best-rate
+    table (alpha, beta, max accuracy per LL, and max_diff), both read from
+    one rate table, and a scale_sweep section if any record is graduated."""
+    gain_table, best_rate_table = [], []
+    for (task, source), by_ll_il in sorted(_rate_table(records).items()):
+        by_ll = {ll: ils[0.0] for ll, ils in by_ll_il.items() if 0.0 in ils}
+        if len(by_ll) >= 2:
+            best_ll = alpha(by_ll)
+            other = min(a for ll, a in by_ll.items() if ll != best_ll)
+            gain = percent_gain(by_ll[best_ll], other) if other > 0 else None
+            gain_table.append({
+                "target": task, "source": source, "best_ll": best_ll,
+                "percent_gain": gain, "accuracy_by_ll": {
+                    f"{ll:g}": a for ll, a in sorted(by_ll.items())}})
+        summaries, max_diff = _ll_summaries(
+            {ll: ils for ll, ils in by_ll_il.items() if len(ils) >= 2})
+        if summaries:
+            best_rate_table.append({
+                "target": task, "source": source, "max_diff": max_diff} | {
+                    name: {f"{ll:g}": getattr(s, name)
+                           for ll, s in summaries.items()}
+                    for name in ("alpha", "beta", "max_accuracy")})
 
     report = {"note": ACCURACY_NOTE, "gain_table": gain_table,
               "best_rate_table": best_rate_table}
@@ -604,22 +597,19 @@ def _scale_sweep_analysis(graduated: Sequence[RunRecord],
     at every scale; and the mean of the frozen-inner baselines."""
     table = _accuracy_table(graduated)
     scales = sorted({r.scale for r in graduated})
-    complete = [t for t, by_scale in table.items()
-                if len(by_scale) == len(scales)]
-    best = {t: min(((s, table[t][s]) for s in scales),
-                   key=lambda sa: (-sa[1], sa[0])) for t in complete}
-    fixed = ({s: sum(table[t][s] for t in complete) / len(complete)
+    complete = {t: by for t, by in table.items() if len(by) == len(scales)}
+    best = _best_scales(complete, scales)
+    fixed = ({s: sum(by[s] for by in complete.values()) / len(complete)
               for s in scales} if complete else {})
-    mfbs = (most_frequent_best_scale([r for r in graduated if r.task in best],
-                                     scales) if complete else None)
+    mfbs = alpha(Counter(best.values())) if best else None
     return {
         "jobs_executed": len(graduated),
         "scales": scales,
         "task_ids": list(dict.fromkeys(r.task for r in [*graduated, *baselines])),
-        "best_per_task": {t: {"scale": s, "accuracy": a}
-                          for t, (s, a) in sorted(best.items())},
-        "best_per_task_mean": (sum(a for _, a in best.values()) / len(best)
-                               if best else None),
+        "best_per_task": {t: {"scale": s, "accuracy": complete[t][s]}
+                          for t, s in sorted(best.items())},
+        "best_per_task_mean": (sum(complete[t][s] for t, s in best.items())
+                               / len(best) if best else None),
         "fixed_scale_means": {f"{s:g}": m for s, m in fixed.items()},
         "most_frequent_best_scale": mfbs,
         "most_frequent_scale_mean": fixed.get(mfbs),
@@ -628,8 +618,13 @@ def _scale_sweep_analysis(graduated: Sequence[RunRecord],
     }
 
 
+def _fmt(x, template: str = "{:.2f}%") -> str:
+    """A report cell: "-" for a missing or undefined number."""
+    return "-" if x is None else template.format(x)
+
+
 def _fmt_pct(x) -> str:
-    return "-" if x is None else f"{100.0 * x:.2f}%"
+    return _fmt(None if x is None else 100.0 * x)
 
 
 def _render_rows(header: list[str], rows: list[list[str]]) -> str:
@@ -650,7 +645,7 @@ def render_report(report: dict, status: str = "complete") -> str:
     header = ["Target", "Source"] + [f"LL-{ll}" for ll in lls1] + ["% Gain"]
     rows = [[row["target"], row["source"]]
             + [_fmt_pct(row["accuracy_by_ll"].get(ll)) for ll in lls1]
-            + ["-" if row["percent_gain"] is None else f"{row['percent_gain']:.2f}%"]
+            + [_fmt(row["percent_gain"])]
             for row in report["gain_table"]]
     parts.append("## Accuracy by last-layer rate (inner stages frozen)")
     parts.append(_render_rows(header, rows) if rows else "(no records)")
@@ -662,10 +657,8 @@ def render_report(report: dict, status: str = "complete") -> str:
                + [f"beta_{ll}" for ll in lls2]
                + ["max_hi-max_lo"])
     rows2 = [[row["target"], row["source"]]
-             + [("-" if row["alpha"].get(ll) is None
-                 else f"{row['alpha'][ll]:g}") for ll in lls2]
-             + [("-" if row["beta"].get(ll) is None
-                 else f"{row['beta'][ll]:.2f}%") for ll in lls2]
+             + [_fmt(row["alpha"].get(ll), "{:g}") for ll in lls2]
+             + [_fmt(row["beta"].get(ll)) for ll in lls2]
              + [_fmt_pct(row["max_diff"])]
              for row in report["best_rate_table"]]
     parts.append("## Best inner rate and accuracy spread per last-layer rate")

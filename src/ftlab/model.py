@@ -349,6 +349,10 @@ class Checkpoint:
     def num_labels(self) -> int:
         return self.metadata["num_labels"]
 
+    @property
+    def stage_names(self) -> tuple[str, ...]:
+        return tuple(s["name"] for s in self.metadata["arch"])
+
     def arch_spec(self) -> tuple[StageSpec, ...]:
         """The stored architecture, rejected unless the stored digest matches it."""
         try:

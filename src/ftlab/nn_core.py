@@ -292,26 +292,25 @@ class ForwardCache:
     dlogits: np.ndarray
 
 
-def _as_labels(labels, batch_size: int) -> np.ndarray:
-    arr = np.asarray(labels)
-    if arr.ndim != 1 or arr.shape[0] != batch_size:
-        raise ValueError(f"labels must be a length-{batch_size} vector, "
-                         f"got shape {arr.shape}")
-    return arr.astype(np.int64)
+def run_stages(stages: list[Stage], x: np.ndarray, check_finite: bool = False,
+               caches: list | None = None) -> np.ndarray:
+    """The one stage loop: run a batch through a stage list, with no loss.
 
-
-def run_stages(stages: list[Stage], x: np.ndarray,
-               check_finite: bool = False) -> np.ndarray:
-    """Run a batch through a stage list: no loss, no caches, no shape checks.
-
-    With check_finite, a non-finite activation is rejected with the stage
-    named, as forward() does.
-    """
+    A layer's shape error, and with check_finite a non-finite activation, is
+    re-raised with its stage named. caches gets each stage's layer caches."""
     for stage in stages:
+        layer_caches = []
         for layer in stage.layers:
-            x, _ = layer.forward(x)
+            try:
+                x, c = layer.forward(x)
+            except ValueError as e:
+                raise ValueError(f"stage '{stage.name}': {e}") from None
+            if caches is not None:   # else each cache is freed at once
+                layer_caches.append(c)
         if check_finite and not np.all(np.isfinite(x)):
             raise ValueError(f"stage '{stage.name}': non-finite activation")
+        if caches is not None:
+            caches.append(layer_caches)
     return x
 
 
@@ -323,19 +322,13 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
     offending stage named.
     """
     x = np.asarray(batch, dtype=DTYPE)
-    y = _as_labels(labels, x.shape[0])
-    stage_caches = []
-    for stage in stages:
-        layer_caches = []
-        for layer in stage.layers:
-            try:
-                x, c = layer.forward(x)
-            except ValueError as e:
-                raise ValueError(f"stage '{stage.name}': {e}") from None
-            layer_caches.append(c)
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"stage '{stage.name}': non-finite activation")
-        stage_caches.append(layer_caches)
+    y = np.asarray(labels)
+    if y.ndim != 1 or y.shape[0] != x.shape[0]:
+        raise ValueError(f"labels must be a length-{x.shape[0]} vector, "
+                         f"got shape {y.shape}")
+    y = y.astype(np.int64)
+    stage_caches: list = []
+    x = run_stages(stages, x, check_finite=True, caches=stage_caches)
     if x.ndim != 2:
         raise ValueError(f"head stage '{stages[-1].name}' must produce "
                          f"(batch, labels) scores, got shape {x.shape}")
@@ -343,8 +336,7 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
         raise ValueError(f"labels out of range for {x.shape[1]} classes")
     loss, probs, dlogits = softmax_cross_entropy(x, y)
     _check_finite(probs, "softmax")
-    cache = ForwardCache(stage_caches, dlogits)
-    return float(loss), probs, cache
+    return float(loss), probs, ForwardCache(stage_caches, dlogits)
 
 
 def backward(stages: list[Stage], cache: ForwardCache) -> dict[str, np.ndarray]:

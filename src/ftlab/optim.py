@@ -192,9 +192,8 @@ def prefix_key(model: StagedModel, schedule: MultiplierSchedule) -> tuple:
 @dataclass(frozen=True, eq=False)
 class FrozenPrefix:
     """The output of a model's frozen stages over a training and a
-    validation set, keyed by prefix_key. Every array is read-only."""
+    validation set. Every array is read-only."""
 
-    key: tuple
     rows: np.ndarray                 # the training rows
     val_batches: tuple               # (features, labels), cut every EVAL_CHUNK
 
@@ -212,19 +211,19 @@ def frozen_prefix(model: StagedModel, schedule: MultiplierSchedule,
     """Run the stages below the lowest trainable one over both sets.
 
     Both sets go through in evaluate()'s batches; a non-finite training
-    activation is rejected with its stage named. With no stage frozen the
-    rows are the sets' own features.
+    activation is rejected with its stage named, and so is a schedule that
+    does not cover the stages. With no stage frozen the rows are the sets'
+    own features.
     """
-    key = prefix_key(model, schedule)
+    schedule.check_covers(model.stage_names)
     frozen = model.stages[:lowest_trainable_stage(model.stage_names, schedule)]
     rows = model.check_input(train_set.features)
     val_batches = _chunks(model.check_input(val_set.features), val_set.labels)
     if frozen:
-        rows = np.concatenate([
-            run_stages(frozen, rows[i:i + EVAL_CHUNK], check_finite=True)
-            for i in range(0, len(rows), EVAL_CHUNK)])
+        rows = np.concatenate([run_stages(frozen, x, check_finite=True)
+                               for x, _ in _chunks(rows, train_set.labels)])
         val_batches = [(run_stages(frozen, x), y) for x, y in val_batches]
-    return FrozenPrefix(key, _read_only(rows),
+    return FrozenPrefix(_read_only(rows),
                         tuple((_read_only(x), _read_only(y))
                               for x, y in val_batches))
 
@@ -250,7 +249,7 @@ def train(model: StagedModel, train_set: LabeledDataset,
           val_set: LabeledDataset, schedule: MultiplierSchedule,
           policy: LrPolicy, batch_size: int, seed: int,
           momentum: float = 0.9, eval_every: int | None = None,
-          prefix: FrozenPrefix | None = None) -> TrainResult:
+          prefixes: dict | None = None) -> TrainResult:
     """Run policy.total_iterations SGD steps with seeded shuffling.
 
     Validation accuracy is recorded every eval_every iterations (default
@@ -259,11 +258,10 @@ def train(model: StagedModel, train_set: LabeledDataset,
 
     The stages below the lowest trainable one never change, so their
     output over both sets is computed before the first step, and every step
-    and evaluation runs only the stages above. A prefix from
-    frozen_prefix() on these two sets skips that computation; one whose key
-    differs from this model's raises ValueError. Validation keeps
-    evaluate()'s batches, so each recorded accuracy is exactly evaluate() of
-    the model at that point.
+    and evaluation runs only the stages above. prefixes, if given, memoizes
+    that output by prefix_key for calls on these two sets: a hit skips the
+    computation, a miss fills it. Validation keeps evaluate()'s batches, so
+    each recorded accuracy is exactly evaluate() of the model at that point.
     """
     if len(train_set) == 0:
         raise ValueError("training set is empty")
@@ -272,13 +270,12 @@ def train(model: StagedModel, train_set: LabeledDataset,
     if not 0 < batch_size <= len(train_set):
         raise ValueError(f"batch_size must be in [1, {len(train_set)}], "
                          f"got {batch_size}")
-    if prefix is None:
-        prefix = frozen_prefix(model, schedule, train_set, val_set)
-    elif prefix.key != prefix_key(model, schedule):
-        raise ValueError("prefix was computed for other frozen stages, input "
-                         "shape or frozen weights than this model's")
+    prefixes = {} if prefixes is None else prefixes
+    key = prefix_key(model, schedule)
+    if key not in prefixes:
+        prefixes[key] = frozen_prefix(model, schedule, train_set, val_set)
     live = model.stages[lowest_trainable_stage(model.stage_names, schedule):]
-    rows, val_batches = prefix.rows, prefix.val_batches
+    rows, val_batches = prefixes[key].rows, prefixes[key].val_batches
     cadence = eval_every if eval_every else max(1, policy.step_size // 10)
 
     rng = np.random.default_rng(seed)

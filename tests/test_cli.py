@@ -806,6 +806,24 @@ class TestReport:
     def test_missing_ledger_is_validation_error(self, tmp_path):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 1
 
+    def test_zero_accuracy_cell_leaves_beta_undefined(self, tmp_path, capsys):
+        ledger = tmp_path / "ledger.jsonl"
+        append_records(ledger, [
+            RunRecord(kind="grid", task="t", source="s", seed=0, ll=0.1, il=il,
+                      final_accuracy=acc, best_accuracy=acc)
+            for il, acc in ((0.0, 0.0), (0.01, 0.5))])
+        out = tmp_path / "rep"
+        assert main(["report", str(ledger), "--out", str(out)]) == 0
+        (row,) = json.loads((out / "report.json").read_text())["best_rate_table"]
+        assert row["beta"] == {"0.1": None}
+        assert row["alpha"] == {"0.1": 0.01}
+        text = (out / "report.txt").read_text()
+        assert capsys.readouterr().out == text
+        header, _, cells = text.split("## Best inner rate")[1].splitlines()[2:5]
+        assert header.split() == ["Target", "Source", "alpha_0.1", "beta_0.1",
+                                  "max_hi-max_lo"]
+        assert cells.split() == ["t", "s", "0.01", "-", "-"]
+
 
 class TestGradCheckCommand:
     def test_default_model_passes(self, capsys):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import die_in_worker
+from ftlab import optim
 from ftlab.data import SyntheticDomainSpec, gen_synthetic_domain, split_train_val
-from ftlab.experiment import (FinetuneTask, GraduatedSpec, GridSpec,
-                              JobFailure, JobInputs, RecommenderConfig,
-                              RunRecord, alpha, append_records, beta,
+from ftlab.experiment import (ACCURACY_NOTE, FinetuneTask, GraduatedSpec,
+                              GridSpec, JobFailure, JobInputs,
+                              RecommenderConfig, RunRecord, alpha,
+                              append_records, beta,
                               derive_seed, graduated_schedule,
                               most_frequent_best_scale, percent_gain,
                               read_ledger, recommend_multipliers,
@@ -352,6 +354,41 @@ class TestReports:
         assert "LL-0.01" in text and "LL-0.1" in text and "% Gain" in text
         assert "status: complete" in text
 
+    def test_one_rate_table_feeds_both_tables(self):
+        def rec(task, ll, il, acc, kind="grid"):
+            return RunRecord(kind=kind, task=task, source="s", seed=0, ll=ll,
+                             il=il, final_accuracy=acc, best_accuracy=acc)
+        records = [
+            rec("u", 0.01, 0.0, 0.0, "ll"),     # a zero baseline: no gain
+            rec("u", 0.1, 0.0, 0.4, "ll"), rec("u", 0.1, 0.01, 0.6),
+            rec("t", 0.01, 0.0, 0.4, "ll"),
+            rec("t", 0.01, 0.001, 0.6),
+            rec("t", 0.1, 0.0, 0.5), rec("t", 0.1, 0.01, 0.3),
+            rec("t", 0.1, 0.1, 0.5),
+            rec("t", 1.0, 0.0, 0.2),            # only its IL=0 cell
+            rec("t", 0.01, 0.0, 0.5),           # repeats a cell: the last wins
+            rec("t", 10.0, 0.0, 0.9, "baseline")]
+        assert report_from_records(records) == {
+            "note": ACCURACY_NOTE,
+            "gain_table": [
+                # LL 0.01 and 0.1 tie at 0.5: the smaller is best
+                {"target": "t", "source": "s", "best_ll": 0.01,
+                 "percent_gain": percent_gain(0.5, 0.2),
+                 "accuracy_by_ll": {"0.01": 0.5, "0.1": 0.5, "1": 0.2}},
+                {"target": "u", "source": "s", "best_ll": 0.1,
+                 "percent_gain": None,
+                 "accuracy_by_ll": {"0.01": 0.0, "0.1": 0.4}}],
+            "best_rate_table": [
+                {"target": "t", "source": "s",
+                 "alpha": {"0.01": 0.001, "0.1": 0.0},
+                 "beta": {"0.01": beta([0.5, 0.6]),
+                          "0.1": beta([0.5, 0.3, 0.5])},
+                 "max_accuracy": {"0.01": 0.6, "0.1": 0.5},
+                 "max_diff": 0.5 - 0.6},
+                {"target": "u", "source": "s", "alpha": {"0.1": 0.01},
+                 "beta": {"0.1": beta([0.4, 0.6])},
+                 "max_accuracy": {"0.1": 0.6}, "max_diff": None}]}
+
     def test_empty_records_render_cleanly(self):
         text = render_report(report_from_records([]))
         assert "(no records)" in text
@@ -483,6 +520,24 @@ class TestPrefixMemo:
         assert sorted(calls) == sorted([256, 44, 150] * 2)
         assert len(task.prefixes) == 1
         assert shared == fresh
+
+    def test_one_prefix_key_per_job(self, tmp_path, monkeypatch):
+        keys = []
+        original = optim.prefix_key
+
+        def counting(*args):
+            keys.append(original(*args))
+            return keys[-1]
+
+        monkeypatch.setattr(optim, "prefix_key", counting)
+        source, task = small_source_checkpoint(tmp_path), small_task()
+        counts = []
+        for _ in range(2):      # a memo miss, then a hit
+            before = len(keys)
+            run_ll_experiment(source, task, 0.1, FAST_POLICY, 6, seed=4)
+            counts.append(len(keys) - before)
+        assert counts == [1, 1]
+        assert list(task.prefixes) == [keys[0]]
 
     def test_other_frozen_weights_miss_the_memo(self, tmp_path):
         task = small_task()

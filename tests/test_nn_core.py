@@ -175,6 +175,12 @@ class TestForward:
         with pytest.raises(ValueError, match="hidden"):
             forward(m.stages, np.zeros((2, 7)), [0, 1])
 
+    def test_run_stages_names_the_stage_of_a_shape_error(self):
+        m = small_conv_model()
+        x = np.zeros((2, 1, 8, 8))          # shaped for conv1, not conv2
+        with pytest.raises(ValueError, match="stage 'conv2': conv2d expected"):
+            run_stages(m.stages[1:], x)
+
     def test_batch_label_length_mismatch_rejected(self):
         m = two_layer_model()
         with pytest.raises(ValueError, match="labels"):

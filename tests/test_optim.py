@@ -410,22 +410,45 @@ class TestFrozenPrefixCache:
             train(m, flat, self.val_set, MultiplierSchedule(HEAD_ONLY),
                   self.policy, batch_size=8, seed=5)
 
-    @pytest.mark.parametrize("model, mults", [
-        (conv_model(seed=13), HEAD_ONLY), (conv_model(widths=(2, 4)), HEAD_ONLY),
-        (conv_model(), CONV1_FROZEN)],
-        ids=["other_weights", "other_widths", "other_depth"])
-    def test_prefix_of_another_model_or_depth_rejected(self, model, mults):
-        prefix = frozen_prefix(conv_model(), MultiplierSchedule(HEAD_ONLY),
-                               self.train_set, self.val_set)
-        with pytest.raises(ValueError, match="prefix was computed for other"):
-            train(model, self.train_set, self.val_set, MultiplierSchedule(mults),
-                  self.policy, batch_size=8, seed=6, prefix=prefix)
+    @staticmethod
+    def outcome(result):
+        """A train() result: trace, best iteration, final and best weights."""
+        return (result.trace, result.best_iteration,
+                [arr.tobytes() for net in (result.model, result.best_model)
+                 for _, arr in net.named_parameters()])
+
+    def test_shared_memo_holds_one_prefix_per_model(self):
+        cases = [(conv_model, HEAD_ONLY),
+                 (lambda: conv_model(seed=13), HEAD_ONLY),      # other weights
+                 (lambda: conv_model(widths=(2, 4)), HEAD_ONLY),  # other widths
+                 (conv_model, CONV1_FROZEN),                     # other depth
+                 (conv_model, HEAD_ONLY)]                        # a hit
+        prefixes, sizes = {}, []
+        for make, mults in cases:
+            schedule = MultiplierSchedule(mults)
+            shared = train(make(), self.train_set, self.val_set, schedule,
+                           self.policy, batch_size=8, seed=6,
+                           prefixes=prefixes)
+            alone = train(make(), self.train_set, self.val_set, schedule,
+                          self.policy, batch_size=8, seed=6)
+            assert self.outcome(shared) == self.outcome(alone)
+            sizes.append(len(prefixes))
+        assert sizes == [1, 2, 3, 4, 4]
+
+    def test_frozen_prefix_rejects_a_schedule_of_other_stages(self):
+        with pytest.raises(ValueError, match="stage mismatch"):
+            frozen_prefix(conv_model(),
+                          MultiplierSchedule({"conv1": 0.0, "fc": 1.0}),
+                          self.train_set, self.val_set)
 
     @pytest.mark.parametrize("mults", [HEAD_ONLY, ALL_LIVE],
                              ids=["head_only", "all_live"])
     def test_prefix_arrays_are_read_only(self, mults):
-        prefix = frozen_prefix(conv_model(), MultiplierSchedule(mults),
-                               self.train_set, self.val_set)
+        prefixes = {}
+        train(conv_model(), self.train_set, self.val_set,
+              MultiplierSchedule(mults), LrPolicy(0.05, 20, 1), batch_size=8,
+              seed=6, prefixes=prefixes)
+        (prefix,) = prefixes.values()
         for arr in [prefix.rows, *(a for batch in prefix.val_batches
                                    for a in batch)]:
             with pytest.raises(ValueError, match="read-only"):
