@@ -58,6 +58,14 @@ def alpha(accuracy_by_il: Mapping[float, float]) -> float:
     return min(accuracy_by_il, key=lambda il: (-accuracy_by_il[il], il))
 
 
+def spell_rate(x: float) -> str:
+    """The one spelling of a rate or scale in names, paths and report keys:
+    f"{x:g}" when that reads back as x, else repr(x), so that no two rates
+    share a spelling."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(x)
+
+
 # --- experiment specs --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -287,7 +295,7 @@ def rate_schedule(stage_names: Sequence[str], policy: LrPolicy, ll: float,
 def _rate_job(source: Checkpoint, policy: LrPolicy, task_id: str, kind: str,
               ll: float, il: float, seed: int, **save) -> JobSpec:
     """A job training the head at rate ll and every inner stage at rate il."""
-    return JobSpec(kind, f"ll={ll:g} il={il:g}", task_id,
+    return JobSpec(kind, f"ll={spell_rate(ll)} il={spell_rate(il)}", task_id,
                    rate_schedule(source.stage_names, policy, ll, il), seed,
                    (seed,), ll=ll, il=il, **save)
 
@@ -335,9 +343,9 @@ def scale_jobs(source: Checkpoint, task_ids: Sequence[str],
                  for s in spec.scales}
     baseline = MultiplierSchedule(
         {name: 0.0 for name in inner} | {head: baseline_ll_multiplier})
-    specs = [_sweep_job("graduated", f"{t} scale={s:g}", t, schedule,
-                        (master_seed, t, s), out_dir, f"{t}_scale{s:g}.ftlb",
-                        scale=s)
+    specs = [_sweep_job("graduated", f"{t} scale={spell_rate(s)}", t, schedule,
+                        (master_seed, t, s), out_dir,
+                        f"{t}_scale{spell_rate(s)}.ftlb", scale=s)
              for t in task_ids for s, schedule in schedules.items()]
     return specs + [_sweep_job("baseline", f"{t} baseline", t, baseline,
                                (master_seed, t, "baseline"), out_dir,
@@ -424,7 +432,6 @@ class LlSummary:
     beta: float | None
     alpha: float
     max_accuracy: float
-    min_accuracy: float
 
 
 @dataclass
@@ -471,7 +478,7 @@ def _ll_summaries(by_ll_il: Mapping[float, dict]) -> tuple[dict, float | None]:
     for ll, by_il in sorted(by_ll_il.items()):
         accs = list(by_il.values())
         summaries[ll] = LlSummary(ll, by_il, beta(accs) if min(accs) > 0
-                                  else None, alpha(by_il), max(accs), min(accs))
+                                  else None, alpha(by_il), max(accs))
     maxima = [s.max_accuracy for s in summaries.values()]
     return summaries, maxima[-1] - maxima[0] if len(maxima) >= 2 else None
 
@@ -570,13 +577,13 @@ def report_from_records(records: Sequence[RunRecord]) -> dict:
             gain_table.append({
                 "target": task, "source": source, "best_ll": best_ll,
                 "percent_gain": gain, "accuracy_by_ll": {
-                    f"{ll:g}": a for ll, a in sorted(by_ll.items())}})
+                    spell_rate(ll): a for ll, a in sorted(by_ll.items())}})
         summaries, max_diff = _ll_summaries(
             {ll: ils for ll, ils in by_ll_il.items() if len(ils) >= 2})
         if summaries:
             best_rate_table.append({
                 "target": task, "source": source, "max_diff": max_diff} | {
-                    name: {f"{ll:g}": getattr(s, name)
+                    name: {spell_rate(ll): getattr(s, name)
                            for ll, s in summaries.items()}
                     for name in ("alpha", "beta", "max_accuracy")})
 
@@ -610,7 +617,7 @@ def _scale_sweep_analysis(graduated: Sequence[RunRecord],
                           for t, s in sorted(best.items())},
         "best_per_task_mean": (sum(complete[t][s] for t, s in best.items())
                                / len(best) if best else None),
-        "fixed_scale_means": {f"{s:g}": m for s, m in fixed.items()},
+        "fixed_scale_means": {spell_rate(s): m for s, m in fixed.items()},
         "most_frequent_best_scale": mfbs,
         "most_frequent_scale_mean": fixed.get(mfbs),
         "baseline_mean": (sum(r.best_accuracy for r in baselines) / len(baselines)
@@ -618,9 +625,9 @@ def _scale_sweep_analysis(graduated: Sequence[RunRecord],
     }
 
 
-def _fmt(x, template: str = "{:.2f}%") -> str:
+def _fmt(x, spell=lambda v: f"{v:.2f}%") -> str:
     """A report cell: "-" for a missing or undefined number."""
-    return "-" if x is None else template.format(x)
+    return "-" if x is None else spell(x)
 
 
 def _fmt_pct(x) -> str:
@@ -657,7 +664,7 @@ def render_report(report: dict, status: str = "complete") -> str:
                + [f"beta_{ll}" for ll in lls2]
                + ["max_hi-max_lo"])
     rows2 = [[row["target"], row["source"]]
-             + [_fmt(row["alpha"].get(ll), "{:g}") for ll in lls2]
+             + [_fmt(row["alpha"].get(ll), spell_rate) for ll in lls2]
              + [_fmt(row["beta"].get(ll)) for ll in lls2]
              + [_fmt_pct(row["max_diff"])]
              for row in report["best_rate_table"]]

@@ -9,7 +9,6 @@ output size so heads can be swapped across label counts.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -22,8 +21,7 @@ import numpy as np
 from . import binio
 from .codec import decode
 from .nn_core import (Conv2d, Dense, GlobalAvgPool, MaxPool, Relu,
-                      ResidualBlock, Stage, backward, forward, param_count,
-                      run_stages)
+                      ResidualBlock, Stage, param_count)
 
 CHECKPOINT_MAGIC = b"FTLB"
 CHECKPOINT_VERSION = 1
@@ -272,19 +270,18 @@ class StagedModel:
                              f"model input shape {self.input_shape}")
         return x
 
-    def forward(self, batch, labels):
-        return forward(self.stages, self.check_input(batch), labels)
-
-    def backward(self, cache):
-        return backward(self.stages, cache)
-
-    def predict(self, batch) -> np.ndarray:
-        """Class scores without loss; accepts any batch of model input shape."""
-        return run_stages(self.stages, self.check_input(batch))
-
     def clone(self) -> "StagedModel":
-        return StagedModel(self.spec, copy.deepcopy(self.stages), self.input_shape,
+        """A copy with fresh layers built from copies of the parameters."""
+        stages = [Stage(s.name, [_copy_layer(layer) for layer in s.layers])
+                  for s in self.stages]
+        return StagedModel(self.spec, stages, self.input_shape,
                            self.num_labels, self.seed, self.trained_iterations)
+
+
+def _copy_layer(layer):
+    if isinstance(layer, ResidualBlock):
+        return ResidualBlock([_copy_layer(inner) for inner in layer.inner])
+    return type(layer)(*(arr.copy() for _, arr in layer.named_params()))
 
 
 _LAYER_TYPES = {"conv2d": Conv2d, "dense": Dense, "relu": Relu,

@@ -1,11 +1,12 @@
 """Dense/convolutional network kernels with exact reverse-mode gradients.
 
 Layers operate on float64 numpy arrays. Feature maps are laid out NCHW;
-dense layers take (batch, features). Each layer implements a pure
+dense layers take (batch, features). Each layer implements a
 forward(x) -> (y, cache) and backward(dy, cache) -> (dx, param_grads)
-pair, so the engine-level ops stay stateless and deterministic. A layer
-with parameters also has param_grads(dy, cache): backward's parameter
-gradients, computed without dx where the layer can.
+pair whose results depend only on the inputs and the parameters; the
+only other state is Conv2d's scratch buffers, which no result aliases. A
+layer with parameters also has param_grads(dy, cache): backward's
+parameter gradients, computed without dx where the layer can.
 """
 
 from __future__ import annotations
@@ -55,26 +56,29 @@ class Dense:
         yield "b", self.b
 
 
-def _pad(x: np.ndarray, p: int) -> np.ndarray:
-    """Zero-pad the two spatial dims of an NCHW map by p on each side."""
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=DTYPE)
-    xp[:, :, p:p + h, p:p + w] = x
-    return xp
-
-
-def _columns(xp: np.ndarray, k: int) -> np.ndarray:
-    """(c*k*k, n*h*w) matrix of every k x k window of a padded NCHW map.
-
-    Row (ci, a, b) and column (m, i, j) hold xp[m, ci, i + a, j + b]. The
-    matrix is one copy of a read-only strided view of xp.
-    """
+def _windows(xp: np.ndarray, k: int) -> np.ndarray:
+    """Read-only (c, k, k, n, h, w) view of every k x k window of a padded
+    NCHW map: [ci, a, b, m, i, j] is xp[m, ci, i + a, j + b]."""
     n, c, hp, wp = xp.shape
-    h, w = hp - k + 1, wp - k + 1
     sn, sc, sh, sw = xp.strides
-    view = as_strided(xp, (c, k, k, n, h, w), (sc, sh, sw, sn, sh, sw),
-                      writeable=False)
-    return view.reshape(c * k * k, n * h * w)
+    return as_strided(xp, (c, k, k, n, hp - k + 1, wp - k + 1),
+                      (sc, sh, sw, sn, sh, sw), writeable=False)
+
+
+class _Columns:
+    """The (c*k*k, n*h*w) column matrix of a window view, row (ci, a, b) and
+    column (m, i, j), kept in the front of the flat buffer buf."""
+
+    def __init__(self, windows: np.ndarray, buf: np.ndarray):
+        self.windows = windows
+        self.dest = buf[:windows.size].reshape(windows.shape)
+        c, k, _, n, h, w = windows.shape
+        self.matrix = self.dest.reshape(c * k * k, n * h * w)
+
+    def fill(self) -> np.ndarray:
+        """Copy the windows in; the matrix is valid until the next fill."""
+        self.dest[...] = self.windows
+        return self.matrix
 
 
 # Conv2d.forward builds the column matrix of at most about this many bytes
@@ -85,13 +89,59 @@ def _columns(xp: np.ndarray, k: int) -> np.ndarray:
 _FORWARD_CHUNK_BYTES = 1 << 19
 
 
+class _ConvPlan:
+    """The buffers of one Conv2d at one input shape, for reuse across calls.
+
+    xp is the zero-padded input, its borders zeroed once; forward writes x
+    into its interior and fills the column matrix of each batch chunk in
+    turn, all chunks sharing one buffer. dyp and dy_cols do the same for dy
+    in backward, made at the first backward. generation counts forwards: a
+    cache is valid while its generation is the plan's.
+    """
+
+    def __init__(self, x_shape: tuple, k: int):
+        n, c, h, w = x_shape
+        p = k // 2
+        self.xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=DTYPE)
+        self.x = self.xp[:, :, p:p + h, p:p + w]
+        self.windows = _windows(self.xp, k)
+        self.step = max(1, _FORWARD_CHUNK_BYTES
+                        // (c * k * k * h * w * self.xp.itemsize))
+        buf = np.empty(c * k * k * min(n, self.step) * h * w, dtype=DTYPE)
+        self.chunks = [_Columns(self.windows[:, :, :, i:i + self.step], buf)
+                       for i in range(0, n, self.step)]
+        self.dyp = None
+        self.generation = 0
+
+    def dy_columns(self, dy: np.ndarray) -> np.ndarray:
+        """The column matrix of zero-padded dy, in the plan's dy buffers."""
+        if self.dyp is None:
+            n, _, hp, wp = self.xp.shape
+            k = self.windows.shape[1]
+            self.dyp = np.zeros((n, dy.shape[1], hp, wp), dtype=DTYPE)
+            self.dy = self.dyp[:, :, k // 2:hp - k // 2, k // 2:wp - k // 2]
+            windows = _windows(self.dyp, k)
+            self.dy_cols = _Columns(windows, np.empty(windows.size, dtype=DTYPE))
+        self.dy[...] = dy
+        return self.dy_cols.fill()
+
+
 class Conv2d:
     """3x3-style convolution, stride 1, zero padding k//2 (shape preserving).
 
     Each of y, dW and dX is one matrix product with the column matrix of a
     zero-padded tensor (the lowering to matrix products of Chellapilla et
-    al. 2006), y in batch chunks of bounded size; only the padded input is
-    kept for backward.
+    al. 2006), y in batch chunks of bounded size. The padded tensors and
+    column matrices live in a plan for the input shape (static buffer
+    planning, as in MXNet, Chen et al. 2015). The layer keeps the plan of
+    the last shape it ran backward on and reuses it at that shape, so
+    training steps allocate none of it and evaluation shapes leave nothing
+    behind. When the batch is one chunk, dW reads forward's column matrix.
+
+    A cache is valid until the layer's next forward at the same input
+    shape; backward on a cache whose buffers were reused raises ValueError.
+    Outputs and gradients are always fresh arrays. The plan makes a layer
+    unsafe to share between threads.
     """
 
     kind = "conv2d"
@@ -106,6 +156,13 @@ class Conv2d:
                              f"{self.w.shape[0]} output channels")
         if self.w.shape[2] % 2 == 0:
             raise ValueError(f"conv2d kernel size must be odd, got {self.w.shape[2]}")
+        self._plan: _ConvPlan | None = None
+
+    def __getstate__(self):
+        return {"w": self.w, "b": self.b}    # the plan is scratch, not state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _plan=None)
 
     @property
     def kernel_size(self) -> int:
@@ -115,33 +172,51 @@ class Conv2d:
         if x.ndim != 4 or x.shape[1] != self.w.shape[1]:
             raise ValueError(f"conv2d expected input (batch, {self.w.shape[1]}, H, W), "
                              f"got {x.shape}")
-        k = self.kernel_size
-        xp = _pad(x, k // 2)
-        n, c, h, wd = x.shape
+        plan = self._plan
+        if plan is None or plan.x.shape != x.shape:
+            plan = _ConvPlan(x.shape, self.kernel_size)
+        plan.generation += 1
+        plan.x[...] = x
+        n, _, h, wd = x.shape
         f = self.w.shape[0]
-        w = self.w.reshape(f, c * k * k)
-        step = max(1, _FORWARD_CHUNK_BYTES // (c * k * k * h * wd * xp.itemsize))
+        w = self.w.reshape(f, -1)
         out = np.empty((f, n, h, wd), dtype=DTYPE)
-        for i in range(0, n, step):
-            out[:, i:i + step] = (w @ _columns(xp[i:i + step], k)).reshape(f, -1, h, wd)
+        for i, cols in zip(range(0, n, plan.step), plan.chunks):
+            out[:, i:i + plan.step] = (w @ cols.fill()).reshape(f, -1, h, wd)
         out += self.b[:, None, None, None]
-        return out.transpose(1, 0, 2, 3), xp
+        return out.transpose(1, 0, 2, 3), (plan, plan.generation)
+
+    def _live_plan(self, dy, cache) -> _ConvPlan:
+        plan, generation = cache
+        if generation != plan.generation:
+            raise ValueError("stale conv2d cache: the layer has run forward "
+                             "again at this input shape")
+        n, _, h, wd = plan.x.shape
+        if dy.shape != (n, self.w.shape[0], h, wd):
+            raise ValueError(f"conv2d dy shape {dy.shape} does not match the "
+                             f"output of its forward")
+        self._plan = plan
+        return plan
 
     def backward(self, dy, cache):
+        plan = self._live_plan(dy, cache)
         k = self.kernel_size
         n, f, h, wd = dy.shape
         # full correlation of dy with the flipped kernel
         w = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(-1, f * k * k)
-        dx = w @ _columns(_pad(dy, k // 2), k)
+        dx = w @ plan.dy_columns(dy)
         return (dx.reshape(-1, n, h, wd).transpose(1, 0, 2, 3),
                 self.param_grads(dy, cache))
 
     def param_grads(self, dy, cache):
         """The parameter half of backward: no input gradient."""
-        xp = cache
+        plan = self._live_plan(dy, cache)
         k = self.kernel_size
         f = dy.shape[1]
-        dw = _columns(xp, k) @ dy.transpose(0, 2, 3, 1).reshape(-1, f)
+        # forward's column matrix if the batch was one chunk, else a copy
+        cols = (plan.chunks[0].matrix if len(plan.chunks) == 1
+                else plan.windows.reshape(plan.chunks[0].matrix.shape[0], -1))
+        dw = cols @ dy.transpose(0, 2, 3, 1).reshape(-1, f)
         db = dy.sum(axis=(0, 2, 3))
         return {"w": dw.reshape(-1, k, k, f).transpose(3, 0, 1, 2), "b": db}
 
@@ -305,8 +380,9 @@ def run_stages(stages: list[Stage], x: np.ndarray, check_finite: bool = False,
                 x, c = layer.forward(x)
             except ValueError as e:
                 raise ValueError(f"stage '{stage.name}': {e}") from None
-            if caches is not None:   # else each cache is freed at once
+            if caches is not None:
                 layer_caches.append(c)
+            del c     # else it would live through the next layer's forward
         if check_finite and not np.all(np.isfinite(x)):
             raise ValueError(f"stage '{stage.name}': non-finite activation")
         if caches is not None:

@@ -1,9 +1,12 @@
 """Experiment families, accuracy metrics, ledger, and report tests."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import die_in_worker
 from ftlab import optim
@@ -17,7 +20,7 @@ from ftlab.experiment import (ACCURACY_NOTE, FinetuneTask, GraduatedSpec,
                               read_ledger, recommend_multipliers,
                               render_report, report_from_records,
                               run_il_ll_grid, run_jobs, run_ll_experiment,
-                              scale_jobs, scan_ledger)
+                              scale_jobs, scan_ledger, spell_rate)
 from ftlab.model import (build_staged_network, checkpoint_from_model,
                          load_checkpoint, mini_staged_spec, save_checkpoint)
 from ftlab.nn_core import Conv2d
@@ -112,6 +115,25 @@ class TestAlpha:
             by_il = dict(zip(ils, accs))
             transformed = {il: np.exp(3.0 * a) + 1.0 for il, a in by_il.items()}
             assert alpha(by_il) == alpha(transformed)
+
+
+class TestSpellRate:
+    # y is an arbitrary float, x's neighbour, or what :g makes of x
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False),
+           st.integers(0, 2))
+    def test_injective_and_g_where_g_reads_back(self, x, y, pick):
+        y = (y, math.nextafter(x, math.inf), float(f"{x:g}"))[pick]
+        for v in (x, y):
+            assert float(spell_rate(v)) == v
+            if float(f"{v:g}") == v:
+                assert spell_rate(v) == f"{v:g}"
+        if x != y:
+            assert spell_rate(x) != spell_rate(y)
+
+    def test_examples(self):
+        assert [spell_rate(v) for v in (0.1, 1.0, 1e-4, 0.25, 0.1000001,
+                                        1 / 3)] == [
+            "0.1", "1", "0.0001", "0.25", "0.1000001", "0.3333333333333333"]
 
 
 class TestGridSpec:
@@ -388,6 +410,25 @@ class TestReports:
                 {"target": "u", "source": "s", "alpha": {"0.1": 0.01},
                  "beta": {"0.1": beta([0.4, 0.6])},
                  "max_accuracy": {"0.1": 0.6}, "max_diff": None}]}
+
+    def test_rates_that_print_alike_keep_their_own_columns(self):
+        # LL 0.1 and 0.1000001 are one "0.1" under :g
+        def rec(ll, il, acc):
+            return RunRecord(kind="grid", task="t", source="s", seed=0, ll=ll,
+                             il=il, final_accuracy=acc, best_accuracy=acc)
+        report = report_from_records([
+            rec(0.1, 0.0, 0.3), rec(0.1, 0.01, 0.4),
+            rec(0.1000001, 0.0, 0.9), rec(0.1000001, 0.01, 0.8)])
+        assert report["gain_table"] == [
+            {"target": "t", "source": "s", "best_ll": 0.1000001,
+             "percent_gain": percent_gain(0.9, 0.3),
+             "accuracy_by_ll": {"0.1": 0.3, "0.1000001": 0.9}}]
+        (row,) = report["best_rate_table"]
+        assert row["alpha"] == {"0.1": 0.01, "0.1000001": 0.0}
+        assert row["max_accuracy"] == {"0.1": 0.4, "0.1000001": 0.9}
+        text = render_report(report)
+        for header in ("LL-0.1 ", "LL-0.1000001", "alpha_0.1 ", "beta_0.1000001"):
+            assert header in text
 
     def test_empty_records_render_cleanly(self):
         text = render_report(report_from_records([]))
@@ -667,6 +708,16 @@ class TestScaleSweep:
         records, _ = self.sweep(tmp_path)
         for r in records[:6]:
             assert r.seed == derive_seed(7, r.task, r.scale, "data")
+
+    def test_close_scales_save_to_their_own_paths(self, tmp_path):
+        spec = GraduatedSpec(inner_multipliers=(0.0, 2.0),
+                             scales=(0.1, 0.1000001))
+        specs = scale_jobs(small_source_checkpoint(tmp_path), ["t"], spec, 7,
+                           out_dir=str(tmp_path))
+        assert [s.checkpoint for s in specs] == [
+            "checkpoints/t_scale0.1.ftlb", "checkpoints/t_scale0.1000001.ftlb",
+            "checkpoints/t_baseline.ftlb"]
+        assert len({s.save_path for s in specs}) == len({s.name for s in specs}) == 3
 
     def test_unique_task_ids_required(self, tmp_path):
         with pytest.raises(ValueError, match="unique"):

@@ -9,6 +9,7 @@ from ftlab.model import (Checkpoint, CheckpointError, LayerSpec, StageSpec,
                          checkpoint_from_model, layer_shapes, load_checkpoint,
                          mini_staged_spec, model_from_checkpoint,
                          save_checkpoint, transfer_init)
+from ftlab.nn_core import backward, forward, run_stages
 
 
 def params_of(model):
@@ -320,5 +321,34 @@ def test_mini_spec_pool_defaults_keep_spatial_dims_valid():
     spec = mini_staged_spec(widths=(2, 2, 2, 2, 2), input_shape=(1, 16, 16))
     m = build_staged_network(spec, (1, 16, 16), 3, seed=0)
     x = np.zeros((2, 1, 16, 16))
-    scores = m.predict(x)
+    scores = run_stages(m.stages, x)
     assert scores.shape == (2, 3)
+
+
+def test_clone_copies_parameters_and_shares_no_state():
+    m = build_staged_network(tiny_spec(residual=True), (1, 8, 8), 3, seed=4)
+    rng = np.random.default_rng(5)
+    x, x2 = (rng.uniform(-1, 1, size=(6, 1, 8, 8)) for _ in range(2))
+    y = np.arange(6) % 3
+    _, _, cache = forward(m.stages, x2, y)       # m's layers hold buffers now
+    backward(m.stages, cache)
+    c = m.clone()
+    want = build_staged_network(tiny_spec(residual=True), (1, 8, 8), 3, seed=4)
+    cloned = dict(c.named_parameters())
+    assert list(cloned) == list(params_of(m))
+    for name, arr in m.named_parameters():
+        assert cloned[name].tobytes() == arr.tobytes()
+        assert not np.shares_memory(cloned[name], arr)
+
+    loss, probs, cache = forward(c.stages, x, y)
+    forward(m.stages, x2, y)                      # the original runs again
+    for _, arr in m.named_parameters():
+        arr += 1.0                                # and its parameters move
+    grads = backward(c.stages, cache)
+    want_loss, want_probs, want_cache = forward(want.stages, x, y)
+    want_grads = backward(want.stages, want_cache)
+    assert (loss, probs.tobytes()) == (want_loss, want_probs.tobytes())
+    for name, g in want_grads.items():
+        assert grads[name].tobytes() == g.tobytes()
+    for name, arr in want.named_parameters():
+        assert cloned[name].tobytes() == arr.tobytes()

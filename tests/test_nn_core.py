@@ -1,18 +1,21 @@
 """Kernel-level tests: forward oracle, gradient checks, engine contracts."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ftlab import nn_core
+from ftlab.data import LabeledDataset
 from ftlab.model import (LayerSpec, StageSpec, build_staged_network,
                          mini_staged_spec)
-from ftlab.nn_core import (Conv2d, Dense, MaxPool, backward, forward,
-                           grad_check, param_count, run_stages,
+from ftlab.nn_core import (Conv2d, Dense, MaxPool, ResidualBlock, backward,
+                           forward, grad_check, param_count, run_stages,
                            softmax_cross_entropy)
-from ftlab.optim import MultiplierSchedule, lowest_trainable_stage
+from ftlab.optim import (MultiplierSchedule, _accuracy, _chunks, frozen_prefix,
+                         lowest_trainable_stage)
 
 
 def two_layer_model(seed=123):
@@ -152,21 +155,21 @@ class TestForward:
                                     p["fc/0/w"].tolist(),
                                     p["fc/0/b"].tolist(), x.tolist(), y)
         assert oracle == pytest.approx(TWO_LAYER_ORACLE_LOSS, rel=1e-12)
-        loss, _, _ = m.forward(x, y)
+        loss, _, _ = forward(m.stages, x, y)
         assert loss == pytest.approx(TWO_LAYER_ORACLE_LOSS, rel=1e-12)
 
     def test_score_rows_sum_to_one(self):
         m = small_conv_model(seed=3)
         x = np.random.default_rng(5).uniform(-1, 1, size=(6, 1, 8, 8))
-        _, probs, _ = m.forward(x, np.arange(6) % 3)
+        _, probs, _ = forward(m.stages, x, np.arange(6) % 3)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_forward_is_deterministic(self):
         m = small_conv_model(seed=9)
         x = np.random.default_rng(2).uniform(-1, 1, size=(4, 1, 8, 8))
         y = np.array([0, 1, 2, 0])
-        loss1, probs1, _ = m.forward(x, y)
-        loss2, probs2, _ = m.forward(x, y)
+        loss1, probs1, _ = forward(m.stages, x, y)
+        loss2, probs2, _ = forward(m.stages, x, y)
         assert loss1 == loss2
         assert np.array_equal(probs1, probs2)
 
@@ -184,18 +187,18 @@ class TestForward:
     def test_batch_label_length_mismatch_rejected(self):
         m = two_layer_model()
         with pytest.raises(ValueError, match="labels"):
-            m.forward(np.zeros((3, 4)), [0, 1])
+            forward(m.stages, np.zeros((3, 4)), [0, 1])
 
     def test_nonfinite_activation_names_stage(self):
         m = two_layer_model()
         dict(m.named_parameters())["hidden/0/w"][0, 0] = np.inf
         with pytest.raises(ValueError, match="hidden.*non-finite"):
-            m.forward(np.ones((2, 4)), [0, 1])
+            forward(m.stages, np.ones((2, 4)), [0, 1])
 
     def test_label_out_of_range_rejected(self):
         m = two_layer_model()
         with pytest.raises(ValueError, match="range"):
-            m.forward(np.zeros((2, 4)), [0, 3])
+            forward(m.stages, np.zeros((2, 4)), [0, 3])
 
 
 class TestBackward:
@@ -208,8 +211,8 @@ class TestBackward:
         m = small_conv_model(seed=1, residual=True)
         x = np.random.default_rng(1).uniform(-1, 1, size=(4, 1, 8, 8))
         y = np.array([0, 1, 2, 0])
-        _, _, cache = m.forward(x, y)
-        grads = m.backward(cache)
+        _, _, cache = forward(m.stages, x, y)
+        grads = backward(m.stages, cache)
         params = dict(m.named_parameters())
         assert set(grads) == set(params)
         for name in params:
@@ -220,12 +223,12 @@ class TestBackward:
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, size=(3, 1, 8, 8))
         y = np.array([0, 1, 2])
-        _, _, cache = m.forward(x, y)
-        g1 = m.backward(cache)
+        _, _, cache = forward(m.stages, x, y)
+        g1 = backward(m.stages, cache)
         x2 = np.concatenate([x, x])
         y2 = np.concatenate([y, y])
-        _, _, cache2 = m.forward(x2, y2)
-        g2 = m.backward(cache2)
+        _, _, cache2 = forward(m.stages, x2, y2)
+        g2 = backward(m.stages, cache2)
         for name in g1:
             assert np.allclose(g1[name], g2[name], rtol=1e-12, atol=1e-15)
 
@@ -239,9 +242,9 @@ class TestBackward:
         params["fc/0/b"][...] = -200.0
         params["fc/0/b"][0] = 200.0            # class 0 wins with a huge margin
         x = np.zeros((3, 4))
-        loss, _, cache = m.forward(x, np.zeros(3, dtype=int))
+        loss, _, cache = forward(m.stages, x, np.zeros(3, dtype=int))
         assert loss < 1e-12
-        grads = m.backward(cache)
+        grads = backward(m.stages, cache)
         total = sum(float(np.abs(g).sum()) for g in grads.values())
         assert total < 1e-8
 
@@ -329,6 +332,118 @@ class TestConvKernel:
             assert alone[name].tobytes() == full[name].tobytes()
 
 
+def conv_inputs(layers, x, found):
+    """Append (Conv2d, its input) for every conv in layers, residual inner
+    layers included; return the layers' output."""
+    for layer in layers:
+        if isinstance(layer, ResidualBlock):
+            conv_inputs(layer.inner, x, found)
+        elif isinstance(layer, Conv2d):
+            found.append((layer, x))
+        x, _ = layer.forward(x)
+    return x
+
+
+class TestConvPlan:
+    """Conv2d reuses its buffers across calls at one input shape; no result
+    may alias them, and a cache whose buffers were reused is rejected."""
+
+    @pytest.mark.parametrize("batch", [8, 256])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_reused_plan_bitwise_equal_to_tensordot_kernel(self, k, batch):
+        net = build_staged_network(mini_staged_spec(kernel_size=k, residual=True),
+                                   (1, 16, 16), num_labels=4, seed=k)
+        rng = np.random.default_rng(k * batch)
+        layers = []
+        x = rng.uniform(-1, 1, size=(batch, 1, 16, 16))
+        for stage in net.stages:
+            x = conv_inputs(stage.layers, x, layers)
+        assert len(layers) == 10
+        for layer, x in layers:
+            # a step on other data first, so the next one reuses its plan
+            y, cache = layer.forward(rng.uniform(-1, 1, size=x.shape))
+            layer.backward(rng.uniform(-1, 1, size=y.shape), cache)
+            y, cache = layer.forward(x)
+            dy = rng.uniform(-1, 1, size=y.shape)
+            dx, grads = layer.backward(dy, cache)
+            want_y, want_dx, want = reference_conv(layer, x, dy)
+            assert y.tobytes() == want_y.tobytes()
+            assert dx.tobytes() == want_dx.tobytes()
+            for name in ("w", "b"):
+                assert grads[name].tobytes() == want[name].tobytes()
+                assert layer.param_grads(dy, cache)[name].tobytes() == \
+                    want[name].tobytes()
+
+    def test_results_do_not_alias_buffers(self):
+        # conv1 ends its stage, so the frozen prefix rows are conv outputs
+        spec = (StageSpec("conv1", (LayerSpec("conv2d", out_channels=3),)),
+                StageSpec("conv2", (LayerSpec("relu"),
+                                    LayerSpec("conv2d", out_channels=4),
+                                    LayerSpec("relu"),
+                                    LayerSpec("global-average-pool"))),
+                StageSpec("fc", (LayerSpec("dense"),)))
+        m = build_staged_network(spec, (1, 8, 8), num_labels=3, seed=5)
+        fresh = m.clone()
+        rng = np.random.default_rng(6)
+        x1, x2, x3 = (rng.uniform(-1, 1, size=(8, 1, 8, 8)) for _ in range(3))
+        y = np.arange(8) % 3
+        train_set, val_set = (LabeledDataset(x, y, ("a", "b", "c"))
+                              for x in (x1, x2))
+        schedule = MultiplierSchedule({"conv1": 0.0, "conv2": 1.0, "fc": 1.0})
+        # a training step at this shape, so every conv keeps its plan
+        _, _, cache = forward(m.stages, x3, y)
+        backward(m.stages, cache)
+
+        conv1 = m.stages[0].layers[0]
+        out, _ = conv1.forward(x1)
+        scores = run_stages(m.stages, x1)
+        prefix = frozen_prefix(m, schedule, train_set, val_set)
+        acc = _accuracy(m.stages, _chunks(x2, y))
+        # the second calls at the same shape
+        conv1.forward(x2)
+        run_stages(m.stages, x2)
+        frozen_prefix(m, schedule, val_set, train_set)
+        _, _, cache = forward(m.stages, x3, y)
+        backward(m.stages, cache)
+
+        assert out.tobytes() == fresh.stages[0].layers[0].forward(x1)[0].tobytes()
+        assert scores.tobytes() == run_stages(fresh.stages, x1).tobytes()
+        want = frozen_prefix(fresh, schedule, train_set, val_set)
+        assert prefix.rows.tobytes() == want.rows.tobytes()
+        assert prefix.val_batches[0][0].tobytes() == want.val_batches[0][0].tobytes()
+        assert acc == _accuracy(fresh.stages, _chunks(x2, y))
+
+    def test_stale_cache_rejected(self):
+        layer = Conv2d(*(np.random.default_rng(1).uniform(-1, 1, size=s)
+                         for s in ((4, 3, 3, 3), (4,))))
+        x = np.random.default_rng(2).uniform(-1, 1, size=(8, 3, 6, 6))
+        dy = np.random.default_rng(3).uniform(-1, 1, size=(8, 4, 6, 6))
+        _, cache = layer.forward(x)
+        layer.backward(dy, cache)
+        _, other = layer.forward(x[:4])       # another shape: cache stays valid
+        layer.backward(dy, cache)
+        layer.forward(x)                      # this shape again: cache is stale
+        for method in (layer.backward, layer.param_grads):
+            with pytest.raises(ValueError, match="stale"):
+                method(dy, cache)
+
+    def test_dy_of_another_shape_rejected(self):
+        layer = Conv2d(np.ones((2, 1, 3, 3)), np.zeros(2))
+        _, cache = layer.forward(np.ones((4, 1, 5, 5)))
+        with pytest.raises(ValueError, match="dy shape"):
+            layer.backward(np.ones((1, 2, 5, 5)), cache)
+
+    def test_pickle_leaves_out_the_plan(self):
+        layer = Conv2d(np.ones((2, 1, 3, 3)), np.zeros(2))
+        before = len(pickle.dumps(layer))
+        y, cache = layer.forward(np.ones((64, 1, 16, 16)))
+        layer.backward(np.ones(y.shape), cache)
+        assert len(pickle.dumps(layer)) == before
+        copy = pickle.loads(pickle.dumps(layer))
+        assert copy.forward(np.ones((2, 1, 5, 5)))[0].tobytes() == \
+            layer.forward(np.ones((2, 1, 5, 5)))[0].tobytes()
+
+
 def spy_on_backward(monkeypatch, stages):
     """Record, per layer path, each call of backward ("dx") and of
     param_grads ("params"); a layer's backward calls its param_grads too."""
@@ -352,9 +467,9 @@ class TestLowestLayerInputGradient:
         m = build_staged_network(mini_staged_spec(), (1, 16, 16), 4, seed=2)
         x = np.random.default_rng(3).uniform(-1, 1, size=(8, 1, 16, 16))
         y = np.arange(8) % 4
-        _, _, cache = m.forward(x, y)
+        _, _, cache = forward(m.stages, x, y)
         calls = spy_on_backward(monkeypatch, m.stages)
-        grads = m.backward(cache)
+        grads = backward(m.stages, cache)
         assert calls["conv1/0"] == ["params"]
         for path in ("conv1/1", "conv2/0", "conv5/0", "fc/0"):
             assert calls[path].count("dx") == 1
@@ -416,8 +531,8 @@ class TestFrozenPrefixElision:
         assert lowest_trainable_stage(m.stage_names, schedule) == start
         x = np.random.default_rng(12).uniform(-1, 1, size=(5, 1, 8, 8))
         y = np.array([0, 1, 2, 0, 1])
-        _, _, cache = m.forward(x, y)
-        full = m.backward(cache)
+        _, _, cache = forward(m.stages, x, y)
+        full = backward(m.stages, cache)
         live = m.stages[start:]
         _, _, live_cache = forward(live, run_stages(m.stages[:start], x), y)
         elided = backward(live, live_cache)

@@ -8,7 +8,7 @@ import pytest
 from ftlab.data import LabeledDataset
 from ftlab.model import (LayerSpec, StageSpec, build_staged_network,
                          mini_staged_spec)
-from ftlab.nn_core import Conv2d
+from ftlab.nn_core import Conv2d, backward, forward, run_stages
 from ftlab.optim import (LrPolicy, MultiplierSchedule, SgdState, effective_lr,
                          evaluate, frozen_prefix, lr_at, sgd_step, train,
                          uniform_schedule)
@@ -144,8 +144,8 @@ class TestSgdStep:
             state = SgdState.for_model(m, momentum=0.9)
             before = snapshot(m)
             for it in range(50):
-                _, _, cache = m.forward(x, y)
-                grads = m.backward(cache)
+                _, _, cache = forward(m.stages, x, y)
+                grads = backward(m.stages, cache)
                 assert grads[f"{frozen}/0/w"].any()
                 sgd_step(m, grads, state, schedule, policy, it)
             after = snapshot(m)
@@ -320,8 +320,9 @@ def reference_train(model, train_set, val_set, schedule, policy, batch_size,
             cursor = 0
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
-        _, _, cache = model.forward(train_set.features[idx], train_set.labels[idx])
-        grads = model.backward(cache)
+        _, _, cache = forward(model.stages, train_set.features[idx],
+                              train_set.labels[idx])
+        grads = backward(model.stages, cache)
         sgd_step(model, grads, state, schedule, policy, it)
         done = it + 1
         if done % cadence == 0 or done == policy.total_iterations:
@@ -459,18 +460,18 @@ class TestFrozenPrefixCache:
                     self.val_set.labels):
             assert arr.flags.writeable
 
-    def test_predict_equals_the_per_layer_loop(self):
+    def test_run_stages_equals_the_per_layer_loop(self):
         m = conv_model()
         x = self.val_set.features
         for stage in m.stages:
             for layer in stage.layers:
                 x, _ = layer.forward(x)
-        assert m.predict(self.val_set.features).tobytes() == x.tobytes()
+        assert run_stages(m.stages, self.val_set.features).tobytes() == x.tobytes()
 
 
 def test_evaluate_on_known_predictions():
     ds = toy_dataset(seed=9, n_per_label=5)
     m = dense_model(seed=11)
-    scores = m.predict(ds.features)
+    scores = run_stages(m.stages, ds.features)
     expected = float((scores.argmax(axis=1) == ds.labels).mean())
     assert evaluate(m, ds) == expected
