@@ -20,7 +20,7 @@ from .codec import DecodeError, check, decode, encode
 from .data import (SyntheticDomainSpec, gen_synthetic_domain, load_dataset,
                    partition_domain, save_dataset, split_train_val)
 from .experiment import (FinetuneTask, GraduatedSpec, GridSpec, JobInputs,
-                         JobSpec, RecommenderConfig, RunRecord, append_records,
+                         JobSpec, RunRecord, append_records,
                          derive_seed, graduated_schedule, grid_jobs,
                          rate_schedule, render_report, report_from_records,
                          run_job, run_jobs, scale_jobs, scan_ledger)
@@ -142,7 +142,6 @@ class RunConfig:
     graduated: GraduatedSpec | None = None
     baseline_ll_multiplier: float = 10.0
     source_checkpoint: str | None = None
-    recommender: RecommenderConfig | None = None
     domains: tuple[SyntheticDomainSpec, ...] | None = None
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import binio
 from .codec import decode
 from .nn_core import (Conv2d, Dense, GlobalAvgPool, MaxPool, Relu,
-                      ResidualBlock, Stage, param_count)
+                      ResidualBlock, Stage, param_layout)
 
 CHECKPOINT_MAGIC = b"FTLB"
 CHECKPOINT_VERSION = 1
@@ -231,18 +231,43 @@ def arch_digest(spec: Sequence[StageSpec], input_shape: Sequence[int]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class StagedModel:
-    """A built network: stages with live parameters plus build metadata."""
+_LAYER_TYPES = {"conv2d": Conv2d, "dense": Dense, "relu": Relu,
+                "max-pool": MaxPool, "global-average-pool": GlobalAvgPool,
+                "residual-add": lambda: ResidualBlock([])}
 
-    def __init__(self, spec: tuple[StageSpec, ...], stages: list[Stage],
+
+class StagedModel:
+    """A built network: stages with live parameters plus build metadata.
+
+    The layers are built from layout, spec's layer_shapes() records. Each
+    parameter is a view of params, one float64 vector in named_parameters()
+    order, so each stage is one contiguous slice of it; slices maps each
+    parameter name to its slice."""
+
+    def __init__(self, spec: tuple[StageSpec, ...], layout: list,
                  input_shape: tuple[int, ...], num_labels: int, seed: int,
-                 trained_iterations: int = 0):
+                 params: np.ndarray, trained_iterations: int = 0):
         self.spec = spec
-        self.stages = stages
+        self.layout = layout
         self.input_shape = tuple(input_shape)
         self.num_labels = num_labels
         self.seed = seed
         self.trained_iterations = trained_iterations
+        self.params = params
+        self.stages = [Stage(s.name, []) for s in spec]
+        # the layer list that takes the layers at (stage, parent path)
+        members = {(s.name, ""): s.layers for s in self.stages}
+        offset = 0
+        for rec in layout:
+            views = []
+            for shape in rec.param_shapes:
+                views.append(params[offset:offset + math.prod(shape)].reshape(shape))
+                offset += math.prod(shape)
+            layer = _LAYER_TYPES[rec.kind](*views)
+            members[rec.stage, rec.path.rpartition("/")[0]].append(layer)
+            if rec.kind == "residual-add":
+                members[rec.stage, rec.path] = layer.inner
+        self.slices = param_layout(self.stages)
 
     @property
     def stage_names(self) -> tuple[str, ...]:
@@ -257,7 +282,7 @@ class StagedModel:
             yield from stage.named_params()
 
     def param_count(self) -> int:
-        return param_count(self.stages)
+        return self.params.size
 
     def digest(self) -> str:
         return arch_digest(self.spec, self.input_shape)
@@ -271,22 +296,10 @@ class StagedModel:
         return x
 
     def clone(self) -> "StagedModel":
-        """A copy with fresh layers built from copies of the parameters."""
-        stages = [Stage(s.name, [_copy_layer(layer) for layer in s.layers])
-                  for s in self.stages]
-        return StagedModel(self.spec, stages, self.input_shape,
-                           self.num_labels, self.seed, self.trained_iterations)
-
-
-def _copy_layer(layer):
-    if isinstance(layer, ResidualBlock):
-        return ResidualBlock([_copy_layer(inner) for inner in layer.inner])
-    return type(layer)(*(arr.copy() for _, arr in layer.named_params()))
-
-
-_LAYER_TYPES = {"conv2d": Conv2d, "dense": Dense, "relu": Relu,
-                "max-pool": MaxPool, "global-average-pool": GlobalAvgPool,
-                "residual-add": lambda: ResidualBlock([])}
+        """A copy of params with fresh layers built on views of the copy."""
+        return StagedModel(self.spec, self.layout, self.input_shape,
+                           self.num_labels, self.seed, self.params.copy(),
+                           self.trained_iterations)
 
 
 def build_staged_network(spec: Sequence[StageSpec], input_shape: Sequence[int],
@@ -295,8 +308,8 @@ def build_staged_network(spec: Sequence[StageSpec], input_shape: Sequence[int],
 
     Weights and biases alike are drawn from the scaled uniform fan-in
     initialization U(-1/sqrt(fan_in), 1/sqrt(fan_in)), layer by layer in
-    build order. The last stage must be a dense head; its out_features
-    may be left unset to take num_labels.
+    build order, into the model's parameter vector. The last stage must be
+    a dense head; its out_features may be left unset to take num_labels.
     """
     if num_labels < 2:
         raise ValueError(f"num_labels must be at least 2, got {num_labels}")
@@ -308,21 +321,17 @@ def build_staged_network(spec: Sequence[StageSpec], input_shape: Sequence[int],
         raise ValueError(f"head outputs {head_out} but num_labels is {num_labels}")
     spec = spec[:-1] + (StageSpec(head.name, (replace(head.layers[0],
                                                       out_features=num_labels),)),)
+    layout = layer_shapes(spec, input_shape)
     rng = np.random.default_rng(seed)
-    stages = [Stage(s.name, []) for s in spec]
-    # the layer list that takes the layers at (stage, parent path)
-    members = {(s.name, ""): s.layers for s in stages}
-    for rec in layer_shapes(spec, input_shape):
-        params = ()
+    draws = []
+    for rec in layout:
         if rec.param_shapes:                    # fan_in = w.size / b.size
             w_shape, b_shape = rec.param_shapes
             limit = 1.0 / np.sqrt(math.prod(w_shape) // b_shape[0])
-            params = [rng.uniform(-limit, limit, size=s) for s in rec.param_shapes]
-        layer = _LAYER_TYPES[rec.kind](*params)
-        members[rec.stage, rec.path.rpartition("/")[0]].append(layer)
-        if rec.kind == "residual-add":
-            members[rec.stage, rec.path] = layer.inner
-    return StagedModel(spec, stages, tuple(input_shape), num_labels, seed)
+            draws += [rng.uniform(-limit, limit, size=s).ravel()
+                      for s in rec.param_shapes]
+    return StagedModel(spec, layout, input_shape, num_labels, seed,
+                       np.concatenate(draws))
 
 
 # --- checkpoint format -----------------------------------------------------

@@ -7,6 +7,11 @@ pair whose results depend only on the inputs and the parameters; the
 only other state is Conv2d's scratch buffers, which no result aliases. A
 layer with parameters also has param_grads(dy, cache): backward's
 parameter gradients, computed without dx where the layer can.
+
+backward() over a stage list writes every parameter gradient into one
+fresh flat vector, laid out like the stage list's parameters, and returns
+them as views of it; the gradients of one call alias each other, never
+those of another call.
 """
 
 from __future__ import annotations
@@ -329,15 +334,32 @@ class ResidualBlock:
 
 @dataclass
 class Stage:
-    """Named group of layers; the unit that learning-rate multipliers index."""
+    """Named group of layers; the unit that learning-rate multipliers index.
+
+    backward_plan is backward()'s plan for the last stage list that began
+    with this stage."""
 
     name: str
     layers: list = field(default_factory=list)
+    backward_plan: _BackwardPlan | None = field(default=None, repr=False,
+                                                compare=False)
 
     def named_params(self) -> Iterator[tuple[str, np.ndarray]]:
         for i, layer in enumerate(self.layers):
             for pname, arr in layer.named_params():
                 yield f"{self.name}/{i}/{pname}", arr
+
+
+def param_layout(stages: list[Stage]) -> dict[str, slice]:
+    """Each parameter's name and its slice of one flat vector that holds the
+    parameters of stages in their named_params() order."""
+    layout: dict[str, slice] = {}
+    offset = 0
+    for stage in stages:
+        for name, arr in stage.named_params():
+            layout[name] = slice(offset, offset + arr.size)
+            offset += arr.size
+    return layout
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -415,35 +437,71 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
     return float(loss), probs, ForwardCache(stage_caches, dlogits)
 
 
-def backward(stages: list[Stage], cache: ForwardCache) -> dict[str, np.ndarray]:
+class Gradients(dict):
+    """backward()'s result: name -> gradient, each a view of vector, one
+    fresh flat vector laid out like the parameters of the stage list, in
+    its named_params() order. layout maps each name to its slice of vector;
+    it is one object for every call on the same stages."""
+
+    def __init__(self, vector: np.ndarray, layout: dict[str, slice]):
+        super().__init__()
+        self.vector = vector
+        self.layout = layout
+
+
+class _BackwardPlan:
+    """What backward() needs of a stage list besides the cache: every layer
+    with its path, the index of the lowest layer with parameters, and the
+    gradient layout. stages is a copy of the stage list, its layer lists
+    included, to tell whether the plan still fits."""
+
+    def __init__(self, stages: list[Stage]):
+        self.stages = tuple(Stage(s.name, list(s.layers)) for s in stages)
+        self.layers = [(f"{stage.name}/{li}", layer) for stage in stages
+                       for li, layer in enumerate(stage.layers)]
+        self.lowest = next((i for i, (_, layer) in enumerate(self.layers)
+                            if any(True for _ in layer.named_params())),
+                           len(self.layers))
+        self.layout = param_layout(stages)
+        self.size = param_count(stages)
+
+
+def backward(stages: list[Stage], cache: ForwardCache) -> Gradients:
     """Gradients of the mean loss for every parameter, keyed stage/layer/param.
 
     Requires the cache produced by forward() on the batch and labels.
     The input gradient of the lowest layer with parameters is never needed,
     so that layer runs only param_grads, and the layers below it run no
-    backward at all.
+    backward at all. Each gradient is written into one fresh vector, checked
+    for non-finite values at once; on a failure the error names the first
+    non-finite gradient in the order backward computes them, top layer first.
     """
     if not isinstance(cache, ForwardCache):
         raise ValueError("backward called without a forward cache; run forward first")
     if len(cache.stage_caches) != len(stages):
         raise ValueError("cache does not match this stage list")
-    layers = [(f"{stage.name}/{li}", layer, c)
-              for stage, caches in zip(stages, cache.stage_caches)
-              for li, (layer, c) in enumerate(zip(stage.layers, caches))]
-    lowest = next((i for i, (_, layer, _) in enumerate(layers)
-                   if any(True for _ in layer.named_params())), len(layers))
-    grads: dict[str, np.ndarray] = {}
+    plan = stages[0].backward_plan if stages else None
+    if plan is None or plan.stages != tuple(stages):
+        plan = _BackwardPlan(stages)
+        if stages:
+            stages[0].backward_plan = plan
+    layer_caches = [c for caches in cache.stage_caches for c in caches]
+    grads = Gradients(np.empty(plan.size, dtype=DTYPE), plan.layout)
     d = cache.dlogits
-    for i in reversed(range(lowest, len(layers))):
-        path, layer, c = layers[i]
-        if i == lowest:
-            layer_grads = layer.param_grads(d, c)
+    for i in reversed(range(plan.lowest, len(plan.layers))):
+        path, layer = plan.layers[i]
+        if i == plan.lowest:
+            layer_grads = layer.param_grads(d, layer_caches[i])
         else:
-            d, layer_grads = layer.backward(d, c)
+            d, layer_grads = layer.backward(d, layer_caches[i])
         for pname, g in layer_grads.items():
-            grads[f"{path}/{pname}"] = g
-    for name, g in grads.items():
-        _check_finite(g, f"gradient of {name}")
+            name = f"{path}/{pname}"
+            view = grads.vector[plan.layout[name]].reshape(g.shape)
+            view[...] = g
+            grads[name] = view
+    if not np.isfinite(grads.vector).all():
+        for name, g in grads.items():
+            _check_finite(g, f"gradient of {name}")
     return grads
 
 

@@ -9,13 +9,13 @@ byte-identical through any number of steps.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledDataset
 from .model import StagedModel
-from .nn_core import backward, forward, run_stages
+from .nn_core import Gradients, backward, forward, run_stages
 
 
 @dataclass(frozen=True)
@@ -96,17 +96,19 @@ def uniform_schedule(model_stage_names, head_name: str, inner: float,
 
 @dataclass
 class SgdState:
-    """Momentum coefficient and per-parameter velocity tensors."""
+    """Momentum coefficient and one velocity vector laid out like the model's
+    parameters (model.slices). plan holds sgd_step's last (model, schedule,
+    gradient layout, runs)."""
 
     momentum: float
-    velocities: dict[str, np.ndarray] = field(default_factory=dict)
+    velocity: np.ndarray
+    plan: tuple = (None, None, None, ())
 
     @classmethod
     def for_model(cls, model: StagedModel, momentum: float = 0.9) -> "SgdState":
         if not 0 <= momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        vel = {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
-        return cls(momentum, vel)
+        return cls(momentum, np.zeros_like(model.params))
 
 
 def lowest_trainable_stage(stage_names, schedule: MultiplierSchedule) -> int:
@@ -120,18 +122,17 @@ def lowest_trainable_stage(stage_names, schedule: MultiplierSchedule) -> int:
                  if schedule.stage_multipliers[name] != 0), len(stage_names))
 
 
-def sgd_step(model: StagedModel, grads: dict[str, np.ndarray], state: SgdState,
-             schedule: MultiplierSchedule, policy: LrPolicy,
-             iteration: int) -> None:
-    """One momentum-SGD update: v <- mu*v - eff_lr*g; w <- w + v.
-
-    Stages whose effective learning rate is 0 are skipped entirely.
-    """
+def _runs(model: StagedModel, schedule: MultiplierSchedule,
+          grads: Gradients) -> list[tuple]:
+    """(parameter slice, gradient slice, multiplier) of each run: a maximal
+    group of parameters, adjacent in the model and in grads.vector, of stages
+    with one non-zero multiplier. Rejects a schedule that does not cover the
+    stages and a missing or misshapen gradient."""
     schedule.check_covers(model.stage_names)
+    runs: list[tuple] = []
     for stage in model.stages:
-        eff = effective_lr(policy, iteration,
-                           schedule.stage_multipliers[stage.name], schedule.scale)
-        if eff == 0.0:
+        m = schedule.stage_multipliers[stage.name]
+        if m == 0:
             continue
         for name, param in stage.named_params():
             g = grads.get(name)
@@ -140,10 +141,37 @@ def sgd_step(model: StagedModel, grads: dict[str, np.ndarray], state: SgdState,
             if g.shape != param.shape:
                 raise ValueError(f"gradient shape {g.shape} does not match "
                                  f"parameter {name!r} shape {param.shape}")
-            v = state.velocities[name]
-            v *= state.momentum
-            v -= eff * g
-            param += v
+            p, q = model.slices[name], grads.layout[name]
+            last = runs[-1] if runs else None
+            if last and (last[0].stop, last[1].stop, last[2]) == (p.start, q.start, m):
+                runs[-1] = (slice(last[0].start, p.stop), slice(last[1].start, q.stop), m)
+            else:
+                runs.append((p, q, m))
+    return runs
+
+
+def sgd_step(model: StagedModel, grads: Gradients, state: SgdState,
+             schedule: MultiplierSchedule, policy: LrPolicy,
+             iteration: int) -> None:
+    """One momentum-SGD update: v <- mu*v - eff_lr*g; w <- w + v.
+
+    grads are backward()'s. Three vector ops per run of _runs(); a stage at
+    multiplier 0 is never touched, and a run whose rate underflows to
+    exactly 0.0 is skipped at that step. The runs are found, and the
+    gradients checked, once per model, schedule and gradient layout, so
+    once per train() call.
+    """
+    if any(a is not b for a, b in zip(state.plan, (model, schedule, grads.layout))):
+        state.plan = (model, schedule, grads.layout, _runs(model, schedule, grads))
+    lr = lr_at(policy, iteration)
+    for p, q, m in state.plan[3]:
+        eff = lr * m * schedule.scale    # effective_lr's product, in its order
+        if eff == 0.0:
+            continue
+        v = state.velocity[p]
+        v *= state.momentum
+        v -= eff * grads.vector[q]
+        model.params[p] += v
 
 
 # evaluate() scores this many rows per batch; frozen_prefix() runs the
@@ -177,16 +205,14 @@ def evaluate(model: StagedModel, dataset: LabeledDataset) -> float:
 
 def prefix_key(model: StagedModel, schedule: MultiplierSchedule) -> tuple:
     """All that the frozen prefix of model under schedule depends on, besides
-    the data: the frozen stages' specs, which also fix the depth, the input
-    shape, and a sha256 of the frozen parameters' names and bytes."""
+    the data: the frozen stages' specs, which also fix the depth and the
+    layout of their parameters, the input shape, and a sha256 of the frozen
+    stages' slice of the parameter vector."""
     schedule.check_covers(model.stage_names)
     depth = lowest_trainable_stage(model.stage_names, schedule)
-    h = hashlib.sha256()
-    for stage in model.stages[:depth]:
-        for name, arr in stage.named_params():
-            h.update(name.encode("utf-8"))
-            h.update(np.ascontiguousarray(arr).tobytes())
-    return model.spec[:depth], model.input_shape, h.hexdigest()
+    size = sum(arr.size for s in model.stages[:depth] for _, arr in s.named_params())
+    return (model.spec[:depth], model.input_shape,
+            hashlib.sha256(model.params[:size].tobytes()).hexdigest())
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +312,6 @@ def train(model: StagedModel, train_set: LabeledDataset,
     trace: list[tuple[int, float]] = []
     best_acc = -1.0
     best_iter = -1
-    best_model = model.clone()
 
     for it in range(policy.total_iterations):
         if cursor + batch_size > len(order):
@@ -304,9 +329,12 @@ def train(model: StagedModel, train_set: LabeledDataset,
             if acc > best_acc:
                 best_acc = acc
                 best_iter = done
-                best_model = model.clone()
+                best_params = model.params.copy()
 
     model.trained_iterations = start_iterations + policy.total_iterations
+    # every run evaluates at its last step, so best_params is always set
+    best_model = model.clone()
+    best_model.params[...] = best_params
     best_model.trained_iterations = start_iterations + best_iter
     return TrainResult(model, best_model, trace, best_acc, best_iter,
                        trace[-1][1])

@@ -108,7 +108,6 @@ class TestRunConfig:
                           "layout": "per_stage"},
             "baseline_ll_multiplier": 10.0,
             "source_checkpoint": "src.ftlb",
-            "recommender": {"breakpoints": [[0.0, 0.0001], [25.0, 0.001]]},
             "domains": None,
         }
 
@@ -168,6 +167,10 @@ MALFORMED_CONFIGS = {
                             "model.residual must be a boolean"),
     "grid_key_typo": ("sweep", {"grid": {"ll_value": [5]}},
                       "unknown field 'grid.ll_value'"),
+    # decoded and copied into config.json, but read by no command
+    "recommender_section": ("sweep", {"recommender": {
+        "breakpoints": [[0, 0.0001], [25, 0.001]]}},
+        "unknown field 'recommender'"),
     "zero_width": ("train-source", {"model": dict(TINY_MODEL, widths=[4, 0])},
                    "out_channels must be a positive integer"),
     "even_kernel": ("train-source", {"model": dict(TINY_MODEL, kernel_size=4)},

@@ -57,7 +57,6 @@ CONFIG = {
                   "scales": [0.25, 1.0], "layout": "per_stage"},
     "baseline_ll_multiplier": 10.0,
     "source_checkpoint": "src.ftlb",
-    "recommender": {"breakpoints": [[0, 0.0001], [25, 0.001]]},
     "domains": [{"name": "d", "num_labels": 3, "examples_per_label": 4,
                  "image_size": 8, "motif_size": 4}],
 }

@@ -1,5 +1,7 @@
 """Model builder, checkpoint format, digest, and transfer-init tests."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from ftlab.model import (Checkpoint, CheckpointError, LayerSpec, StageSpec,
                          checkpoint_from_model, layer_shapes, load_checkpoint,
                          mini_staged_spec, model_from_checkpoint,
                          save_checkpoint, transfer_init)
-from ftlab.nn_core import backward, forward, run_stages
+from ftlab.nn_core import backward, forward, grad_check, run_stages
 
 
 def params_of(model):
@@ -352,3 +354,61 @@ def test_clone_copies_parameters_and_shares_no_state():
         assert grads[name].tobytes() == g.tobytes()
     for name, arr in want.named_parameters():
         assert cloned[name].tobytes() == arr.tobytes()
+
+
+class TestParameterVector:
+    """Every model's parameters are views of its own one vector."""
+
+    def models(self, tmp_path):
+        built = build_staged_network(tiny_spec(residual=True), (1, 8, 8), 3,
+                                     seed=4)
+        path = tmp_path / "m.ftlb"
+        save_checkpoint(built, path)
+        ckpt = load_checkpoint(path)
+        return {"built": built, "loaded": model_from_checkpoint(ckpt),
+                "transferred": transfer_init(ckpt, 3, head_seed=2),
+                "cloned": built.clone()}
+
+    def test_parameters_are_views_of_the_model_vector(self, tmp_path):
+        models = self.models(tmp_path)
+        for kind, m in models.items():
+            assert m.params.dtype == np.float64 and m.params.flags.c_contiguous
+            assert m.param_count() == sum(a.size for _, a in m.named_parameters())
+            for name, arr in m.named_parameters():
+                assert np.shares_memory(arr, m.params), (kind, name)
+                assert arr.reshape(-1).tobytes() == m.params[m.slices[name]].tobytes()
+            # each stage's parameters are one contiguous slice, in stage order
+            stops = [0]
+            for stage in m.stages:
+                for name, _ in stage.named_params():
+                    assert m.slices[name].start == stops[-1]
+                    stops.append(m.slices[name].stop)
+            assert stops[-1] == m.params.size
+        for a, b in itertools.combinations(models.values(), 2):
+            assert not np.shares_memory(a.params, b.params)
+
+    def test_writes_reach_the_vector_and_the_layers(self, tmp_path):
+        m = self.models(tmp_path)["cloned"]
+        m.stages[1].layers[0].w[0, 0, 0, 0] = 7.5
+        assert m.params[m.slices["conv2/0/w"].start] == 7.5
+        m.params[m.slices["fc/0/b"]] = 0.25
+        assert (dict(m.named_parameters())["fc/0/b"] == 0.25).all()
+
+    def test_checkpoint_round_trip_is_byte_identical(self, tmp_path):
+        for kind, m in self.models(tmp_path).items():
+            first, second = tmp_path / f"{kind}-1.ftlb", tmp_path / f"{kind}-2.ftlb"
+            save_checkpoint(m, first)
+            save_checkpoint(model_from_checkpoint(load_checkpoint(first)), second)
+            assert first.read_bytes() == second.read_bytes(), kind
+
+    def test_grad_check_perturbs_the_live_weights(self, tmp_path, monkeypatch):
+        x = np.random.default_rng(8).uniform(-1, 1, size=(4, 1, 8, 8))
+        y = np.array([0, 1, 2, 0])
+        for kind, m in self.models(tmp_path).items():
+            assert grad_check(m.stages, x, y) < 1e-4, kind
+            # backward reaches conv1's parameter gradients through param_grads
+            conv1 = m.stages[0].layers[0]
+            original = conv1.param_grads
+            monkeypatch.setattr(conv1, "param_grads", lambda dy, cache: {
+                k: 2 * g for k, g in original(dy, cache).items()})
+            assert grad_check(m.stages, x, y) > 1e-4, kind

@@ -11,9 +11,9 @@ from ftlab import nn_core
 from ftlab.data import LabeledDataset
 from ftlab.model import (LayerSpec, StageSpec, build_staged_network,
                          mini_staged_spec)
-from ftlab.nn_core import (Conv2d, Dense, MaxPool, ResidualBlock, backward,
-                           forward, grad_check, param_count, run_stages,
-                           softmax_cross_entropy)
+from ftlab.nn_core import (Conv2d, Dense, MaxPool, ResidualBlock, Stage,
+                           backward, forward, grad_check, param_count,
+                           run_stages, softmax_cross_entropy)
 from ftlab.optim import (MultiplierSchedule, _accuracy, _chunks, frozen_prefix,
                          lowest_trainable_stage)
 
@@ -247,6 +247,98 @@ class TestBackward:
         grads = backward(m.stages, cache)
         total = sum(float(np.abs(g).sum()) for g in grads.values())
         assert total < 1e-8
+
+    def test_gradients_are_views_of_one_fresh_vector(self):
+        m = small_conv_model(seed=1, residual=True)
+        x = np.random.default_rng(1).uniform(-1, 1, size=(4, 1, 8, 8))
+        y = np.array([0, 1, 2, 0])
+        _, _, cache = forward(m.stages, x, y)
+        grads = backward(m.stages, cache)
+        _, _, cache = forward(m.stages, x, y)
+        again = backward(m.stages, cache)
+        assert not np.shares_memory(grads.vector, again.vector)
+        for name, g in grads.items():
+            assert np.shares_memory(g, grads.vector)
+            assert g.tobytes() == again[name].tobytes()
+        assert grads.vector.size == sum(a.size for _, a in m.named_parameters())
+
+    def test_kept_plan_follows_the_stage_list(self):
+        # backward keeps its plan on the first stage of the list: another
+        # list from the same stage, or a layer list changed in place, must
+        # not run on it
+        m, other = two_layer_model(seed=3), two_layer_model(seed=4)
+        x = np.random.default_rng(5).uniform(-1, 1, size=(6, 4))
+        y = np.arange(6) % 3
+
+        def grads_of(stages):
+            got = backward(stages, forward(stages, x, y)[2])
+            fresh = [Stage(s.name, list(s.layers)) for s in stages]
+            want = backward(fresh, forward(fresh, x, y)[2])
+            assert {k: g.tobytes() for k, g in got.items()} == \
+                {k: g.tobytes() for k, g in want.items()}
+            return got
+
+        grads_of([m.stages[0], other.stages[1]])
+        grads_of(m.stages[:1] + [Stage("head", other.stages[1].layers)])
+        before = grads_of(m.stages)
+        m.stages[1].layers[0] = other.stages[1].layers[0]
+        after = grads_of(m.stages)
+        assert after["fc/0/w"].tobytes() != before["fc/0/w"].tobytes()
+
+
+def non_finite_grads(layer, monkeypatch, *pnames):
+    """Make layer's param_grads, which its backward calls too, put inf into
+    the gradients named pnames."""
+    original = layer.param_grads
+
+    def patched(dy, cache):
+        grads = original(dy, cache)
+        for pname in pnames:
+            grads[pname].flat[0] = np.inf
+        return grads
+    monkeypatch.setattr(layer, "param_grads", patched)
+
+
+class TestBackwardGradientCheck:
+    """backward() checks all gradients at once and names the first one that
+    is not finite, in the order it computes them: top layer first, w before
+    b."""
+
+    def setup_method(self):
+        self.m = build_staged_network(mini_staged_spec(), (1, 16, 16), 4, seed=2)
+        x = np.random.default_rng(3).uniform(-1, 1, size=(8, 1, 16, 16))
+        _, _, self.cache = forward(self.m.stages, x, np.arange(8) % 4)
+
+    def conv(self, stage):
+        return self.m.stages[self.m.stage_names.index(stage)].layers[0]
+
+    @pytest.mark.parametrize("stage, pname", [("conv3", "w"), ("conv4", "b"),
+                                              ("conv1", "w")])
+    def test_names_the_non_finite_tensor(self, monkeypatch, stage, pname):
+        non_finite_grads(self.conv(stage), monkeypatch, pname)
+        with pytest.raises(ValueError, match=f"non-finite values produced in "
+                                             f"gradient of {stage}/0/{pname}$"):
+            backward(self.m.stages, self.cache)
+
+    @pytest.mark.parametrize("patches, first", [
+        ((("conv2", "w"), ("conv4", "b")), "conv4/0/b"),
+        ((("conv2", "b"), ("conv2", "w")), "conv2/0/w"),
+        ((("fc", "b"), ("conv1", "w")), "fc/0/b"),
+    ])
+    def test_names_the_first_of_two(self, monkeypatch, patches, first):
+        for stage, pname in patches:
+            non_finite_grads(self.conv(stage), monkeypatch, pname)
+        with pytest.raises(ValueError, match=f"gradient of {first}$"):
+            backward(self.m.stages, self.cache)
+
+    def test_keys_in_the_order_they_are_computed(self):
+        grads = backward(self.m.stages, self.cache)
+        paths = [f"{s.name}/{li}" for s in self.m.stages
+                 for li, layer in enumerate(s.layers) if layer.kind in
+                 ("conv2d", "dense")]
+        assert list(grads) == [f"{p}/{n}" for p in reversed(paths)
+                               for n in ("w", "b")]
+        assert all(isinstance(g, np.ndarray) for g in grads.values())
 
 
 class TestConv2d:

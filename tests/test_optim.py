@@ -8,9 +8,10 @@ import pytest
 from ftlab.data import LabeledDataset
 from ftlab.model import (LayerSpec, StageSpec, build_staged_network,
                          mini_staged_spec)
-from ftlab.nn_core import Conv2d, backward, forward, run_stages
-from ftlab.optim import (LrPolicy, MultiplierSchedule, SgdState, effective_lr,
-                         evaluate, frozen_prefix, lr_at, sgd_step, train,
+from ftlab.nn_core import Conv2d, Gradients, backward, forward, run_stages
+from ftlab.optim import (LrPolicy, MultiplierSchedule, SgdState, _accuracy,
+                         effective_lr, evaluate, frozen_prefix,
+                         lowest_trainable_stage, lr_at, sgd_step, train,
                          uniform_schedule)
 
 REFERENCE_POLICY = LrPolicy(base_lr=0.01, step_size=300_000,
@@ -37,6 +38,14 @@ def toy_dataset(n_per_label=8, labels=3, in_dim=4, seed=0, spread=2.0):
 
 def snapshot(model):
     return {name: arr.copy() for name, arr in model.named_parameters()}
+
+
+def filled_gradients(model, value):
+    """Gradients laid out as backward() lays out model's, every entry value."""
+    grads = Gradients(np.full(model.params.size, value), model.slices)
+    for name, arr in model.named_parameters():
+        grads[name] = grads.vector[model.slices[name]].reshape(arr.shape)
+    return grads
 
 
 class TestLrPolicy:
@@ -110,7 +119,7 @@ class TestSgdStep:
         schedule = uniform_schedule(m.stage_names, m.head_name, 1.0, 1.0)
         state = SgdState.for_model(m, momentum=0.0)
         before = snapshot(m)
-        grads = {name: np.ones_like(arr) for name, arr in m.named_parameters()}
+        grads = filled_gradients(m, 1.0)
         sgd_step(m, grads, state, schedule, policy, 0)
         for name, arr in m.named_parameters():
             assert np.allclose(arr, before[name] - 0.1, rtol=1e-12)
@@ -123,8 +132,7 @@ class TestSgdStep:
         schedule = uniform_schedule(m.stage_names, m.head_name, 1.0, 1.0)
         state = SgdState.for_model(m, momentum=0.9)
         before = snapshot(m)
-        grads = {name: np.full_like(arr, 2.0)
-                 for name, arr in m.named_parameters()}
+        grads = filled_gradients(m, 2.0)
         sgd_step(m, grads, state, schedule, policy, 0)
         sgd_step(m, grads, state, schedule, policy, 1)
         eta_g = 0.05 * 2.0
@@ -153,7 +161,7 @@ class TestSgdStep:
             assert np.array_equal(before[f"{frozen}/0/b"], after[f"{frozen}/0/b"])
             assert not np.array_equal(before[f"{live}/0/w"], after[f"{live}/0/w"])
             # frozen velocities never allocated energy
-            assert not state.velocities[f"{frozen}/0/w"].any()
+            assert not state.velocity[m.slices[f"{frozen}/0/w"]].any()
 
     def test_all_multipliers_zero_keeps_model_bit_identical(self):
         m = dense_model(seed=4)
@@ -161,7 +169,7 @@ class TestSgdStep:
         schedule = uniform_schedule(m.stage_names, m.head_name, 0.0, 0.0)
         state = SgdState.for_model(m)
         before = snapshot(m)
-        grads = {name: np.ones_like(arr) for name, arr in m.named_parameters()}
+        grads = filled_gradients(m, 1.0)
         for it in range(1000):
             sgd_step(m, grads, state, schedule, policy, it)
         for name, arr in m.named_parameters():
@@ -171,7 +179,7 @@ class TestSgdStep:
         m = dense_model()
         policy = LrPolicy(0.1, 10, 100)
         state = SgdState.for_model(m)
-        grads = {name: np.zeros_like(arr) for name, arr in m.named_parameters()}
+        grads = filled_gradients(m, 0.0)
         with pytest.raises(ValueError, match="missing"):
             sgd_step(m, grads, state, MultiplierSchedule({"fc": 1.0}), policy, 0)
         full = MultiplierSchedule({"hidden": 1.0, "fc": 1.0, "ghost": 1.0})
@@ -183,9 +191,24 @@ class TestSgdStep:
         policy = LrPolicy(0.1, 10, 100)
         schedule = uniform_schedule(m.stage_names, m.head_name, 1.0, 1.0)
         state = SgdState.for_model(m)
-        grads = {name: np.zeros(3) for name, arr in m.named_parameters()}
+        grads = filled_gradients(m, 0.0)
+        grads.update((name, np.zeros(3)) for name in grads)
         with pytest.raises(ValueError, match="shape"):
             sgd_step(m, grads, state, schedule, policy, 0)
+
+    def test_missing_gradient_of_a_trainable_stage_rejected(self):
+        m = dense_model()
+        policy = LrPolicy(0.1, 10, 100)
+        state = SgdState.for_model(m)
+        grads = filled_gradients(m, 0.0)
+        del grads["hidden/0/b"]
+        # a frozen stage needs no gradient
+        sgd_step(m, grads, state, MultiplierSchedule({"hidden": 0.0, "fc": 1.0}),
+                 policy, 0)
+        with pytest.raises(ValueError, match="missing gradient for parameter "
+                                             "'hidden/0/b'"):
+            sgd_step(m, grads, state, uniform_schedule(m.stage_names, m.head_name,
+                                                       1.0, 1.0), policy, 0)
 
 
 class TestTrain:
@@ -467,6 +490,105 @@ class TestFrozenPrefixCache:
             for layer in stage.layers:
                 x, _ = layer.forward(x)
         assert run_stages(m.stages, self.val_set.features).tobytes() == x.tobytes()
+
+
+def per_tensor_sgd_step(model, grads, velocities, momentum, schedule, policy,
+                        iteration):
+    """Momentum SGD one tensor at a time, each stage at its own
+    effective_lr, a stage at rate exactly 0.0 skipped."""
+    schedule.check_covers(model.stage_names)
+    for stage in model.stages:
+        eff = effective_lr(policy, iteration,
+                           schedule.stage_multipliers[stage.name], schedule.scale)
+        if eff == 0.0:
+            continue
+        for name, param in stage.named_params():
+            v = velocities[name]
+            v *= momentum
+            v -= eff * grads[name]
+            param += v
+
+
+def oracle_train(model, train_set, val_set, schedule, policy, batch_size, seed,
+                 eval_every, momentum=0.9):
+    """train()'s loop with per_tensor_sgd_step: (trace, best iteration, final
+    weights, best weights), the weights as bytes per tensor."""
+    prefix = frozen_prefix(model, schedule, train_set, val_set)
+    live = model.stages[lowest_trainable_stage(model.stage_names, schedule):]
+    velocities = {name: np.zeros_like(arr) for name, arr in model.named_parameters()}
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(train_set))
+    cursor = 0
+    trace, best_acc, best_iter, best = [], -1.0, -1, None
+    for it in range(policy.total_iterations):
+        if cursor + batch_size > len(order):
+            order = rng.permutation(len(train_set))
+            cursor = 0
+        idx = order[cursor:cursor + batch_size]
+        cursor += batch_size
+        _, _, cache = forward(live, prefix.rows[idx], train_set.labels[idx])
+        per_tensor_sgd_step(model, backward(live, cache), velocities, momentum,
+                            schedule, policy, it)
+        done = it + 1
+        if done % eval_every == 0 or done == policy.total_iterations:
+            acc = _accuracy(live, prefix.val_batches)
+            trace.append((done, acc))
+            if acc > best_acc:
+                best_acc, best_iter = acc, done
+                best = [arr.tobytes() for _, arr in model.named_parameters()]
+    return (trace, best_iter,
+            [arr.tobytes() for _, arr in model.named_parameters()], best)
+
+
+class TestArenaSgdOracle:
+    """train()'s vector SGD equals per-tensor SGD byte for byte."""
+
+    train_set = conv_dataset(120, seed=30)
+    val_set = conv_dataset(60, seed=31)
+
+    @pytest.mark.parametrize("make, mults", [
+        (conv_model, HEAD_ONLY),
+        (conv_model, CONV1_FROZEN),
+        (conv_model, ALL_LIVE),
+        # the trainable stages are not adjacent
+        (conv_model, {"conv1": 1.0, "conv2": 0.0, "fc": 1.0}),
+        (lambda: build_staged_network(
+            mini_staged_spec((2, 3), (1, 8, 8), residual=True), (1, 8, 8), 3,
+            seed=12), {"conv1": 0.5, "conv2": 1.0, "fc": 1.0}),
+        # three runs, then two equal neighbours that make one run
+        (conv_model, {"conv1": 0.25, "conv2": 2.0, "fc": 1.0}),
+        (conv_model, {"conv1": 3.0, "conv2": 3.0, "fc": 0.5}),
+    ], ids=["head_only", "conv1_frozen", "all_live", "mid_stage_frozen",
+            "residual", "unequal", "equal_neighbours"])
+    def test_matches_per_tensor_sgd(self, make, mults):
+        schedule = MultiplierSchedule(mults, scale=1.5)
+        policy = LrPolicy(0.05, step_size=15, total_iterations=40, gamma=0.5)
+        want = oracle_train(make(), self.train_set, self.val_set, schedule,
+                            policy, batch_size=8, seed=7, eval_every=5)
+        result = train(make(), self.train_set, self.val_set, schedule, policy,
+                       batch_size=8, seed=7, eval_every=5)
+        assert TestFrozenPrefixCache.outcome(result) == (
+            want[0], want[1], want[2] + want[3])
+
+    def test_updates_stop_where_the_rate_underflows(self):
+        # lr_at is 0.05, 0.05e-200, then exactly 0.0 from iteration 2 on
+        schedule = MultiplierSchedule(ALL_LIVE)
+        policy = LrPolicy(0.05, step_size=1, total_iterations=40, gamma=1e-200)
+        assert lr_at(policy, 2) == 0.0 < lr_at(policy, 1)
+        want = oracle_train(conv_model(), self.train_set, self.val_set,
+                            schedule, policy, batch_size=8, seed=7,
+                            eval_every=5)
+        m = conv_model()
+        result = train(m, self.train_set, self.val_set, schedule, policy,
+                       batch_size=8, seed=7, eval_every=5)
+        assert TestFrozenPrefixCache.outcome(result) == (
+            want[0], want[1], want[2] + want[3])
+        two = conv_model()
+        train(two, self.train_set, self.val_set, schedule,
+              LrPolicy(0.05, step_size=1, total_iterations=2, gamma=1e-200),
+              batch_size=8, seed=7)
+        assert m.params.tobytes() == two.params.tobytes()
+        assert m.params.tobytes() != conv_model().params.tobytes()
 
 
 def test_evaluate_on_known_predictions():
