@@ -4,8 +4,7 @@ from .data import (LabeledDataset, PartitionedDomain, SyntheticDomainSpec,
                    gen_synthetic_domain, images_per_label, load_dataset,
                    partition_domain, save_dataset, split_train_val)
 from .experiment import (FinetuneTask, GraduatedSpec, GridSpec, JobInputs,
-                         RecommenderConfig, RunRecord, alpha, beta,
-                         graduated_schedule, grid_jobs, most_frequent_best_scale,
+                         RunRecord, alpha, beta, graduated_schedule, grid_jobs,
                          percent_gain, recommend_multipliers, run_il_ll_grid,
                          run_jobs, run_ll_experiment, scale_jobs)
 from .model import (Checkpoint, CheckpointError, LayerSpec, StagedModel,

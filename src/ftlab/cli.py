@@ -62,8 +62,19 @@ class ModelConfig:
                                 pools=self.pools)
 
 
+# the net that grad-check checks when it is given no config
+GRAD_CHECK_MODEL = ModelConfig(input_shape=(1, 8, 8), widths=(2, 3))
+
+
 def _positive(n) -> bool:
     return n is None or n >= 1
+
+
+def _non_negative(n) -> bool:
+    return n >= 0
+
+
+SEED_RULE = "must be a non-negative integer"    # the seed of every command
 
 
 @dataclass(frozen=True)
@@ -133,7 +144,7 @@ class RunConfig:
         default=None, metadata=check(_positive, "must be a positive integer"))
     momentum: float = field(
         default=0.9, metadata=check(lambda m: 0 <= m < 1, "must be in [0, 1)"))
-    seed: int = 0
+    seed: int = field(default=0, metadata=check(_non_negative, SEED_RULE))
     workers: int = field(
         default=1, metadata=check(_positive, "must be a positive integer"))
     data: DataConfig = DataConfig()
@@ -240,13 +251,13 @@ def _resolve_schedule(cfg: RunConfig, stage_names,
 def _check_tasks(tasks, input_shape, batch_size, errors: list[str]) -> None:
     """Add an error for each task whose examples do not fit the model input,
     or whose training set is smaller than one batch."""
-    shape = tuple(input_shape)
     for task in tasks:
-        found = {task.train.example_shape, task.val.example_shape} - {shape}
+        found = ({task.train.example_shape, task.val.example_shape}
+                 - {input_shape})
         if found:
             errors.append(f"data ({task.task_id}): examples of shape "
                           f"{sorted(found)[0]} do not fit the model input "
-                          f"shape {shape}")
+                          f"shape {input_shape}")
         if batch_size is not None and batch_size > len(task.train):
             errors.append(f"data ({task.task_id}): batch_size {batch_size} "
                           f"exceeds the {len(task.train)} training examples")
@@ -326,7 +337,8 @@ def cmd_finetune(cfg: RunConfig, out_dir) -> int:
     if source:
         job = _resolve_schedule(cfg, source.stage_names, errors)
         if task:
-            _check_tasks([task], source.input_shape(), cfg.batch_size, errors)
+            _check_tasks([task], source.header.input_shape, cfg.batch_size,
+                         errors)
     if errors:
         return _fail(errors)
     os.makedirs(out_dir, exist_ok=True)
@@ -345,7 +357,7 @@ def cmd_finetune(cfg: RunConfig, out_dir) -> int:
     print(f"finetuned checkpoint: {ckpt_path}")
     # the saved best model's iteration count is the iteration it was taken at
     print(f"best val accuracy: {record.best_accuracy:.4f} "
-          f"(iteration {load_checkpoint(ckpt_path).metadata['iterations']})")
+          f"(iteration {load_checkpoint(ckpt_path).header.iterations})")
     return 0
 
 
@@ -371,7 +383,7 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
                      for entry in cfg.data.tasks]
     tasks = [t for t in tasks if t]
     if source and tasks:
-        _check_tasks(tasks, source.input_shape(), cfg.batch_size, errors)
+        _check_tasks(tasks, source.header.input_shape, cfg.batch_size, errors)
         # every job, and so every schedule, is built before anything is written
         try:
             specs = (grid_jobs(source, tasks[0].task_id, cfg.grid, cfg.policy,
@@ -430,20 +442,12 @@ def cmd_report(ledger_path, out_dir=None) -> int:
     return 0
 
 
-def cmd_grad_check(cfg: RunConfig | None, epsilon: float,
-                   seed: int | None = None, out_dir=None) -> int:
-    if cfg is not None:
-        spec = cfg.model.build_spec()
-        input_shape = cfg.model.input_shape
-        model_seed = cfg.seed if seed is None else seed
-    else:
-        spec = mini_staged_spec(widths=(2, 3), input_shape=(1, 8, 8))
-        input_shape = (1, 8, 8)
-        model_seed = 0 if seed is None else seed
-    model = build_staged_network(spec, input_shape, num_labels=3,
-                                 seed=model_seed)
-    rng = np.random.default_rng(derive_seed(model_seed, "grad-check"))
-    batch = rng.uniform(-1.0, 1.0, size=(4,) + tuple(input_shape))
+def cmd_grad_check(model_cfg: ModelConfig, seed: int, epsilon: float,
+                   out_dir=None) -> int:
+    model = build_staged_network(model_cfg.build_spec(), model_cfg.input_shape,
+                                 num_labels=3, seed=seed)
+    rng = np.random.default_rng(derive_seed(seed, "grad-check"))
+    batch = rng.uniform(-1.0, 1.0, size=(4,) + model_cfg.input_shape)
     labels = np.arange(4) % 3
     err = grad_check(model.stages, batch, labels, epsilon=epsilon)
     lines = [f"parameters: {model.param_count()}",
@@ -498,9 +502,14 @@ def main(argv=None) -> int:
         if args.command == "report":
             return cmd_report(args.ledger, args.out)
         if args.command == "grad-check":
-            cfg = (load_config(args.config) if args.config else None)
-            return cmd_grad_check(cfg, args.epsilon, seed=args.seed,
-                                  out_dir=args.out)
+            if args.config:
+                cfg = load_config(args.config, seed_override=args.seed)
+                return cmd_grad_check(cfg.model, cfg.seed, args.epsilon,
+                                      args.out)
+            if args.seed is not None and not _non_negative(args.seed):
+                return _fail([f"seed {SEED_RULE}, got {args.seed}"])
+            return cmd_grad_check(GRAD_CHECK_MODEL, args.seed or 0,
+                                  args.epsilon, args.out)
         cfg = load_config(args.config, seed_override=args.seed,
                           workers_override=args.workers)
         if args.command == "gen-data":

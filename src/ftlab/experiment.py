@@ -132,8 +132,6 @@ def graduated_schedule(spec: GraduatedSpec, scale: float,
                        inner_stage_names: Sequence[str] = DEFAULT_INNER_STAGES,
                        head_name: str = "fc") -> MultiplierSchedule:
     """Multiplier schedule for one scale of a graduated sweep."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
     names = list(inner_stage_names)
     values = spec.inner_multipliers
     if spec.layout == "per_stage":
@@ -276,9 +274,10 @@ def run_job(inputs: JobInputs, spec: JobSpec) -> RunRecord:
     if spec.save_path is not None:
         save_checkpoint(checkpoint_from_model(result.best_model, {
             "domain": task.train.domain_name}), spec.save_path)
-    meta = inputs.source.metadata
+    source = inputs.source
     return RunRecord(kind=spec.kind, task=spec.task_id,
-                     source=str(meta.get("domain", meta.get("seed", "source"))),
+                     source=str(source.metadata.get("domain",
+                                                    source.header.seed)),
                      seed=spec.seed, final_accuracy=result.final_accuracy,
                      best_accuracy=result.best_accuracy, ll=spec.ll,
                      il=spec.il, scale=spec.scale, checkpoint=spec.checkpoint)
@@ -483,64 +482,17 @@ def _ll_summaries(by_ll_il: Mapping[float, dict]) -> tuple[dict, float | None]:
     return summaries, maxima[-1] - maxima[0] if len(maxima) >= 2 else None
 
 
-def _accuracy_table(records: Sequence[RunRecord]) -> dict[str, dict[float, float]]:
-    table: dict[str, dict[float, float]] = {}
-    for r in records:
-        table.setdefault(r.task, {})[r.scale] = r.best_accuracy
-    return table
-
-
-def _best_scales(table: Mapping[str, dict], scales) -> dict[str, float]:
-    """Each task's best scale among scales; ties go to the smaller scale."""
-    return {t: alpha({s: by[s] for s in scales}) for t, by in table.items()}
-
-
-def most_frequent_best_scale(records: Sequence[RunRecord],
-                             scales: Sequence[float] | None = None) -> float:
-    """Mode of the per-task best scales; ties break toward the smaller scale."""
-    table = _accuracy_table(records)
-    if not table:
-        raise ValueError("no graduated records to analyze")
-    if scales is None:
-        scales = sorted({s for by in table.values() for s in by})
-    for task, by_scale in table.items():
-        missing = [s for s in scales if s not in by_scale]
-        if missing:
-            raise ValueError(f"task '{task}' missing records for scales {missing}")
-    return alpha(Counter(_best_scales(table, scales).values()))
-
-
 # --- learning-rate recommendation ---------------------------------------------
 
-@dataclass(frozen=True)
-class RecommenderConfig:
-    """Step thresholds mapping images/label to an inner rate.
-
-    breakpoints are (minimum images/label, inner rate) pairs with strictly
-    increasing thresholds (first one 0) and non-decreasing rates; the
-    recommendation is additionally capped at the last-layer rate.
-    """
-
-    breakpoints: tuple[tuple[float, float], ...] = (
-        (0.0, 1e-4), (25.0, 1e-3), (250.0, 1e-2), (2500.0, 0.1))
-
-    def __post_init__(self):
-        if not self.breakpoints:
-            raise ValueError("recommender needs at least one breakpoint")
-        thresholds = [t for t, _ in self.breakpoints]
-        rates = [r for _, r in self.breakpoints]
-        if thresholds[0] != 0.0:
-            raise ValueError("first breakpoint threshold must be 0")
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError(f"thresholds must be strictly increasing, "
-                             f"got {thresholds}")
-        if any(b < a for a, b in zip(rates, rates[1:])):
-            raise ValueError(f"rates must be non-decreasing, got {rates}")
+# (minimum images/label, inner rate) steps: thresholds strictly increasing
+# from 0, rates non-decreasing, so the recommendation is monotone
+RECOMMENDER_BREAKPOINTS = ((0.0, 1e-4), (25.0, 1e-3), (250.0, 1e-2),
+                           (2500.0, 0.1))
 
 
-def recommend_multipliers(images_per_label: float, ll: float,
-                          config: RecommenderConfig | None = None) -> float:
-    """Heuristic inner rate for a target dataset, from its images/label.
+def recommend_multipliers(images_per_label: float, ll: float) -> float:
+    """Heuristic inner rate for a target dataset, from its images/label: the
+    rate of the last breakpoint it reaches, capped at the last-layer rate.
 
     Monotone non-decreasing in images/label and never above the
     last-layer rate.
@@ -549,11 +501,8 @@ def recommend_multipliers(images_per_label: float, ll: float,
         raise ValueError(f"images/label must be positive, got {images_per_label}")
     if not ll > 0:
         raise ValueError(f"last-layer rate must be positive, got {ll}")
-    cfg = config if config is not None else RecommenderConfig()
-    rate = cfg.breakpoints[0][1]
-    for threshold, r in cfg.breakpoints:
-        if images_per_label >= threshold:
-            rate = r
+    rate = [r for threshold, r in RECOMMENDER_BREAKPOINTS
+            if images_per_label >= threshold][-1]
     return min(rate, ll)
 
 
@@ -602,10 +551,12 @@ def _scale_sweep_analysis(graduated: Sequence[RunRecord],
     """Mean accuracy with each task at its best scale, at each fixed scale
     and at the most frequent best scale, over the tasks that have a record
     at every scale; and the mean of the frozen-inner baselines."""
-    table = _accuracy_table(graduated)
+    table: dict[str, dict[float, float]] = {}
+    for r in graduated:
+        table.setdefault(r.task, {})[r.scale] = r.best_accuracy
     scales = sorted({r.scale for r in graduated})
     complete = {t: by for t, by in table.items() if len(by) == len(scales)}
-    best = _best_scales(complete, scales)
+    best = {t: alpha(by) for t, by in complete.items()}
     fixed = ({s: sum(by[s] for by in complete.values()) / len(complete)
               for s in scales} if complete else {})
     mfbs = alpha(Counter(best.values())) if best else None

@@ -13,13 +13,13 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import binio
-from .codec import decode
+from .codec import check, decode, encode
 from .nn_core import (Conv2d, Dense, GlobalAvgPool, MaxPool, Relu,
                       ResidualBlock, Stage, param_layout)
 
@@ -340,61 +340,56 @@ def _metadata_bytes(meta: dict) -> bytes:
     return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+@dataclass(frozen=True)
+class CheckpointHeader:
+    """The metadata fields every checkpoint holds; load_checkpoint decodes
+    them once, and checks the digest and the head size against them."""
+
+    arch: tuple[StageSpec, ...]
+    digest: str
+    input_shape: tuple[int, ...]
+    iterations: int = field(metadata=check(lambda n: n >= 0,
+                                           "must be a non-negative integer"))
+    num_labels: int = field(metadata=check(lambda n: n >= 2,
+                                           "must be at least 2"))
+    seed: int = field(metadata=check(lambda n: n >= 0,
+                                     "must be a non-negative integer"))
+
+
+_HEADER_FIELDS = tuple(f.name for f in fields(CheckpointHeader))
+
+
 @dataclass
 class Checkpoint:
-    """Parsed checkpoint: float32 tensors in file order plus metadata."""
+    """Float32 tensors in file order, the metadata as written (the header's
+    fields and free-form ones such as domain), and the header it holds."""
 
     tensors: dict[str, np.ndarray]
     metadata: dict
-
-    @property
-    def digest(self) -> str:
-        return self.metadata["digest"]
-
-    @property
-    def num_labels(self) -> int:
-        return self.metadata["num_labels"]
+    header: CheckpointHeader
 
     @property
     def stage_names(self) -> tuple[str, ...]:
-        return tuple(s["name"] for s in self.metadata["arch"])
-
-    def arch_spec(self) -> tuple[StageSpec, ...]:
-        """The stored architecture, rejected unless the stored digest matches it."""
-        try:
-            spec = decode(tuple[StageSpec, ...], self.metadata["arch"])
-            digest = arch_digest(spec, self.input_shape())
-        except (ValueError, RecursionError) as e:  # DecodeError included
-            raise CheckpointError(f"metadata field 'arch' is malformed: {e}") from None
-        if digest != self.digest:
-            raise CheckpointError("metadata digest does not match the stored "
-                                  "architecture")
-        # the digest masks the head's size, so it is checked on its own
-        head_out = spec[-1].layers[0].out_features
-        if head_out is not None and head_out != self.num_labels:
-            raise CheckpointError(f"head outputs {head_out} but num_labels is "
-                                  f"{self.num_labels}")
-        return spec
-
-    def input_shape(self) -> tuple[int, ...]:
-        return tuple(self.metadata["input_shape"])
+        return tuple(s.name for s in self.header.arch)
 
 
 def checkpoint_from_model(model: StagedModel,
                           extra_metadata: dict | None = None) -> Checkpoint:
-    meta = {
-        "arch": [s.to_dict() for s in model.spec],
-        "digest": model.digest(),
-        "input_shape": list(model.input_shape),
-        "iterations": model.trained_iterations,
-        "num_labels": model.num_labels,
-        "seed": model.seed,
-    }
-    if extra_metadata:
-        meta.update(extra_metadata)
+    """The model's checkpoint; extra_metadata adds free-form fields, and may
+    not replace a field that the model gives."""
+    extra = extra_metadata or {}
+    derived = sorted(extra.keys() & set(_HEADER_FIELDS))
+    if derived:
+        raise ValueError(f"extra_metadata may not replace the fields the "
+                         f"model gives: {derived}")
+    header = CheckpointHeader(model.spec, model.digest(), model.input_shape,
+                              model.trained_iterations, model.num_labels,
+                              model.seed)
+    # LayerSpec.to_dict leaves out the fields a layer kind does not use
+    meta = encode(header) | {"arch": [s.to_dict() for s in model.spec]} | extra
     tensors = {name: np.asarray(arr, dtype=np.float32)
                for name, arr in model.named_parameters()}
-    return Checkpoint(tensors, meta)
+    return Checkpoint(tensors, meta, header)
 
 
 def save_checkpoint(model_or_ckpt, path) -> None:
@@ -441,39 +436,40 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError("trailing bytes after the last tensor")
     except binio.FormatError as e:
         raise CheckpointError(str(e)) from None
-    _check_metadata(meta)
-    ckpt = Checkpoint(tensors, meta)
-    ckpt.arch_spec()
-    return ckpt
+    return Checkpoint(tensors, meta, _read_header(meta))
 
 
-_METADATA_TYPES = {"arch": list, "digest": str, "input_shape": list,
-                   "num_labels": int, "seed": int, "iterations": int}
-
-
-def _check_metadata(meta) -> None:
-    """Reject metadata whose required fields are missing or mistyped."""
+def _read_header(meta) -> CheckpointHeader:
+    """meta's header fields, decoded; rejected unless the stored digest is
+    the architecture's and a head size it gives is num_labels."""
     if not isinstance(meta, dict):
         raise CheckpointError(f"metadata must be a JSON object, "
                               f"got {type(meta).__name__}")
-    for key, kind in _METADATA_TYPES.items():
-        if key not in meta:
-            raise CheckpointError(f"metadata missing field {key!r}")
-        if not isinstance(meta[key], kind) or isinstance(meta[key], bool):
-            raise CheckpointError(f"metadata field {key!r} must be of type "
-                                  f"{kind.__name__}, got "
-                                  f"{type(meta[key]).__name__}")
-    if not all(isinstance(d, int) and not isinstance(d, bool)
-               for d in meta["input_shape"]):
-        raise CheckpointError(f"metadata field 'input_shape' must hold integers, "
-                              f"got {meta['input_shape']!r}")
+    try:
+        header = decode(CheckpointHeader,
+                        {k: meta[k] for k in _HEADER_FIELDS if k in meta})
+    except (ValueError, RecursionError) as e:  # DecodeError included
+        raise CheckpointError(f"metadata: {e}") from None
+    try:
+        digest = arch_digest(header.arch, header.input_shape)
+    except (ValueError, RecursionError) as e:
+        raise CheckpointError(f"metadata field 'arch' is malformed: {e}") from None
+    if digest != header.digest:
+        raise CheckpointError("metadata digest does not match the stored "
+                              "architecture")
+    # the digest masks the head's size, so it is checked on its own
+    head_out = header.arch[-1].layers[0].out_features
+    if head_out is not None and head_out != header.num_labels:
+        raise CheckpointError(f"head outputs {head_out} but num_labels is "
+                              f"{header.num_labels}")
+    return header
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> StagedModel:
     """Rebuild the saved model, restoring all parameters."""
-    model = build_staged_network(ckpt.arch_spec(), ckpt.input_shape(),
-                                 ckpt.num_labels, ckpt.metadata["seed"])
-    model.trained_iterations = ckpt.metadata["iterations"]
+    h = ckpt.header
+    model = build_staged_network(h.arch, h.input_shape, h.num_labels, h.seed)
+    model.trained_iterations = h.iterations
     _assign_tensors(model, ckpt, skip_head=False)
     return model
 
@@ -506,12 +502,10 @@ def transfer_init(source: Checkpoint, target_num_labels: int,
     output size; both head weight and bias are re-initialized from
     head_seed.
     """
-    spec = source.arch_spec()
-    head = spec[-1]
+    *inner, head = source.header.arch
     new_head = StageSpec(head.name, (replace(head.layers[0],
                                              out_features=target_num_labels),))
-    new_spec = spec[:-1] + (new_head,)
-    model = build_staged_network(new_spec, source.input_shape(),
+    model = build_staged_network((*inner, new_head), source.header.input_shape,
                                  target_num_labels, head_seed)
     _assign_tensors(model, source, skip_head=True)
     return model

@@ -9,6 +9,7 @@ byte-identical through any number of steps.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,9 @@ class LrPolicy:
     gamma: float = 0.1
 
     def __post_init__(self):
-        if not self.base_lr > 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.base_lr < math.inf:
+            raise ValueError(f"base_lr must be positive and finite, "
+                             f"got {self.base_lr}")
         if self.step_size <= 0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
         if self.total_iterations <= 0:
@@ -55,11 +57,19 @@ def lr_at(policy: LrPolicy, iteration: int) -> float:
 def effective_lr(policy: LrPolicy, iteration: int, stage_multiplier: float,
                  scale: float) -> float:
     """base schedule x stage multiplier x sweep scale."""
-    if stage_multiplier < 0:
-        raise ValueError(f"stage multiplier must be >= 0, got {stage_multiplier}")
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    _check_factors({"stage": stage_multiplier}, scale)
     return lr_at(policy, iteration) * stage_multiplier * scale
+
+
+def _check_factors(multipliers: dict, scale: float) -> None:
+    """Reject a multiplier that is not finite and >= 0, or a scale that is
+    not finite and positive; multipliers maps each one's label to it."""
+    for label, m in multipliers.items():
+        if not 0 <= m < math.inf:
+            raise ValueError(f"{label} multiplier must be >= 0 and finite, "
+                             f"got {m}")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -70,11 +80,8 @@ class MultiplierSchedule:
     scale: float = 1.0
 
     def __post_init__(self):
-        for name, m in self.stage_multipliers.items():
-            if m < 0:
-                raise ValueError(f"stage '{name}' multiplier must be >= 0, got {m}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        _check_factors({f"stage '{name}'": m for name, m
+                        in self.stage_multipliers.items()}, self.scale)
 
     def check_covers(self, stage_names) -> None:
         have = set(self.stage_multipliers)

@@ -162,6 +162,9 @@ MALFORMED_CONFIGS = {
     "batch_size_bool": ("train-source", {"batch_size": True},
                         "batch_size must be an integer"),
     "seed_bool": ("train-source", {"seed": True}, "seed must be an integer"),
+    # config.json was written, then the model's rng raised a ValueError
+    "seed_negative": ("train-source", {"seed": -1},
+                      "seed must be a non-negative integer, got -1"),
     "residual_not_a_bool": ("train-source",
                             {"model": dict(TINY_MODEL, residual="no")},
                             "model.residual must be a boolean"),
@@ -263,6 +266,26 @@ class TestMalformedInput:
         lines = captured.err.splitlines()
         assert lines and all(line.startswith("error: ") for line in lines)
         assert fragment in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-source", "finetune", "sweep",
+                                         "grad-check", "grad-check-default"])
+    def test_negative_seed_flag_exits_1_before_any_output(
+            self, tmp_path, data_root, source_run, capsys, command):
+        cfg = {"policy": FAST_POLICY, "model": TINY_MODEL, "batch_size": 6,
+               "source_checkpoint": str(source_run / "source.ftlb"),
+               "data": {"dataset": str(data_root / "near"),
+                        "partition_seed": 4},
+               "schedule": {"ll": 0.1}, "grid": {"ll_values": [0.1]}}
+        config = [write_config(tmp_path / "c.json", cfg)]
+        if command == "grad-check-default":
+            command, config = "grad-check", []
+        out = tmp_path / "o"
+        assert main([command, *config, "--out", str(out), "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: seed must be a non-negative integer, got -1"]
         assert captured.out == ""
         assert not out.exists()
 

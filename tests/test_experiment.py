@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from conftest import die_in_worker
 from ftlab import optim
 from ftlab.data import SyntheticDomainSpec, gen_synthetic_domain, split_train_val
-from ftlab.experiment import (ACCURACY_NOTE, FinetuneTask, GraduatedSpec,
-                              GridSpec, JobFailure, JobInputs,
-                              RecommenderConfig, RunRecord, alpha,
-                              append_records, beta,
-                              derive_seed, graduated_schedule,
-                              most_frequent_best_scale, percent_gain,
+from ftlab.experiment import (ACCURACY_NOTE, RECOMMENDER_BREAKPOINTS,
+                              FinetuneTask, GraduatedSpec, GridSpec,
+                              JobFailure, JobInputs, RunRecord, alpha,
+                              append_records, beta, derive_seed,
+                              graduated_schedule, percent_gain,
                               read_ledger, recommend_multipliers,
                               render_report, report_from_records,
                               run_il_ll_grid, run_jobs, run_ll_experiment,
@@ -185,6 +184,26 @@ class TestGraduatedSchedule:
                                            "conv3": 1.0, "conv4": 2.0,
                                            "conv5": 5.0, "fc": 16.0}
 
+    def test_shared_first_leaves_extra_multipliers_unused(self):
+        spec = GraduatedSpec(layout="shared_first")
+        sched = graduated_schedule(spec, scale=0.5)
+        assert sched.stage_multipliers == {"conv1": 0.0, "conv2": 0.0,
+                                           "conv3": 1.0, "conv4": 2.0,
+                                           "conv5": 4.0, "fc": 16.0}
+        assert sched.scale == 0.5
+
+    def test_shared_first_needs_two_stages(self):
+        with pytest.raises(ValueError, match="at least two inner stages"):
+            graduated_schedule(GraduatedSpec(layout="shared_first"), 1.0,
+                               inner_stage_names=("conv1",))
+
+    def test_shared_first_needs_a_multiplier_for_all_but_one_stage(self):
+        spec = GraduatedSpec(inner_multipliers=(0.0, 1.0, 2.0),
+                             layout="shared_first")
+        with pytest.raises(ValueError, match="5 inner stages need at least "
+                                             "4 multipliers for shared_first"):
+            graduated_schedule(spec, 1.0)
+
     def test_worked_example_conv3_at_half_scale(self):
         # conv3 multiplier 2, base rate 0.001, scale 0.5 -> exactly 0.001
         sched = graduated_schedule(GraduatedSpec(), scale=0.5)
@@ -227,6 +246,11 @@ class TestMostFrequentBestScale:
         return RunRecord(kind="graduated", task=task, source="s", seed=0,
                          final_accuracy=acc, best_accuracy=acc, scale=scale)
 
+    @staticmethod
+    def vote(records):
+        return report_from_records(records)["scale_sweep"][
+            "most_frequent_best_scale"]
+
     def test_planted_mode_is_found(self):
         records = []
         peaks = {"t1": 0.5, "t2": 0.5, "t3": 2.0}
@@ -234,7 +258,7 @@ class TestMostFrequentBestScale:
             for scale in (0.25, 0.5, 2.0):
                 acc = 0.9 if scale == peak else 0.4
                 records.append(self.rec(task, scale, acc))
-        assert most_frequent_best_scale(records) == 0.5
+        assert self.vote(records) == 0.5
 
     def test_tie_breaks_toward_smaller_scale(self):
         records = []
@@ -242,24 +266,24 @@ class TestMostFrequentBestScale:
             for scale in (0.25, 0.5):
                 records.append(self.rec(task, scale,
                                         0.9 if scale == peak else 0.1))
-        assert most_frequent_best_scale(records) == 0.25
+        assert self.vote(records) == 0.25
 
     def test_all_tasks_peak_at_quarter(self):
         records = []
         for task in ("a", "b", "c"):
             for scale, acc in ((0.25, 0.8), (0.5, 0.6), (1.0, 0.4)):
                 records.append(self.rec(task, scale, acc))
-        assert most_frequent_best_scale(records) == 0.25
+        assert self.vote(records) == 0.25
 
-    def test_missing_records_rejected(self):
+    def test_task_missing_a_scale_left_out_of_the_vote(self):
+        # counted, t2's best scale 0.25 would tie with t1's 0.5 and win
         records = [self.rec("t1", 0.25, 0.5), self.rec("t1", 0.5, 0.6),
                    self.rec("t2", 0.25, 0.5)]
-        with pytest.raises(ValueError, match="missing"):
-            most_frequent_best_scale(records)
+        assert self.vote(records) == 0.5
 
     def test_per_task_tie_prefers_smaller_scale(self):
         records = [self.rec("t1", 0.25, 0.7), self.rec("t1", 0.5, 0.7)]
-        assert most_frequent_best_scale(records) == 0.25
+        assert self.vote(records) == 0.25
 
 
 class TestRecommender:
@@ -286,18 +310,13 @@ class TestRecommender:
         with pytest.raises(ValueError, match="positive"):
             recommend_multipliers(0.0, ll=0.01)
 
-    def test_configurable_thresholds(self):
-        cfg = RecommenderConfig(breakpoints=((0.0, 1e-3), (100.0, 1e-2)))
-        assert recommend_multipliers(5.0, ll=0.1, config=cfg) == 1e-3
-        assert recommend_multipliers(150.0, ll=0.1, config=cfg) == 1e-2
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="threshold"):
-            RecommenderConfig(breakpoints=((5.0, 1e-4),))
-        with pytest.raises(ValueError, match="increasing"):
-            RecommenderConfig(breakpoints=((0.0, 1e-4), (0.0, 1e-3)))
-        with pytest.raises(ValueError, match="non-decreasing"):
-            RecommenderConfig(breakpoints=((0.0, 1e-2), (10.0, 1e-4)))
+    def test_breakpoints_hold_their_invariants(self):
+        thresholds, rates = zip(*RECOMMENDER_BREAKPOINTS)
+        assert thresholds[0] == 0.0
+        assert all(b > a for a, b in zip(thresholds, thresholds[1:]))
+        assert all(b >= a for a, b in zip(rates, rates[1:]))
+        for threshold, rate in RECOMMENDER_BREAKPOINTS:
+            assert recommend_multipliers(threshold or 1.0, ll=1.0) == rate
 
 
 class TestLedger:
@@ -623,6 +642,25 @@ class TestRunGrid:
         solo = run_ll_experiment(source, task, 0.1, FAST_POLICY, 6, seed=3)
         assert cell.best_accuracy == solo.best_accuracy
         assert cell.final_accuracy == solo.final_accuracy
+
+    def test_shared_first_sweep_is_per_stage_with_the_first_repeated(
+            self, tmp_path):
+        source = small_source_checkpoint(tmp_path)
+        task = small_task("taskA", seed=21)
+        inputs = JobInputs(source, {"taskA": task}, FAST_POLICY, 6, 0.9)
+        runs = []
+        for multipliers, layout in (((2.0,), "shared_first"),
+                                    ((2.0, 2.0), "per_stage")):
+            spec = GraduatedSpec(inner_multipliers=multipliers,
+                                 head_multiplier=4.0, scales=(0.25, 1.0),
+                                 layout=layout)
+            specs = scale_jobs(source, ["taskA"], spec, master_seed=7)
+            assert specs[0].schedule.stage_multipliers == {
+                "conv1": 2.0, "conv2": 2.0, "fc": 4.0}
+            runs.append(run_jobs(inputs, specs))
+        records, failures = runs[0]
+        assert failures == [] and len(records) == 3
+        assert runs[0] == runs[1]
 
     def test_process_pool_matches_serial(self, tmp_path):
         source = small_source_checkpoint(tmp_path)

@@ -1,21 +1,34 @@
 """Model builder, checkpoint format, digest, and transfer-init tests."""
 
 import itertools
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from conftest import one_conv_metadata
-from ftlab.model import (Checkpoint, CheckpointError, LayerSpec, StageSpec,
-                         arch_digest, build_staged_network,
-                         checkpoint_from_model, layer_shapes, load_checkpoint,
-                         mini_staged_spec, model_from_checkpoint,
-                         save_checkpoint, transfer_init)
+from ftlab import model
+from ftlab.codec import decode
+from ftlab.data import LabeledDataset
+from ftlab.experiment import FinetuneTask, run_ll_experiment
+from ftlab.model import (CheckpointError, LayerSpec, StageSpec, arch_digest,
+                         build_staged_network, checkpoint_from_model,
+                         layer_shapes, load_checkpoint, mini_staged_spec,
+                         model_from_checkpoint, save_checkpoint, transfer_init)
 from ftlab.nn_core import backward, forward, grad_check, run_stages
+from ftlab.optim import LrPolicy
 
 
 def params_of(model):
     return {name: arr.copy() for name, arr in model.named_parameters()}
+
+
+def write_metadata_only(path, meta: dict) -> None:
+    """A tensor-free checkpoint file holding meta as its metadata."""
+    blob = json.dumps(meta).encode()
+    path.write_bytes(b"FTLB" + struct.pack("<II", 1, len(blob)) + blob
+                     + struct.pack("<I", 0))
 
 
 def tiny_spec(residual=False):
@@ -183,12 +196,40 @@ class TestCheckpoint:
 
     def test_even_kernel_arch_rejected_although_digest_matches(self, tmp_path):
         odd, even = tmp_path / "odd.ftlb", tmp_path / "even.ftlb"
-        save_checkpoint(Checkpoint({}, one_conv_metadata(3)), odd)
-        save_checkpoint(Checkpoint({}, one_conv_metadata(4)), even)
-        spec = load_checkpoint(odd).arch_spec()     # the digest formula holds
-        assert arch_digest(spec, (1, 8, 8)) == one_conv_metadata(3)["digest"]
+        write_metadata_only(odd, one_conv_metadata(3))
+        write_metadata_only(even, one_conv_metadata(4))
+        arch = load_checkpoint(odd).header.arch     # the digest formula holds
+        assert arch_digest(arch, (1, 8, 8)) == one_conv_metadata(3)["digest"]
         with pytest.raises(CheckpointError, match="kernel size must be odd"):
             load_checkpoint(even)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("num_labels", 1, "num_labels must be at least 2, got 1"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("iterations", -4, "iterations must be a non-negative integer, got -4")])
+    def test_out_of_range_header_field_rejected_at_load(self, tmp_path, field,
+                                                        value, message):
+        path = tmp_path / "m.ftlb"
+        write_metadata_only(path, dict(one_conv_metadata(3), **{field: value}))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+
+    def test_header_is_decoded_once_per_load_never_per_job(self, tmp_path,
+                                                           monkeypatch):
+        m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5)
+        path = tmp_path / "m.ftlb"
+        save_checkpoint(m, path)
+        calls = []
+        monkeypatch.setattr(model, "decode",
+                            lambda *a: calls.append(a) or decode(*a))
+        ckpt = load_checkpoint(path)
+        assert len(calls) == 1
+        x = np.random.default_rng(0).uniform(size=(6, 1, 8, 8))
+        ds = LabeledDataset(x, np.arange(6) % 3, ("a", "b", "c"), "d")
+        run_ll_experiment(ckpt, FinetuneTask("t", ds, ds), 0.1,
+                          LrPolicy(0.01, 2, 4), 3, seed=0)
+        model_from_checkpoint(ckpt)
+        assert len(calls) == 1
 
     def test_head_size_must_be_num_labels_although_digest_matches(self,
                                                                   tmp_path):
@@ -200,8 +241,8 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError,
                            match="head outputs 7 but num_labels is 3"):
             load_checkpoint(path)
-        with pytest.raises(CheckpointError, match="head outputs 7"):
-            model_from_checkpoint(ckpt)
+        # in memory, the model is built from the header, not the edited dict
+        assert model_from_checkpoint(ckpt).num_labels == 3
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ftlb"
@@ -223,15 +264,14 @@ class TestCheckpoint:
 class TestDigest:
     def test_forged_digest_rejected_by_every_reader(self, tmp_path):
         m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=6)
-        ckpt = checkpoint_from_model(m, {"digest": "f" * 64})
+        with pytest.raises(ValueError, match=r"model gives: \['digest'\]"):
+            checkpoint_from_model(m, {"digest": "f" * 64, "domain": "d"})
+        ckpt = checkpoint_from_model(m)
+        ckpt.metadata["digest"] = "f" * 64
         path = tmp_path / "forged.ftlb"
         save_checkpoint(ckpt, path)
         with pytest.raises(CheckpointError, match="digest"):
             load_checkpoint(path)
-        with pytest.raises(CheckpointError, match="digest"):
-            model_from_checkpoint(ckpt)
-        with pytest.raises(CheckpointError, match="digest"):
-            transfer_init(ckpt, 5, head_seed=0)
 
     def test_digest_ignores_head_output_size(self):
         spec = tiny_spec()

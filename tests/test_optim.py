@@ -76,6 +76,12 @@ class TestLrPolicy:
         with pytest.raises(ValueError):
             LrPolicy(0.1, 1, 1, gamma=1.5)
 
+    @pytest.mark.parametrize("base_lr", [math.inf, math.nan])
+    def test_non_finite_base_lr_rejected(self, base_lr):
+        with pytest.raises(ValueError, match="base_lr must be positive and "
+                                             "finite"):
+            LrPolicy(base_lr, 1, 1)
+
     def test_scaled_policy_divides_iterations_and_step(self):
         target = REFERENCE_POLICY.scaled(10)
         assert target.step_size == 30_000
@@ -102,6 +108,20 @@ class TestEffectiveLr:
             effective_lr(policy, 0, -1.0, 1.0)
         with pytest.raises(ValueError, match="scale"):
             effective_lr(policy, 0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("multiplier, scale, message", [
+        (math.nan, 1.0, "multiplier must be >= 0 and finite, got nan"),
+        (math.inf, 1.0, "multiplier must be >= 0 and finite, got inf"),
+        (1.0, math.inf, "scale must be positive and finite, got inf"),
+        (1.0, math.nan, "scale must be positive and finite, got nan")])
+    def test_non_finite_factors_rejected(self, multiplier, scale, message):
+        policy = LrPolicy(0.001, 10, 100)
+        with pytest.raises(ValueError, match=message):
+            effective_lr(policy, 0, multiplier, scale)
+        with pytest.raises(ValueError, match=f"stage 'conv2' {message}"
+                           if scale == 1.0 else message):
+            MultiplierSchedule({"conv1": 1.0, "conv2": multiplier,
+                                "fc": 1.0}, scale)
 
     def test_scale_linearity(self):
         policy = LrPolicy(0.003, 7, 50, gamma=0.5)
