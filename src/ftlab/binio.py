@@ -1,7 +1,8 @@
 """Low-level binary tensor encoding shared by checkpoints and dataset files.
 
 All multi-byte fields are little-endian. Tensor payload layout:
-rank (u8), dims (u32 each), data (IEEE-754 single precision, row-major).
+rank (u8), dims (u32 each), data (IEEE-754 single precision, row-major,
+every value finite: readers and writers reject NaN and infinity).
 Named tensors prefix the payload with a u16 length + UTF-8 name.
 Standalone tensor files carry the magic "FTT0" before the payload.
 """
@@ -55,9 +56,19 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return buf
 
 
+def finite_float32(array: np.ndarray) -> np.ndarray:
+    """array as contiguous float32; FormatError unless every value is finite
+    at that precision (so a float64 beyond float32's range is rejected)."""
+    with np.errstate(over="ignore"):     # the check below reports it
+        arr = np.ascontiguousarray(array, dtype=np.float32)
+    if not np.isfinite(arr).all():
+        raise FormatError("tensor data is not finite as float32")
+    return arr
+
+
 def write_tensor_payload(f: BinaryIO, array: np.ndarray) -> None:
     """Write rank, dims, and float32 data for one tensor."""
-    arr = np.ascontiguousarray(array, dtype=np.float32)
+    arr = finite_float32(array)
     if arr.ndim > MAX_RANK:
         raise FormatError(f"tensor rank {arr.ndim} exceeds maximum {MAX_RANK}")
     f.write(struct.pack("<B", arr.ndim))
@@ -77,9 +88,12 @@ def read_tensor_payload(f: BinaryIO, what: str = "tensor") -> np.ndarray:
         dims.append(d)
     raw = _read_exact(f, 4 * math.prod(dims), f"data of {what} (dims {dims})")
     try:
-        return np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+        arr = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
     except ValueError as e:     # a zero dim beside dims too large for numpy
         raise FormatError(f"{what}: dims {dims}: {e}") from None
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{what}: data holds NaN or infinity")
+    return arr
 
 
 def write_named_tensor(f: BinaryIO, name: str, array: np.ndarray) -> None:
@@ -102,10 +116,12 @@ def read_named_tensor(f: BinaryIO, what: str = "tensor") -> tuple[str, np.ndarra
 
 
 def save_tensor_file(path, array: np.ndarray) -> None:
-    """Write a single unnamed tensor file (magic FTT0 + payload)."""
+    """Write a single unnamed tensor file (magic FTT0 + payload); an array
+    the payload refuses leaves no file."""
+    payload = io.BytesIO()
+    write_tensor_payload(payload, array)
     with open(path, "wb") as f:
-        f.write(TENSOR_FILE_MAGIC)
-        write_tensor_payload(f, array)
+        f.write(TENSOR_FILE_MAGIC + payload.getvalue())
 
 
 def load_tensor_file(path) -> np.ndarray:

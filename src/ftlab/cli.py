@@ -3,7 +3,8 @@
 Subcommands: gen-data, train-source, finetune, sweep, report, grad-check.
 Every run writes its effective config next to the results ledger so any
 number in a report can be traced back to the exact inputs. Exit codes:
-0 success, 1 validation error, 2 partial sweep failure.
+0 success, 1 validation error or diverged training, 2 partial sweep
+failure or a usage error (an unknown command or flag).
 """
 
 from __future__ import annotations
@@ -312,10 +313,13 @@ def cmd_train_source(cfg: RunConfig, out_dir) -> int:
                                  task.train.num_labels, cfg.seed)
     schedule = uniform_schedule(model.stage_names, model.head_name,
                                 inner=1.0, head=1.0)
-    result = train(model, task.train, task.val, schedule, cfg.policy,
-                   cfg.batch_size, seed=derive_seed(cfg.seed, "source-data"),
-                   momentum=cfg.momentum)
-    ckpt = checkpoint_from_model(result.best_model, {"domain": task.task_id})
+    try:
+        result = train(model, task.train, task.val, schedule, cfg.policy,
+                       cfg.batch_size, seed=derive_seed(cfg.seed, "source-data"),
+                       momentum=cfg.momentum)
+        ckpt = checkpoint_from_model(result.best_model, {"domain": task.task_id})
+    except ValueError as e:     # a diverged run: nothing is saved or recorded
+        return _fail([str(e)])
     ckpt_rel = "source.ftlb"
     save_checkpoint(ckpt, os.path.join(out_dir, ckpt_rel))
     record = RunRecord(kind="source", task=task.task_id, source="random-init",
@@ -470,14 +474,13 @@ def main(argv=None) -> int:
         description="Layer-wise learning-rate finetuning experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, out_required=True):
+    # each command takes only the flags it reads
+    def add_common(p, out_required=True, seed=True):
         p.add_argument("--out", required=out_required,
                        default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="override the config worker count: processes "
-                            "that run sweep jobs (other commands ignore it)")
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
 
     for name, help_text in (("gen-data", "generate synthetic domains"),
                             ("train-source", "train a source model"),
@@ -486,10 +489,14 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="JSON config file")
         add_common(p)
+        if name == "sweep":
+            p.add_argument("--workers", type=int, default=None,
+                           help="override the config worker count: processes "
+                                "that run the sweep's jobs")
 
     p_report = sub.add_parser("report", help="render tables from a ledger")
     p_report.add_argument("ledger", help="ledger.jsonl path")
-    add_common(p_report, out_required=False)
+    add_common(p_report, out_required=False, seed=False)
 
     p_gc = sub.add_parser("grad-check", help="finite-difference gradient check")
     p_gc.add_argument("config", nargs="?", default=None)
@@ -511,7 +518,7 @@ def main(argv=None) -> int:
             return cmd_grad_check(GRAD_CHECK_MODEL, args.seed or 0,
                                   args.epsilon, args.out)
         cfg = load_config(args.config, seed_override=args.seed,
-                          workers_override=args.workers)
+                          workers_override=vars(args).get("workers"))
         if args.command == "gen-data":
             return cmd_gen_data(cfg, args.out)
         if args.command == "train-source":

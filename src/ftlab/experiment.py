@@ -276,8 +276,7 @@ def run_job(inputs: JobInputs, spec: JobSpec) -> RunRecord:
             "domain": task.train.domain_name}), spec.save_path)
     source = inputs.source
     return RunRecord(kind=spec.kind, task=spec.task_id,
-                     source=str(source.metadata.get("domain",
-                                                    source.header.seed)),
+                     source=str(source.extra.get("domain", source.header.seed)),
                      seed=spec.seed, final_accuracy=result.final_accuracy,
                      best_accuracy=result.best_accuracy, ll=spec.ll,
                      il=spec.il, scale=spec.scale, checkpoint=spec.checkpoint)

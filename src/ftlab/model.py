@@ -9,6 +9,7 @@ output size so heads can be swapped across label counts.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -361,16 +362,25 @@ _HEADER_FIELDS = tuple(f.name for f in fields(CheckpointHeader))
 
 @dataclass
 class Checkpoint:
-    """Float32 tensors in file order, the metadata as written (the header's
-    fields and free-form ones such as domain), and the header it holds."""
+    """Float32 tensors in file order, the header, and extra: the free-form
+    metadata fields, such as domain."""
 
     tensors: dict[str, np.ndarray]
-    metadata: dict
     header: CheckpointHeader
+    extra: dict = field(default_factory=dict)
 
     @property
     def stage_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.header.arch)
+
+    @property
+    def metadata(self) -> dict:
+        """The metadata block as save_checkpoint writes it, as a new dict:
+        editing it changes nothing in the checkpoint."""
+        # LayerSpec.to_dict leaves out the fields a layer kind does not use
+        return (encode(self.header)
+                | {"arch": [s.to_dict() for s in self.header.arch]}
+                | copy.deepcopy(self.extra))
 
 
 def checkpoint_from_model(model: StagedModel,
@@ -385,11 +395,14 @@ def checkpoint_from_model(model: StagedModel,
     header = CheckpointHeader(model.spec, model.digest(), model.input_shape,
                               model.trained_iterations, model.num_labels,
                               model.seed)
-    # LayerSpec.to_dict leaves out the fields a layer kind does not use
-    meta = encode(header) | {"arch": [s.to_dict() for s in model.spec]} | extra
-    tensors = {name: np.asarray(arr, dtype=np.float32)
-               for name, arr in model.named_parameters()}
-    return Checkpoint(tensors, meta, header)
+    tensors = {}
+    for name, arr in model.named_parameters():
+        try:
+            tensors[name] = binio.finite_float32(arr)
+        except binio.FormatError:
+            raise ValueError(f"checkpoint: parameter {name!r} is not finite "
+                             f"as float32") from None
+    return Checkpoint(tensors, header, dict(extra))
 
 
 def save_checkpoint(model_or_ckpt, path) -> None:
@@ -436,7 +449,9 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError("trailing bytes after the last tensor")
     except binio.FormatError as e:
         raise CheckpointError(str(e)) from None
-    return Checkpoint(tensors, meta, _read_header(meta))
+    header = _read_header(meta)
+    return Checkpoint(tensors, header, {k: v for k, v in meta.items()
+                                        if k not in _HEADER_FIELDS})
 
 
 def _read_header(meta) -> CheckpointHeader:

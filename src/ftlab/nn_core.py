@@ -25,11 +25,6 @@ from numpy.lib.stride_tricks import as_strided
 DTYPE = np.float64
 
 
-def _check_finite(arr: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"non-finite values produced in {context}")
-
-
 class Dense:
     """Fully connected layer: y = x @ w + b."""
 
@@ -389,12 +384,12 @@ class ForwardCache:
     dlogits: np.ndarray
 
 
-def run_stages(stages: list[Stage], x: np.ndarray, check_finite: bool = False,
+def run_stages(stages: list[Stage], x: np.ndarray,
                caches: list | None = None) -> np.ndarray:
     """The one stage loop: run a batch through a stage list, with no loss.
 
-    A layer's shape error, and with check_finite a non-finite activation, is
-    re-raised with its stage named. caches gets each stage's layer caches."""
+    A layer's shape error is re-raised with its stage named. caches gets
+    each stage's layer caches."""
     for stage in stages:
         layer_caches = []
         for layer in stage.layers:
@@ -405,19 +400,28 @@ def run_stages(stages: list[Stage], x: np.ndarray, check_finite: bool = False,
             if caches is not None:
                 layer_caches.append(c)
             del c     # else it would live through the next layer's forward
-        if check_finite and not np.all(np.isfinite(x)):
-            raise ValueError(f"stage '{stage.name}': non-finite activation")
         if caches is not None:
             caches.append(layer_caches)
     return x
+
+
+def check_output(stages: list[Stage], x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y, the output of stages on x, if it is finite; else a ValueError naming
+    the first stage whose output is not, found by running them again on x."""
+    if not np.isfinite(y).all():
+        for stage in stages:
+            x = run_stages([stage], x)     # y is the last stage's output
+            if stage is stages[-1] or not np.isfinite(x).all():
+                raise ValueError(f"stage '{stage.name}': non-finite activation")
+    return y
 
 
 def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.ndarray, ForwardCache]:
     """Run the stage list on a batch and apply softmax cross-entropy.
 
     Returns (loss, per-label probabilities, cache for backward).
-    Shape problems and non-finite activations are rejected with the
-    offending stage named.
+    Shape problems and non-finite logits are rejected with the offending
+    stage named; with finite logits the probabilities are finite.
     """
     x = np.asarray(batch, dtype=DTYPE)
     y = np.asarray(labels)
@@ -426,14 +430,13 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
                          f"got shape {y.shape}")
     y = y.astype(np.int64)
     stage_caches: list = []
-    x = run_stages(stages, x, check_finite=True, caches=stage_caches)
+    x = check_output(stages, x, run_stages(stages, x, stage_caches))
     if x.ndim != 2:
         raise ValueError(f"head stage '{stages[-1].name}' must produce "
                          f"(batch, labels) scores, got shape {x.shape}")
     if np.any(y < 0) or np.any(y >= x.shape[1]):
         raise ValueError(f"labels out of range for {x.shape[1]} classes")
     loss, probs, dlogits = softmax_cross_entropy(x, y)
-    _check_finite(probs, "softmax")
     return float(loss), probs, ForwardCache(stage_caches, dlogits)
 
 
@@ -500,8 +503,8 @@ def backward(stages: list[Stage], cache: ForwardCache) -> Gradients:
             view[...] = g
             grads[name] = view
     if not np.isfinite(grads.vector).all():
-        for name, g in grads.items():
-            _check_finite(g, f"gradient of {name}")
+        name = next(n for n, g in grads.items() if not np.isfinite(g).all())
+        raise ValueError(f"non-finite values produced in gradient of {name}")
     return grads
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .model import StagedModel
-from .nn_core import Gradients, backward, forward, run_stages
+from .nn_core import Gradients, backward, check_output, forward, run_stages
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,8 @@ def frozen_prefix(model: StagedModel, schedule: MultiplierSchedule,
     rows = model.check_input(train_set.features)
     val_batches = _chunks(model.check_input(val_set.features), val_set.labels)
     if frozen:
-        rows = np.concatenate([run_stages(frozen, x, check_finite=True)
-                               for x, _ in _chunks(rows, train_set.labels)])
+        rows = check_output(frozen, rows, np.concatenate(
+            [run_stages(frozen, x) for x, _ in _chunks(rows, train_set.labels)]))
         val_batches = [(run_stages(frozen, x), y) for x, y in val_batches]
     return FrozenPrefix(_read_only(rows),
                         tuple((_read_only(x), _read_only(y))

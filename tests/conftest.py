@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import struct
 import time
 
 import numpy as np
@@ -20,7 +21,7 @@ def write_config(path, cfg: dict) -> str:
 
 # each one breaks line 2 of a three-line manifest
 BROKEN_DATASET_CASES = ("missing_tensor", "corrupt_tensor", "mixed_shape",
-                        "nul_in_path", "not_utf8")
+                        "nul_in_path", "not_utf8", "nan_pixel")
 
 
 def write_broken_dataset(directory, case: str) -> None:
@@ -34,6 +35,9 @@ def write_broken_dataset(directory, case: str) -> None:
         (directory / "a" / "1.ftt").unlink()
     elif case == "corrupt_tensor":
         (directory / "a" / "1.ftt").write_bytes(b"FTT1\x03\x01")
+    elif case == "nan_pixel":       # the last of its 16 float32 values
+        path = directory / "a" / "1.ftt"
+        path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", np.nan))
     lines = [f"a/{i}.ftt\ta\n".encode() for i in range(3)]
     if case == "nul_in_path":
         lines[1] = b"a/1.ftt\x00\ta\n"

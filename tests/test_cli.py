@@ -5,6 +5,7 @@ import json
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -37,13 +38,14 @@ def tiny_checkpoint(edit=lambda meta: None, repeat: int = 0) -> bytes:
     net = build_staged_network(mini_staged_spec(TINY_MODEL["widths"], shape),
                                shape, 3, seed=0)
     ckpt = checkpoint_from_model(net)
-    edit(ckpt.metadata)
+    meta = ckpt.metadata
+    edit(meta)
     items = list(ckpt.tensors.items())
     items += items[:repeat]
     tensors = io.BytesIO()
     for name, arr in items:
         binio.write_named_tensor(tensors, name, arr)
-    return crafted_checkpoint(json.dumps(ckpt.metadata).encode(),
+    return crafted_checkpoint(json.dumps(meta).encode(),
                               tensors.getvalue(), len(items))
 
 
@@ -79,6 +81,8 @@ MALFORMED_CHECKPOINTS = {
     # the second tensor of one name silently replaced the first
     "trailing_bytes": tiny_checkpoint() + b"\0" * 700,
     "tensor_name_repeats": tiny_checkpoint(repeat=1),
+    # a NaN in the last tensor, the head's bias, which finetune re-initializes
+    "nan_in_tensor": tiny_checkpoint()[:-4] + struct.pack("<f", float("nan")),
 }
 
 
@@ -243,6 +247,20 @@ MALFORMED_CONFIGS = {
 
 
 class TestMalformedInput:
+    @pytest.mark.parametrize("argv", [
+        ["report", "l.jsonl", "--seed", "-1", "--workers", "0"],
+        ["report", "l.jsonl", "--seed", "1"],
+        ["grad-check", "--workers", "1"],
+        ["gen-data", "c.json", "--out", "o", "--workers", "1"],
+        ["train-source", "c.json", "--out", "o", "--workers", "1"],
+        ["finetune", "c.json", "--out", "o", "--workers", "2"]])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, argv,
+                                                             capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
     def test_exits_1_with_only_errors_before_any_output(
             self, tmp_path, data_root, source_run, capsys, case):
@@ -375,6 +393,33 @@ class TestTrainSource:
             blobs.append((out / "source.ftlb").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("base_lr, error", [
+        # weights that stay finite as float64 but overflow float32, with no
+        # warning from the cast
+        pytest.param(1e6, "checkpoint: parameter 'conv3/0/b' is not finite "
+                          "as float32",
+                     marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+        # weights that overflow float64 during training
+        (1e300, "stage 'conv2': non-finite activation")])
+    def test_diverged_run_exits_1_saving_and_recording_nothing(
+            self, tmp_path, capsys, base_lr, error):
+        # the README walkthrough's source run at a huge base_lr
+        save_dataset(gen_synthetic_domain(SyntheticDomainSpec(
+            "srcdom", num_labels=4, examples_per_label=160, relatedness=1.0,
+            seed=1, family_seed=5)), tmp_path / "srcdom")
+        cfg = {"policy": {"base_lr": base_lr, "step_size": 300,
+                          "total_iterations": 30},
+               "batch_size": 8, "seed": 7,
+               "data": {"dataset": str(tmp_path / "srcdom"),
+                        "partition_seed": 4}}
+        out = tmp_path / "o"
+        config = write_config(tmp_path / "c.json", cfg)
+        assert main(["train-source", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {error}"]
+        assert captured.out == ""
+        assert sorted(os.listdir(out)) == ["config.json"]
+
     def test_missing_dataset_path_names_problem(self, tmp_path, capsys):
         cfg = {"policy": FAST_POLICY, "model": TINY_MODEL,
                "data": {"dataset": str(tmp_path / "nope"),
@@ -393,6 +438,7 @@ class TestTrainSource:
         config = write_config(tmp_path / "c.json", cfg)
         assert main(["train-source", config, "--out", str(tmp_path / "o")]) == 1
         assert "manifest.tsv:2: a/1.ftt" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_seed_override_recorded(self, tmp_path, data_root):
         cfg = {"policy": FAST_POLICY, "model": TINY_MODEL, "batch_size": 6,
@@ -488,8 +534,7 @@ class TestFinetune:
                                                         data_root,
                                                         source_run):
         source = load_checkpoint(source_run / "source.ftlb")
-        del source.metadata["domain"]
-        save_checkpoint(source, tmp_path / "anonymous.ftlb")
+        save_checkpoint(replace(source, extra={}), tmp_path / "anonymous.ftlb")
         cfg = self.finetune_cfg(data_root, source_run, {"ll": 0.1})
         cfg["source_checkpoint"] = str(tmp_path / "anonymous.ftlb")
         out = tmp_path / "o"

@@ -1,5 +1,6 @@
 """Partitioning protocol, splits, synthetic domains, and on-disk format tests."""
 
+import io
 import struct
 
 import numpy as np
@@ -239,6 +240,18 @@ class TestOnDiskFormat:
         out = binio.load_tensor_file(path)
         assert np.array_equal(out, arr)
         assert out.dtype == np.float32
+
+    @pytest.mark.filterwarnings("error")     # no overflow warning either
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
+    def test_tensor_not_finite_as_float32_refused_before_the_file(self,
+                                                                  tmp_path,
+                                                                  value):
+        path = tmp_path / "t.ftt"
+        with pytest.raises(binio.FormatError, match="not finite as float32"):
+            binio.save_tensor_file(path, np.array([[1.0, value]]))
+        assert not path.exists()
+        with pytest.raises(binio.FormatError, match="not finite as float32"):
+            binio.write_named_tensor(io.BytesIO(), "t", np.array([value]))
 
     def test_tensor_file_bad_magic(self, tmp_path):
         path = tmp_path / "t.ftt"

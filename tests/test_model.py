@@ -155,6 +155,36 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_editing_the_metadata_dict_changes_nothing(self, tmp_path):
+        m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5)
+        ckpt = checkpoint_from_model(m, {"domain": "d"})
+        before, after = tmp_path / "before.ftlb", tmp_path / "after.ftlb"
+        save_checkpoint(ckpt, before)
+        meta = ckpt.metadata
+        meta.update(digest="f" * 64, num_labels=7, domain="e")
+        meta["arch"][-1]["layers"][0]["out_features"] = 7
+        save_checkpoint(ckpt, after)
+        assert after.read_bytes() == before.read_bytes()
+        assert model_from_checkpoint(ckpt).num_labels == 3
+        loaded = load_checkpoint(before)
+        assert (loaded.header, loaded.extra) == (ckpt.header, {"domain": "d"})
+        assert loaded.metadata == ckpt.metadata
+
+    @pytest.mark.filterwarnings("error")     # no overflow warning from the cast
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e39])
+    def test_parameter_not_finite_as_float32_refused_before_any_file(
+            self, tmp_path, value):
+        m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5)
+        params = dict(m.named_parameters())
+        params["conv2/0/b"][1] = value
+        params["fc/0/w"][0, 0] = value
+        path = tmp_path / "m.ftlb"
+        with pytest.raises(ValueError, match=r"^checkpoint: parameter "
+                                             r"'conv2/0/b' is not finite as "
+                                             r"float32$"):
+            save_checkpoint(m, path)
+        assert not path.exists()
+
     def test_model_from_checkpoint_restores_parameters(self, tmp_path):
         m = build_staged_network(tiny_spec(True), (1, 8, 8), 3, seed=4)
         path = tmp_path / "m.ftlb"
@@ -187,10 +217,10 @@ class TestCheckpoint:
         ("digest", 0)])
     def test_mistyped_metadata_rejected(self, tmp_path, field, value):
         m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5)
-        ckpt = checkpoint_from_model(m)
-        ckpt.metadata[field] = value
+        meta = checkpoint_from_model(m).metadata
+        meta[field] = value
         path = tmp_path / "m.ftlb"
-        save_checkpoint(ckpt, path)
+        write_metadata_only(path, meta)
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
@@ -235,9 +265,10 @@ class TestCheckpoint:
                                                                   tmp_path):
         m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5)
         ckpt = checkpoint_from_model(m)
-        ckpt.metadata["arch"][-1]["layers"][0]["out_features"] = 7
+        meta = ckpt.metadata
+        meta["arch"][-1]["layers"][0]["out_features"] = 7
         path = tmp_path / "m.ftlb"
-        save_checkpoint(ckpt, path)
+        write_metadata_only(path, meta)
         with pytest.raises(CheckpointError,
                            match="head outputs 7 but num_labels is 3"):
             load_checkpoint(path)
@@ -266,10 +297,10 @@ class TestDigest:
         m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=6)
         with pytest.raises(ValueError, match=r"model gives: \['digest'\]"):
             checkpoint_from_model(m, {"digest": "f" * 64, "domain": "d"})
-        ckpt = checkpoint_from_model(m)
-        ckpt.metadata["digest"] = "f" * 64
+        meta = checkpoint_from_model(m).metadata
+        meta["digest"] = "f" * 64
         path = tmp_path / "forged.ftlb"
-        save_checkpoint(ckpt, path)
+        write_metadata_only(path, meta)
         with pytest.raises(CheckpointError, match="digest"):
             load_checkpoint(path)
 

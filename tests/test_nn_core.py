@@ -195,6 +195,30 @@ class TestForward:
         with pytest.raises(ValueError, match="hidden.*non-finite"):
             forward(m.stages, np.ones((2, 4)), [0, 1])
 
+    def test_finite_forward_runs_each_layer_once(self, monkeypatch):
+        m = small_conv_model(seed=4, residual=True)
+        layers = [layer for stage in m.stages for layer in stage.layers]
+        calls = []
+        for layer in layers:
+            monkeypatch.setattr(layer, "forward", lambda x, layer=layer,
+                                f=layer.forward: calls.append(layer) or f(x))
+        x = np.random.default_rng(6).uniform(-1, 1, size=(4, 1, 8, 8))
+        forward(m.stages, x, np.arange(4) % 3)
+        assert calls == layers
+
+    @pytest.mark.parametrize("bad, named", [(("conv2", "fc"), "conv2"),
+                                            (("conv1", "conv2"), "conv1"),
+                                            (("fc",), "fc")])
+    def test_first_non_finite_stage_named(self, bad, named):
+        m = small_conv_model(seed=4)
+        for stage in m.stages:
+            if stage.name in bad:
+                stage.layers[0].b[0] = np.nan
+        x = np.random.default_rng(6).uniform(-1, 1, size=(4, 1, 8, 8))
+        with pytest.raises(ValueError,
+                           match=f"^stage '{named}': non-finite activation$"):
+            forward(m.stages, x, np.arange(4) % 3)
+
     def test_label_out_of_range_rejected(self):
         m = two_layer_model()
         with pytest.raises(ValueError, match="range"):

@@ -446,6 +446,15 @@ class TestFrozenPrefixCache:
                   MultiplierSchedule(HEAD_ONLY), self.policy, batch_size=8,
                   seed=4)
 
+    def test_non_finite_row_past_the_first_batch_names_its_stage(self):
+        features = self.train_set.features.copy()
+        features[280, 0, 3, 3] = np.nan          # in the second 256-row batch
+        rows = LabeledDataset(features, self.train_set.labels, ("a", "b", "c"))
+        with pytest.raises(ValueError,
+                           match="^stage 'conv1': non-finite activation$"):
+            frozen_prefix(conv_model(), MultiplierSchedule(HEAD_ONLY), rows,
+                          self.val_set)
+
     def test_input_shape_checked_up_front(self):
         m = conv_model()
         flat = LabeledDataset(self.train_set.features.reshape(300, 64),
