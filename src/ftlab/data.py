@@ -311,7 +311,11 @@ def gen_synthetic_domain(spec: SyntheticDomainSpec) -> LabeledDataset:
 # --- on-disk dataset format --------------------------------------------------
 
 def save_dataset(dataset: LabeledDataset, directory) -> None:
-    """Write per-label subdirectories of tensor files plus a manifest."""
+    """Write per-label subdirectories of tensor files plus a manifest.
+
+    Every example is checked before any file is written, so an example the
+    tensor format refuses (not finite as float32) leaves no file."""
+    features = binio.finite_float32(dataset.features)
     os.makedirs(directory, exist_ok=True)
     lines = []
     for i in range(len(dataset)):
@@ -319,7 +323,7 @@ def save_dataset(dataset: LabeledDataset, directory) -> None:
         rel = f"{label_name}/{i:06d}.ftt"
         path = os.path.join(directory, rel)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        binio.save_tensor_file(path, dataset.features[i])
+        binio.save_tensor_file(path, features[i])
         lines.append(f"{rel}\t{label_name}\n")
     with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as f:
         f.writelines(lines)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import io
 import json
 import math
 import struct
@@ -406,18 +407,23 @@ def checkpoint_from_model(model: StagedModel,
 
 
 def save_checkpoint(model_or_ckpt, path) -> None:
-    """Write a checkpoint file (magic FTLB, version, metadata, tensors)."""
+    """Write a checkpoint file (magic FTLB, version, metadata, tensors).
+
+    The file's bytes are built before it is opened, so a tensor the format
+    refuses (not finite as float32, say) leaves no file."""
     ckpt = (model_or_ckpt if isinstance(model_or_ckpt, Checkpoint)
             else checkpoint_from_model(model_or_ckpt))
     meta = _metadata_bytes(ckpt.metadata)
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(meta)))
-        f.write(meta)
-        f.write(struct.pack("<I", len(ckpt.tensors)))
-        for name, arr in ckpt.tensors.items():
-            binio.write_named_tensor(f, name, arr)
+    f = io.BytesIO()
+    f.write(CHECKPOINT_MAGIC)
+    f.write(struct.pack("<I", CHECKPOINT_VERSION))
+    f.write(struct.pack("<I", len(meta)))
+    f.write(meta)
+    f.write(struct.pack("<I", len(ckpt.tensors)))
+    for name, arr in ckpt.tensors.items():
+        binio.write_named_tensor(f, name, arr)
+    with open(path, "wb") as out:
+        out.write(f.getvalue())
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -279,11 +279,13 @@ class GlobalAvgPool:
     def forward(self, x):
         if x.ndim != 4:
             raise ValueError(f"global-average-pool expected (batch, C, H, W), got {x.shape}")
-        return x.mean(axis=(2, 3)), x.shape
+        h, w = x.shape[2:]
+        return np.add.reduce(x, axis=(2, 3)) / (h * w), x.shape
 
     def backward(self, dy, cache):
-        n, c, h, w = cache
-        dx = np.broadcast_to(dy[:, :, None, None] / (h * w), (n, c, h, w)).copy()
+        h, w = cache[2:]
+        dx = np.empty(cache, dtype=DTYPE)
+        dx[...] = (dy / (h * w))[:, :, None, None]
         return dx, {}
 
     def named_params(self):
@@ -364,14 +366,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     mean loss with respect to the logits.
     """
     n = logits.shape[0]
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    rows = np.arange(n)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
+    denom = np.add.reduce(exp, axis=1, keepdims=True)
     probs = exp / denom
-    log_probs = shifted - np.log(denom)
-    loss = -log_probs[np.arange(n), labels].mean()
+    loss = -(np.add.reduce(shifted[rows, labels] - np.log(denom[:, 0])) / n)
     dlogits = probs.copy()
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits[rows, labels] -= 1.0
     dlogits /= n
     return loss, probs, dlogits
 
@@ -416,6 +418,17 @@ def check_output(stages: list[Stage], x: np.ndarray, y: np.ndarray) -> np.ndarra
     return y
 
 
+def _head_scores(stages: list[Stage], x: np.ndarray, caches: list) -> np.ndarray:
+    """The (batch, labels) scores of stages on the float64 batch x, their
+    caches appended to caches: forward()'s pass without the label checks
+    and the loss, also run by optim.train(), which checks its labels once."""
+    y = check_output(stages, x, run_stages(stages, x, caches))
+    if y.ndim != 2:
+        raise ValueError(f"head stage '{stages[-1].name}' must produce "
+                         f"(batch, labels) scores, got shape {y.shape}")
+    return y
+
+
 def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.ndarray, ForwardCache]:
     """Run the stage list on a batch and apply softmax cross-entropy.
 
@@ -430,10 +443,7 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
                          f"got shape {y.shape}")
     y = y.astype(np.int64)
     stage_caches: list = []
-    x = check_output(stages, x, run_stages(stages, x, stage_caches))
-    if x.ndim != 2:
-        raise ValueError(f"head stage '{stages[-1].name}' must produce "
-                         f"(batch, labels) scores, got shape {x.shape}")
+    x = _head_scores(stages, x, stage_caches)
     if np.any(y < 0) or np.any(y >= x.shape[1]):
         raise ValueError(f"labels out of range for {x.shape[1]} classes")
     loss, probs, dlogits = softmax_cross_entropy(x, y)

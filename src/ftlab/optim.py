@@ -16,7 +16,8 @@ import numpy as np
 
 from .data import LabeledDataset
 from .model import StagedModel
-from .nn_core import Gradients, backward, check_output, forward, run_stages
+from .nn_core import (ForwardCache, Gradients, _head_scores, backward,
+                      check_output, run_stages, softmax_cross_entropy)
 
 
 @dataclass(frozen=True)
@@ -295,6 +296,12 @@ def train(model: StagedModel, train_set: LabeledDataset,
     that output by prefix_key for calls on these two sets: a hit skips the
     computation, a miss fills it. Validation keeps evaluate()'s batches, so
     each recorded accuracy is exactly evaluate() of the model at that point.
+
+    The training labels are checked against the head's model.num_labels
+    classes once, before the first step, so each step does only per-batch
+    work. numpy's overflow and invalid-value warnings are silenced for the
+    call: a diverging run is reported by check_output's, backward's and the
+    checkpoint writer's errors instead.
     """
     if len(train_set) == 0:
         raise ValueError("training set is empty")
@@ -303,12 +310,13 @@ def train(model: StagedModel, train_set: LabeledDataset,
     if not 0 < batch_size <= len(train_set):
         raise ValueError(f"batch_size must be in [1, {len(train_set)}], "
                          f"got {batch_size}")
+    labels = train_set.labels
+    if labels.min() < 0 or labels.max() >= model.num_labels:
+        raise ValueError(f"training labels out of range for "
+                         f"{model.num_labels} classes")
     prefixes = {} if prefixes is None else prefixes
     key = prefix_key(model, schedule)
-    if key not in prefixes:
-        prefixes[key] = frozen_prefix(model, schedule, train_set, val_set)
     live = model.stages[lowest_trainable_stage(model.stage_names, schedule):]
-    rows, val_batches = prefixes[key].rows, prefixes[key].val_batches
     cadence = eval_every if eval_every else max(1, policy.step_size // 10)
 
     rng = np.random.default_rng(seed)
@@ -320,23 +328,29 @@ def train(model: StagedModel, train_set: LabeledDataset,
     best_acc = -1.0
     best_iter = -1
 
-    for it in range(policy.total_iterations):
-        if cursor + batch_size > len(order):
-            order = rng.permutation(len(train_set))
-            cursor = 0
-        idx = order[cursor:cursor + batch_size]
-        cursor += batch_size
-        _, _, cache = forward(live, rows[idx], train_set.labels[idx])
-        grads = backward(live, cache)
-        sgd_step(model, grads, state, schedule, policy, it)
-        done = it + 1
-        if done % cadence == 0 or done == policy.total_iterations:
-            acc = _accuracy(live, val_batches)
-            trace.append((done, acc))
-            if acc > best_acc:
-                best_acc = acc
-                best_iter = done
-                best_params = model.params.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if key not in prefixes:
+            prefixes[key] = frozen_prefix(model, schedule, train_set, val_set)
+        rows, val_batches = prefixes[key].rows, prefixes[key].val_batches
+        for it in range(policy.total_iterations):
+            if cursor + batch_size > len(order):
+                order = rng.permutation(len(train_set))
+                cursor = 0
+            idx = order[cursor:cursor + batch_size]
+            cursor += batch_size
+            caches: list = []
+            scores = _head_scores(live, rows[idx], caches)
+            _, _, dlogits = softmax_cross_entropy(scores, labels[idx])
+            grads = backward(live, ForwardCache(caches, dlogits))
+            sgd_step(model, grads, state, schedule, policy, it)
+            done = it + 1
+            if done % cadence == 0 or done == policy.total_iterations:
+                acc = _accuracy(live, val_batches)
+                trace.append((done, acc))
+                if acc > best_acc:
+                    best_acc = acc
+                    best_iter = done
+                    best_params = model.params.copy()
 
     model.trained_iterations = start_iterations + policy.total_iterations
     # every run evaluates at its last step, so best_params is always set

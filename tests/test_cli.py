@@ -399,8 +399,10 @@ class TestTrainSource:
         pytest.param(1e6, "checkpoint: parameter 'conv3/0/b' is not finite "
                           "as float32",
                      marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
-        # weights that overflow float64 during training
-        (1e300, "stage 'conv2': non-finite activation")])
+        # weights that overflow float64 during training, with no numpy
+        # warning before the error line
+        pytest.param(1e300, "stage 'conv2': non-finite activation",
+                     marks=pytest.mark.filterwarnings("error"))])
     def test_diverged_run_exits_1_saving_and_recording_nothing(
             self, tmp_path, capsys, base_lr, error):
         # the README walkthrough's source run at a huge base_lr

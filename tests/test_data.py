@@ -277,6 +277,15 @@ class TestOnDiskFormat:
         assert np.array_equal(back.features,
                               ds.features.astype(np.float32).astype(np.float64))
 
+    def test_example_the_format_refuses_leaves_no_file(self, tmp_path):
+        ds = gen_synthetic_domain(SyntheticDomainSpec("dom", 3, 4, seed=3)
+                                  ).subset(range(6))
+        ds.features[4, 0, 2, 3] = np.inf
+        with pytest.raises(binio.FormatError, match="not finite as float32"):
+            save_dataset(ds, tmp_path / "dom")
+        assert list(tmp_path.rglob("*.ftt")) == []
+        assert list(tmp_path.rglob("manifest.tsv")) == []
+
     def test_manifest_assigns_ids_by_first_appearance(self, tmp_path):
         d = tmp_path / "ds"
         d.mkdir()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import one_conv_metadata
-from ftlab import model
+from ftlab import binio, model
 from ftlab.codec import decode
 from ftlab.data import LabeledDataset
 from ftlab.experiment import FinetuneTask, run_ll_experiment
@@ -183,6 +183,18 @@ class TestCheckpoint:
                                              r"'conv2/0/b' is not finite as "
                                              r"float32$"):
             save_checkpoint(m, path)
+        assert not path.exists()
+
+    def test_tensor_the_format_refuses_leaves_no_file(self, tmp_path):
+        # a hand-built checkpoint does not pass checkpoint_from_model's check;
+        # fc/0/b is its last tensor, written after the header and the rest
+        ckpt = checkpoint_from_model(
+            build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5))
+        assert list(ckpt.tensors)[-1] == "fc/0/b"
+        ckpt.tensors["fc/0/b"] = np.array([0.0, np.nan, 0.0], dtype=np.float32)
+        path = tmp_path / "m.ftlb"
+        with pytest.raises(binio.FormatError, match="not finite as float32"):
+            save_checkpoint(ckpt, path)
         assert not path.exists()
 
     def test_model_from_checkpoint_restores_parameters(self, tmp_path):

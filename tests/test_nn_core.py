@@ -628,6 +628,81 @@ class TestMaxPool:
         assert np.array_equal(dx, want_dx)
 
 
+def reference_softmax_cross_entropy(logits, labels):
+    """softmax_cross_entropy as the ndarray method wrappers compute it."""
+    n = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=1, keepdims=True)
+    probs = exp / denom
+    log_probs = shifted - np.log(denom)
+    loss = -log_probs[np.arange(n), labels].mean()
+    dlogits = probs.copy()
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    return loss, probs, dlogits
+
+
+def reference_global_avg_pool(x, dy):
+    """GlobalAvgPool's forward output and backward dx through mean and a
+    copied broadcast."""
+    n, c, h, w = x.shape
+    return (x.mean(axis=(2, 3)),
+            np.broadcast_to(dy[:, :, None, None] / (h * w), x.shape).copy())
+
+
+def same_bytes(a, b):
+    """Equal values, bit for bit, in the same memory order."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.strides == b.strides and a.tobytes() == b.tobytes())
+
+
+class TestLeanKernelsMatchReferences:
+    """The loss kernel and the global-average pool give the reference
+    formulas' bytes, so no result of training changes."""
+
+    @pytest.mark.parametrize("n", [1, 8, 256])
+    @pytest.mark.parametrize("layout", ["row-major", "channel-major"])
+    @pytest.mark.parametrize("kind", ["uniform", "large", "tied"])
+    def test_softmax_cross_entropy(self, n, layout, kind):
+        rng = np.random.default_rng(n)
+        c = 5
+        logits = rng.standard_normal((c, n) if layout == "channel-major"
+                                     else (n, c))
+        if kind == "large":
+            logits = logits * 1e3 + 1e6
+        elif kind == "tied":
+            logits = np.round(logits)      # most rows hold a tied max
+            logits[0] = 7.0                # a row or column of one value
+        if layout == "channel-major":
+            logits = logits.T
+        labels = rng.integers(0, c, size=n)
+        got = softmax_cross_entropy(logits, labels)
+        want = reference_softmax_cross_entropy(logits, labels)
+        assert type(got[0]) is type(want[0])
+        assert all(same_bytes(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("n", [1, 8, 256])
+    @pytest.mark.parametrize("layout", ["row-major", "channel-major"])
+    def test_global_avg_pool(self, n, layout):
+        rng = np.random.default_rng(n)
+        c, h, w = 8, 4, 6
+        if layout == "channel-major":    # as a conv's output is laid out
+            x = rng.standard_normal((c, n, h, w)).transpose(1, 0, 2, 3)
+            dy = rng.standard_normal((c, n)).T
+        else:
+            x = rng.standard_normal((n, c, h, w))
+            dy = rng.standard_normal((n, c))
+        layer = nn_core.GlobalAvgPool()
+        y, cache = layer.forward(x)
+        dx, grads = layer.backward(dy, cache)
+        want_y, want_dx = reference_global_avg_pool(x, dy)
+        assert same_bytes(y, want_y)
+        assert same_bytes(dx, want_dx)
+        assert grads == {}
+
+
 class TestFrozenPrefixElision:
     """Backward over a live stage list gives the full backward's gradients."""
 

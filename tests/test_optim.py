@@ -318,6 +318,24 @@ class TestTrain:
         with pytest.raises(ValueError, match="batch_size"):
             train(m, ds, ds, schedule, policy, batch_size=7, seed=0)
 
+    @pytest.mark.parametrize("inner", [1.0, 0.0])
+    def test_label_beyond_the_head_rejected_before_the_first_step(self, inner):
+        # a label-3 example for a 3-label head, last in the batch order, so
+        # the one step of batch 2 never draws it
+        ds = toy_dataset(n_per_label=3, labels=4)
+        seed = 5
+        labels = np.zeros(len(ds), dtype=np.int64)
+        labels[np.random.default_rng(seed).permutation(len(ds))[-1]] = 3
+        ds = LabeledDataset(ds.features, labels, ds.label_names)
+        m = dense_model()
+        before = m.params.copy()
+        schedule = uniform_schedule(m.stage_names, m.head_name, inner, 1.0)
+        with pytest.raises(ValueError, match="^training labels out of range "
+                                             "for 3 classes$"):
+            train(m, ds, ds, schedule, LrPolicy(0.05, 10, 1), batch_size=2,
+                  seed=seed)
+        assert m.params.tobytes() == before.tobytes()
+
     def test_base_lr_multiplier_equivalence(self):
         # multipliers m at base b == multipliers m/c at base c*b (mu = 0)
         ds = toy_dataset(seed=8)
