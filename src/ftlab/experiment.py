@@ -86,9 +86,10 @@ class GridSpec:
                              f"(0, {min(self.ll_values)}]")
 
     def il_values(self, ll: float) -> tuple[float, ...]:
-        """0 plus every power of 10 from min_il up to LL (inclusive)."""
+        """0 plus every power of 10 from min_il up to LL (inclusive), both
+        ends within a relative 1e-9."""
         values = [0.0]
-        k = round(math.log10(self.min_il))
+        k = math.ceil(math.log10(self.min_il * (1 - 1e-9)))
         while 10.0 ** k <= ll * (1 + 1e-9):
             values.append(10.0 ** k)
             k += 1

@@ -140,6 +140,9 @@ class TestGridSpec:
         grid = GridSpec()
         assert grid.il_values(0.01) == (0.0, 0.0001, 0.001, 0.01)
         assert grid.il_values(0.1) == (0.0, 0.0001, 0.001, 0.01, 0.1)
+        # no inner rate below min_il, which need not be a power of 10
+        for min_il in (0.003, 0.0031622):
+            assert GridSpec((0.1,), min_il).il_values(0.1) == (0.0, 0.01, 0.1)
 
     def test_counts_4_and_5(self):
         grid = GridSpec()
