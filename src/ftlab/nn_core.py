@@ -359,23 +359,29 @@ def param_layout(stages: list[Stage]) -> dict[str, slice]:
     return layout
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over the batch.
+def _softmax(logits: np.ndarray):
+    """(probs, top, denom): the row softmax of (batch, labels) logits,
+    computed in place in one fresh array laid out as numpy lays out
+    logits - top, with the row maxima top and the row sums denom of the
+    shifted exponentials, both (batch, 1)."""
+    top = np.maximum.reduce(logits, axis=1, keepdims=True)
+    probs = logits - top
+    np.exp(probs, out=probs)
+    denom = np.add.reduce(probs, axis=1, keepdims=True)
+    probs /= denom
+    return probs, top, denom
 
-    Returns (loss, probs, dlogits) where dlogits is the gradient of the
-    mean loss with respect to the logits.
-    """
-    n = logits.shape[0]
-    rows = np.arange(n)
-    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    denom = np.add.reduce(exp, axis=1, keepdims=True)
-    probs = exp / denom
-    loss = -(np.add.reduce(shifted[rows, labels] - np.log(denom[:, 0])) / n)
-    dlogits = probs.copy()
-    dlogits[rows, labels] -= 1.0
-    dlogits /= n
-    return loss, probs, dlogits
+
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The gradient of the mean cross-entropy over the batch with respect to
+    the logits, as a fresh C-ordered array: the softmax with 1 subtracted
+    at each row's label, divided by the batch size. It is training's loss
+    kernel, so it computes no loss and keeps no probabilities; forward()
+    returns those, from the same softmax."""
+    dlogits = np.ascontiguousarray(_softmax(logits)[0])
+    dlogits[np.arange(len(dlogits)), labels] -= 1.0
+    dlogits /= len(dlogits)
+    return dlogits
 
 
 @dataclass
@@ -434,7 +440,9 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
 
     Returns (loss, per-label probabilities, cache for backward).
     Shape problems and non-finite logits are rejected with the offending
-    stage named; with finite logits the probabilities are finite.
+    stage named; with finite logits the probabilities are finite. As in
+    optim.train(), numpy's overflow and invalid-value warnings are silenced
+    for the stage pass, whose typed error reports a non-finite activation.
     """
     x = np.asarray(batch, dtype=DTYPE)
     y = np.asarray(labels)
@@ -443,11 +451,15 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
                          f"got shape {y.shape}")
     y = y.astype(np.int64)
     stage_caches: list = []
-    x = _head_scores(stages, x, stage_caches)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _head_scores(stages, x, stage_caches)
     if np.any(y < 0) or np.any(y >= x.shape[1]):
         raise ValueError(f"labels out of range for {x.shape[1]} classes")
-    loss, probs, dlogits = softmax_cross_entropy(x, y)
-    return float(loss), probs, ForwardCache(stage_caches, dlogits)
+    probs, top, denom = _softmax(x)
+    loss = -(np.add.reduce(x[np.arange(len(y)), y] - top[:, 0]
+                           - np.log(denom[:, 0])) / len(y))
+    return (float(loss), probs,
+            ForwardCache(stage_caches, softmax_cross_entropy(x, y)))
 
 
 class Gradients(dict):

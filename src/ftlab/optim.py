@@ -340,7 +340,7 @@ def train(model: StagedModel, train_set: LabeledDataset,
             cursor += batch_size
             caches: list = []
             scores = _head_scores(live, rows[idx], caches)
-            _, _, dlogits = softmax_cross_entropy(scores, labels[idx])
+            dlogits = softmax_cross_entropy(scores, labels[idx])
             grads = backward(live, ForwardCache(caches, dlogits))
             sgd_step(model, grads, state, schedule, policy, it)
             done = it + 1

@@ -124,8 +124,8 @@ TWO_LAYER_ORACLE_LOSS = 1.165160769542393
 class TestForward:
     def test_uniform_logits_loss_is_log_c(self):
         for c in (2, 5, 11):
-            loss, probs, _ = softmax_cross_entropy(np.zeros((3, c)),
-                                                   np.array([0, 1, 0])[:3] % c)
+            loss, probs, _ = forward([], np.zeros((3, c)),
+                                     np.array([0, 1, 0])[:3] % c)
             assert loss == pytest.approx(math.log(c), rel=1e-12)
             assert np.allclose(probs, 1.0 / c)
 
@@ -133,14 +133,14 @@ class TestForward:
         logits = np.full((4, 3), -50.0)
         y = np.array([0, 1, 2, 1])
         logits[np.arange(4), y] = 50.0
-        loss, _, _ = softmax_cross_entropy(logits, y)
+        loss, _, _ = forward([], logits, y)
         assert loss < 1e-8
 
     def test_cross_entropy_is_neg_log_true_score(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(6, 4))
         y = np.array([0, 1, 2, 3, 1, 2])
-        loss, probs, _ = softmax_cross_entropy(logits, y)
+        loss, probs, _ = forward([], logits, y)
         expected = -np.log(probs[np.arange(6), y]).mean()
         assert loss == pytest.approx(expected, abs=1e-9)
 
@@ -189,6 +189,7 @@ class TestForward:
         with pytest.raises(ValueError, match="labels"):
             forward(m.stages, np.zeros((3, 4)), [0, 1])
 
+    @pytest.mark.filterwarnings("error")     # the error, and no numpy warning
     def test_nonfinite_activation_names_stage(self):
         m = two_layer_model()
         dict(m.named_parameters())["hidden/0/w"][0, 0] = np.inf
@@ -658,16 +659,21 @@ def same_bytes(a, b):
             and a.strides == b.strides and a.tobytes() == b.tobytes())
 
 
-class TestLeanKernelsMatchReferences:
-    """The loss kernel and the global-average pool give the reference
-    formulas' bytes, so no result of training changes."""
+SOFTMAX_SHAPES = [(n, c) for c in (5, 2, 4) for n in (1, 6, 8, 256)]
 
-    @pytest.mark.parametrize("n", [1, 8, 256])
+
+class TestLeanKernelsMatchReferences:
+    """The loss kernel, forward's loss and the global-average pool give the
+    reference formulas' bytes, so no result of training changes."""
+
+    # (batch, labels): batch 6 is not a power of 2, so dividing by it
+    # rounds; an id names the labels where they are not 5
+    @pytest.mark.parametrize("n, c", SOFTMAX_SHAPES, ids=[
+        f"{n}" if c == 5 else f"{n}x{c}" for n, c in SOFTMAX_SHAPES])
     @pytest.mark.parametrize("layout", ["row-major", "channel-major"])
     @pytest.mark.parametrize("kind", ["uniform", "large", "tied"])
-    def test_softmax_cross_entropy(self, n, layout, kind):
+    def test_softmax_cross_entropy(self, n, c, layout, kind):
         rng = np.random.default_rng(n)
-        c = 5
         logits = rng.standard_normal((c, n) if layout == "channel-major"
                                      else (n, c))
         if kind == "large":
@@ -678,10 +684,14 @@ class TestLeanKernelsMatchReferences:
         if layout == "channel-major":
             logits = logits.T
         labels = rng.integers(0, c, size=n)
-        got = softmax_cross_entropy(logits, labels)
-        want = reference_softmax_cross_entropy(logits, labels)
-        assert type(got[0]) is type(want[0])
-        assert all(same_bytes(g, w) for g, w in zip(got, want))
+        want_loss, want_probs, want_dlogits = reference_softmax_cross_entropy(
+            logits, labels)
+        assert same_bytes(softmax_cross_entropy(logits, labels), want_dlogits)
+        loss, probs, cache = forward([], logits, labels)
+        assert type(loss) is float
+        assert same_bytes(np.float64(loss), want_loss)
+        assert same_bytes(probs, want_probs)
+        assert same_bytes(cache.dlogits, want_dlogits)
 
     @pytest.mark.parametrize("n", [1, 8, 256])
     @pytest.mark.parametrize("layout", ["row-major", "channel-major"])
