@@ -169,10 +169,12 @@ def sgd_step(model: StagedModel, grads: Gradients, state: SgdState,
     gradients checked, once per model, schedule and gradient layout, so
     once per train() call.
     """
-    if any(a is not b for a, b in zip(state.plan, (model, schedule, grads.layout))):
-        state.plan = (model, schedule, grads.layout, _runs(model, schedule, grads))
+    plan = state.plan
+    if plan[0] is not model or plan[1] is not schedule or plan[2] is not grads.layout:
+        state.plan = plan = (model, schedule, grads.layout,
+                             _runs(model, schedule, grads))
     lr = lr_at(policy, iteration)
-    for p, q, m in state.plan[3]:
+    for p, q, m in plan[3]:
         eff = lr * m * schedule.scale    # effective_lr's product, in its order
         if eff == 0.0:
             continue
