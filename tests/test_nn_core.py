@@ -630,7 +630,8 @@ class TestMaxPool:
 
 
 def reference_softmax_cross_entropy(logits, labels):
-    """softmax_cross_entropy as the ndarray method wrappers compute it."""
+    """(loss, probs, dlogits) of the mean softmax cross-entropy, computed
+    through the ndarray method wrappers."""
     n = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
