@@ -1,10 +1,11 @@
 """Command-line front end: reproducible runs driven by JSON config files.
 
 Subcommands: gen-data, train-source, finetune, sweep, report, grad-check.
-Every run writes its effective config next to the results ledger so any
-number in a report can be traced back to the exact inputs. Exit codes:
-0 success, 1 validation error or diverged training, 2 partial sweep
-failure or a usage error (an unknown command or flag).
+The three training commands each build a job list and end in one tail: it
+writes the effective config, runs the jobs with run_jobs and records them
+in the ledger, so any number in a report traces back to the exact inputs.
+Exit codes: 0 success, 1 validation error or diverged training, 2 partial
+sweep failure or a usage error (an unknown command or flag).
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from .codec import DecodeError, check, decode, encode
 from .data import (SyntheticDomainSpec, gen_synthetic_domain, load_dataset,
                    partition_domain, save_dataset, split_train_val)
 from .experiment import (FinetuneTask, GraduatedSpec, GridSpec, JobInputs,
-                         JobSpec, RunRecord, append_records,
-                         derive_seed, graduated_schedule, grid_jobs,
-                         rate_schedule, render_report, report_from_records,
-                         run_job, run_jobs, scale_jobs, scan_ledger)
+                         JobSpec, append_records, derive_seed,
+                         graduated_schedule, grid_jobs, rate_schedule,
+                         render_report, report_from_records, run_jobs,
+                         scale_jobs, scan_ledger, transfer_seeds)
 from .model import (Checkpoint, CheckpointError, build_staged_network,
-                    checkpoint_from_model, layer_shapes, load_checkpoint,
-                    mini_staged_spec, save_checkpoint)
+                    layer_shapes, load_checkpoint, mini_staged_spec)
 from .nn_core import grad_check
-from .optim import (LrPolicy, MultiplierSchedule, train, uniform_schedule)
+from .optim import LrPolicy, MultiplierSchedule, uniform_schedule
 
 LEDGER_NAME = "ledger.jsonl"
 CONFIG_COPY_NAME = "config.json"
@@ -277,10 +277,56 @@ def _load_source(cfg: RunConfig, errors: list[str]) -> Checkpoint | None:
         return None
 
 
+def _training_errors(cfg: RunConfig) -> list[str]:
+    """A training command's error list, begun with the rule they all keep."""
+    return [] if cfg.batch_size is not None else ["batch_size is required"]
+
+
 def _fail(errors) -> int:
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
     return 1
+
+
+def _make_dirs(*dirs) -> None:
+    """Make each output directory; one it cannot make is an input error."""
+    try:
+        for d in dirs:
+            os.makedirs(d, exist_ok=True)
+    except OSError as e:
+        raise ConfigError([f"cannot create output directory: {e}"]) from None
+
+
+def _run_and_record(cfg: RunConfig, out_dir, source, tasks, specs,
+                    sweep: bool = False) -> int:
+    """The tail of every training command: make the run directories, write
+    config.json, run the jobs, append their records to the ledger and, for a
+    sweep, write its report. A sweep with a failed job exits 2; a one-job
+    command whose job fails (a diverged run, say) exits 1 and saves and
+    records nothing."""
+    _make_dirs(out_dir, *dict.fromkeys(os.path.dirname(s.save_path)
+                                       for s in specs if s.save_path))
+    _write_config_copy(cfg, out_dir)
+    records, failures = run_jobs(
+        JobInputs(source, {t.task_id: t for t in tasks}, cfg.policy,
+                  cfg.batch_size, cfg.momentum), specs, cfg.workers)
+    if failures and not sweep:
+        return _fail([failures[0].message or failures[0].error])
+    ledger = os.path.join(out_dir, LEDGER_NAME)
+    append_records(ledger, records)
+    if not sweep:
+        kind = "source" if records[0].kind == "source" else "finetuned"
+        print(f"{kind} checkpoint: {specs[0].save_path}")
+        print(f"best val accuracy: {records[0].best_accuracy:.4f}")
+        return 0
+    _write_report(report_from_records(records), "partial" if failures
+                  else "complete", out_dir)
+    print(f"{len(records)} jobs recorded in {ledger}")
+    for f_ in failures:
+        print(f"failed job {f_.job}: {f_.error}", file=sys.stderr)
+    if failures:
+        print(f"sweep partial: {len(failures)} job(s) failed", file=sys.stderr)
+    return 2 if failures else 0
 
 
 # --- commands ------------------------------------------------------------------
@@ -288,7 +334,7 @@ def _fail(errors) -> int:
 def cmd_gen_data(cfg: RunConfig, out_dir) -> int:
     if not cfg.domains:
         return _fail(["config needs a 'domains' list"])
-    os.makedirs(out_dir, exist_ok=True)
+    _make_dirs(out_dir)
     _write_config_copy(cfg, out_dir)
     for spec in cfg.domains:
         ds = gen_synthetic_domain(spec)
@@ -299,43 +345,26 @@ def cmd_gen_data(cfg: RunConfig, out_dir) -> int:
 
 
 def cmd_train_source(cfg: RunConfig, out_dir) -> int:
-    errors: list[str] = []
-    if cfg.batch_size is None:
-        errors.append("batch_size is required")
+    errors = _training_errors(cfg)
     task = _resolve_task(cfg.data, "source", errors)
     if task:
         _check_tasks([task], cfg.model.input_shape, cfg.batch_size, errors)
     if errors:
         return _fail(errors)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_config_copy(cfg, out_dir)
-    model = build_staged_network(cfg.model.build_spec(), cfg.model.input_shape,
-                                 task.train.num_labels, cfg.seed)
-    schedule = uniform_schedule(model.stage_names, model.head_name,
-                                inner=1.0, head=1.0)
-    try:
-        result = train(model, task.train, task.val, schedule, cfg.policy,
-                       cfg.batch_size, seed=derive_seed(cfg.seed, "source-data"),
-                       momentum=cfg.momentum)
-        ckpt = checkpoint_from_model(result.best_model, {"domain": task.task_id})
-    except ValueError as e:     # a diverged run: nothing is saved or recorded
-        return _fail([str(e)])
-    ckpt_rel = "source.ftlb"
-    save_checkpoint(ckpt, os.path.join(out_dir, ckpt_rel))
-    record = RunRecord(kind="source", task=task.task_id, source="random-init",
-                       seed=cfg.seed, final_accuracy=result.final_accuracy,
-                       best_accuracy=result.best_accuracy, checkpoint=ckpt_rel)
-    append_records(os.path.join(out_dir, LEDGER_NAME), [record])
-    print(f"source checkpoint: {os.path.join(out_dir, ckpt_rel)}")
-    print(f"best val accuracy: {result.best_accuracy:.4f} "
-          f"(iteration {result.best_iteration})")
-    return 0
+    # a random init drawn from the seed, every stage trained at the base rate
+    spec = cfg.model.build_spec()
+    names = [stage.name for stage in spec]
+    job = JobSpec("source", task.task_id, task.task_id,
+                  uniform_schedule(names, names[-1], 1.0, 1.0), cfg.seed,
+                  derive_seed(cfg.seed, "source-data"), cfg.seed,
+                  save_path=os.path.join(out_dir, "source.ftlb"),
+                  checkpoint="source.ftlb")
+    return _run_and_record(cfg, out_dir, (spec, cfg.model.input_shape), [task],
+                           [job])
 
 
 def cmd_finetune(cfg: RunConfig, out_dir) -> int:
-    errors: list[str] = []
-    if cfg.batch_size is None:
-        errors.append("batch_size is required")
+    errors = _training_errors(cfg)
     source = _load_source(cfg, errors)
     task = _resolve_task(cfg.data, "target", errors)
     if source:
@@ -345,33 +374,18 @@ def cmd_finetune(cfg: RunConfig, out_dir) -> int:
                          errors)
     if errors:
         return _fail(errors)
-    os.makedirs(out_dir, exist_ok=True)
-    _write_config_copy(cfg, out_dir)
     ckpt_rel = f"finetuned_{task.task_id}.ftlb"
-    ckpt_path = os.path.join(out_dir, ckpt_rel)
-    try:
-        record = run_job(JobInputs(source, {task.task_id: task}, cfg.policy,
-                                   cfg.batch_size, cfg.momentum), JobSpec(
-            name=task.task_id, task_id=task.task_id, seed=cfg.seed,
-            seed_parts=(cfg.seed,), save_path=ckpt_path, checkpoint=ckpt_rel,
-            **job))
-    except (ValueError, CheckpointError) as e:
-        return _fail([str(e)])
-    append_records(os.path.join(out_dir, LEDGER_NAME), [record])
-    print(f"finetuned checkpoint: {ckpt_path}")
-    # the saved best model's iteration count is the iteration it was taken at
-    print(f"best val accuracy: {record.best_accuracy:.4f} "
-          f"(iteration {load_checkpoint(ckpt_path).header.iterations})")
-    return 0
+    return _run_and_record(cfg, out_dir, source, [task], [JobSpec(
+        name=task.task_id, task_id=task.task_id, seed=cfg.seed,
+        **transfer_seeds(cfg.seed), save_path=os.path.join(out_dir, ckpt_rel),
+        checkpoint=ckpt_rel, **job)])
 
 
 def cmd_sweep(cfg: RunConfig, out_dir) -> int:
-    errors: list[str] = []
+    errors = _training_errors(cfg)
     ledger = os.path.join(out_dir, LEDGER_NAME)
     if os.path.exists(ledger):
         errors.append(f"{ledger} already exists: sweep into a new directory")
-    if cfg.batch_size is None:
-        errors.append("batch_size is required")
     if (cfg.grid is None) == (cfg.graduated is None):
         errors.append("sweep config needs exactly one of 'grid' or 'graduated'")
     source = _load_source(cfg, errors)
@@ -399,24 +413,7 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
             errors.append(f"sweep: {e}")
     if errors:
         return _fail(errors)
-
-    os.makedirs(out_dir, exist_ok=True)
-    _write_config_copy(cfg, out_dir)
-    if cfg.graduated is not None:
-        os.makedirs(os.path.join(out_dir, "checkpoints"), exist_ok=True)
-    records, failures = run_jobs(
-        JobInputs(source, {t.task_id: t for t in tasks}, cfg.policy,
-                  cfg.batch_size, cfg.momentum), specs, cfg.workers)
-    append_records(ledger, records)
-    _write_report(report_from_records(records), "partial" if failures
-                  else "complete", out_dir)
-    print(f"{len(records)} jobs recorded in {ledger}")
-    if failures:
-        for f_ in failures:
-            print(f"failed job {f_.job}: {f_.error}", file=sys.stderr)
-        print(f"sweep partial: {len(failures)} job(s) failed", file=sys.stderr)
-        return 2
-    return 0
+    return _run_and_record(cfg, out_dir, source, tasks, specs, sweep=True)
 
 
 def _write_report(report: dict, status: str, out_dir) -> None:
@@ -441,7 +438,7 @@ def cmd_report(ledger_path, out_dir=None) -> int:
               else f"complete ({skipped} records skipped)")
     print(render_report(report, status=status), end="")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        _make_dirs(out_dir)
         _write_report(report, status, out_dir)
     return 0
 
@@ -461,7 +458,7 @@ def cmd_grad_check(model_cfg: ModelConfig, seed: int, epsilon: float,
                  else "gradient check FAILED (>= 1e-4)")
     print("\n".join(lines))
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        _make_dirs(out_dir)
         with open(os.path.join(out_dir, "grad_check.txt"), "w",
                   encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
@@ -517,19 +514,13 @@ def main(argv=None) -> int:
                 return _fail([f"seed {SEED_RULE}, got {args.seed}"])
             return cmd_grad_check(GRAD_CHECK_MODEL, args.seed or 0,
                                   args.epsilon, args.out)
-        cfg = load_config(args.config, seed_override=args.seed,
-                          workers_override=vars(args).get("workers"))
-        if args.command == "gen-data":
-            return cmd_gen_data(cfg, args.out)
-        if args.command == "train-source":
-            return cmd_train_source(cfg, args.out)
-        if args.command == "finetune":
-            return cmd_finetune(cfg, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out)
+        command = {"gen-data": cmd_gen_data, "train-source": cmd_train_source,
+                   "finetune": cmd_finetune, "sweep": cmd_sweep}[args.command]
+        return command(load_config(args.config, seed_override=args.seed,
+                                   workers_override=vars(args).get("workers")),
+                       args.out)
     except ConfigError as e:
         return _fail(e.errors)
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

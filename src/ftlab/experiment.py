@@ -19,8 +19,8 @@ from typing import Mapping, Sequence
 
 from .codec import decode, encode
 from .data import LabeledDataset
-from .model import (Checkpoint, checkpoint_from_model, save_checkpoint,
-                    transfer_init)
+from .model import (Checkpoint, build_staged_network, checkpoint_from_model,
+                    save_checkpoint, transfer_init)
 from .optim import LrPolicy, MultiplierSchedule, train, uniform_schedule
 
 
@@ -229,7 +229,8 @@ class FinetuneTask:
 @dataclass
 class JobFailure:
     job: str
-    error: str
+    error: str          # "<exception type>: <message>", or why the worker died
+    message: str = field(default="", compare=False)    # <message> alone
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ class JobInputs:
     """What the jobs of one call share. Pool workers inherit it by fork, and
     each worker fills its own copy of the tasks' prefix memos."""
 
-    source: Checkpoint
+    source: Checkpoint | tuple    # or (stage specs, input_shape): random init
     tasks: Mapping[str, FinetuneTask]
     policy: LrPolicy
     batch_size: int
@@ -248,12 +249,13 @@ class JobInputs:
 class JobSpec:
     """One job: all that a pool worker is sent for it."""
 
-    kind: str                     # "ll" | "grid" | "graduated" | "baseline"
+    kind: str             # "source" | "ll" | "grid" | "graduated" | "baseline"
     name: str                     # names the job in a JobFailure
     task_id: str
     schedule: MultiplierSchedule
     seed: int                     # the seed recorded in the ledger
-    seed_parts: tuple             # the data and head seeds derive from these
+    data_seed: int                # shuffles the training set
+    init_seed: int                # the new head's draws, or a random init's
     ll: float | None = None
     il: float | None = None
     scale: float | None = None
@@ -262,22 +264,28 @@ class JobSpec:
 
 
 def run_job(inputs: JobInputs, spec: JobSpec) -> RunRecord:
-    """transfer_init -> train -> save the best model -> its RunRecord.
+    """init -> train -> save the best model -> its RunRecord.
 
-    The frozen prefix comes from the task's memo, computed on a miss.
+    From a checkpoint the model is transfer_init's, and its saved checkpoint
+    names the training set's domain; a random init's names the task id. The
+    frozen prefix comes from the task's memo, computed on a miss.
     """
     task = inputs.tasks[spec.task_id]
-    model = transfer_init(inputs.source, task.train.num_labels,
-                          derive_seed(*spec.seed_parts, "head"))
+    src, labels = inputs.source, task.train.num_labels
+    if isinstance(src, Checkpoint):
+        model = transfer_init(src, labels, spec.init_seed)
+        source = str(src.extra.get("domain", src.header.seed))
+        domain = task.train.domain_name
+    else:
+        model = build_staged_network(*src, labels, spec.init_seed)
+        source, domain = "random-init", spec.task_id
     result = train(model, task.train, task.val, spec.schedule, inputs.policy,
-                   inputs.batch_size, derive_seed(*spec.seed_parts, "data"),
-                   momentum=inputs.momentum, prefixes=task.prefixes)
+                   inputs.batch_size, spec.data_seed, momentum=inputs.momentum,
+                   prefixes=task.prefixes)
     if spec.save_path is not None:
-        save_checkpoint(checkpoint_from_model(result.best_model, {
-            "domain": task.train.domain_name}), spec.save_path)
-    source = inputs.source
-    return RunRecord(kind=spec.kind, task=spec.task_id,
-                     source=str(source.extra.get("domain", source.header.seed)),
+        ckpt = checkpoint_from_model(result.best_model, {"domain": domain})
+        save_checkpoint(ckpt, spec.save_path)
+    return RunRecord(kind=spec.kind, task=spec.task_id, source=source,
                      seed=spec.seed, final_accuracy=result.final_accuracy,
                      best_accuracy=result.best_accuracy, ll=spec.ll,
                      il=spec.il, scale=spec.scale, checkpoint=spec.checkpoint)
@@ -291,12 +299,18 @@ def rate_schedule(stage_names: Sequence[str], policy: LrPolicy, ll: float,
                             ll / policy.base_lr, scale)
 
 
+def transfer_seeds(*parts) -> dict:
+    """A transfer job's data_seed and init_seed, each derived from parts."""
+    return dict(data_seed=derive_seed(*parts, "data"),
+                init_seed=derive_seed(*parts, "head"))
+
+
 def _rate_job(source: Checkpoint, policy: LrPolicy, task_id: str, kind: str,
               ll: float, il: float, seed: int, **save) -> JobSpec:
     """A job training the head at rate ll and every inner stage at rate il."""
     return JobSpec(kind, f"ll={spell_rate(ll)} il={spell_rate(il)}", task_id,
                    rate_schedule(source.stage_names, policy, ll, il), seed,
-                   (seed,), ll=ll, il=il, **save)
+                   **transfer_seeds(seed), ll=ll, il=il, **save)
 
 
 def run_ll_experiment(source: Checkpoint, task: FinetuneTask, ll: float,
@@ -353,14 +367,14 @@ def scale_jobs(source: Checkpoint, task_ids: Sequence[str],
                     for t in task_ids]
 
 
-def _sweep_job(kind, name, task_id, schedule, seed_parts, out_dir, filename,
+def _sweep_job(kind, name, task_id, schedule, parts, out_dir, filename,
                **fields) -> JobSpec:
-    """A job seeded from seed_parts; it saves to out_dir/checkpoints if set."""
+    """A job seeded from parts; it saves to out_dir/checkpoints if set."""
     if out_dir is not None:
         fields.update(save_path=os.path.join(out_dir, "checkpoints", filename),
                       checkpoint=f"checkpoints/{filename}")
-    return JobSpec(kind, name, task_id, schedule,
-                   derive_seed(*seed_parts, "data"), seed_parts, **fields)
+    return JobSpec(kind, name, task_id, schedule, derive_seed(*parts, "data"),
+                   **transfer_seeds(*parts), **fields)
 
 
 def run_jobs(inputs: JobInputs, specs: Sequence[JobSpec],
@@ -383,7 +397,7 @@ def _outcome(inputs: JobInputs, spec: JobSpec):
     try:
         return run_job(inputs, spec), None
     except Exception as e:  # noqa: BLE001 - partial-failure policy
-        return None, JobFailure(spec.name, f"{type(e).__name__}: {e}")
+        return None, JobFailure(spec.name, f"{type(e).__name__}: {e}", str(e))
 
 
 _worker_inputs = None   # the JobInputs, in a pool worker

@@ -415,12 +415,14 @@ def run_stages(stages: list[Stage], x: np.ndarray,
 
 def check_output(stages: list[Stage], x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """y, the output of stages on x, if it is finite; else a ValueError naming
-    the first stage whose output is not, found by running them again on x."""
+    the first stage whose output is not, found by running them again on x,
+    or, with no stage to name, the logits."""
     if not np.isfinite(y).all():
         for stage in stages:
             x = run_stages([stage], x)     # y is the last stage's output
             if stage is stages[-1] or not np.isfinite(x).all():
                 raise ValueError(f"stage '{stage.name}': non-finite activation")
+        raise ValueError("non-finite logits")
     return y
 
 

@@ -355,6 +355,33 @@ class TestMalformedInput:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("under_a_file", [False, True])
+    @pytest.mark.parametrize("command", ["gen-data", "train-source", "finetune",
+                                         "sweep", "report", "grad-check"])
+    def test_out_that_cannot_be_a_directory_exits_1(
+            self, tmp_path, data_root, source_run, capsys, command,
+            under_a_file):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        cfg = {"policy": FAST_POLICY, "model": TINY_MODEL, "batch_size": 6,
+               "source_checkpoint": str(source_run / "source.ftlb"),
+               "data": {"dataset": str(data_root / "near"),
+                        "split": {"train_fraction": 2 / 3, "seed": 5}},
+               "schedule": {"ll": 0.1}, "grid": {"ll_values": [0.1]},
+               "domains": [{"name": "d", "num_labels": 2,
+                            "examples_per_label": 4, "image_size": 8,
+                            "motif_size": 4, "num_motifs": 2}]}
+        args = {"report": [str(source_run / "ledger.jsonl")],
+                "grad-check": []}.get(
+                    command, [write_config(tmp_path / "c.json", cfg)])
+        out = afile / "sub" if under_a_file else afile
+        assert main([command, *args, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot create output directory: ")
+        assert str(out) in lines[0]
+        assert afile.read_text() == "kept\n"
+
 
 class TestGenData:
     def test_datasets_written_and_loadable(self, data_root):
@@ -572,6 +599,21 @@ class TestFinetune:
         config = write_config(tmp_path / "c.json", cfg)
         assert main(["finetune", config, "--out", str(tmp_path / "o")]) == 1
         assert "source checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")     # no numpy warning either
+    def test_diverged_run_exits_1_saving_and_recording_nothing(
+            self, tmp_path, data_root, source_run, capsys):
+        cfg = self.finetune_cfg(data_root, source_run, {"stage_multipliers": {
+            "conv1": 1.0, "conv2": 1.0, "fc": 1.0}})
+        cfg["policy"] = dict(FAST_POLICY, base_lr=1e300)
+        out = tmp_path / "o"
+        config = write_config(tmp_path / "c.json", cfg)
+        assert main(["finetune", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: stage 'conv2': non-finite activation"]
+        assert captured.out == ""
+        assert sorted(os.listdir(out)) == ["config.json"]
 
 
 class TestSweep:

@@ -196,6 +196,12 @@ class TestForward:
         with pytest.raises(ValueError, match="hidden.*non-finite"):
             forward(m.stages, np.ones((2, 4)), [0, 1])
 
+    @pytest.mark.filterwarnings("error")     # the error, and no numpy warning
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_nonfinite_logits_of_no_stage_rejected(self, bad):
+        with pytest.raises(ValueError, match="^non-finite logits$"):
+            forward([], np.array([[bad, 0.0], [1.0, 2.0]]), [0, 1])
+
     def test_finite_forward_runs_each_layer_once(self, monkeypatch):
         m = small_conv_model(seed=4, residual=True)
         layers = [layer for stage in m.stages for layer in stage.layers]
