@@ -5,8 +5,9 @@ sweep and a small graduated sweep but config.json, are hashed; each sweep
 runs at --workers 1 and 2 and must give the same digests at both. Files
 hold float32 tensors, which round away a change in the last bits of
 training's float64 arithmetic, so the float64 parameters of a small
-from-scratch train() are hashed too. A change that alters result bytes on
-purpose updates golden.json with the digests that the failure message
+from-scratch train() are hashed too, and those of a head-only and a
+conv1-frozen train() transferred from it. A change that alters result bytes
+on purpose updates golden.json with the digests that the failure message
 prints.
 """
 
@@ -19,8 +20,9 @@ import pytest
 from conftest import FAST_POLICY, write_config
 from ftlab.cli import CONFIG_COPY_NAME, main
 from ftlab.data import load_dataset, split_train_val
-from ftlab.model import build_staged_network, mini_staged_spec
-from ftlab.optim import LrPolicy, train, uniform_schedule
+from ftlab.model import (build_staged_network, checkpoint_from_model,
+                         mini_staged_spec, transfer_init)
+from ftlab.optim import LrPolicy, MultiplierSchedule, train, uniform_schedule
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 
@@ -53,28 +55,47 @@ def sweep_digests(out: pathlib.Path, kind: str) -> dict:
             if p.is_file() and p.name != CONFIG_COPY_NAME}
 
 
-def trained_params_digest(data_root) -> str:
-    """Digest of the float64 final and best parameters of a small net
-    trained from scratch, every stage live, on a split of srcdom. Its
-    widths and rate are ones at which the net learns and the last bits
-    of every conv's gradients move its result: at TINY_MODEL's widths and
-    the fixtures' base_lr of 0.01 it stays at chance."""
+def params_digest(result) -> str:
+    """Digest of the float64 final and best parameters of a train() result."""
+    return hashlib.sha256(result.model.params.tobytes()
+                          + result.best_model.params.tobytes()).hexdigest()
+
+
+FINETUNE_MULTIPLIERS = {"head_only": {"conv1": 0.0, "conv2": 0.0, "fc": 1.0},
+                        "conv1_frozen": {"conv1": 0.0, "conv2": 1.0, "fc": 1.0}}
+
+
+def trained_params_digests(data_root) -> dict:
+    """Digests of the float64 parameters of a small net trained from scratch,
+    every stage live, on a split of srcdom, and of the nets transferred from
+    its checkpoint to a split of near and finetuned head-only and with conv1
+    frozen. Its widths and rate are ones at which the net learns and the last
+    bits of every conv's gradients move its result: at TINY_MODEL's widths
+    and the fixtures' base_lr of 0.01 it stays at chance."""
     train_set, val_set = split_train_val(load_dataset(data_root / "srcdom"),
                                          2 / 3, 5)
     shape = (1, 8, 8)
     model = build_staged_network(mini_staged_spec((4, 8), shape), shape, 3,
                                  seed=3)
     schedule = uniform_schedule(model.stage_names, model.head_name, 1.0, 1.0)
-    result = train(model, train_set, val_set, schedule,
-                   LrPolicy(**dict(FAST_POLICY, base_lr=0.05)), 6, seed=3)
-    return hashlib.sha256(result.model.params.tobytes()
-                          + result.best_model.params.tobytes()).hexdigest()
+    policy = LrPolicy(**dict(FAST_POLICY, base_lr=0.05))
+    result = train(model, train_set, val_set, schedule, policy, 6, seed=3)
+    digests = {"train/params.float64": params_digest(result)}
+    source = checkpoint_from_model(result.model)
+    train_set, val_set = split_train_val(load_dataset(data_root / "near"),
+                                         2 / 3, 5)
+    for name, mults in FINETUNE_MULTIPLIERS.items():
+        target = transfer_init(source, train_set.num_labels, head_seed=4)
+        result = train(target, train_set, val_set, MultiplierSchedule(mults),
+                       policy, 6, seed=4)
+        digests[f"finetune/{name}.params.float64"] = params_digest(result)
+    return digests
 
 
 def test_result_bytes_match_golden(tmp_path, data_root, source_run):
     got = {f"source/{name}": sha256(source_run / name)
            for name in ("source.ftlb", "ledger.jsonl")}
-    got["train/params.float64"] = trained_params_digest(data_root)
+    got.update(trained_params_digests(data_root))
     mismatches = []
     for kind, cfg in sweep_cfgs(data_root, source_run).items():
         config = write_config(tmp_path / f"{kind}.json", cfg)
