@@ -244,12 +244,15 @@ class StagedModel:
     The layers are built from layout, spec's layer_shapes() records. Each
     parameter is a view of params, one float64 vector in named_parameters()
     order, so each stage is one contiguous slice of it; slices maps each
-    parameter name to its slice."""
+    parameter name to its slice. digest, if given, is arch_digest() of spec
+    and input_shape, which digest() then returns without hashing."""
 
     def __init__(self, spec: tuple[StageSpec, ...], layout: list,
                  input_shape: tuple[int, ...], num_labels: int, seed: int,
-                 params: np.ndarray, trained_iterations: int = 0):
+                 params: np.ndarray, trained_iterations: int = 0,
+                 digest: str | None = None):
         self.spec = spec
+        self._digest = digest
         self.layout = layout
         self.input_shape = tuple(input_shape)
         self.num_labels = num_labels
@@ -287,7 +290,9 @@ class StagedModel:
         return self.params.size
 
     def digest(self) -> str:
-        return arch_digest(self.spec, self.input_shape)
+        if self._digest is None:
+            self._digest = arch_digest(self.spec, self.input_shape)
+        return self._digest
 
     def check_input(self, batch) -> np.ndarray:
         """The batch as float64, rejected unless it has the model input shape."""
@@ -301,7 +306,7 @@ class StagedModel:
         """A copy of params with fresh layers built on views of the copy."""
         return StagedModel(self.spec, self.layout, self.input_shape,
                            self.num_labels, self.seed, self.params.copy(),
-                           self.trained_iterations)
+                           self.trained_iterations, self._digest)
 
 
 def build_staged_network(spec: Sequence[StageSpec], input_shape: Sequence[int],
@@ -313,18 +318,28 @@ def build_staged_network(spec: Sequence[StageSpec], input_shape: Sequence[int],
     build order, into the model's parameter vector. The last stage must be
     a dense head; its out_features may be left unset to take num_labels.
     """
-    if num_labels < 2:
-        raise ValueError(f"num_labels must be at least 2, got {num_labels}")
     spec = tuple(spec)
     layer_shapes(spec, input_shape)    # every rule, before the head is read
-    head = spec[-1]
-    head_out = head.layers[0].out_features
+    head_out = spec[-1].layers[0].out_features
     if head_out is not None and head_out != num_labels:
         raise ValueError(f"head outputs {head_out} but num_labels is {num_labels}")
+    spec, layout = _with_head(spec, input_shape, num_labels)
+    return StagedModel(spec, layout, input_shape, num_labels, seed,
+                       _draws(layout, np.random.default_rng(seed)))
+
+
+def _with_head(spec: tuple, input_shape, num_labels: int) -> tuple:
+    """(spec with its head resized to num_labels outputs, its layer_shapes())."""
+    if num_labels < 2:
+        raise ValueError(f"num_labels must be at least 2, got {num_labels}")
+    head = spec[-1]
     spec = spec[:-1] + (StageSpec(head.name, (replace(head.layers[0],
                                                       out_features=num_labels),)),)
-    layout = layer_shapes(spec, input_shape)
-    rng = np.random.default_rng(seed)
+    return spec, layer_shapes(spec, input_shape)
+
+
+def _draws(layout: list, rng: np.random.Generator) -> np.ndarray:
+    """The initial parameters of layout's layers, drawn in order from rng."""
     draws = []
     for rec in layout:
         if rec.param_shapes:                    # fan_in = w.size / b.size
@@ -332,8 +347,7 @@ def build_staged_network(spec: Sequence[StageSpec], input_shape: Sequence[int],
             limit = 1.0 / np.sqrt(math.prod(w_shape) // b_shape[0])
             draws += [rng.uniform(-limit, limit, size=s).ravel()
                       for s in rec.param_shapes]
-    return StagedModel(spec, layout, input_shape, num_labels, seed,
-                       np.concatenate(draws))
+    return np.concatenate(draws)
 
 
 # --- checkpoint format -----------------------------------------------------
@@ -491,6 +505,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> StagedModel:
     h = ckpt.header
     model = build_staged_network(h.arch, h.input_shape, h.num_labels, h.seed)
     model.trained_iterations = h.iterations
+    model._digest = h.digest
     _assign_tensors(model, ckpt, skip_head=False)
     return model
 
@@ -519,14 +534,21 @@ def transfer_init(source: Checkpoint, target_num_labels: int,
                   head_seed: int) -> StagedModel:
     """Head replacement: copy all inner-stage weights, re-init the head.
 
-    The target model shares the source architecture except for the head
-    output size; both head weight and bias are re-initialized from
-    head_seed.
+    The target model shares the source architecture, and so its digest,
+    except for the head output size; both head weight and bias are
+    re-initialized from head_seed, with the bytes that
+    build_staged_network(..., head_seed) gives the head: the generator
+    skips the draws of the inner parameters, one 64-bit step each.
     """
-    *inner, head = source.header.arch
-    new_head = StageSpec(head.name, (replace(head.layers[0],
-                                             out_features=target_num_labels),))
-    model = build_staged_network((*inner, new_head), source.header.input_shape,
-                                 target_num_labels, head_seed)
+    h = source.header
+    spec, layout = _with_head(h.arch, h.input_shape, target_num_labels)
+    rng = np.random.default_rng(head_seed)
+    inner = sum(math.prod(s) for rec in layout[:-1] for s in rec.param_shapes)
+    rng.bit_generator.advance(inner)
+    head = _draws(layout[-1:], rng)            # the last layer is the head
+    model = StagedModel(spec, layout, h.input_shape, target_num_labels,
+                        head_seed, np.empty(inner + head.size),
+                        digest=h.digest)
+    model.params[inner:] = head
     _assign_tensors(model, source, skip_head=True)
     return model

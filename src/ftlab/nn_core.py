@@ -2,16 +2,17 @@
 
 Layers operate on float64 numpy arrays. Feature maps are laid out NCHW;
 dense layers take (batch, features). Each layer implements a
-forward(x) -> (y, cache) and backward(dy, cache) -> (dx, param_grads)
+forward(x) -> (y, cache) and backward(dy, cache, out=None) -> (dx, param_grads)
 pair whose results depend only on the inputs and the parameters; the
 only other state is Conv2d's scratch buffers, which no result aliases. A
-layer with parameters also has param_grads(dy, cache): backward's
-parameter gradients, computed without dx where the layer can.
+layer with parameters also has param_grads(dy, cache, out=None): backward's
+parameter gradients, computed without dx where the layer can. Both write
+them into the arrays of out, if given, and return out.
 
-backward() over a stage list writes every parameter gradient into one
-fresh flat vector, laid out like the stage list's parameters, and returns
-them as views of it; the gradients of one call alias each other, never
-those of another call.
+backward() over a stage list writes every parameter gradient in place into
+one flat vector, laid out like the stage list's parameters, and returns them
+as views of it, in a Gradients object that is fresh at each call unless
+passed as out, as optim.train() passes one at every step of a call.
 """
 
 from __future__ import annotations
@@ -43,17 +44,29 @@ class Dense:
                              f"got {x.shape}")
         return x @ self.w + self.b, x
 
-    def backward(self, dy, cache):
-        return dy @ self.w.T, self.param_grads(dy, cache)
+    def backward(self, dy, cache, out=None):
+        return dy @ self.w.T, self.param_grads(dy, cache, out)
 
-    def param_grads(self, dy, cache):
+    def param_grads(self, dy, cache, out=None):
         """The parameter half of backward: no input gradient."""
-        x = cache
-        return {"w": x.T @ dy, "b": dy.sum(axis=0)}
+        if out is None:
+            out = {"w": np.empty_like(self.w), "b": np.empty_like(self.b)}
+        np.matmul(cache.T, dy, out=out["w"])     # cache is the input x
+        np.add.reduce(dy, axis=0, out=out["b"])
+        return out
 
     def named_params(self) -> Iterator[tuple[str, np.ndarray]]:
         yield "w", self.w
         yield "b", self.b
+
+
+def _written(grads: dict, out: dict | None) -> dict:
+    """grads, or out with grads copied into its arrays if out is given."""
+    if out is None:
+        return grads
+    for name, g in grads.items():
+        out[name][...] = g
+    return out
 
 
 def _windows(xp: np.ndarray, k: int) -> np.ndarray:
@@ -140,7 +153,7 @@ class Conv2d:
 
     A cache is valid until the layer's next forward at the same input
     shape; backward on a cache whose buffers were reused raises ValueError.
-    Outputs and gradients are always fresh arrays. The plan makes a layer
+    No output or gradient aliases a plan buffer. The plan makes a layer
     unsafe to share between threads.
     """
 
@@ -198,7 +211,7 @@ class Conv2d:
         self._plan = plan
         return plan
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, out=None):
         plan = self._live_plan(dy, cache)
         k = self.kernel_size
         n, f, h, wd = dy.shape
@@ -206,9 +219,9 @@ class Conv2d:
         w = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(-1, f * k * k)
         dx = w @ plan.dy_columns(dy)
         return (dx.reshape(-1, n, h, wd).transpose(1, 0, 2, 3),
-                self.param_grads(dy, cache))
+                self.param_grads(dy, cache, out))
 
-    def param_grads(self, dy, cache):
+    def param_grads(self, dy, cache, out=None):
         """The parameter half of backward: no input gradient."""
         plan = self._live_plan(dy, cache)
         k = self.kernel_size
@@ -218,7 +231,8 @@ class Conv2d:
                 else plan.windows.reshape(plan.chunks[0].matrix.shape[0], -1))
         dw = cols @ dy.transpose(0, 2, 3, 1).reshape(-1, f)
         db = dy.sum(axis=(0, 2, 3))
-        return {"w": dw.reshape(-1, k, k, f).transpose(3, 0, 1, 2), "b": db}
+        return _written({"w": dw.reshape(-1, k, k, f).transpose(3, 0, 1, 2),
+                         "b": db}, out)
 
     def named_params(self):
         yield "w", self.w
@@ -233,7 +247,7 @@ class Relu:
     def forward(self, x):
         return np.maximum(x, 0.0), x
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, out=None):
         return dy * (cache > 0.0), {}
 
     def named_params(self):
@@ -256,13 +270,13 @@ class MaxPool:
                          np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]))
         return out, (x, out)
 
-    def backward(self, dy, cache):
-        x, out = cache
+    def backward(self, dy, cache, out=None):
+        x, y = cache
         dx = np.empty(x.shape, dtype=DTYPE)
-        free = np.ones(out.shape, dtype=bool)  # windows whose max is not yet found
+        free = np.ones(y.shape, dtype=bool)  # windows whose max is not yet found
         for di in (0, 1):
             for dj in (0, 1):
-                hit = free & (x[:, :, di::2, dj::2] == out)
+                hit = free & (x[:, :, di::2, dj::2] == y)
                 dx[:, :, di::2, dj::2] = np.where(hit, dy, 0.0)
                 free &= ~hit
         return dx, {}
@@ -282,7 +296,7 @@ class GlobalAvgPool:
         h, w = x.shape[2:]
         return np.add.reduce(x, axis=(2, 3)) / (h * w), x.shape
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, out=None):
         h, w = cache[2:]
         dx = np.empty(cache, dtype=DTYPE)
         dx[...] = (dy / (h * w))[:, :, None, None]
@@ -311,17 +325,17 @@ class ResidualBlock:
                              f"{x.shape} -> {y.shape}")
         return x + y, caches
 
-    def backward(self, dy, cache):
+    def backward(self, dy, cache, out=None):
         grads = {}
         d = dy
         for i in reversed(range(len(self.inner))):
             d, g = self.inner[i].backward(d, cache[i])
             for pname, garr in g.items():
                 grads[f"{i}/{pname}"] = garr
-        return dy + d, grads
+        return dy + d, _written(grads, out)
 
-    def param_grads(self, dy, cache):
-        return self.backward(dy, cache)[1]
+    def param_grads(self, dy, cache, out=None):
+        return self.backward(dy, cache, out)[1]
 
     def named_params(self):
         for i, layer in enumerate(self.inner):
@@ -331,15 +345,10 @@ class ResidualBlock:
 
 @dataclass
 class Stage:
-    """Named group of layers; the unit that learning-rate multipliers index.
-
-    backward_plan is backward()'s plan for the last stage list that began
-    with this stage."""
+    """Named group of layers; the unit that learning-rate multipliers index."""
 
     name: str
     layers: list = field(default_factory=list)
-    backward_plan: _BackwardPlan | None = field(default=None, repr=False,
-                                                compare=False)
 
     def named_params(self) -> Iterator[tuple[str, np.ndarray]]:
         for i, layer in enumerate(self.layers):
@@ -465,67 +474,55 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
 
 
 class Gradients(dict):
-    """backward()'s result: name -> gradient, each a view of vector, one
-    fresh flat vector laid out like the parameters of the stage list, in
-    its named_params() order. layout maps each name to its slice of vector;
-    it is one object for every call on the same stages."""
-
-    def __init__(self, vector: np.ndarray, layout: dict[str, slice]):
-        super().__init__()
-        self.vector = vector
-        self.layout = layout
-
-
-class _BackwardPlan:
-    """What backward() needs of a stage list besides the cache: every layer
-    with its path, the index of the lowest layer with parameters, and the
-    gradient layout. stages is a copy of the stage list, its layer lists
-    included, to tell whether the plan still fits."""
+    """backward()'s result and plan for one stage list: name -> gradient, a
+    view of vector, which is laid out like the list's parameters in their
+    named_params() order (layout maps each name to its slice), keyed top layer
+    first, as backward computes them. layers pairs each layer with the views
+    it writes into; lowest indexes the lowest layer with parameters. The
+    object fits the stage list it was built from, with its layer lists then."""
 
     def __init__(self, stages: list[Stage]):
-        self.stages = tuple(Stage(s.name, list(s.layers)) for s in stages)
-        self.layers = [(f"{stage.name}/{li}", layer) for stage in stages
-                       for li, layer in enumerate(stage.layers)]
-        self.lowest = next((i for i, (_, layer) in enumerate(self.layers)
-                            if any(True for _ in layer.named_params())),
-                           len(self.layers))
+        super().__init__()
         self.layout = param_layout(stages)
-        self.size = param_count(stages)
+        self.vector = np.empty(param_count(stages), dtype=DTYPE)
+        paths = [(f"{s.name}/{li}", layer) for s in stages
+                 for li, layer in enumerate(s.layers)]
+        self.layers = [(layer, {p: self.vector[self.layout[f"{path}/{p}"]]
+                                .reshape(a.shape) for p, a in layer.named_params()})
+                       for path, layer in paths]
+        for (path, _), (_, views) in zip(paths[::-1], self.layers[::-1]):
+            # a residual block computes its inner layers top first
+            for p in sorted(views, key=lambda n: [-int(i) for i in n.split("/")[:-1]]):
+                self[f"{path}/{p}"] = views[p]
+        self.lowest = next((i for i, (_, views) in enumerate(self.layers)
+                            if views), len(self.layers))
 
 
-def backward(stages: list[Stage], cache: ForwardCache) -> Gradients:
+def backward(stages: list[Stage], cache: ForwardCache,
+             out: Gradients | None = None) -> Gradients:
     """Gradients of the mean loss for every parameter, keyed stage/layer/param.
 
     Requires the cache produced by forward() on the batch and labels.
     The input gradient of the lowest layer with parameters is never needed,
     so that layer runs only param_grads, and the layers below it run no
-    backward at all. Each gradient is written into one fresh vector, checked
-    for non-finite values at once; on a failure the error names the first
-    non-finite gradient in the order backward computes them, top layer first.
+    backward at all. Each layer writes its gradients in place into out, a
+    Gradients(stages) of this list, or else a fresh one, whose vector is
+    checked for non-finite values at once; on a failure the error names the
+    first non-finite gradient in the order backward computes them, top first.
     """
     if not isinstance(cache, ForwardCache):
         raise ValueError("backward called without a forward cache; run forward first")
-    if len(cache.stage_caches) != len(stages):
-        raise ValueError("cache does not match this stage list")
-    plan = stages[0].backward_plan if stages else None
-    if plan is None or plan.stages != tuple(stages):
-        plan = _BackwardPlan(stages)
-        if stages:
-            stages[0].backward_plan = plan
+    grads = Gradients(stages) if out is None else out
     layer_caches = [c for caches in cache.stage_caches for c in caches]
-    grads = Gradients(np.empty(plan.size, dtype=DTYPE), plan.layout)
+    if len(cache.stage_caches) != len(stages) or len(layer_caches) != len(grads.layers):
+        raise ValueError("cache does not match this stage list")
     d = cache.dlogits
-    for i in reversed(range(plan.lowest, len(plan.layers))):
-        path, layer = plan.layers[i]
-        if i == plan.lowest:
-            layer_grads = layer.param_grads(d, layer_caches[i])
+    for i in reversed(range(grads.lowest, len(grads.layers))):
+        layer, views = grads.layers[i]
+        if i == grads.lowest:
+            layer.param_grads(d, layer_caches[i], views)
         else:
-            d, layer_grads = layer.backward(d, layer_caches[i])
-        for pname, g in layer_grads.items():
-            name = f"{path}/{pname}"
-            view = grads.vector[plan.layout[name]].reshape(g.shape)
-            view[...] = g
-            grads[name] = view
+            d, _ = layer.backward(d, layer_caches[i], views)
     if not np.isfinite(grads.vector).all():
         name = next(n for n, g in grads.items() if not np.isfinite(g).all())
         raise ValueError(f"non-finite values produced in gradient of {name}")

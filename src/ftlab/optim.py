@@ -106,7 +106,7 @@ def uniform_schedule(model_stage_names, head_name: str, inner: float,
 class SgdState:
     """Momentum coefficient and one velocity vector laid out like the model's
     parameters (model.slices). plan holds sgd_step's last (model, schedule,
-    gradient layout, runs)."""
+    gradients, runs)."""
 
     momentum: float
     velocity: np.ndarray
@@ -130,12 +130,12 @@ def lowest_trainable_stage(stage_names, schedule: MultiplierSchedule) -> int:
                  if schedule.stage_multipliers[name] != 0), len(stage_names))
 
 
-def _runs(model: StagedModel, schedule: MultiplierSchedule,
-          grads: Gradients) -> list[tuple]:
-    """(parameter slice, gradient slice, multiplier) of each run: a maximal
-    group of parameters, adjacent in the model and in grads.vector, of stages
-    with one non-zero multiplier. Rejects a schedule that does not cover the
-    stages and a missing or misshapen gradient."""
+def _runs(model: StagedModel, schedule: MultiplierSchedule, grads: Gradients,
+          velocity: np.ndarray) -> list[tuple]:
+    """(velocity view, gradient view, parameter view, multiplier) of each run:
+    a maximal group of parameters, adjacent in the model and in grads.vector,
+    of stages with one non-zero multiplier. Rejects a schedule that does not
+    cover the stages and a missing or misshapen gradient."""
     schedule.check_covers(model.stage_names)
     runs: list[tuple] = []
     for stage in model.stages:
@@ -155,7 +155,7 @@ def _runs(model: StagedModel, schedule: MultiplierSchedule,
                 runs[-1] = (slice(last[0].start, p.stop), slice(last[1].start, q.stop), m)
             else:
                 runs.append((p, q, m))
-    return runs
+    return [(velocity[p], grads.vector[q], model.params[p], m) for p, q, m in runs]
 
 
 def sgd_step(model: StagedModel, grads: Gradients, state: SgdState,
@@ -165,23 +165,22 @@ def sgd_step(model: StagedModel, grads: Gradients, state: SgdState,
 
     grads are backward()'s. Three vector ops per run of _runs(); a stage at
     multiplier 0 is never touched, and a run whose rate underflows to
-    exactly 0.0 is skipped at that step. The runs are found, and the
-    gradients checked, once per model, schedule and gradient layout, so
-    once per train() call.
+    exactly 0.0 is skipped at that step. The runs are found and bound to
+    views of the vectors, and the gradients checked, once per model,
+    schedule and Gradients object, so once per train() call.
     """
     plan = state.plan
-    if plan[0] is not model or plan[1] is not schedule or plan[2] is not grads.layout:
-        state.plan = plan = (model, schedule, grads.layout,
-                             _runs(model, schedule, grads))
+    if plan[0] is not model or plan[1] is not schedule or plan[2] is not grads:
+        state.plan = plan = (model, schedule, grads,
+                             _runs(model, schedule, grads, state.velocity))
     lr = lr_at(policy, iteration)
-    for p, q, m in plan[3]:
+    for v, g, p, m in plan[3]:
         eff = lr * m * schedule.scale    # effective_lr's product, in its order
         if eff == 0.0:
             continue
-        v = state.velocity[p]
         v *= state.momentum
-        v -= eff * grads.vector[q]
-        model.params[p] += v
+        v -= eff * g
+        p += v
 
 
 # evaluate() scores this many rows per batch; frozen_prefix() runs the
@@ -300,10 +299,11 @@ def train(model: StagedModel, train_set: LabeledDataset,
     each recorded accuracy is exactly evaluate() of the model at that point.
 
     The training labels are checked against the head's model.num_labels
-    classes once, before the first step, so each step does only per-batch
-    work. numpy's overflow and invalid-value warnings are silenced for the
-    call: a diverging run is reported by check_output's, backward's and the
-    checkpoint writer's errors instead.
+    classes once, before the first step, and every step's backward()
+    writes into one Gradients of the trainable stages, so each step does
+    only per-batch work. numpy's overflow and invalid-value warnings are
+    silenced for the call: a diverging run is reported by check_output's,
+    backward's and the checkpoint writer's errors instead.
     """
     if len(train_set) == 0:
         raise ValueError("training set is empty")
@@ -334,6 +334,7 @@ def train(model: StagedModel, train_set: LabeledDataset,
         if key not in prefixes:
             prefixes[key] = frozen_prefix(model, schedule, train_set, val_set)
         rows, val_batches = prefixes[key].rows, prefixes[key].val_batches
+        grads = Gradients(live)
         for it in range(policy.total_iterations):
             if cursor + batch_size > len(order):
                 order = rng.permutation(len(train_set))
@@ -343,7 +344,7 @@ def train(model: StagedModel, train_set: LabeledDataset,
             caches: list = []
             scores = _head_scores(live, rows[idx], caches)
             dlogits = softmax_cross_entropy(scores, labels[idx])
-            grads = backward(live, ForwardCache(caches, dlogits))
+            backward(live, ForwardCache(caches, dlogits), out=grads)
             sgd_step(model, grads, state, schedule, policy, it)
             done = it + 1
             if done % cadence == 0 or done == policy.total_iterations:

@@ -273,6 +273,28 @@ class TestCheckpoint:
         model_from_checkpoint(ckpt)
         assert len(calls) == 1
 
+    def test_architecture_is_hashed_once_per_load_never_per_job(self, tmp_path,
+                                                                monkeypatch):
+        m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5)
+        path, saved = tmp_path / "m.ftlb", tmp_path / "ft.ftlb"
+        save_checkpoint(m, path)
+        ckpt = load_checkpoint(path)
+        calls = []
+        monkeypatch.setattr(model, "arch_digest",
+                            lambda *a: calls.append(a) or arch_digest(*a))
+        x = np.random.default_rng(0).uniform(size=(6, 1, 8, 8))
+        ds = LabeledDataset(x, np.arange(6) % 2, ("a", "b"), "d")
+        run_ll_experiment(ckpt, FinetuneTask("t", ds, ds), 0.1,
+                          LrPolicy(0.01, 2, 4), 3, seed=0, save_path=saved)
+        clone = model_from_checkpoint(ckpt).clone()
+        target = transfer_init(ckpt, 2, head_seed=1)
+        assert calls == []
+        monkeypatch.undo()
+        # the carried digests are the ones the architecture hashes to
+        assert load_checkpoint(saved).header.digest == ckpt.header.digest
+        for net in (clone, target):
+            assert net.digest() == arch_digest(net.spec, net.input_shape)
+
     def test_head_size_must_be_num_labels_although_digest_matches(self,
                                                                   tmp_path):
         m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5)
@@ -400,6 +422,40 @@ class TestTransferInit:
                 continue
             assert reloaded.tensors[name].tobytes() == arr.tobytes()
 
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("head_seed", [0, 9, 2 ** 40 + 3])
+    @pytest.mark.parametrize("labels", [2, 3, 7])
+    def test_params_equal_a_full_init_then_copy(self, labels, head_seed,
+                                                residual):
+        # the first formula: a random init of the whole target from
+        # head_seed, every inner tensor then overwritten by the source's
+        m = build_staged_network(tiny_spec(residual), (1, 8, 8), 4, seed=7)
+        ckpt = checkpoint_from_model(m)
+        want = build_staged_network(tiny_spec(residual), (1, 8, 8), labels,
+                                    seed=head_seed)
+        views = dict(want.named_parameters())
+        for name, arr in ckpt.tensors.items():
+            if not name.startswith("fc/"):
+                views[name][...] = arr
+        got = transfer_init(ckpt, labels, head_seed)
+        assert got.params.tobytes() == want.params.tobytes()
+        assert (got.spec, got.layout, got.seed) == (want.spec, want.layout,
+                                                     want.seed)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t.pop("conv2/0/b"), "checkpoint missing tensor 'conv2/0/b'"),
+        (lambda t: t.update(extra=np.zeros(2, np.float32)),
+         "checkpoint has unexpected tensor 'extra'"),
+        (lambda t: t.update({"conv1/0/w": np.zeros((2, 1, 3, 2), np.float32)}),
+         r"tensor 'conv1/0/w' has shape \(2, 1, 3, 2\), model expects "
+         r"\(2, 1, 3, 3\)")])
+    def test_tensors_checked_against_the_target(self, edit, message):
+        ckpt = checkpoint_from_model(
+            build_staged_network(tiny_spec(), (1, 8, 8), 4, seed=7))
+        edit(ckpt.tensors)
+        with pytest.raises(CheckpointError, match=f"^{message}$"):
+            transfer_init(ckpt, 3, head_seed=1)
+
 
 def test_mini_spec_pool_defaults_keep_spatial_dims_valid():
     # 16x16 with 5 stages: pooling stops once maps reach 2x2
@@ -492,6 +548,11 @@ class TestParameterVector:
             # backward reaches conv1's parameter gradients through param_grads
             conv1 = m.stages[0].layers[0]
             original = conv1.param_grads
-            monkeypatch.setattr(conv1, "param_grads", lambda dy, cache: {
-                k: 2 * g for k, g in original(dy, cache).items()})
+
+            def doubled(dy, cache, out=None, original=original):
+                grads = original(dy, cache, out)
+                for g in grads.values():
+                    g *= 2
+                return grads
+            monkeypatch.setattr(conv1, "param_grads", doubled)
             assert grad_check(m.stages, x, y) > 1e-4, kind

@@ -322,8 +322,8 @@ def non_finite_grads(layer, monkeypatch, *pnames):
     the gradients named pnames."""
     original = layer.param_grads
 
-    def patched(dy, cache):
-        grads = original(dy, cache)
+    def patched(dy, cache, out=None):
+        grads = original(dy, cache, out)
         for pname in pnames:
             grads[pname].flat[0] = np.inf
         return grads

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from ftlab import nn_core, optim
 from ftlab.data import LabeledDataset
 from ftlab.model import (LayerSpec, StageSpec, build_staged_network,
                          mini_staged_spec)
-from ftlab.nn_core import Conv2d, Gradients, backward, forward, run_stages
+from ftlab.nn_core import (Conv2d, Gradients, Stage, backward, forward,
+                           run_stages)
 from ftlab.optim import (LrPolicy, MultiplierSchedule, SgdState, _accuracy,
                          effective_lr, evaluate, frozen_prefix,
                          lowest_trainable_stage, lr_at, sgd_step, train,
@@ -42,9 +44,8 @@ def snapshot(model):
 
 def filled_gradients(model, value):
     """Gradients laid out as backward() lays out model's, every entry value."""
-    grads = Gradients(np.full(model.params.size, value), model.slices)
-    for name, arr in model.named_parameters():
-        grads[name] = grads.vector[model.slices[name]].reshape(arr.shape)
+    grads = Gradients(model.stages)
+    grads.vector[...] = value
     return grads
 
 
@@ -636,6 +637,65 @@ class TestArenaSgdOracle:
               batch_size=8, seed=7)
         assert m.params.tobytes() == two.params.tobytes()
         assert m.params.tobytes() != conv_model().params.tobytes()
+
+
+class TestBoundGradients:
+    """train() builds one Gradients object per call, which every step's
+    backward() writes into and sgd_step() binds its runs to; nothing leaks
+    through it into another call or into direct backward() calls."""
+
+    train_set = conv_dataset(60, seed=40)
+    val_set = conv_dataset(30, seed=41)
+    policy = LrPolicy(0.05, step_size=10, total_iterations=12)
+
+    def test_no_state_leaks_through_the_bound_gradients(self, monkeypatch):
+        schedule = MultiplierSchedule(ALL_LIVE)
+        x, y = self.val_set.features[:5], self.val_set.labels[:5]
+        other_head = conv_model(seed=13).stages[-1].layers[0]
+        outs, direct = [], []
+
+        def direct_call(stages):
+            """A direct backward() on stages at another batch size, checked
+            against the same layers in a stage list of their own."""
+            grads = nn_core.backward(stages, forward(stages, x, y)[2])
+            fresh = [Stage(s.name, list(s.layers)) for s in stages]
+            want = nn_core.backward(fresh, forward(fresh, x, y)[2])
+            assert {k: g.tobytes() for k, g in grads.items()} == \
+                {k: g.tobytes() for k, g in want.items()}
+            direct.append(grads)
+
+        def spying(stages, cache, out=None):
+            got = nn_core.backward(stages, cache, out=out)
+            outs.append(out)
+            direct_call(stages)
+            if len(outs) == 5:       # once, on a layer list changed in place
+                head = stages[-1].layers
+                head[0], own = other_head, head[0]
+                direct_call(stages)
+                head[0] = own
+            return got
+
+        model = conv_model()
+        monkeypatch.setattr(optim, "backward", spying)
+        results = [train(model.clone(), self.train_set, self.val_set, schedule,
+                         self.policy, batch_size=8, seed=8) for _ in range(2)]
+        monkeypatch.undo()
+        want = train(conv_model(), self.train_set, self.val_set, schedule,
+                     self.policy, batch_size=8, seed=8)
+        for result in results:
+            assert TestFrozenPrefixCache.outcome(result) == \
+                TestFrozenPrefixCache.outcome(want)
+        steps = self.policy.total_iterations
+        assert len(outs) == 2 * steps
+        for call in (outs[:steps], outs[steps:]):
+            assert isinstance(call[0], Gradients)
+            assert all(out is call[0] for out in call)
+        assert outs[0] is not outs[-1]
+        assert len(direct) == 2 * steps + 1
+        assert len({id(g) for g in direct + [outs[0], outs[-1]]}) == len(direct) + 2
+        assert not np.shares_memory(direct[0].vector, direct[1].vector)
+        assert direct[5].keys() == direct[4].keys()
+        assert direct[5]["fc/0/w"].tobytes() != direct[4]["fc/0/w"].tobytes()
 
 
 def test_evaluate_on_known_predictions():
