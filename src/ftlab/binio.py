@@ -13,7 +13,7 @@ import io
 import math
 import struct
 import sys
-from typing import BinaryIO
+from typing import BinaryIO, Mapping
 
 import numpy as np
 
@@ -66,14 +66,17 @@ def finite_float32(array: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _payload_header(shape: tuple) -> bytes:
+    """A payload's rank and dims."""
+    if len(shape) > MAX_RANK:
+        raise FormatError(f"tensor rank {len(shape)} exceeds maximum {MAX_RANK}")
+    return struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+
+
 def write_tensor_payload(f: BinaryIO, array: np.ndarray) -> None:
     """Write rank, dims, and float32 data for one tensor."""
     arr = finite_float32(array)
-    if arr.ndim > MAX_RANK:
-        raise FormatError(f"tensor rank {arr.ndim} exceeds maximum {MAX_RANK}")
-    f.write(struct.pack("<B", arr.ndim))
-    for dim in arr.shape:
-        f.write(struct.pack("<I", dim))
+    f.write(_payload_header(arr.shape))
     f.write(arr.tobytes(order="C"))
 
 
@@ -96,13 +99,34 @@ def read_tensor_payload(f: BinaryIO, what: str = "tensor") -> np.ndarray:
     return arr
 
 
-def write_named_tensor(f: BinaryIO, name: str, array: np.ndarray) -> None:
+def named_tensor_header(name: str, shape: tuple) -> bytes:
+    """The bytes of a named tensor before its data: name length, name, rank
+    and dims."""
     encoded = name.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise FormatError(f"tensor name too long: {len(encoded)} bytes")
-    f.write(struct.pack("<H", len(encoded)))
-    f.write(encoded)
-    write_tensor_payload(f, array)
+    return struct.pack("<H", len(encoded)) + encoded + _payload_header(shape)
+
+
+def named_tensors(tensors: Mapping[str, np.ndarray],
+                  headers: Mapping[str, tuple] | None = None) -> list:
+    """The named tensors in order, as buffers to join: each one's
+    named_tensor_header, then its data as finite_float32 gives it. headers
+    maps a name to a (shape, header) pair made before, which is used when the
+    array has that shape. One check covers every value: FormatError unless
+    all are finite as float32."""
+    with np.errstate(over="ignore"):     # the check below reports it
+        arrays = [np.ascontiguousarray(a, dtype=np.float32)
+                  for a in tensors.values()]
+    if arrays and not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
+        raise FormatError("tensor data is not finite as float32")
+    parts = []
+    for name, arr in zip(tensors, arrays):
+        shape, header = (headers or {}).get(name, (None, b""))
+        if shape != arr.shape:
+            header = named_tensor_header(name, arr.shape)
+        parts += (header, arr)
+    return parts
 
 
 def read_named_tensor(f: BinaryIO, what: str = "tensor") -> tuple[str, np.ndarray]:

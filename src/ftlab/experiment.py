@@ -79,8 +79,9 @@ class GridSpec:
         if not self.ll_values:
             raise ValueError("grid needs at least one last-layer rate")
         for ll in self.ll_values:
-            if not ll > 0:
-                raise ValueError(f"last-layer rate must be positive, got {ll}")
+            if not 0 < ll < math.inf:
+                raise ValueError(f"last-layer rate must be positive and "
+                                 f"finite, got {ll}")
         if not 0 < self.min_il <= min(self.ll_values):
             raise ValueError(f"min_il {self.min_il} must be in "
                              f"(0, {min(self.ll_values)}]")
@@ -112,16 +113,18 @@ class GraduatedSpec:
     layout: str = "per_stage"
 
     def __post_init__(self):
+        for m in (*self.inner_multipliers, self.head_multiplier):
+            if not 0 <= m < math.inf:
+                raise ValueError(f"multipliers must be >= 0 and finite, got {m}")
         if any(b < a for a, b in zip(self.inner_multipliers,
                                      self.inner_multipliers[1:])):
             raise ValueError(f"inner multipliers must be non-decreasing, "
                              f"got {self.inner_multipliers}")
-        if any(m < 0 for m in self.inner_multipliers):
-            raise ValueError("multipliers must be >= 0")
+        for s in self.scales:
+            if not 0 < s < math.inf:
+                raise ValueError(f"scales must be positive and finite, got {s}")
         if list(self.scales) != sorted(self.scales) or len(set(self.scales)) != len(self.scales):
             raise ValueError(f"scales must be strictly ascending, got {self.scales}")
-        if any(s <= 0 for s in self.scales):
-            raise ValueError("scales must be positive")
         if self.layout not in ("per_stage", "shared_first"):
             raise ValueError(f"unknown layout {self.layout!r}")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import io
 import json
 import math
 import struct
@@ -23,7 +22,7 @@ import numpy as np
 from . import binio
 from .codec import check, decode, encode
 from .nn_core import (Conv2d, Dense, GlobalAvgPool, MaxPool, Relu,
-                      ResidualBlock, Stage, param_layout)
+                      ResidualBlock, Stage)
 
 CHECKPOINT_MAGIC = b"FTLB"
 CHECKPOINT_VERSION = 1
@@ -224,13 +223,22 @@ def arch_digest(spec: Sequence[StageSpec], input_shape: Sequence[int]) -> str:
     The head output size (last dense layer) is masked so checkpoints
     transfer across label counts.
     """
+    return _layout_digest(layer_shapes(spec, input_shape), input_shape)
+
+
+def _layout_digest(layout: Sequence[LayerShape], input_shape) -> str:
+    """arch_digest() of the spec whose layer_shapes() are layout."""
     triples = [[r.stage, r.path, r.kind, [list(s) for s in r.param_shapes]]
-               for r in layer_shapes(spec, input_shape)]
+               for r in layout]
     head_w, head_b = triples[-1][3]     # the last layer is the dense head
     head_w[1] = head_b[0] = None
-    payload = json.dumps({"input_shape": list(input_shape), "layers": triples},
-                         sort_keys=True, separators=(",", ":"))
+    payload = _json({"input_shape": list(input_shape), "layers": triples})
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _json(value) -> str:
+    """value as a checkpoint's metadata block spells it."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 _LAYER_TYPES = {"conv2d": Conv2d, "dense": Dense, "relu": Relu,
@@ -238,45 +246,101 @@ _LAYER_TYPES = {"conv2d": Conv2d, "dense": Dense, "relu": Relu,
                 "residual-add": lambda: ResidualBlock([])}
 
 
-class StagedModel:
-    """A built network: stages with live parameters plus build metadata.
+class Architecture:
+    """One architecture at one head size, and all that depends on it alone.
 
-    The layers are built from layout, spec's layer_shapes() records. Each
-    parameter is a view of params, one float64 vector in named_parameters()
-    order, so each stage is one contiguous slice of it; slices maps each
-    parameter name to its slice. digest, if given, is arch_digest() of spec
-    and input_shape, which digest() then returns without hashing."""
+    It is shared by reference and never changed. build_staged_network
+    builds one per call, and a checkpoint header one per head size it is
+    read at (CheckpointHeader.architecture); the models built on it hold
+    it, and so do their clones and checkpoints. So the jobs of one source
+    neither walk, hash nor encode the spec again. It holds:
 
-    def __init__(self, spec: tuple[StageSpec, ...], layout: list,
-                 input_shape: tuple[int, ...], num_labels: int, seed: int,
-                 params: np.ndarray, trained_iterations: int = 0,
-                 digest: str | None = None):
-        self.spec = spec
-        self._digest = digest
-        self.layout = layout
+    - spec, with the head resized to num_labels, its layer_shapes() layout,
+      and stage_names;
+    - slices, each parameter's slice of a parameter vector laid out in
+      named_parameters() order, which is also the checkpoint's tensor order,
+      and tensor_headers, each parameter's shape and the bytes a checkpoint
+      writes before its data (binio.named_tensor_header);
+    - digest: the one given, else arch_digest() of spec;
+    - prefix_ids[d], a string that names the first d stages and the input
+      shape, and stage_starts[d], where stage d's parameters start (the
+      last entry is size, the parameter count);
+    - encoded_arch: spec as a checkpoint's arch field holds it;
+    - builders, what StagedModel builds each layer of layout from.
+    """
+
+    def __init__(self, spec: Sequence[StageSpec], input_shape: Sequence[int],
+                 num_labels: int, digest: str | None = None):
         self.input_shape = tuple(input_shape)
+        self.spec, layout = _with_head(tuple(spec), self.input_shape, num_labels)
+        self.layout = tuple(layout)
         self.num_labels = num_labels
+        self.stage_names = tuple(s.name for s in self.spec)
+        self.digest = (_layout_digest(self.layout, self.input_shape)
+                       if digest is None else digest)
+        self.slices: dict[str, slice] = {}
+        self.tensor_headers: dict[str, tuple] = {}
+        builders, starts = [], {}
+        offset = 0
+        for rec in self.layout:
+            starts.setdefault(rec.stage, offset)
+            views = []
+            for pname, shape in zip(("w", "b"), rec.param_shapes):
+                name = f"{rec.stage}/{rec.path}/{pname}"
+                self.slices[name] = slice(offset, offset + math.prod(shape))
+                self.tensor_headers[name] = (shape,
+                                             binio.named_tensor_header(name, shape))
+                views.append((self.slices[name], shape))
+                offset += math.prod(shape)
+            builders.append((_LAYER_TYPES[rec.kind], tuple(views),
+                             (rec.stage, rec.path.rpartition("/")[0]),
+                             (rec.stage, rec.path)))
+        # per layer: its type, its parameters' (slice, shape), the (stage,
+        # path) of the layer list it joins, and its own
+        self.builders = tuple(builders)
+        self.size = offset
+        self.stage_starts = tuple(starts[n] for n in self.stage_names) + (offset,)
+        self.head_names = tuple(self.slices)[-2:]   # the dense head's w and b
+        self.encoded_arch = tuple(s.to_dict() for s in self.spec)
+        stages = [_json(s) for s in self.encoded_arch]
+        shape = _json(list(self.input_shape))
+        self.prefix_ids = tuple(f"{shape}[{','.join(stages[:d])}]"
+                                for d in range(len(stages) + 1))
+
+    def __reduce__(self):
+        return Architecture, (self.spec, self.input_shape, self.num_labels,
+                              self.digest)
+
+
+class StagedModel:
+    """A built network: stages with live parameters on an Architecture.
+
+    The layers are built from arch.builders. Each parameter is a view of
+    params, one float64 vector laid out as arch.slices says, in
+    named_parameters() order, so each stage is one contiguous slice of it.
+    """
+
+    def __init__(self, arch: Architecture, params: np.ndarray, seed: int,
+                 trained_iterations: int = 0):
+        self.arch = arch
+        self.params = params
         self.seed = seed
         self.trained_iterations = trained_iterations
-        self.params = params
-        self.stages = [Stage(s.name, []) for s in spec]
+        self.stages = [Stage(name, []) for name in arch.stage_names]
         # the layer list that takes the layers at (stage, parent path)
         members = {(s.name, ""): s.layers for s in self.stages}
-        offset = 0
-        for rec in layout:
-            views = []
-            for shape in rec.param_shapes:
-                views.append(params[offset:offset + math.prod(shape)].reshape(shape))
-                offset += math.prod(shape)
-            layer = _LAYER_TYPES[rec.kind](*views)
-            members[rec.stage, rec.path.rpartition("/")[0]].append(layer)
-            if rec.kind == "residual-add":
-                members[rec.stage, rec.path] = layer.inner
-        self.slices = param_layout(self.stages)
+        for make, views, parent, path in arch.builders:
+            layer = make(*[params[s].reshape(shape) for s, shape in views])
+            members[parent].append(layer)
+            if isinstance(layer, ResidualBlock):
+                members[path] = layer.inner
 
-    @property
-    def stage_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.stages)
+    spec = property(lambda self: self.arch.spec)
+    layout = property(lambda self: self.arch.layout)
+    input_shape = property(lambda self: self.arch.input_shape)
+    num_labels = property(lambda self: self.arch.num_labels)
+    slices = property(lambda self: self.arch.slices)
+    stage_names = property(lambda self: self.arch.stage_names)
 
     @property
     def head_name(self) -> str:
@@ -290,9 +354,7 @@ class StagedModel:
         return self.params.size
 
     def digest(self) -> str:
-        if self._digest is None:
-            self._digest = arch_digest(self.spec, self.input_shape)
-        return self._digest
+        return self.arch.digest
 
     def check_input(self, batch) -> np.ndarray:
         """The batch as float64, rejected unless it has the model input shape."""
@@ -303,10 +365,10 @@ class StagedModel:
         return x
 
     def clone(self) -> "StagedModel":
-        """A copy of params with fresh layers built on views of the copy."""
-        return StagedModel(self.spec, self.layout, self.input_shape,
-                           self.num_labels, self.seed, self.params.copy(),
-                           self.trained_iterations, self._digest)
+        """A copy of params with fresh layers built on views of the copy; the
+        architecture is shared."""
+        return StagedModel(self.arch, self.params.copy(), self.seed,
+                           self.trained_iterations)
 
 
 def build_staged_network(spec: Sequence[StageSpec], input_shape: Sequence[int],
@@ -320,25 +382,31 @@ def build_staged_network(spec: Sequence[StageSpec], input_shape: Sequence[int],
     """
     spec = tuple(spec)
     layer_shapes(spec, input_shape)    # every rule, before the head is read
+    _check_head(spec, num_labels)
+    arch = Architecture(spec, input_shape, num_labels)
+    return StagedModel(arch, _draws(arch.layout, np.random.default_rng(seed)),
+                       seed)
+
+
+def _check_head(spec: tuple, num_labels: int) -> None:
     head_out = spec[-1].layers[0].out_features
     if head_out is not None and head_out != num_labels:
         raise ValueError(f"head outputs {head_out} but num_labels is {num_labels}")
-    spec, layout = _with_head(spec, input_shape, num_labels)
-    return StagedModel(spec, layout, input_shape, num_labels, seed,
-                       _draws(layout, np.random.default_rng(seed)))
 
 
 def _with_head(spec: tuple, input_shape, num_labels: int) -> tuple:
-    """(spec with its head resized to num_labels outputs, its layer_shapes())."""
+    """(spec with its head resized to num_labels outputs, its layer_shapes());
+    spec itself if its head has that size."""
     if num_labels < 2:
         raise ValueError(f"num_labels must be at least 2, got {num_labels}")
     head = spec[-1]
-    spec = spec[:-1] + (StageSpec(head.name, (replace(head.layers[0],
-                                                      out_features=num_labels),)),)
+    dense = replace(head.layers[0], out_features=num_labels)  # checks the size
+    if dense != head.layers[0]:
+        spec = spec[:-1] + (StageSpec(head.name, (dense,)),)
     return spec, layer_shapes(spec, input_shape)
 
 
-def _draws(layout: list, rng: np.random.Generator) -> np.ndarray:
+def _draws(layout: Sequence[LayerShape], rng: np.random.Generator) -> np.ndarray:
     """The initial parameters of layout's layers, drawn in order from rng."""
     draws = []
     for rec in layout:
@@ -351,10 +419,6 @@ def _draws(layout: list, rng: np.random.Generator) -> np.ndarray:
 
 
 # --- checkpoint format -----------------------------------------------------
-
-def _metadata_bytes(meta: dict) -> bytes:
-    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
 
 @dataclass(frozen=True)
 class CheckpointHeader:
@@ -370,6 +434,23 @@ class CheckpointHeader:
                                            "must be at least 2"))
     seed: int = field(metadata=check(lambda n: n >= 0,
                                      "must be a non-negative integer"))
+
+    def __post_init__(self):
+        # not a field: what the fields fix, built on demand and kept
+        object.__setattr__(self, "_architectures", {})
+
+    def architecture(self, num_labels: int | None = None) -> Architecture:
+        """The Architecture of arch with its head resized to num_labels
+        (default: this header's), carrying this header's digest. It is
+        built at the first call for each head size and kept, so every
+        transfer target of one checkpoint at one head size shares it."""
+        n = self.num_labels if num_labels is None else num_labels
+        key = (type(n), n)          # 3.0 equals 3, but is no head size
+        arch = self._architectures.get(key)
+        if arch is None:
+            arch = self._architectures[key] = Architecture(
+                self.arch, self.input_shape, n, self.digest)
+        return arch
 
 
 _HEADER_FIELDS = tuple(f.name for f in fields(CheckpointHeader))
@@ -392,52 +473,67 @@ class Checkpoint:
     def metadata(self) -> dict:
         """The metadata block as save_checkpoint writes it, as a new dict:
         editing it changes nothing in the checkpoint."""
-        # LayerSpec.to_dict leaves out the fields a layer kind does not use
-        return (encode(self.header)
-                | {"arch": [s.to_dict() for s in self.header.arch]}
-                | copy.deepcopy(self.extra))
+        return self._block([s.to_dict() for s in self.header.arch],
+                           copy.deepcopy(self.extra))
+
+    def _block(self, arch: list, extra: dict) -> dict:
+        """The metadata block with arch, the header's arch encoded (by
+        LayerSpec.to_dict, which leaves out the fields a layer kind does not
+        use), and extra."""
+        h = self.header
+        return ({"arch": arch} | {f: encode(getattr(h, f))
+                                  for f in _HEADER_FIELDS if f != "arch"}
+                | extra)
 
 
 def checkpoint_from_model(model: StagedModel,
                           extra_metadata: dict | None = None) -> Checkpoint:
     """The model's checkpoint; extra_metadata adds free-form fields, and may
-    not replace a field that the model gives."""
+    not replace a field that the model gives. Its tensors are views of one
+    float32 copy of model.params."""
     extra = extra_metadata or {}
     derived = sorted(extra.keys() & set(_HEADER_FIELDS))
     if derived:
         raise ValueError(f"extra_metadata may not replace the fields the "
                          f"model gives: {derived}")
-    header = CheckpointHeader(model.spec, model.digest(), model.input_shape,
-                              model.trained_iterations, model.num_labels,
+    arch = model.arch
+    with np.errstate(over="ignore"):     # the check below reports it
+        image = model.params.astype(np.float32)
+    if not np.isfinite(image).all():
+        name = next(n for n, s in arch.slices.items()
+                    if not np.isfinite(image[s]).all())
+        raise ValueError(f"checkpoint: parameter {name!r} is not finite "
+                         f"as float32")
+    header = CheckpointHeader(arch.spec, arch.digest, arch.input_shape,
+                              model.trained_iterations, arch.num_labels,
                               model.seed)
-    tensors = {}
-    for name, arr in model.named_parameters():
-        try:
-            tensors[name] = binio.finite_float32(arr)
-        except binio.FormatError:
-            raise ValueError(f"checkpoint: parameter {name!r} is not finite "
-                             f"as float32") from None
+    header._architectures[type(arch.num_labels), arch.num_labels] = arch
+    tensors = {name: image[s].reshape(arch.tensor_headers[name][0])
+               for name, s in arch.slices.items()}
     return Checkpoint(tensors, header, dict(extra))
 
 
 def save_checkpoint(model_or_ckpt, path) -> None:
     """Write a checkpoint file (magic FTLB, version, metadata, tensors).
 
-    The file's bytes are built before it is opened, so a tensor the format
-    refuses (not finite as float32, say) leaves no file."""
+    The header's architecture gives the encoded arch and the record header
+    of each tensor that has its expected name and shape. The file's bytes
+    are built before it is opened, so a tensor the format refuses (not
+    finite as float32, say) leaves no file."""
     ckpt = (model_or_ckpt if isinstance(model_or_ckpt, Checkpoint)
             else checkpoint_from_model(model_or_ckpt))
-    meta = _metadata_bytes(ckpt.metadata)
-    f = io.BytesIO()
-    f.write(CHECKPOINT_MAGIC)
-    f.write(struct.pack("<I", CHECKPOINT_VERSION))
-    f.write(struct.pack("<I", len(meta)))
-    f.write(meta)
-    f.write(struct.pack("<I", len(ckpt.tensors)))
-    for name, arr in ckpt.tensors.items():
-        binio.write_named_tensor(f, name, arr)
+    h = ckpt.header
+    arch = h.architecture()
+    # a header with an unset head size encodes its own arch, not the resized
+    meta = _json(ckpt._block(arch.encoded_arch if arch.spec is h.arch
+                             else [s.to_dict() for s in h.arch],
+                             ckpt.extra)).encode("utf-8")
+    blob = b"".join([CHECKPOINT_MAGIC,
+                     struct.pack("<II", CHECKPOINT_VERSION, len(meta)), meta,
+                     struct.pack("<I", len(ckpt.tensors)),
+                     *binio.named_tensors(ckpt.tensors, arch.tensor_headers)])
     with open(path, "wb") as out:
-        out.write(f.getvalue())
+        out.write(blob)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -493,62 +589,61 @@ def _read_header(meta) -> CheckpointHeader:
         raise CheckpointError("metadata digest does not match the stored "
                               "architecture")
     # the digest masks the head's size, so it is checked on its own
-    head_out = header.arch[-1].layers[0].out_features
-    if head_out is not None and head_out != header.num_labels:
-        raise CheckpointError(f"head outputs {head_out} but num_labels is "
-                              f"{header.num_labels}")
+    try:
+        _check_head(header.arch, header.num_labels)
+    except ValueError as e:
+        raise CheckpointError(str(e)) from None
     return header
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> StagedModel:
     """Rebuild the saved model, restoring all parameters."""
     h = ckpt.header
-    model = build_staged_network(h.arch, h.input_shape, h.num_labels, h.seed)
-    model.trained_iterations = h.iterations
-    model._digest = h.digest
-    _assign_tensors(model, ckpt, skip_head=False)
+    arch = h.architecture()
+    _check_head(h.arch, h.num_labels)       # a header built by hand may differ
+    model = StagedModel(arch, np.empty(arch.size), h.seed, h.iterations)
+    _assign_tensors(arch, model.params, ckpt.tensors, skip_head=False)
     return model
 
 
-def _assign_tensors(model: StagedModel, ckpt: Checkpoint, skip_head: bool) -> None:
-    """Copy ckpt's tensors into model's parameters, the head's unless skip_head."""
-    skip = model.head_name + "/" if skip_head else None
-    expected = dict(model.named_parameters())
-    for name in expected:
-        if name not in ckpt.tensors and not (skip and name.startswith(skip)):
+def _assign_tensors(arch: Architecture, params: np.ndarray, tensors: dict,
+                    skip_head: bool) -> None:
+    """Copy tensors into params, laid out as arch lays them out, skipping
+    the head's if skip_head; each is checked against arch first."""
+    skip = arch.head_names if skip_head else ()
+    for name in arch.slices:
+        if name not in tensors and name not in skip:
             raise CheckpointError(f"checkpoint missing tensor {name!r}")
-    for name, arr in ckpt.tensors.items():
-        if name not in expected:
+    for name, arr in tensors.items():
+        if name not in arch.slices:
             raise CheckpointError(f"checkpoint has unexpected tensor {name!r}")
-        if skip and name.startswith(skip):
+        if name in skip:
             continue
-        target = expected[name]
-        if tuple(arr.shape) != tuple(target.shape):
+        shape = arch.tensor_headers[name][0]
+        if tuple(arr.shape) != shape:
             raise CheckpointError(f"tensor {name!r} has shape {arr.shape}, "
-                                  f"model expects {target.shape}")
+                                  f"model expects {shape}")
         # float32 -> float64 is exact, so saved weights survive bit-identically
-        target[...] = arr.astype(np.float64)
+        params[arch.slices[name]] = arr.reshape(-1)
 
 
 def transfer_init(source: Checkpoint, target_num_labels: int,
                   head_seed: int) -> StagedModel:
     """Head replacement: copy all inner-stage weights, re-init the head.
 
-    The target model shares the source architecture, and so its digest,
-    except for the head output size; both head weight and bias are
-    re-initialized from head_seed, with the bytes that
-    build_staged_network(..., head_seed) gives the head: the generator
+    The target model is built on source.header.architecture(
+    target_num_labels), shared by every target of the source at that head
+    size: the source architecture, and so its digest, except for the head
+    output size. The inner tensors are read and checked at each call. Both
+    head weight and bias are re-initialized from head_seed, with the bytes
+    that build_staged_network(..., head_seed) gives the head: the generator
     skips the draws of the inner parameters, one 64-bit step each.
     """
-    h = source.header
-    spec, layout = _with_head(h.arch, h.input_shape, target_num_labels)
+    arch = source.header.architecture(target_num_labels)
+    inner = arch.stage_starts[-2]              # the head stage's start
     rng = np.random.default_rng(head_seed)
-    inner = sum(math.prod(s) for rec in layout[:-1] for s in rec.param_shapes)
     rng.bit_generator.advance(inner)
-    head = _draws(layout[-1:], rng)            # the last layer is the head
-    model = StagedModel(spec, layout, h.input_shape, target_num_labels,
-                        head_seed, np.empty(inner + head.size),
-                        digest=h.digest)
-    model.params[inner:] = head
-    _assign_tensors(model, source, skip_head=True)
-    return model
+    params = np.empty(arch.size)
+    params[inner:] = _draws(arch.layout[-1:], rng)   # the last layer is the head
+    _assign_tensors(arch, params, source.tensors, skip_head=True)
+    return StagedModel(arch, params, head_seed)

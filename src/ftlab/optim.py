@@ -214,14 +214,15 @@ def evaluate(model: StagedModel, dataset: LabeledDataset) -> float:
 
 def prefix_key(model: StagedModel, schedule: MultiplierSchedule) -> tuple:
     """All that the frozen prefix of model under schedule depends on, besides
-    the data: the frozen stages' specs, which also fix the depth and the
-    layout of their parameters, the input shape, and a sha256 of the frozen
+    the data: the model architecture's prefix id at the frozen depth, a
+    string naming the frozen stages' specs, which also fix the layout of
+    their parameters, and the input shape; and a sha256 of the frozen
     stages' slice of the parameter vector."""
     schedule.check_covers(model.stage_names)
     depth = lowest_trainable_stage(model.stage_names, schedule)
-    size = sum(arr.size for s in model.stages[:depth] for _, arr in s.named_params())
-    return (model.spec[:depth], model.input_shape,
-            hashlib.sha256(model.params[:size].tobytes()).hexdigest())
+    arch = model.arch
+    return (arch.prefix_ids[depth],
+            hashlib.sha256(model.params[:arch.stage_starts[depth]]).hexdigest())
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,5 @@
 """End-to-end CLI tests: configs, pipelines, ledgers, reports, exit codes."""
 
-import io
 import json
 import os
 import struct
@@ -42,11 +41,9 @@ def tiny_checkpoint(edit=lambda meta: None, repeat: int = 0) -> bytes:
     edit(meta)
     items = list(ckpt.tensors.items())
     items += items[:repeat]
-    tensors = io.BytesIO()
-    for name, arr in items:
-        binio.write_named_tensor(tensors, name, arr)
-    return crafted_checkpoint(json.dumps(meta).encode(),
-                              tensors.getvalue(), len(items))
+    tensors = b"".join(part for name, arr in items
+                       for part in binio.named_tensors({name: arr}))
+    return crafted_checkpoint(json.dumps(meta).encode(), tensors, len(items))
 
 
 # each one escaped load_checkpoint as a bare Python exception before

@@ -1,6 +1,5 @@
 """Partitioning protocol, splits, synthetic domains, and on-disk format tests."""
 
-import io
 import struct
 
 import numpy as np
@@ -251,7 +250,7 @@ class TestOnDiskFormat:
             binio.save_tensor_file(path, np.array([[1.0, value]]))
         assert not path.exists()
         with pytest.raises(binio.FormatError, match="not finite as float32"):
-            binio.write_named_tensor(io.BytesIO(), "t", np.array([value]))
+            binio.named_tensors({"t": np.array([value])})
 
     def test_tensor_file_bad_magic(self, tmp_path):
         path = tmp_path / "t.ftt"

@@ -162,6 +162,18 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(ll_values=(0.01,), min_il=0.1)
 
+    @pytest.mark.parametrize("kwargs, bad", [
+        (dict(ll_values=(math.inf,), min_il=0.01), "inf"),
+        (dict(ll_values=(0.1, math.nan)), "nan")])
+    def test_non_finite_rates_rejected_when_built(self, kwargs, bad):
+        # an infinite LL used to build, and il_values then overflowed
+        with pytest.raises(ValueError, match="^last-layer rate must be "
+                                             f"positive and finite, got {bad}$"):
+            GridSpec(**kwargs)
+        for min_il in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="min_il"):
+                GridSpec((0.1,), min_il)
+
 
 class TestGraduatedSchedule:
     def test_default_multipliers_and_scales(self):
@@ -233,6 +245,25 @@ class TestGraduatedSchedule:
             GraduatedSpec(scales=(1.0, 0.5))
         with pytest.raises(ValueError, match="layout"):
             GraduatedSpec(layout="diagonal")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(scales=(1.0, math.inf)), "scales must be positive and finite, "
+                                       "got inf"),
+        (dict(scales=(math.nan, 1.0)), "scales must be positive and finite, "
+                                       "got nan"),
+        (dict(inner_multipliers=(0.0, math.inf)),
+         "multipliers must be >= 0 and finite, got inf"),
+        (dict(inner_multipliers=(0.0, math.nan, 1.0)),
+         "multipliers must be >= 0 and finite, got nan"),
+        (dict(head_multiplier=math.inf),
+         "multipliers must be >= 0 and finite, got inf"),
+        (dict(head_multiplier=math.nan),
+         "multipliers must be >= 0 and finite, got nan"),
+        (dict(head_multiplier=-1.0),
+         "multipliers must be >= 0 and finite, got -1.0")])
+    def test_non_finite_factors_rejected_when_built(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GraduatedSpec(**kwargs)
 
     def test_multiplier_count_must_match_stage_count(self):
         with pytest.raises(ValueError, match="multipliers"):

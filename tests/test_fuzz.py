@@ -66,11 +66,8 @@ CHECKPOINT = checkpoint_from_model(build_staged_network(
 
 
 def _tensor_bytes(tensors) -> bytes:
-    out = io.BytesIO(struct.pack("<I", len(tensors)))
-    out.seek(0, io.SEEK_END)
-    for name, arr in tensors.items():
-        binio.write_named_tensor(out, name, arr)
-    return out.getvalue()
+    return b"".join([struct.pack("<I", len(tensors)),
+                     *binio.named_tensors(tensors)])
 
 
 TENSOR_BYTES = _tensor_bytes(CHECKPOINT.tensors)

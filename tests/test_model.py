@@ -2,13 +2,14 @@
 
 import itertools
 import json
+import pickle
 import struct
 
 import numpy as np
 import pytest
 
 from conftest import one_conv_metadata
-from ftlab import binio, model
+from ftlab import binio, codec, model
 from ftlab.codec import decode
 from ftlab.data import LabeledDataset
 from ftlab.experiment import FinetuneTask, run_ll_experiment
@@ -556,3 +557,152 @@ class TestParameterVector:
                 return grads
             monkeypatch.setattr(conv1, "param_grads", doubled)
             assert grad_check(m.stages, x, y) > 1e-4, kind
+
+
+def reference_checkpoint_bytes(ckpt) -> bytes:
+    """The file that ckpt's metadata and tensors make, written one field and
+    one tensor at a time from the format as README.md gives it."""
+    meta = json.dumps(ckpt.metadata, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    out = [b"FTLB", struct.pack("<I", 1), struct.pack("<I", len(meta)), meta,
+           struct.pack("<I", len(ckpt.tensors))]
+    for name, arr in ckpt.tensors.items():
+        data = np.ascontiguousarray(arr, dtype="<f4")
+        out += [struct.pack("<H", len(name.encode("utf-8"))), name.encode("utf-8"),
+                struct.pack("<B", data.ndim)]
+        out += [struct.pack("<I", d) for d in data.shape] + [data.tobytes()]
+    return b"".join(out)
+
+
+class TestArchitectureRecord:
+    """One Architecture per (spec, input shape, head size), shared by
+    reference; what it caches is what a checkpoint header fixes."""
+
+    def test_saving_a_job_checkpoint_encodes_no_spec(self, tmp_path,
+                                                     monkeypatch):
+        m = build_staged_network(tiny_spec(True), (1, 8, 8), 3, seed=5)
+        path, saved = tmp_path / "m.ftlb", tmp_path / "ft.ftlb"
+        save_checkpoint(checkpoint_from_model(m, {"domain": "d"}), path)
+        ckpt = load_checkpoint(path)
+        encoded = []
+
+        def spy(value, encode=codec.encode):
+            encoded.append(type(value))
+            return encode(value)
+        # codec.encode recurses through its own module's name
+        monkeypatch.setattr(codec, "encode", spy)
+        monkeypatch.setattr(model, "encode", spy)
+        x = np.random.default_rng(0).uniform(size=(6, 1, 8, 8))
+        ds = LabeledDataset(x, np.arange(6) % 2, ("a", "b"), "d")
+        run_ll_experiment(ckpt, FinetuneTask("t", ds, ds), 0.1,
+                          LrPolicy(0.01, 2, 4), 3, seed=0, save_path=saved)
+        assert encoded and not {StageSpec, LayerSpec} & set(encoded)
+        monkeypatch.undo()
+        assert saved.read_bytes() == reference_checkpoint_bytes(
+            load_checkpoint(saved))
+
+    def test_tensors_edited_in_place_reach_the_next_target(self):
+        ckpt = checkpoint_from_model(
+            build_staged_network(tiny_spec(), (1, 8, 8), 4, seed=7))
+        first = transfer_init(ckpt, 3, head_seed=1)
+        ckpt.tensors["conv1/0/w"] += 1.0
+        ckpt.tensors["conv2/0/b"] = np.full(3, 0.5, np.float32)
+        second = transfer_init(ckpt, 3, head_seed=1)
+        assert second.arch is first.arch
+        got = dict(second.named_parameters())
+        for name, arr in first.named_parameters():
+            edited = name in ("conv1/0/w", "conv2/0/b")
+            assert (got[name].tobytes() == arr.tobytes()) != edited, name
+            if not name.startswith("fc/"):
+                assert got[name].tobytes() == (ckpt.tensors[name]
+                                               .astype(np.float64).tobytes())
+
+    def test_checkpoints_of_one_architecture_keep_their_own_tensors(
+            self, tmp_path):
+        m = build_staged_network(tiny_spec(True), (1, 8, 8), 3, seed=4)
+        other = m.clone()
+        other.params += 0.25
+        paths = [tmp_path / "a.ftlb", tmp_path / "b.ftlb"]
+        ckpts = [checkpoint_from_model(net) for net in (m, other)]
+        assert ckpts[0].header.architecture() is m.arch
+        assert ckpts[1].header.architecture() is m.arch
+        for ckpt, path in zip(ckpts, paths):
+            save_checkpoint(ckpt, path)
+        assert paths[0].read_bytes() != paths[1].read_bytes()
+        for net, path in zip((m, other), paths):
+            loaded = load_checkpoint(path)
+            want = dict(net.named_parameters())
+            for name, arr in loaded.tensors.items():
+                assert arr.tobytes() == want[name].astype(np.float32).tobytes()
+            target = transfer_init(loaded, 2, head_seed=3)
+            for name, arr in target.named_parameters():
+                if not name.startswith("fc/"):
+                    assert arr.tobytes() == (loaded.tensors[name]
+                                             .astype(np.float64).tobytes())
+
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("labels", [2, 3, 7])
+    def test_file_bytes_equal_a_per_tensor_writer(self, tmp_path, labels,
+                                                  residual):
+        built = build_staged_network(tiny_spec(residual), (1, 8, 8), labels,
+                                     seed=labels)
+        source = checkpoint_from_model(
+            build_staged_network(tiny_spec(residual), (1, 8, 8), 5, seed=1),
+            {"domain": "src"})
+        edited = checkpoint_from_model(built, {"z": [1, {"b": None}]})
+        edited.tensors["fc/0/b"] = np.zeros((1, labels), np.float32)
+        edited.tensors["extra"] = np.ones((2, 2), np.float64)
+        ckpts = {"built": checkpoint_from_model(built, {"domain": "d"}),
+                 "transferred": checkpoint_from_model(
+                     transfer_init(source, labels, head_seed=2)),
+                 "edited": edited}
+        path = tmp_path / "c.ftlb"
+        save_checkpoint(built, path)
+        ckpts["loaded"] = load_checkpoint(path)
+        for kind, ckpt in ckpts.items():
+            save_checkpoint(ckpt, path)
+            assert path.read_bytes() == reference_checkpoint_bytes(ckpt), kind
+
+    def test_models_and_clones_share_the_record_not_the_parameters(
+            self, tmp_path):
+        built = build_staged_network(tiny_spec(True), (1, 8, 8), 3, seed=4)
+        path = tmp_path / "m.ftlb"
+        save_checkpoint(built, path)
+        ckpt = load_checkpoint(path)
+        groups = {
+            "built": [built, built.clone(), built.clone().clone()],
+            "loaded": [model_from_checkpoint(ckpt), model_from_checkpoint(ckpt),
+                       model_from_checkpoint(ckpt).clone()],
+            "3-way targets": [transfer_init(ckpt, 3, head_seed=s)
+                              for s in (1, 2)],
+            "5-way targets": [transfer_init(ckpt, 5, head_seed=s)
+                              for s in (1, 2)]}
+        for kind, nets in groups.items():
+            assert all(net.arch is nets[0].arch for net in nets), kind
+        assert groups["loaded"][0].arch is groups["3-way targets"][0].arch
+        assert groups["5-way targets"][0].arch is not groups["loaded"][0].arch
+        assert groups["built"][0].arch is not groups["loaded"][0].arch
+        nets = [net for group in groups.values() for net in group]
+        for a, b in itertools.combinations(nets, 2):
+            assert not np.shares_memory(a.params, b.params)
+            for (_, x), (_, y) in zip(a.named_parameters(), b.named_parameters()):
+                assert not np.shares_memory(x, y)
+
+    def test_a_head_size_that_is_no_integer_is_refused(self):
+        ckpt = checkpoint_from_model(
+            build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=7))
+        for _ in range(2):          # before and after a 3-way target is built
+            with pytest.raises(ValueError, match="positive integer, got 3.0"):
+                transfer_init(ckpt, 3.0, head_seed=1)
+            transfer_init(ckpt, 3, head_seed=1)
+
+    def test_models_and_checkpoints_pickle(self, tmp_path):
+        built = build_staged_network(tiny_spec(True), (1, 8, 8), 3, seed=4)
+        ckpt = checkpoint_from_model(built, {"domain": "d"})
+        target = transfer_init(ckpt, 2, head_seed=1)
+        for obj in (built, ckpt, target):
+            copy = pickle.loads(pickle.dumps(obj))
+            want, got = tmp_path / "want.ftlb", tmp_path / "got.ftlb"
+            save_checkpoint(obj, want)
+            save_checkpoint(copy, got)
+            assert got.read_bytes() == want.read_bytes()
