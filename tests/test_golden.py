@@ -6,7 +6,10 @@ runs at --workers 1 and 2 and must give the same digests at both. Files
 hold float32 tensors, which round away a change in the last bits of
 training's float64 arithmetic, so the float64 parameters of a small
 from-scratch train() are hashed too, and those of a head-only and a
-conv1-frozen train() transferred from it. A change that alters result bytes
+conv1-frozen train() transferred from it; so are those of the same net with
+a residual block in each conv stage, trained from scratch and transferred
+with conv1 frozen, the one net that runs ResidualBlock's backward. A change
+that alters result bytes
 on purpose updates golden.json with the digests that the failure message
 prints.
 """
@@ -65,37 +68,42 @@ FINETUNE_MULTIPLIERS = {"head_only": {"conv1": 0.0, "conv2": 0.0, "fc": 1.0},
                         "conv1_frozen": {"conv1": 0.0, "conv2": 1.0, "fc": 1.0}}
 
 
-def trained_params_digests(data_root) -> dict:
+def trained_params_digests(data_root, residual: bool, finetunes) -> dict:
     """Digests of the float64 parameters of a small net trained from scratch,
     every stage live, on a split of srcdom, and of the nets transferred from
-    its checkpoint to a split of near and finetuned head-only and with conv1
-    frozen. Its widths and rate are ones at which the net learns and the last
-    bits of every conv's gradients move its result: at TINY_MODEL's widths
-    and the fixtures' base_lr of 0.01 it stays at chance."""
+    its checkpoint to a split of near and finetuned with each of finetunes,
+    FINETUNE_MULTIPLIERS names; keyed under residual/ for a residual net.
+    Its widths and rate are ones at which the net learns and the last bits
+    of every conv's gradients move its result: at TINY_MODEL's widths and
+    the fixtures' base_lr of 0.01 it stays at chance."""
     train_set, val_set = split_train_val(load_dataset(data_root / "srcdom"),
                                          2 / 3, 5)
     shape = (1, 8, 8)
-    model = build_staged_network(mini_staged_spec((4, 8), shape), shape, 3,
-                                 seed=3)
+    model = build_staged_network(mini_staged_spec((4, 8), shape,
+                                                  residual=residual),
+                                 shape, 3, seed=3)
+    key = "residual/" if residual else ""
     schedule = uniform_schedule(model.stage_names, model.head_name, 1.0, 1.0)
     policy = LrPolicy(**dict(FAST_POLICY, base_lr=0.05))
     result = train(model, train_set, val_set, schedule, policy, 6, seed=3)
-    digests = {"train/params.float64": params_digest(result)}
+    digests = {f"{key}train/params.float64": params_digest(result)}
     source = checkpoint_from_model(result.model)
     train_set, val_set = split_train_val(load_dataset(data_root / "near"),
                                          2 / 3, 5)
-    for name, mults in FINETUNE_MULTIPLIERS.items():
+    for name in finetunes:
         target = transfer_init(source, train_set.num_labels, head_seed=4)
-        result = train(target, train_set, val_set, MultiplierSchedule(mults),
+        result = train(target, train_set, val_set,
+                       MultiplierSchedule(FINETUNE_MULTIPLIERS[name]),
                        policy, 6, seed=4)
-        digests[f"finetune/{name}.params.float64"] = params_digest(result)
+        digests[f"{key}finetune/{name}.params.float64"] = params_digest(result)
     return digests
 
 
 def test_result_bytes_match_golden(tmp_path, data_root, source_run):
     got = {f"source/{name}": sha256(source_run / name)
            for name in ("source.ftlb", "ledger.jsonl")}
-    got.update(trained_params_digests(data_root))
+    got.update(trained_params_digests(data_root, False, FINETUNE_MULTIPLIERS))
+    got.update(trained_params_digests(data_root, True, ["conv1_frozen"]))
     mismatches = []
     for kind, cfg in sweep_cfgs(data_root, source_run).items():
         config = write_config(tmp_path / f"{kind}.json", cfg)
