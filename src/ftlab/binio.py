@@ -73,13 +73,6 @@ def _payload_header(shape: tuple) -> bytes:
     return struct.pack(f"<B{len(shape)}I", len(shape), *shape)
 
 
-def write_tensor_payload(f: BinaryIO, array: np.ndarray) -> None:
-    """Write rank, dims, and float32 data for one tensor."""
-    arr = finite_float32(array)
-    f.write(_payload_header(arr.shape))
-    f.write(arr.tobytes(order="C"))
-
-
 def read_tensor_payload(f: BinaryIO, what: str = "tensor") -> np.ndarray:
     """Read one rank/dims/data payload as a float32 array."""
     (rank,) = struct.unpack("<B", _read_exact(f, 1, f"rank of {what}"))
@@ -142,10 +135,11 @@ def read_named_tensor(f: BinaryIO, what: str = "tensor") -> tuple[str, np.ndarra
 def save_tensor_file(path, array: np.ndarray) -> None:
     """Write a single unnamed tensor file (magic FTT0 + payload); an array
     the payload refuses leaves no file."""
-    payload = io.BytesIO()
-    write_tensor_payload(payload, array)
+    arr = finite_float32(array)
+    header = TENSOR_FILE_MAGIC + _payload_header(arr.shape)
     with open(path, "wb") as f:
-        f.write(TENSOR_FILE_MAGIC + payload.getvalue())
+        f.write(header)
+        f.write(arr)
 
 
 def load_tensor_file(path) -> np.ndarray:

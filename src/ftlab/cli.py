@@ -137,10 +137,10 @@ class RunConfig:
     holds every field, defaults and nulls included, with the values as given.
     """
 
-    policy: LrPolicy
+    # no default policy or batch size: the training method never states
+    # one, so the commands that train require them explicitly
+    policy: LrPolicy | None = None
     model: ModelConfig = ModelConfig()
-    # no default batch size: the training method never states one, so
-    # commands that train require it explicitly
     batch_size: int | None = field(
         default=None, metadata=check(_positive, "must be a positive integer"))
     momentum: float = field(
@@ -230,6 +230,8 @@ def _resolve_schedule(cfg: RunConfig, stage_names,
     *inner, head = stage_names
     try:
         if s.ll is not None:
+            if cfg.policy is None:      # _training_errors reports it
+                return None
             il = 0.0 if s.il is None else s.il
             job = dict(kind="grid" if il else "ll", ll=s.ll, il=il, scale=s.scale,
                        schedule=rate_schedule(stage_names, cfg.policy, s.ll,
@@ -278,8 +280,9 @@ def _load_source(cfg: RunConfig, errors: list[str]) -> Checkpoint | None:
 
 
 def _training_errors(cfg: RunConfig) -> list[str]:
-    """A training command's error list, begun with the rule they all keep."""
-    return [] if cfg.batch_size is not None else ["batch_size is required"]
+    """A training command's error list, begun with the rules they all keep."""
+    return [f"{name} is required" for name in ("policy", "batch_size")
+            if getattr(cfg, name) is None]
 
 
 def _fail(errors) -> int:
@@ -402,7 +405,9 @@ def cmd_sweep(cfg: RunConfig, out_dir) -> int:
     tasks = [t for t in tasks if t]
     if source and tasks:
         _check_tasks(tasks, source.header.input_shape, cfg.batch_size, errors)
-        # every job, and so every schedule, is built before anything is written
+    # every job, and so every schedule, is built before anything is written;
+    # a grid's rates need the policy, which _training_errors reports missing
+    if source and tasks and (cfg.grid is None or cfg.policy is not None):
         try:
             specs = (grid_jobs(source, tasks[0].task_id, cfg.grid, cfg.policy,
                                cfg.seed) if cfg.grid is not None else

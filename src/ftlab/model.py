@@ -471,19 +471,22 @@ class Checkpoint:
 
     @property
     def metadata(self) -> dict:
-        """The metadata block as save_checkpoint writes it, as a new dict:
-        editing it changes nothing in the checkpoint."""
-        return self._block([s.to_dict() for s in self.header.arch],
-                           copy.deepcopy(self.extra))
+        """A deep copy of the block that save_checkpoint writes: editing it
+        changes nothing in the checkpoint."""
+        return copy.deepcopy(self._block())
 
-    def _block(self, arch: list, extra: dict) -> dict:
-        """The metadata block with arch, the header's arch encoded (by
-        LayerSpec.to_dict, which leaves out the fields a layer kind does not
-        use), and extra."""
+    def _block(self) -> dict:
+        """The metadata block that save_checkpoint writes: the header's
+        fields, then extra. arch is a list of the header's architecture's
+        encoded_arch, except that a header with an unset head size encodes
+        its own arch, not the resized one (by LayerSpec.to_dict, which
+        leaves out the fields a layer kind does not use)."""
         h = self.header
-        return ({"arch": arch} | {f: encode(getattr(h, f))
-                                  for f in _HEADER_FIELDS if f != "arch"}
-                | extra)
+        arch = h.architecture()
+        return ({"arch": list(arch.encoded_arch) if arch.spec is h.arch
+                 else [s.to_dict() for s in h.arch]}
+                | {f: encode(getattr(h, f)) for f in _HEADER_FIELDS
+                   if f != "arch"} | self.extra)
 
 
 def checkpoint_from_model(model: StagedModel,
@@ -522,16 +525,13 @@ def save_checkpoint(model_or_ckpt, path) -> None:
     finite as float32, say) leaves no file."""
     ckpt = (model_or_ckpt if isinstance(model_or_ckpt, Checkpoint)
             else checkpoint_from_model(model_or_ckpt))
-    h = ckpt.header
-    arch = h.architecture()
-    # a header with an unset head size encodes its own arch, not the resized
-    meta = _json(ckpt._block(arch.encoded_arch if arch.spec is h.arch
-                             else [s.to_dict() for s in h.arch],
-                             ckpt.extra)).encode("utf-8")
+    meta = _json(ckpt._block()).encode("utf-8")
     blob = b"".join([CHECKPOINT_MAGIC,
                      struct.pack("<II", CHECKPOINT_VERSION, len(meta)), meta,
                      struct.pack("<I", len(ckpt.tensors)),
-                     *binio.named_tensors(ckpt.tensors, arch.tensor_headers)])
+                     *binio.named_tensors(ckpt.tensors,
+                                          ckpt.header.architecture()
+                                          .tensor_headers)])
     with open(path, "wb") as out:
         out.write(blob)
 

@@ -2,21 +2,23 @@
 
 Layers operate on float64 numpy arrays. Feature maps are laid out NCHW;
 dense layers take (batch, features). Each layer implements a
-forward(x) -> (y, cache) and backward(dy, cache, out=None) -> (dx, param_grads)
-pair whose results depend only on the inputs and the parameters; the
-only other state is Conv2d's scratch buffers, which no result aliases. A
-layer with parameters also has param_grads(dy, cache, out=None): backward's
-parameter gradients, computed without dx where the layer can. Both write
-them into the arrays of out, if given, and return out.
+forward(x) -> (y, cache) and backward(dy, cache, out) -> (dx, out) pair
+whose results depend only on the inputs and the parameters; the only other
+state is Conv2d's scratch buffers, which no result aliases. out, required,
+maps each parameter name to the array its gradient is written into. A
+layer with parameters also has param_grads(dy, cache, out) -> out:
+backward's parameter gradients, computed without dx where the layer can.
 
-backward() over a stage list writes every parameter gradient in place into
-one flat vector, laid out like the stage list's parameters, and returns them
-as views of it, in a Gradients object that is fresh at each call unless
-passed as out, as optim.train() passes one at every step of a call.
+backward() over a stage list is the one place that allocates gradients: one
+flat vector, laid out like the list's parameters, whose views it hands each
+layer as out. It returns them in a Gradients object, a read-only mapping of
+each name to its view, that is fresh at each call unless passed as out, as
+optim.train() passes one at every step of a call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -44,13 +46,11 @@ class Dense:
                              f"got {x.shape}")
         return x @ self.w + self.b, x
 
-    def backward(self, dy, cache, out=None):
+    def backward(self, dy, cache, out):
         return dy @ self.w.T, self.param_grads(dy, cache, out)
 
-    def param_grads(self, dy, cache, out=None):
+    def param_grads(self, dy, cache, out):
         """The parameter half of backward: no input gradient."""
-        if out is None:
-            out = {"w": np.empty_like(self.w), "b": np.empty_like(self.b)}
         np.matmul(cache.T, dy, out=out["w"])     # cache is the input x
         np.add.reduce(dy, axis=0, out=out["b"])
         return out
@@ -58,15 +58,6 @@ class Dense:
     def named_params(self) -> Iterator[tuple[str, np.ndarray]]:
         yield "w", self.w
         yield "b", self.b
-
-
-def _written(grads: dict, out: dict | None) -> dict:
-    """grads, or out with grads copied into its arrays if out is given."""
-    if out is None:
-        return grads
-    for name, g in grads.items():
-        out[name][...] = g
-    return out
 
 
 def _windows(xp: np.ndarray, k: int) -> np.ndarray:
@@ -211,7 +202,7 @@ class Conv2d:
         self._plan = plan
         return plan
 
-    def backward(self, dy, cache, out=None):
+    def backward(self, dy, cache, out):
         plan = self._live_plan(dy, cache)
         k = self.kernel_size
         n, f, h, wd = dy.shape
@@ -221,7 +212,7 @@ class Conv2d:
         return (dx.reshape(-1, n, h, wd).transpose(1, 0, 2, 3),
                 self.param_grads(dy, cache, out))
 
-    def param_grads(self, dy, cache, out=None):
+    def param_grads(self, dy, cache, out):
         """The parameter half of backward: no input gradient."""
         plan = self._live_plan(dy, cache)
         k = self.kernel_size
@@ -230,9 +221,9 @@ class Conv2d:
         cols = (plan.chunks[0].matrix if len(plan.chunks) == 1
                 else plan.windows.reshape(plan.chunks[0].matrix.shape[0], -1))
         dw = cols @ dy.transpose(0, 2, 3, 1).reshape(-1, f)
-        db = dy.sum(axis=(0, 2, 3))
-        return _written({"w": dw.reshape(-1, k, k, f).transpose(3, 0, 1, 2),
-                         "b": db}, out)
+        out["w"][...] = dw.reshape(-1, k, k, f).transpose(3, 0, 1, 2)
+        np.add.reduce(dy, axis=(0, 2, 3), out=out["b"])
+        return out
 
     def named_params(self):
         yield "w", self.w
@@ -247,8 +238,8 @@ class Relu:
     def forward(self, x):
         return np.maximum(x, 0.0), x
 
-    def backward(self, dy, cache, out=None):
-        return dy * (cache > 0.0), {}
+    def backward(self, dy, cache, out):
+        return dy * (cache > 0.0), out
 
     def named_params(self):
         return iter(())
@@ -270,7 +261,7 @@ class MaxPool:
                          np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]))
         return out, (x, out)
 
-    def backward(self, dy, cache, out=None):
+    def backward(self, dy, cache, out):
         x, y = cache
         dx = np.empty(x.shape, dtype=DTYPE)
         free = np.ones(y.shape, dtype=bool)  # windows whose max is not yet found
@@ -279,7 +270,7 @@ class MaxPool:
                 hit = free & (x[:, :, di::2, dj::2] == y)
                 dx[:, :, di::2, dj::2] = np.where(hit, dy, 0.0)
                 free &= ~hit
-        return dx, {}
+        return dx, out
 
     def named_params(self):
         return iter(())
@@ -296,11 +287,11 @@ class GlobalAvgPool:
         h, w = x.shape[2:]
         return np.add.reduce(x, axis=(2, 3)) / (h * w), x.shape
 
-    def backward(self, dy, cache, out=None):
+    def backward(self, dy, cache, out):
         h, w = cache[2:]
         dx = np.empty(cache, dtype=DTYPE)
         dx[...] = (dy / (h * w))[:, :, None, None]
-        return dx, {}
+        return dx, out
 
     def named_params(self):
         return iter(())
@@ -325,16 +316,16 @@ class ResidualBlock:
                              f"{x.shape} -> {y.shape}")
         return x + y, caches
 
-    def backward(self, dy, cache, out=None):
-        grads = {}
+    def backward(self, dy, cache, out):
         d = dy
         for i in reversed(range(len(self.inner))):
-            d, g = self.inner[i].backward(d, cache[i])
-            for pname, garr in g.items():
-                grads[f"{i}/{pname}"] = garr
-        return dy + d, _written(grads, out)
+            # inner layer i writes into the views of out named i/<name>
+            layer = self.inner[i]
+            d, _ = layer.backward(d, cache[i], {p: out[f"{i}/{p}"] for p, _
+                                                in layer.named_params()})
+        return dy + d, out
 
-    def param_grads(self, dy, cache, out=None):
+    def param_grads(self, dy, cache, out):
         return self.backward(dy, cache, out)[1]
 
     def named_params(self):
@@ -354,18 +345,6 @@ class Stage:
         for i, layer in enumerate(self.layers):
             for pname, arr in layer.named_params():
                 yield f"{self.name}/{i}/{pname}", arr
-
-
-def param_layout(stages: list[Stage]) -> dict[str, slice]:
-    """Each parameter's name and its slice of one flat vector that holds the
-    parameters of stages in their named_params() order."""
-    layout: dict[str, slice] = {}
-    offset = 0
-    for stage in stages:
-        for name, arr in stage.named_params():
-            layout[name] = slice(offset, offset + arr.size)
-            offset += arr.size
-    return layout
 
 
 def _softmax(logits: np.ndarray):
@@ -473,29 +452,43 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
             ForwardCache(stage_caches, softmax_cross_entropy(x, y)))
 
 
-class Gradients(dict):
-    """backward()'s result and plan for one stage list: name -> gradient, a
-    view of vector, which is laid out like the list's parameters in their
-    named_params() order (layout maps each name to its slice), keyed top layer
-    first, as backward computes them. layers pairs each layer with the views
-    it writes into; lowest indexes the lowest layer with parameters. The
-    object fits the stage list it was built from, with its layer lists then."""
+class Gradients(Mapping):
+    """backward()'s result and plan for one stage list: a read-only mapping
+    of each parameter's name to its gradient, a view of vector, keyed top
+    layer first, as backward computes them. vector is laid out like the
+    list's parameters in their named_params() order, and layout maps each
+    name to its slice. layers pairs each layer with the views it writes
+    into; lowest indexes the lowest layer with parameters. The object fits
+    the stage list it was built from, with its layer lists then."""
 
     def __init__(self, stages: list[Stage]):
-        super().__init__()
-        self.layout = param_layout(stages)
-        self.vector = np.empty(param_count(stages), dtype=DTYPE)
         paths = [(f"{s.name}/{li}", layer) for s in stages
                  for li, layer in enumerate(s.layers)]
-        self.layers = [(layer, {p: self.vector[self.layout[f"{path}/{p}"]]
-                                .reshape(a.shape) for p, a in layer.named_params()})
-                       for path, layer in paths]
-        for (path, _), (_, views) in zip(paths[::-1], self.layers[::-1]):
-            # a residual block computes its inner layers top first
-            for p in sorted(views, key=lambda n: [-int(i) for i in n.split("/")[:-1]]):
-                self[f"{path}/{p}"] = views[p]
+        self.vector = np.empty(param_count(stages), dtype=DTYPE)
+        self.layout, self.layers, at = {}, [], 0
+        for path, layer in paths:
+            views = {}
+            for p, a in layer.named_params():
+                self.layout[f"{path}/{p}"] = slice(at, at + a.size)
+                views[p] = self.vector[at:at + a.size].reshape(a.shape)
+                at += a.size
+            self.layers.append((layer, views))
+        # a residual block computes its inner layers top first
+        self._views = {f"{path}/{p}": views[p] for (path, _), (_, views)
+                       in zip(paths[::-1], self.layers[::-1])
+                       for p in sorted(views, key=lambda n: [
+                           -int(i) for i in n.split("/")[:-1]])}
         self.lowest = next((i for i, (_, views) in enumerate(self.layers)
                             if views), len(self.layers))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
 
 
 def backward(stages: list[Stage], cache: ForwardCache,

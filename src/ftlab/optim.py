@@ -133,29 +133,31 @@ def lowest_trainable_stage(stage_names, schedule: MultiplierSchedule) -> int:
 def _runs(model: StagedModel, schedule: MultiplierSchedule, grads: Gradients,
           velocity: np.ndarray) -> list[tuple]:
     """(velocity view, gradient view, parameter view, multiplier) of each run:
-    a maximal group of parameters, adjacent in the model and in grads.vector,
-    of stages with one non-zero multiplier. Rejects a schedule that does not
-    cover the stages and a missing or misshapen gradient."""
+    a maximal group of adjacent stages with one non-zero multiplier. Rejects
+    a schedule that does not cover the stages, and gradients that are not
+    laid out like the model's parameters from a stage on or leave out a run."""
     schedule.check_covers(model.stage_names)
-    runs: list[tuple] = []
-    for stage in model.stages:
-        m = schedule.stage_multipliers[stage.name]
-        if m == 0:
+    starts = model.arch.stage_starts
+    offset = starts[-1] - grads.vector.size
+    if offset not in starts or grads.layout != {
+            name: slice(p.start - offset, p.stop - offset)
+            for name, p in model.slices.items() if p.start >= offset}:
+        raise ValueError("gradients are not laid out like the model's "
+                         "parameters from a stage on")
+    runs: list[list] = []
+    for name, start, stop in zip(model.stage_names, starts, starts[1:]):
+        m = schedule.stage_multipliers[name]
+        if m == 0 or start == stop:
             continue
-        for name, param in stage.named_params():
-            g = grads.get(name)
-            if g is None:
-                raise ValueError(f"missing gradient for parameter {name!r}")
-            if g.shape != param.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match "
-                                 f"parameter {name!r} shape {param.shape}")
-            p, q = model.slices[name], grads.layout[name]
-            last = runs[-1] if runs else None
-            if last and (last[0].stop, last[1].stop, last[2]) == (p.start, q.start, m):
-                runs[-1] = (slice(last[0].start, p.stop), slice(last[1].start, q.stop), m)
-            else:
-                runs.append((p, q, m))
-    return [(velocity[p], grads.vector[q], model.params[p], m) for p, q, m in runs]
+        if start < offset:
+            raise ValueError(f"no gradient for stage {name!r}, whose "
+                             f"multiplier is {m}")
+        if runs and runs[-1][1] == start and runs[-1][2] == m:
+            runs[-1][1] = stop
+        else:
+            runs.append([start, stop, m])
+    return [(velocity[a:b], grads.vector[a - offset:b - offset],
+             model.params[a:b], m) for a, b, m in runs]
 
 
 def sgd_step(model: StagedModel, grads: Gradients, state: SgdState,

@@ -154,6 +154,27 @@ class TestRunConfig:
         assert main(["train-source", config, "--out", str(tmp_path / "o")]) == 1
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, fields", [
+        ("train-source", {}), ("finetune", {"schedule": {"ll": 0.1}}),
+        ("sweep", {"grid": {"ll_values": [0.1]}})])
+    def test_training_commands_require_policy(self, tmp_path, capsys,
+                                              data_root, source_run,
+                                              command, fields):
+        # both errors at once, and no traceback, though finetune's ll
+        # schedule and the grid's jobs are rates that need the policy
+        cfg = {"model": dict(TINY_MODEL), "seed": 3,
+               "source_checkpoint": str(source_run / "source.ftlb"),
+               "data": {"dataset": str(data_root / "srcdom"),
+                        "partition_seed": 4}}
+        config = write_config(tmp_path / "c.json", dict(cfg, **fields))
+        out = tmp_path / "o"
+        assert main([command, config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: policy is required",
+                                             "error: batch_size is required"]
+        assert captured.out == ""
+        assert not out.exists()
+
 
 # (command, config fields replaced, a fragment of the error); each one ran, or
 # ended in a traceback, before
@@ -235,6 +256,12 @@ MALFORMED_CONFIGS = {
         "finetune", {"schedule": {"stage_multipliers": {
             "conv1": 0.0, "conv2": "1", "fc": 1.0}}},
         "schedule.stage_multipliers.conv2 must be a finite number"),
+    "source_checkpoint_missing": ("finetune", {"source_checkpoint": None,
+                                               "schedule": {"ll": 0.1}},
+                                  "config needs 'source_checkpoint'"),
+    "graduated_scale_without_graduated": (
+        "finetune", {"schedule": {"graduated_scale": 0.25}},
+        "schedule: graduated_scale needs a 'graduated' section"),
     # failed only after config.json was written
     "stage_multipliers_missing_a_stage": (
         "finetune", {"schedule": {"stage_multipliers": {"conv1": 0.0,
@@ -391,6 +418,17 @@ class TestGenData:
     def test_missing_domains_section_rejected(self, tmp_path):
         config = write_config(tmp_path / "c.json", {"policy": FAST_POLICY})
         assert main(["gen-data", config, "--out", str(tmp_path / "o")]) == 1
+
+    def test_config_of_domains_alone(self, tmp_path):
+        # gen-data reads no policy, so it needs none
+        domain = {"name": "d", "num_labels": 2, "examples_per_label": 4,
+                  "image_size": 8, "motif_size": 4, "num_motifs": 2}
+        config = write_config(tmp_path / "c.json", {"domains": [domain]})
+        out = tmp_path / "o"
+        assert main(["gen-data", config, "--out", str(out)]) == 0
+        assert len(load_dataset(out / "d")) == 8
+        copy = json.loads((out / "config.json").read_text(encoding="utf-8"))
+        assert copy["policy"] is None
 
 
 class TestTrainSource:
@@ -943,6 +981,16 @@ class TestGradCheckCommand:
         out = capsys.readouterr().out
         assert "max relative gradient error" in out
         assert "passed" in out
+
+    def test_config_of_a_model_alone_writes_its_report(self, tmp_path,
+                                                      capsys):
+        # grad-check reads no policy, so it needs none
+        config = write_config(tmp_path / "c.json", {"model": TINY_MODEL})
+        out = tmp_path / "o"
+        assert main(["grad-check", config, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert (out / "grad_check.txt").read_text(encoding="utf-8") == printed
+        assert printed.splitlines()[-1] == "gradient check passed (< 1e-4)"
 
     def test_epsilon_flag(self, capsys):
         assert main(["grad-check", "--epsilon", "1e-5"]) == 0

@@ -118,6 +118,17 @@ class TestPartitionDomain:
         assert target_ids <= pool_ids
         assert len(part.target) == max(1, len(part.transfer_pool) // 10)
 
+    def test_minimum_one_rule_gives_a_rare_label_a_target_example(self):
+        # a pool of 50/50/50/3 per label: the tenth's 15 examples apportion
+        # as 5/5/5/0, so the rule moves one from label 0, the first of the
+        # largest quotas, to label 3
+        ys = np.repeat(np.arange(4), [200, 200, 200, 12])
+        ds = LabeledDataset(np.zeros((len(ys), 2)), ys, ("a", "b", "c", "d"),
+                            "d")
+        part = partition_domain(ds, seed=0)
+        assert np.bincount(part.transfer_pool.labels).tolist() == [50, 50, 50, 3]
+        assert np.bincount(part.target.labels).tolist() == [4, 5, 5, 1]
+
     def test_label_below_four_examples_rejected_by_name(self):
         feats = np.zeros((7, 2))
         ys = np.array([0, 0, 0, 0, 1, 1, 1])
@@ -302,6 +313,23 @@ class TestOnDiskFormat:
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
+            load_dataset(tmp_path)
+
+    def test_blank_manifest_lines_skipped(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        for i in range(2):
+            binio.save_tensor_file(tmp_path / "a" / f"{i}.ftt",
+                                   np.full((2, 2), float(i), np.float32))
+        (tmp_path / "manifest.tsv").write_text("\na/0.ftt\ta\n\na/1.ftt\ta\n\n",
+                                               encoding="utf-8")
+        ds = load_dataset(tmp_path)
+        assert ds.labels.tolist() == [0, 0]
+        assert ds.features[:, 0, 0].tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("manifest", ["", "\n\n"], ids=["empty", "blank"])
+    def test_manifest_of_no_examples_rejected(self, tmp_path, manifest):
+        (tmp_path / "manifest.tsv").write_text(manifest, encoding="utf-8")
+        with pytest.raises(ValueError, match=r"manifest\.tsv lists no examples$"):
             load_dataset(tmp_path)
 
     def test_mixed_shapes_rejected(self, tmp_path):

@@ -8,7 +8,6 @@ never in any other exception. The runs are derandomized, so they are the
 same on every run.
 """
 
-import io
 import json
 import re
 import struct
@@ -73,9 +72,9 @@ def _tensor_bytes(tensors) -> bytes:
 TENSOR_BYTES = _tensor_bytes(CHECKPOINT.tensors)
 METADATA_BYTES = json.dumps(CHECKPOINT.metadata).encode()
 
-_payload = io.BytesIO()
-binio.write_tensor_payload(_payload, np.arange(6.0).reshape(1, 2, 3))
-TENSOR_FILE = binio.TENSOR_FILE_MAGIC + _payload.getvalue()
+# magic, rank 3, dims (1, 2, 3), and six little-endian float32 values
+TENSOR_FILE = (binio.TENSOR_FILE_MAGIC + struct.pack("<B3I", 3, 1, 2, 3)
+               + np.arange(6, dtype="<f4").tobytes())
 
 RECORD = RunRecord(kind="ll", task="t", source="s", seed=0,
                    final_accuracy=0.5, best_accuracy=0.75, ll=0.1, il=0.0,

@@ -550,7 +550,7 @@ class TestParameterVector:
             conv1 = m.stages[0].layers[0]
             original = conv1.param_grads
 
-            def doubled(dy, cache, out=None, original=original):
+            def doubled(dy, cache, out, original=original):
                 grads = original(dy, cache, out)
                 for g in grads.values():
                     g *= 2

@@ -103,6 +103,12 @@ def reference_conv(layer, x, dy):
             {"w": dw.transpose(3, 0, 1, 2), "b": dy.sum(axis=(0, 2, 3))})
 
 
+def grad_views(layer):
+    """Fresh arrays for a layer's parameter gradients, keyed as its
+    named_params(): the out that backward and param_grads write into."""
+    return {name: np.empty_like(arr) for name, arr in layer.named_params()}
+
+
 def conv_layers_with_inputs(k, batch, seed):
     """Every Conv2d of mini_staged_spec(kernel_size=k), with a batch of its input."""
     net = build_staged_network(mini_staged_spec(kernel_size=k), (1, 16, 16),
@@ -293,6 +299,18 @@ class TestBackward:
             assert g.tobytes() == again[name].tobytes()
         assert grads.vector.size == sum(a.size for _, a in m.named_parameters())
 
+    def test_gradients_are_a_read_only_mapping(self):
+        m = small_conv_model(seed=1, residual=True)
+        x = np.random.default_rng(1).uniform(-1, 1, size=(4, 1, 8, 8))
+        grads = backward(m.stages, forward(m.stages, x, np.arange(4) % 3)[2])
+        want = {name: g.tobytes() for name, g in grads.items()}
+        for name in ("conv1/2/0/w", "fc/0/b"):
+            with pytest.raises(TypeError):
+                grads[name] = np.zeros_like(grads[name])
+            with pytest.raises(TypeError):
+                del grads[name]
+        assert {name: g.tobytes() for name, g in grads.items()} == want
+
     def test_kept_plan_follows_the_stage_list(self):
         # backward keeps its plan on the first stage of the list: another
         # list from the same stage, or a layer list changed in place, must
@@ -322,7 +340,7 @@ def non_finite_grads(layer, monkeypatch, *pnames):
     the gradients named pnames."""
     original = layer.param_grads
 
-    def patched(dy, cache, out=None):
+    def patched(dy, cache, out):
         grads = original(dy, cache, out)
         for pname in pnames:
             grads[pname].flat[0] = np.inf
@@ -391,7 +409,7 @@ class TestConv2d:
         y, cache = layer.forward(x)
         assert y.shape == r.shape
         assert np.allclose(y, naive_conv2d(x, w, b), rtol=1e-12, atol=1e-12)
-        dx, grads = layer.backward(r, cache)
+        dx, grads = layer.backward(r, cache, grad_views(layer))
 
         def central(arr, idx, eps=1e-3):
             orig = arr[idx]
@@ -431,7 +449,7 @@ class TestConvKernel:
             for dy in (rng.uniform(-1, 1, size=y.shape),
                        rng.uniform(-1, 1, size=(f, n, h, wd)).transpose(1, 0, 2, 3)):
                 want_y, want_dx, want = reference_conv(layer, x, dy)
-                dx, grads = layer.backward(dy, cache)
+                dx, grads = layer.backward(dy, cache, grad_views(layer))
                 assert y.tobytes() == want_y.tobytes()
                 assert dx.tobytes() == want_dx.tobytes()
                 for name in ("w", "b"):
@@ -448,11 +466,40 @@ class TestConvKernel:
     def test_param_grads_equal_backward_grads(self, layer, x):
         y, cache = layer.forward(x)
         dy = np.random.default_rng(5).uniform(-1, 1, size=y.shape)
-        _, full = layer.backward(dy, cache)
-        alone = layer.param_grads(dy, cache)
+        _, full = layer.backward(dy, cache, grad_views(layer))
+        alone = layer.param_grads(dy, cache, grad_views(layer))
         assert set(alone) == set(full) == {"w", "b"}
         for name in full:
             assert alone[name].tobytes() == full[name].tobytes()
+
+
+class TestLayersWriteIntoOut:
+    """backward and param_grads write a layer's gradients into the arrays
+    of out and return out itself; a residual block hands each inner layer
+    views of its own out."""
+
+    @pytest.mark.parametrize("method", ["backward", "param_grads"])
+    @pytest.mark.parametrize("index", [0, 2, 7], ids=["conv2d", "residual",
+                                                       "dense"])
+    def test_gradients_land_in_out(self, method, index):
+        m = small_conv_model(seed=2, residual=True)
+        layers = [layer for stage in m.stages for layer in stage.layers]
+        x = np.random.default_rng(3).uniform(-1, 1, size=(4, 1, 8, 8))
+        for layer in layers[:index]:
+            x, _ = layer.forward(x)
+        layer = layers[index]
+        y, cache = layer.forward(x)
+        dy = np.random.default_rng(4).uniform(-1, 1, size=y.shape)
+        want = layer.param_grads(dy, cache, grad_views(layer))
+        out = grad_views(layer)
+        arrays = dict(out)
+        for arr in out.values():
+            arr[...] = np.nan
+        got = getattr(layer, method)(dy, cache, out)
+        assert (got[1] if method == "backward" else got) is out
+        assert all(out[n] is a for n, a in arrays.items())
+        assert {n: a.tobytes() for n, a in out.items()} == \
+            {n: a.tobytes() for n, a in want.items()}
 
 
 def conv_inputs(layers, x, found):
@@ -485,16 +532,18 @@ class TestConvPlan:
         for layer, x in layers:
             # a step on other data first, so the next one reuses its plan
             y, cache = layer.forward(rng.uniform(-1, 1, size=x.shape))
-            layer.backward(rng.uniform(-1, 1, size=y.shape), cache)
+            layer.backward(rng.uniform(-1, 1, size=y.shape), cache,
+                           grad_views(layer))
             y, cache = layer.forward(x)
             dy = rng.uniform(-1, 1, size=y.shape)
-            dx, grads = layer.backward(dy, cache)
+            dx, grads = layer.backward(dy, cache, grad_views(layer))
             want_y, want_dx, want = reference_conv(layer, x, dy)
             assert y.tobytes() == want_y.tobytes()
             assert dx.tobytes() == want_dx.tobytes()
             for name in ("w", "b"):
                 assert grads[name].tobytes() == want[name].tobytes()
-                assert layer.param_grads(dy, cache)[name].tobytes() == \
+                assert layer.param_grads(dy, cache, grad_views(layer))[
+                    name].tobytes() == \
                     want[name].tobytes()
 
     def test_results_do_not_alias_buffers(self):
@@ -542,25 +591,25 @@ class TestConvPlan:
         x = np.random.default_rng(2).uniform(-1, 1, size=(8, 3, 6, 6))
         dy = np.random.default_rng(3).uniform(-1, 1, size=(8, 4, 6, 6))
         _, cache = layer.forward(x)
-        layer.backward(dy, cache)
+        layer.backward(dy, cache, grad_views(layer))
         _, other = layer.forward(x[:4])       # another shape: cache stays valid
-        layer.backward(dy, cache)
+        layer.backward(dy, cache, grad_views(layer))
         layer.forward(x)                      # this shape again: cache is stale
         for method in (layer.backward, layer.param_grads):
             with pytest.raises(ValueError, match="stale"):
-                method(dy, cache)
+                method(dy, cache, grad_views(layer))
 
     def test_dy_of_another_shape_rejected(self):
         layer = Conv2d(np.ones((2, 1, 3, 3)), np.zeros(2))
         _, cache = layer.forward(np.ones((4, 1, 5, 5)))
         with pytest.raises(ValueError, match="dy shape"):
-            layer.backward(np.ones((1, 2, 5, 5)), cache)
+            layer.backward(np.ones((1, 2, 5, 5)), cache, grad_views(layer))
 
     def test_pickle_leaves_out_the_plan(self):
         layer = Conv2d(np.ones((2, 1, 3, 3)), np.zeros(2))
         before = len(pickle.dumps(layer))
         y, cache = layer.forward(np.ones((64, 1, 16, 16)))
-        layer.backward(np.ones(y.shape), cache)
+        layer.backward(np.ones(y.shape), cache, grad_views(layer))
         assert len(pickle.dumps(layer)) == before
         copy = pickle.loads(pickle.dumps(layer))
         assert copy.forward(np.ones((2, 1, 5, 5)))[0].tobytes() == \
@@ -623,7 +672,7 @@ class TestMaxPool:
         dy = rng.uniform(1, 2, size=(3, 2, 2, 3))
         layer = MaxPool()
         y, cache = layer.forward(x)
-        dx, _ = layer.backward(dy, cache)
+        dx, _ = layer.backward(dy, cache, {})
         want_y = np.empty_like(dy)
         want_dx = np.zeros_like(x)
         for n, c, i, j in np.ndindex(dy.shape):
@@ -713,7 +762,7 @@ class TestLeanKernelsMatchReferences:
             dy = rng.standard_normal((n, c))
         layer = nn_core.GlobalAvgPool()
         y, cache = layer.forward(x)
-        dx, grads = layer.backward(dy, cache)
+        dx, grads = layer.backward(dy, cache, {})
         want_y, want_dx = reference_global_avg_pool(x, dy)
         assert same_bytes(y, want_y)
         assert same_bytes(dx, want_dx)

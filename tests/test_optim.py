@@ -208,28 +208,54 @@ class TestSgdStep:
             sgd_step(m, grads, state, full, policy, 0)
 
     def test_gradient_shape_mismatch_rejected(self):
+        # gradients of another architecture, of stages renamed, and of the
+        # model's stages but not from a stage on to the head
         m = dense_model()
         policy = LrPolicy(0.1, 10, 100)
         schedule = uniform_schedule(m.stage_names, m.head_name, 1.0, 1.0)
         state = SgdState.for_model(m)
-        grads = filled_gradients(m, 0.0)
-        grads.update((name, np.zeros(3)) for name in grads)
-        with pytest.raises(ValueError, match="shape"):
-            sgd_step(m, grads, state, schedule, policy, 0)
+        renamed = [Stage("hidden2", m.stages[0].layers), m.stages[1]]
+        for grads in (filled_gradients(dense_model(hidden=5), 0.0),
+                      filled_gradients(dense_model(in_dim=5), 0.0),
+                      Gradients(renamed), Gradients(m.stages[:1])):
+            with pytest.raises(ValueError, match="gradients are not laid out "
+                                                 "like the model's parameters"):
+                sgd_step(m, grads, state, schedule, policy, 0)
 
     def test_missing_gradient_of_a_trainable_stage_rejected(self):
         m = dense_model()
         policy = LrPolicy(0.1, 10, 100)
         state = SgdState.for_model(m)
-        grads = filled_gradients(m, 0.0)
-        del grads["hidden/0/b"]
+        grads = Gradients(m.stages[1:])
+        grads.vector[...] = 0.0
         # a frozen stage needs no gradient
         sgd_step(m, grads, state, MultiplierSchedule({"hidden": 0.0, "fc": 1.0}),
                  policy, 0)
-        with pytest.raises(ValueError, match="missing gradient for parameter "
-                                             "'hidden/0/b'"):
+        with pytest.raises(ValueError, match="no gradient for stage 'hidden'"):
             sgd_step(m, grads, state, uniform_schedule(m.stage_names, m.head_name,
                                                        1.0, 1.0), policy, 0)
+
+    def test_gradients_are_read_only(self):
+        # the vector is a gradient's one home: an entry can be neither
+        # replaced, which sgd_step would not see, nor deleted
+        m = dense_model()
+        policy = LrPolicy(0.1, 10, 100)
+        schedule = uniform_schedule(m.stage_names, m.head_name, 1.0, 1.0)
+        state = SgdState.for_model(m)
+        grads = filled_gradients(m, 0.0)
+        view = grads["fc/0/w"]
+        with pytest.raises(TypeError):
+            grads["fc/0/w"] = np.ones_like(view)
+        with pytest.raises(TypeError):
+            del grads["hidden/0/b"]
+        assert grads["fc/0/w"] is view and len(grads) == 4
+        before = m.params.copy()
+        sgd_step(m, grads, state, schedule, policy, 0)
+        assert m.params.tobytes() == before.tobytes()
+        grads["fc/0/w"][...] = 1.0        # a write into the view is seen
+        sgd_step(m, grads, state, schedule, policy, 1)
+        changed = m.params != before
+        assert changed[m.slices["fc/0/w"]].all() and changed.sum() == view.size
 
 
 class TestTrain:
