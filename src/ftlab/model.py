@@ -477,10 +477,10 @@ class Checkpoint:
 
     def _block(self) -> dict:
         """The metadata block that save_checkpoint writes: the header's
-        fields, then extra. arch is a list of the header's architecture's
-        encoded_arch, except that a header with an unset head size encodes
-        its own arch, not the resized one (by LayerSpec.to_dict, which
-        leaves out the fields a layer kind does not use)."""
+        fields, then extra. arch, a list, is the encoded_arch of the
+        header's architecture, except that a header with an unset head size
+        encodes its own arch, not the resized one (by LayerSpec.to_dict,
+        which leaves out the fields a layer kind does not use)."""
         h = self.header
         arch = h.architecture()
         return ({"arch": list(arch.encoded_arch) if arch.spec is h.arch
