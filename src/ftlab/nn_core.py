@@ -44,7 +44,9 @@ class Dense:
         if x.ndim != 2 or x.shape[1] != self.w.shape[0]:
             raise ValueError(f"dense expected input (batch, {self.w.shape[0]}), "
                              f"got {x.shape}")
-        return x @ self.w + self.b, x
+        y = x @ self.w
+        y += self.b         # in place: the same sums, one array fewer
+        return y, x
 
     def backward(self, dy, cache, out):
         return dy @ self.w.T, self.param_grads(dy, cache, out)
@@ -362,13 +364,22 @@ def _softmax(logits: np.ndarray):
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The gradient of the mean cross-entropy over the batch with respect to
-    the logits, as a fresh C-ordered array: the softmax with 1 subtracted
-    at each row's label, divided by the batch size. It is training's loss
-    kernel, so it computes no loss and keeps no probabilities; forward()
-    returns those, from the same softmax."""
+    the logits, as a fresh C-ordered array: the softmax less the one-hot
+    rows of the labels, divided by the batch size. labels are a (batch,)
+    vector of integer labels or their (batch, labels) one-hot rows, as
+    optim.train() passes them; subtracting a row's 0.0 entries leaves its
+    probabilities' bits as they are. It is training's loss kernel, so it
+    computes no loss and keeps no probabilities; forward() returns those,
+    from the same softmax."""
     dlogits = np.ascontiguousarray(_softmax(logits)[0])
-    dlogits[np.arange(len(dlogits)), labels] -= 1.0
-    dlogits /= len(dlogits)
+    targets = np.asarray(labels)
+    if targets.ndim == 1:
+        targets = np.eye(dlogits.shape[1])[targets]
+    if targets.shape != dlogits.shape:
+        raise ValueError(f"labels of shape {np.shape(labels)} do not fit "
+                         f"logits of shape {dlogits.shape}")
+    dlogits -= targets
+    dlogits /= float(len(dlogits))
     return dlogits
 
 
@@ -401,11 +412,18 @@ def run_stages(stages: list[Stage], x: np.ndarray,
     return x
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite. Counting the finite entries skips
+    ndarray.all()'s Python wrapper, which costs more than the count on a
+    training step's small arrays; nothing is summed, so no value overflows."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def check_output(stages: list[Stage], x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """y, the output of stages on x, if it is finite; else a ValueError naming
     the first stage whose output is not, found by running them again on x,
     or, with no stage to name, the logits."""
-    if not np.isfinite(y).all():
+    if not _all_finite(y):
         for stage in stages:
             x = run_stages([stage], x)     # y is the last stage's output
             if stage is stages[-1] or not np.isfinite(x).all():
@@ -516,7 +534,7 @@ def backward(stages: list[Stage], cache: ForwardCache,
             layer.param_grads(d, layer_caches[i], views)
         else:
             d, _ = layer.backward(d, layer_caches[i], views)
-    if not np.isfinite(grads.vector).all():
+    if not _all_finite(grads.vector):
         name = next(n for n, g in grads.items() if not np.isfinite(g).all())
         raise ValueError(f"non-finite values produced in gradient of {name}")
     return grads

@@ -201,7 +201,7 @@ def _accuracy(stages, batches) -> float:
     """Top-1 accuracy of a stage list over (features, labels) batches."""
     correct = total = 0
     for x, y in batches:
-        correct += int((run_stages(stages, x).argmax(axis=1) == y).sum())
+        correct += int(np.count_nonzero(run_stages(stages, x).argmax(axis=1) == y))
         total += len(y)
     return correct / total
 
@@ -304,9 +304,15 @@ def train(model: StagedModel, train_set: LabeledDataset,
     The training labels are checked against the head's model.num_labels
     classes once, before the first step, and every step's backward()
     writes into one Gradients of the trainable stages, so each step does
-    only per-batch work. numpy's overflow and invalid-value warnings are
-    silenced for the call: a diverging run is reported by check_output's,
-    backward's and the checkpoint writer's errors instead.
+    only per-batch work. Each time a permutation of the training set is
+    drawn, its rows and their labels' one-hot rows are gathered once in
+    that order, so a step's batch and targets are contiguous slices: the
+    price is one copy of the training rows per epoch. The step's functions
+    (softmax_cross_entropy, backward, sgd_step) are looked up once per
+    call, so a wrapper installed on one of them before the call sees every
+    step. numpy's overflow and invalid-value warnings are silenced for the
+    call: a diverging run is reported by check_output's, backward's and
+    the checkpoint writer's errors instead.
     """
     if len(train_set) == 0:
         raise ValueError("training set is empty")
@@ -319,14 +325,17 @@ def train(model: StagedModel, train_set: LabeledDataset,
     if labels.min() < 0 or labels.max() >= model.num_labels:
         raise ValueError(f"training labels out of range for "
                          f"{model.num_labels} classes")
+    onehot = np.eye(model.num_labels)[labels]
     prefixes = {} if prefixes is None else prefixes
     key = prefix_key(model, schedule)
     live = model.stages[lowest_trainable_stage(model.stage_names, schedule):]
     cadence = eval_every if eval_every else max(1, policy.step_size // 10)
+    total = policy.total_iterations
+    xent, back, step = softmax_cross_entropy, backward, sgd_step
 
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(train_set))
-    cursor = 0
+    size = len(train_set)
+    cursor = size              # so the first step draws the first permutation
     start_iterations = model.trained_iterations
     state = SgdState.for_model(model, momentum)
     trace: list[tuple[int, float]] = []
@@ -338,19 +347,20 @@ def train(model: StagedModel, train_set: LabeledDataset,
             prefixes[key] = frozen_prefix(model, schedule, train_set, val_set)
         rows, val_batches = prefixes[key].rows, prefixes[key].val_batches
         grads = Gradients(live)
-        for it in range(policy.total_iterations):
-            if cursor + batch_size > len(order):
-                order = rng.permutation(len(train_set))
+        for it in range(total):
+            if cursor + batch_size > size:
+                order = rng.permutation(size)
+                epoch_rows, epoch_targets = rows[order], onehot[order]
                 cursor = 0
-            idx = order[cursor:cursor + batch_size]
-            cursor += batch_size
+            stop = cursor + batch_size
             caches: list = []
-            scores = _head_scores(live, rows[idx], caches)
-            dlogits = softmax_cross_entropy(scores, labels[idx])
-            backward(live, ForwardCache(caches, dlogits), out=grads)
-            sgd_step(model, grads, state, schedule, policy, it)
+            scores = _head_scores(live, epoch_rows[cursor:stop], caches)
+            dlogits = xent(scores, epoch_targets[cursor:stop])
+            back(live, ForwardCache(caches, dlogits), out=grads)
+            step(model, grads, state, schedule, policy, it)
+            cursor = stop
             done = it + 1
-            if done % cadence == 0 or done == policy.total_iterations:
+            if done % cadence == 0 or done == total:
                 acc = _accuracy(live, val_batches)
                 trace.append((done, acc))
                 if acc > best_acc:
@@ -358,7 +368,7 @@ def train(model: StagedModel, train_set: LabeledDataset,
                     best_iter = done
                     best_params = model.params.copy()
 
-    model.trained_iterations = start_iterations + policy.total_iterations
+    model.trained_iterations = start_iterations + total
     # every run evaluates at its last step, so best_params is always set
     best_model = model.clone()
     best_model.params[...] = best_params

@@ -5,6 +5,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ftlab import nn_core
@@ -378,6 +380,66 @@ class TestBackwardGradientCheck:
         assert all(isinstance(g, np.ndarray) for g in grads.values())
 
 
+class TestHugeFiniteValues:
+    """The finiteness checks of forward() and backward() count finite
+    entries and sum nothing: logits and gradients near 1e308, whose float64
+    sums overflow, pass without a numpy warning, and an inf or a NaN among
+    them still ends in the typed error that names its stage or tensor."""
+
+    def stages(self):
+        # x = 1e308 times tiny hidden weights gives small hidden units; the
+        # head's bias lifts every logit to about 1e308. With both labels
+        # 0, each hidden unit's gradient is +0.5, so every entry of
+        # hidden/0/w's gradient is 1e308.
+        hidden = Dense(np.full((4, 2), 1e-310), np.zeros(2))
+        head = Dense(np.array([[-1.0, 1.0], [-1.0, 1.0]]),
+                     np.full(2, 1e308))
+        return [Stage("hidden", [hidden]), Stage("fc", [head])]
+
+    x = np.full((2, 4), 1e308)
+    y = np.array([0, 0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_sums_that_overflow_are_not_errors(self):
+        stages = self.stages()
+        loss, probs, cache = forward(stages, self.x, self.y)
+        grads = backward(stages, cache)
+        logits = run_stages(stages, self.x)
+        with np.errstate(over="ignore"):
+            assert np.add.reduce(logits, axis=None) == np.inf
+            assert np.add.reduce(grads.vector) == np.inf
+        assert np.isfinite(logits).all() and np.isfinite(grads.vector).all()
+        assert np.all(grads["hidden/0/w"] == 1e308)
+        assert loss == pytest.approx(math.log(2))
+        assert np.all(probs == 0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_logit_still_names_its_stage(self, bad):
+        stages = self.stages()
+        stages[1].layers[0].b[1] = bad
+        with pytest.raises(ValueError,
+                           match="^stage 'fc': non-finite activation$"):
+            forward(stages, self.x, self.y)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_still_named(self, monkeypatch, bad):
+        stages = self.stages()
+        layer = stages[0].layers[0]
+        original = layer.param_grads
+
+        def planted(dy, cache, out):
+            original(dy, cache, out)
+            out["w"][3, 1] = bad
+            return out
+        monkeypatch.setattr(layer, "param_grads", planted)
+        _, _, cache = forward(stages, self.x, self.y)
+        with pytest.raises(ValueError, match="^non-finite values produced in "
+                                             "gradient of hidden/0/w$"):
+            backward(stages, cache)
+
+
 class TestConv2d:
     """Conv2d against naive_conv2d: values, and gradients by central differences.
 
@@ -736,6 +798,48 @@ class TestLeanKernelsMatchReferences:
         assert same_bytes(probs, want_probs)
         assert same_bytes(cache.dlogits, want_dlogits)
 
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(n=st.sampled_from([1, 8, 256]), c=st.integers(2, 6),
+           seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["normal", "tied", "signed-zero", "underflow"]))
+    def test_one_hot_rows_subtract_as_the_fancy_index(self, n, c, seed, kind):
+        # the loss kernel subtracts one-hot rows where training once did
+        # dlogits[np.arange(n), labels] -= 1.0: p - 0.0 is p, -0.0 included,
+        # and p - 1.0 is the same operation, so the bytes are the same
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, c, size=n)
+        if n >= c:                     # every label, at random rows
+            labels[rng.permutation(n)[:c]] = np.arange(c)
+        logits = rng.standard_normal((n, c))
+        if kind == "tied":
+            logits = np.round(logits)
+        elif kind == "signed-zero":    # every row tied at 0.0 and -0.0
+            logits = np.where(rng.random((n, c)) < 0.5, -0.0, 0.0)
+        elif kind == "underflow":      # most probabilities round to 0.0
+            logits = logits * 2000.0
+        want = np.ascontiguousarray(nn_core._softmax(logits)[0])
+        want[np.arange(n), labels] -= 1.0
+        want /= n
+        onehot = np.eye(c)[labels]
+        assert same_bytes(softmax_cross_entropy(logits, labels), want)
+        assert same_bytes(softmax_cross_entropy(logits, onehot), want)
+        # the subtraction alone, on rows that hold -0.0, 0.0 and the
+        # smallest subnormal as well as probabilities
+        p = rng.random((n, c))
+        p[rng.random((n, c)) < 0.3] = -0.0
+        p[rng.random((n, c)) < 0.3] = 0.0
+        p[rng.random((n, c)) < 0.1] = 5e-324
+        fancy = p.copy()
+        fancy[np.arange(n), labels] -= 1.0
+        assert same_bytes(p - onehot, fancy)
+
+    @pytest.mark.parametrize("labels", [np.zeros(3, dtype=np.int64),
+                                        np.zeros((4, 2)), np.zeros((4, 3, 1))],
+                             ids=["short", "narrow", "3-d"])
+    def test_labels_that_do_not_fit_the_logits_rejected(self, labels):
+        with pytest.raises(ValueError, match="do not fit logits of shape"):
+            softmax_cross_entropy(np.zeros((4, 3)), labels)
+
     @pytest.mark.parametrize("n", [1, 8, 256])
     @pytest.mark.parametrize("layout", ["row-major", "channel-major"])
     def test_global_avg_pool(self, n, layout):
@@ -822,6 +926,27 @@ class TestGradCheck:
         m = build_staged_network(spec, (1, 4, 4), num_labels=3, seed=0)
         x = np.random.default_rng(300).uniform(-1, 1, size=(4, 1, 4, 4))
         assert grad_check(m.stages, x, np.array([0, 1, 2, 0]), epsilon=1e-5) < 1e-4
+
+    def test_reports_a_planted_error_on_a_tiny_gradient(self, monkeypatch):
+        # input feature 0 is scaled by 1e-4, so its weights' gradients are
+        # about 1e-5; one of them gets a relative error of 1e-3, which a
+        # relative error with a floor near that size would hide
+        spec = (StageSpec("fc", (LayerSpec("dense"),)),)
+        m = build_staged_network(spec, (3,), num_labels=3, seed=0)
+        x = np.random.default_rng(51).uniform(-1, 1, size=(4, 3))
+        x[:, 0] *= 1e-4
+        y = np.array([0, 1, 2, 0])
+        layer = m.stages[0].layers[0]
+        _, _, cache = forward(m.stages, x, y)
+        assert 1e-6 < abs(backward(m.stages, cache)["fc/0/w"][0, 1]) < 1e-4
+        original = layer.param_grads
+
+        def planted(dy, cache, out):
+            original(dy, cache, out)
+            out["w"][0, 1] *= 1 + 1e-3
+            return out
+        monkeypatch.setattr(layer, "param_grads", planted)
+        assert grad_check(m.stages, x, y, epsilon=1e-5) >= 1e-4
 
     def test_epsilon_must_be_positive(self):
         m = two_layer_model()

@@ -318,6 +318,17 @@ class TestTrain:
         assert result.best_iteration == min(
             it for it, acc in result.trace if acc == result.best_accuracy)
 
+    def test_accuracies_are_python_floats(self):
+        # a numpy scalar would print as np.float64(...) in a repr of the trace
+        ds = toy_dataset(seed=6)
+        m = dense_model(seed=9)
+        schedule = uniform_schedule(m.stage_names, m.head_name, 1.0, 1.0)
+        result = train(m, ds, ds, schedule, LrPolicy(0.05, 20, 20),
+                       batch_size=6, seed=3)
+        accuracies = [acc for _, acc in result.trace] + [
+            result.best_accuracy, result.final_accuracy, evaluate(m, ds)]
+        assert all(type(acc) is float for acc in accuracies)
+
     def test_empty_validation_rejected(self):
         ds = toy_dataset()
         m = dense_model()
@@ -377,6 +388,74 @@ class TestTrain:
             final.append(snapshot(m))
         for name in final[0]:
             assert np.allclose(final[0][name], final[1][name], rtol=1e-9)
+
+
+class TestEpochGather:
+    """Each step sees the rows of the next batch_size entries of the current
+    permutation, in order, and their one-hot labels; a new permutation is
+    drawn when too few entries are left for a batch."""
+
+    # 10 distinct rows: row i holds i in every feature
+    train_set = LabeledDataset(np.repeat(np.arange(10.0), 4).reshape(10, 4),
+                               np.arange(10) % 3, ("a", "b", "c"))
+    val_set = toy_dataset(n_per_label=2, seed=3)    # 6 rows
+
+    @staticmethod
+    def batch_orders(n, batch_size, steps, seed):
+        """The row indices of each step's batch, drawn as train() has drawn
+        them: a permutation up front, and a fresh one whenever the rest of
+        the current one is shorter than a batch."""
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)
+        cursor = 0
+        batches = []
+        for _ in range(steps):
+            if cursor + batch_size > n:
+                order = rng.permutation(n)
+                cursor = 0
+            batches.append(order[cursor:cursor + batch_size])
+            cursor += batch_size
+        return batches
+
+    @pytest.mark.parametrize("batch_size", [8, 5, 3, 1])
+    @pytest.mark.parametrize("inner", [1.0, 0.0], ids=["all_live", "head_only"])
+    def test_each_step_sees_the_next_rows_of_its_permutation(
+            self, monkeypatch, batch_size, inner):
+        m = dense_model(seed=3)
+        schedule = uniform_schedule(m.stage_names, m.head_name, inner, 1.0)
+        first = m.stages[0 if inner else 1].layers[0]
+        rows = (self.train_set.features if inner else frozen_prefix(
+            m, schedule, self.train_set, self.val_set).rows)
+        seen, targets = [], []
+        forward_of = nn_core.Dense.forward
+        xent = optim.softmax_cross_entropy
+
+        def spy(layer, x):
+            if layer is first and len(x) == batch_size:    # not validation
+                seen.append(x.copy())
+            return forward_of(layer, x)
+
+        def spy_xent(logits, labels):
+            targets.append(labels.copy())
+            return xent(logits, labels)
+
+        monkeypatch.setattr(nn_core.Dense, "forward", spy)
+        monkeypatch.setattr(optim, "softmax_cross_entropy", spy_xent)
+        steps = 9
+        train(m, self.train_set, self.val_set, schedule,
+              LrPolicy(0.05, step_size=10, total_iterations=steps),
+              batch_size=batch_size, seed=17, eval_every=100)
+        want = self.batch_orders(10, batch_size, steps, seed=17)
+        assert len(seen) == len(targets) == steps
+        for x, t, idx in zip(seen, targets, want):
+            assert x.tobytes() == rows[idx].tobytes()
+            assert t.tobytes() == np.eye(3)[self.train_set.labels[idx]].tobytes()
+
+    def test_a_batch_of_8_from_10_rows_draws_a_permutation_every_step(self):
+        batches = self.batch_orders(10, 8, 4, seed=17)
+        rng = np.random.default_rng(17)
+        assert [b.tolist() for b in batches] == \
+            [rng.permutation(10)[:8].tolist() for _ in range(4)]
 
 
 def conv_model(seed=12, widths=(2, 3)):
