@@ -9,11 +9,9 @@ Standalone tensor files carry the magic "FTT0" before the payload.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
-import sys
-from typing import BinaryIO, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -26,34 +24,31 @@ class FormatError(Exception):
     """Raised when a binary tensor or checkpoint stream is malformed."""
 
 
-# A read longer than this is checked against the bytes left in the stream
-# before it is made, so a corrupt length or dims end in FormatError instead
-# of an overflow or a huge allocation; shorter reads just come up short.
-_CHECKED_READ = 1 << 16
+class Reader:
+    """A cursor over a whole file's bytes. take is the one truncation check:
+    a length or dims past the end fail there, before anything so big is made."""
 
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
 
-def _bytes_left(f: BinaryIO) -> int | None:
-    """Bytes from the current position to the end, or None if not seekable."""
-    try:
-        pos = f.tell()
-        end = f.seek(0, io.SEEK_END)
-        f.seek(pos)
-    except (AttributeError, OSError, ValueError):
-        return None
-    return end - pos
-
-
-def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
-    if n > _CHECKED_READ:
-        left = _bytes_left(f)
-        if n > (sys.maxsize if left is None else left):
+    def take(self, n: int, what: str) -> bytes:
+        """The next n bytes; FormatError if fewer are left."""
+        left = len(self.data) - self.pos
+        if n > left:
             raise FormatError(f"truncated stream while reading {what} "
-                              f"(wanted {n} bytes, {left} left)")
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated stream while reading {what} "
-                          f"(wanted {n} bytes, got {len(buf)})")
-    return buf
+                              f"(wanted {n} bytes, got {left})")
+        self.pos += n
+        return self.data[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        """The next struct.calcsize(fmt) bytes, unpacked by fmt."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def end(self, what: str) -> None:
+        """FormatError unless every byte has been taken."""
+        if self.pos != len(self.data):
+            raise FormatError(f"trailing bytes after {what}")
 
 
 def finite_float32(array: np.ndarray) -> np.ndarray:
@@ -73,16 +68,13 @@ def _payload_header(shape: tuple) -> bytes:
     return struct.pack(f"<B{len(shape)}I", len(shape), *shape)
 
 
-def read_tensor_payload(f: BinaryIO, what: str = "tensor") -> np.ndarray:
+def read_tensor_payload(r: Reader, what: str = "tensor") -> np.ndarray:
     """Read one rank/dims/data payload as a float32 array."""
-    (rank,) = struct.unpack("<B", _read_exact(f, 1, f"rank of {what}"))
+    (rank,) = r.unpack("<B", f"rank of {what}")
     if rank > MAX_RANK:
         raise FormatError(f"{what}: rank {rank} exceeds maximum {MAX_RANK}")
-    dims = []
-    for i in range(rank):
-        (d,) = struct.unpack("<I", _read_exact(f, 4, f"dim {i} of {what}"))
-        dims.append(d)
-    raw = _read_exact(f, 4 * math.prod(dims), f"data of {what} (dims {dims})")
+    dims = list(r.unpack(f"<{rank}I", f"dims of {what}"))
+    raw = r.take(4 * math.prod(dims), f"data of {what} (dims {dims})")
     try:
         arr = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
     except ValueError as e:     # a zero dim beside dims too large for numpy
@@ -122,14 +114,14 @@ def named_tensors(tensors: Mapping[str, np.ndarray],
     return parts
 
 
-def read_named_tensor(f: BinaryIO, what: str = "tensor") -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<H", _read_exact(f, 2, f"name length of {what}"))
-    raw = _read_exact(f, name_len, f"name of {what}")
+def read_named_tensor(r: Reader, what: str = "tensor") -> tuple[str, np.ndarray]:
+    (name_len,) = r.unpack("<H", f"name length of {what}")
+    raw = r.take(name_len, f"name of {what}")
     try:
         name = raw.decode("utf-8")
     except UnicodeDecodeError:
         raise FormatError(f"{what}: name {raw!r} is not valid UTF-8") from None
-    return name, read_tensor_payload(f, f"{what} '{name}'")
+    return name, read_tensor_payload(r, f"{what} '{name}'")
 
 
 def save_tensor_file(path, array: np.ndarray) -> None:
@@ -143,11 +135,12 @@ def save_tensor_file(path, array: np.ndarray) -> None:
 
 
 def load_tensor_file(path) -> np.ndarray:
+    """Read a file that save_tensor_file wrote, in one read."""
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != TENSOR_FILE_MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {TENSOR_FILE_MAGIC!r}")
-        arr = read_tensor_payload(f, "tensor")
-        if f.read(1):
-            raise FormatError("trailing bytes after tensor data")
+        r = Reader(f.read())
+    magic = r.take(4, "magic")
+    if magic != TENSOR_FILE_MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {TENSOR_FILE_MAGIC!r}")
+    arr = read_tensor_payload(r, "tensor")
+    r.end("tensor data")
     return arr

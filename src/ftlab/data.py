@@ -366,7 +366,7 @@ def load_dataset(directory) -> LabeledDataset:
             raise ValueError(f"{manifest}:{lineno}: {rel}: mixed shapes: "
                              f"{arr.shape}, the first example has "
                              f"{features[0].shape}")
-        features.append(arr.astype(np.float64))
+        features.append(arr)
         labels.append(label_ids[label_name])
     if not features:
         raise ValueError(f"{manifest} lists no examples")

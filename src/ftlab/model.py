@@ -538,31 +538,30 @@ def save_checkpoint(model_or_ckpt, path) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint file, its digest included."""
+    with open(path, "rb") as f:
+        r = binio.Reader(f.read())
     try:
-        with open(path, "rb") as f:
-            magic = binio._read_exact(f, 4, "magic")
-            if magic != CHECKPOINT_MAGIC:
-                raise CheckpointError(f"bad magic {magic!r}, expected "
-                                      f"{CHECKPOINT_MAGIC!r}")
-            (version,) = struct.unpack("<I", binio._read_exact(f, 4, "version"))
-            if version != CHECKPOINT_VERSION:
-                raise CheckpointError(f"unsupported checkpoint version {version}")
-            (meta_len,) = struct.unpack(
-                "<I", binio._read_exact(f, 4, "metadata length"))
-            try:
-                meta = json.loads(binio._read_exact(f, meta_len, "metadata"))
-            except (ValueError, RecursionError) as e:
-                raise CheckpointError(f"corrupt metadata block: {e}") from None
-            (count,) = struct.unpack("<I", binio._read_exact(f, 4, "tensor count"))
-            tensors: dict[str, np.ndarray] = {}
-            for i in range(count):
-                name, arr = binio.read_named_tensor(f, f"tensor {i + 1}/{count}")
-                if name in tensors:
-                    raise CheckpointError(f"tensor {i + 1}/{count}: name "
-                                          f"{name!r} repeats")
-                tensors[name] = arr
-            if f.read(1):
-                raise CheckpointError("trailing bytes after the last tensor")
+        magic = r.take(4, "magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"bad magic {magic!r}, expected "
+                                  f"{CHECKPOINT_MAGIC!r}")
+        (version,) = r.unpack("<I", "version")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        (meta_len,) = r.unpack("<I", "metadata length")
+        try:
+            meta = json.loads(r.take(meta_len, "metadata"))
+        except (ValueError, RecursionError) as e:
+            raise CheckpointError(f"corrupt metadata block: {e}") from None
+        (count,) = r.unpack("<I", "tensor count")
+        tensors: dict[str, np.ndarray] = {}
+        for i in range(count):
+            name, arr = binio.read_named_tensor(r, f"tensor {i + 1}/{count}")
+            if name in tensors:
+                raise CheckpointError(f"tensor {i + 1}/{count}: name "
+                                      f"{name!r} repeats")
+            tensors[name] = arr
+        r.end("the last tensor")
     except binio.FormatError as e:
         raise CheckpointError(str(e)) from None
     header = _read_header(meta)

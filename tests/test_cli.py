@@ -994,3 +994,11 @@ class TestGradCheckCommand:
 
     def test_epsilon_flag(self, capsys):
         assert main(["grad-check", "--epsilon", "1e-5"]) == 0
+
+    def test_failed_check_exits_1_and_reports_it(self, tmp_path, capsys):
+        # differences over a step of 0.5 cross kinks and curvature alike
+        out = tmp_path / "o"
+        assert main(["grad-check", "--epsilon", "0.5", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out
+        assert (out / "grad_check.txt").read_text(encoding="utf-8") == printed
+        assert printed.splitlines()[-1] == "gradient check FAILED (>= 1e-4)"

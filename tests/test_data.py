@@ -269,6 +269,23 @@ class TestOnDiskFormat:
         with pytest.raises(binio.FormatError, match="magic"):
             binio.load_tensor_file(path)
 
+    def test_rank_beyond_the_maximum_refused_before_the_file(self, tmp_path):
+        path = tmp_path / "t.ftt"
+        with pytest.raises(binio.FormatError,
+                           match="^tensor rank 9 exceeds maximum 8$"):
+            binio.save_tensor_file(path, np.zeros((1,) * 9))
+        assert not path.exists()
+        binio.save_tensor_file(path, np.zeros((1,) * 8))
+        assert binio.load_tensor_file(path).shape == (1,) * 8
+
+    def test_tensor_name_longer_than_its_u16_length_refused(self):
+        assert binio.named_tensor_header("n" * 0xFFFF, (1,))[:2] == b"\xff\xff"
+        with pytest.raises(binio.FormatError,
+                           match="^tensor name too long: 65536 bytes$"):
+            binio.named_tensor_header("n" * 0x10000, (1,))
+        with pytest.raises(binio.FormatError, match="too long: 65536 bytes"):
+            binio.named_tensors({"\u00e9" * 0x8000: np.zeros(1)})
+
     def test_zero_dim_beside_huge_dims_is_format_error(self, tmp_path):
         path = tmp_path / "t.ftt"
         # no data to read, but numpy cannot make an array of this shape

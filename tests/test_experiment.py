@@ -344,6 +344,12 @@ class TestRecommender:
         with pytest.raises(ValueError, match="positive"):
             recommend_multipliers(0.0, ll=0.01)
 
+    @pytest.mark.parametrize("ll", [0.0, -0.01, math.nan])
+    def test_non_positive_last_layer_rate_rejected(self, ll):
+        with pytest.raises(ValueError, match="^last-layer rate must be "
+                                             "positive, got "):
+            recommend_multipliers(10.0, ll=ll)
+
     def test_breakpoints_hold_their_invariants(self):
         thresholds, rates = zip(*RECOMMENDER_BREAKPOINTS)
         assert thresholds[0] == 0.0
@@ -794,4 +800,10 @@ class TestScaleSweep:
     def test_unique_task_ids_required(self, tmp_path):
         with pytest.raises(ValueError, match="unique"):
             scale_jobs(small_source_checkpoint(tmp_path), ["same", "same"],
+                       GraduatedSpec(inner_multipliers=(0.0, 2.0)), 7)
+
+    def test_at_least_one_task_required(self, tmp_path):
+        with pytest.raises(ValueError, match="^scale sweep needs at least one "
+                                             "task$"):
+            scale_jobs(small_source_checkpoint(tmp_path), [],
                        GraduatedSpec(inner_multipliers=(0.0, 2.0)), 7)

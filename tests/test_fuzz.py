@@ -5,7 +5,8 @@ Each test mutates one valid input, as parsed JSON or as raw bytes, and
 requires the reader to take it or to end in its own typed error (for the
 ledger: a skipped line; for a manifest: a ValueError naming the manifest),
 never in any other exception. The runs are derandomized, so they are the
-same on every run.
+same on every run. One more test, with no random draws, cuts a tensor file
+and a checkpoint at every byte offset.
 """
 
 import json
@@ -27,7 +28,7 @@ from ftlab.experiment import RunRecord, scan_ledger
 from ftlab.model import (CheckpointError, build_staged_network,
                          checkpoint_from_model, load_checkpoint,
                          mini_staged_spec, model_from_checkpoint,
-                         transfer_init)
+                         save_checkpoint, transfer_init)
 
 FUZZ = settings(derandomize=True, database=None, max_examples=60,
                 deadline=None)
@@ -192,6 +193,23 @@ def test_tensor_file_loads_or_is_format_error(scratch, splice):
     # magic, rank and dims, then every float32 of the data
     assert len(blob) == 4 + 1 + 4 * arr.ndim + 4 * arr.size
     assert arr.dtype == np.float32
+
+
+@pytest.mark.parametrize("kind", ["tensor file", "checkpoint"])
+def test_every_cut_and_an_extra_byte_is_the_readers_error(scratch, kind):
+    """The file cut at each byte offset is truncated, and the file with one
+    byte more has trailing bytes: each is the reader's own typed error."""
+    path = scratch / "cut"
+    if kind == "tensor file":
+        blob, load, error = TENSOR_FILE, binio.load_tensor_file, binio.FormatError
+    else:
+        save_checkpoint(CHECKPOINT, path)
+        blob, load, error = path.read_bytes(), load_checkpoint, CheckpointError
+    cases = [(blob[:n], "^truncated ") for n in range(len(blob))]
+    for cut, message in cases + [(blob + b"\0", "^trailing bytes ")]:
+        path.write_bytes(cut)
+        with pytest.raises(error, match=message):
+            load(path)
 
 
 @pytest.fixture(scope="module")

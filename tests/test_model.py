@@ -136,6 +136,44 @@ class TestLayerShapes:
         with pytest.raises(ValueError, match="out_features"):
             layer_shapes(spec, (4,))
 
+    def test_conv2d_needs_out_channels(self):
+        with pytest.raises(ValueError, match="^conv2d layer needs out_channels$"):
+            LayerSpec("conv2d")
+
+    @pytest.mark.parametrize("shape", [(), (1, 0, 8), (1, 8, -8)])
+    def test_input_shape_must_hold_positive_sizes(self, shape):
+        with pytest.raises(ValueError, match="^input shape must hold positive "
+                                             "sizes, got "):
+            layer_shapes(tiny_spec(), shape)
+
+    def test_dense_needs_a_flat_input(self):
+        spec = (StageSpec("fc", (LayerSpec("dense"),)),)
+        with pytest.raises(ValueError, match="between stages '<input>' and "
+                                             "'fc': dense needs a flat input, "
+                                             r"got \(1, 8, 8\)$"):
+            layer_shapes(spec, (1, 8, 8))
+
+    def test_residual_chain_must_keep_its_shape(self):
+        widen = LayerSpec("residual-add",
+                          inner=(LayerSpec("conv2d", out_channels=3),))
+        spec = (StageSpec("conv1", (LayerSpec("conv2d", out_channels=2), widen,
+                                    LayerSpec("global-average-pool"))),
+                StageSpec("fc", (LayerSpec("dense"),)))
+        with pytest.raises(ValueError, match=r"residual-add inner chain changed "
+                                             r"shape \(2, 8, 8\) -> "
+                                             r"\(3, 8, 8\)$"):
+            layer_shapes(spec, (1, 8, 8))
+
+    @pytest.mark.parametrize("num_labels", [1, 0])
+    def test_at_least_two_labels(self, num_labels):
+        message = f"^num_labels must be at least 2, got {num_labels}$"
+        with pytest.raises(ValueError, match=message):
+            build_staged_network(tiny_spec(), (1, 8, 8), num_labels, seed=0)
+        source = checkpoint_from_model(
+            build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=0))
+        with pytest.raises(ValueError, match=message):
+            transfer_init(source, num_labels, head_seed=0)
+
 
 class TestCheckpoint:
     def test_save_load_preserves_names_and_shapes(self, tmp_path):

@@ -240,11 +240,27 @@ class TestForward:
             forward(m.stages, np.zeros((2, 4)), [0, 3])
 
 
+    def test_head_of_scores_other_than_2d_rejected(self):
+        stages = [Stage("head", [nn_core.Relu()])]
+        with pytest.raises(ValueError, match=r"^head stage 'head' must produce "
+                                             r"\(batch, labels\) scores, got "
+                                             r"shape \(2, 1, 4, 4\)$"):
+            forward(stages, np.ones((2, 1, 4, 4)), [0, 1])
+
+
 class TestBackward:
     def test_backward_requires_forward_cache(self):
         m = two_layer_model()
         with pytest.raises(ValueError, match="forward"):
             backward(m.stages, None)
+
+    def test_cache_of_another_stage_list_rejected(self):
+        m = two_layer_model()
+        _, _, cache = forward(m.stages, np.ones((2, 4)), [0, 1])
+        for stages in (m.stages[1:], small_conv_model().stages):
+            with pytest.raises(ValueError, match="^cache does not match this "
+                                                 "stage list$"):
+                backward(stages, cache)
 
     def test_gradient_shapes_mirror_parameters(self):
         m = small_conv_model(seed=1, residual=True)
@@ -711,6 +727,47 @@ class TestLowestLayerInputGradient:
         assert not any(path.split("/")[0] in m.stage_names[:first]
                        for path in calls)
         assert {n.split("/")[0] for n in grads} == set(m.stage_names[first:])
+
+
+class TestLayerShapeChecks:
+    @pytest.mark.parametrize("w,b", [((3,), (3,)), ((2, 3), (2,)),
+                                     ((2, 3), (3, 1))])
+    def test_dense_parameters_must_fit(self, w, b):
+        with pytest.raises(ValueError, match="^dense parameter shapes "
+                                             "inconsistent: "):
+            Dense(np.zeros(w), np.zeros(b))
+
+    @pytest.mark.parametrize("w,b,message", [
+        ((2, 1, 3), (2,), r"weight must be \(out, in, k, k\), got \(2, 1, 3\)"),
+        ((2, 1, 3, 5), (2,), r"weight must be \(out, in, k, k\), got "
+                             r"\(2, 1, 3, 5\)"),
+        ((2, 1, 3, 3), (3,), r"bias shape \(3,\) does not match 2 output "
+                             r"channels"),
+        ((2, 1, 2, 2), (2,), "kernel size must be odd, got 2")])
+    def test_conv2d_parameters_must_fit(self, w, b, message):
+        with pytest.raises(ValueError, match=f"^conv2d {message}$"):
+            Conv2d(np.zeros(w), np.zeros(b))
+
+    @pytest.mark.parametrize("shape,message", [
+        ((2, 4, 4), r"expected \(batch, C, H, W\), got \(2, 4, 4\)"),
+        ((1, 1, 3, 4), "needs even spatial dims, got 3x4"),
+        ((1, 1, 4, 5), "needs even spatial dims, got 4x5")])
+    def test_max_pool_input_must_fit(self, shape, message):
+        with pytest.raises(ValueError, match=f"^max-pool {message}$"):
+            MaxPool().forward(np.zeros(shape))
+
+    def test_global_average_pool_needs_4d_input(self):
+        with pytest.raises(ValueError, match=r"^global-average-pool expected "
+                                             r"\(batch, C, H, W\), got "
+                                             r"\(2, 3\)$"):
+            nn_core.GlobalAvgPool().forward(np.zeros((2, 3)))
+
+    def test_residual_chain_must_keep_its_shape(self):
+        block = ResidualBlock([Conv2d(np.zeros((2, 1, 3, 3)), np.zeros(2))])
+        with pytest.raises(ValueError, match=r"^residual-add inner chain "
+                                             r"changed shape \(1, 1, 4, 4\) "
+                                             r"-> \(1, 2, 4, 4\)$"):
+            block.forward(np.zeros((1, 1, 4, 4)))
 
 
 class TestMaxPool:

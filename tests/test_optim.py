@@ -83,6 +83,12 @@ class TestLrPolicy:
                                              "finite"):
             LrPolicy(base_lr, 1, 1)
 
+    @pytest.mark.parametrize("total", [0, -3])
+    def test_total_iterations_must_be_positive(self, total):
+        with pytest.raises(ValueError, match="^total_iterations must be "
+                                             f"positive, got {total}$"):
+            LrPolicy(0.1, 1, total)
+
     def test_scaled_policy_divides_iterations_and_step(self):
         target = REFERENCE_POLICY.scaled(10)
         assert target.step_size == 30_000
@@ -134,6 +140,12 @@ class TestEffectiveLr:
 
 
 class TestSgdStep:
+    @pytest.mark.parametrize("momentum", [1.0, -0.1, 1.5, math.nan])
+    def test_momentum_outside_0_1_rejected(self, momentum):
+        with pytest.raises(ValueError, match=r"^momentum must be in \[0, 1\), "
+                                             f"got {momentum}$"):
+            SgdState.for_model(dense_model(), momentum=momentum)
+
     def test_plain_gradient_step(self):
         m = dense_model(seed=1)
         policy = LrPolicy(0.1, 10, 100, gamma=1.0)
@@ -347,6 +359,24 @@ class TestTrain:
             ds.subset([])
         with pytest.raises(ValueError, match="empty"):
             train(m, ds, EmptySet(), schedule, policy, 4, 0)
+
+    def test_empty_training_set_and_evaluation_rejected(self):
+        ds = toy_dataset()
+        m = dense_model()
+        schedule = uniform_schedule(m.stage_names, m.head_name, 1.0, 1.0)
+
+        class EmptySet:
+            features = np.zeros((0, 4))
+            labels = np.zeros(0, dtype=np.int64)
+
+            def __len__(self):
+                return 0
+
+        with pytest.raises(ValueError, match="^training set is empty$"):
+            train(m, EmptySet(), ds, schedule, LrPolicy(0.05, 10, 20), 4, 0)
+        with pytest.raises(ValueError, match="^cannot evaluate on an empty "
+                                             "dataset$"):
+            evaluate(m, EmptySet())
 
     def test_batch_size_validation(self):
         ds = toy_dataset(n_per_label=2)
