@@ -112,14 +112,14 @@ def mini_staged_spec(widths: Sequence[int] = (4, 4, 8, 8, 8),
     """
     if len(input_shape) != 3:
         raise ValueError(f"input_shape must be (channels, H, W), got {input_shape}")
-    h = input_shape[1]
+    h, w = input_shape[1:]
     if pools is None:
         auto = []
         for _ in widths:
-            do_pool = h >= 4 and h % 2 == 0
+            do_pool = min(h, w) >= 4 and h % 2 == 0 and w % 2 == 0
             auto.append(do_pool)
             if do_pool:
-                h //= 2
+                h, w = h // 2, w // 2
         pools = auto
     if len(pools) != len(widths):
         raise ValueError("pools and widths must have the same length")

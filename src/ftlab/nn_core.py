@@ -251,7 +251,20 @@ class Relu:
 
 
 class MaxPool:
-    """2x2 max pooling with stride 2; ties route the gradient to the first max."""
+    """2x2 max pooling with stride 2; ties route the gradient to the first max.
+
+    Two pairwise levels: forward takes the column-pair maxima
+    c = max(x[..., 0::2], x[..., 1::2]), then y = max(c's row pairs), the
+    grouping max(max(x00, x01), max(x10, x11)), so a tie of 0.0 and -0.0
+    keeps its sign. Backward routes dy to the top row where that row's max
+    equals y, else to the bottom row, then within the row to the left
+    column where it equals the row's max, else to the right one. A row
+    holds the window's max exactly when its own max equals it, so this is
+    the first max in the order (0,0), (0,1), (1,0), (1,1); forward's caller
+    refuses a NaN output before any backward runs. dx is a fresh C-ordered
+    array whatever x's layout, on purpose: the conv below sums its dW and db
+    over that gradient in memory order, so another layout changes their bytes.
+    """
 
     kind = "max-pool"
     size = 2
@@ -262,19 +275,20 @@ class MaxPool:
         h, w = x.shape[2:]
         if h % 2 or w % 2:
             raise ValueError(f"max-pool needs even spatial dims, got {h}x{w}")
-        out = np.maximum(np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
-                         np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]))
-        return out, (x, out)
+        c = np.maximum(x[..., 0::2], x[..., 1::2])
+        out = np.maximum(c[:, :, 0::2], c[:, :, 1::2])
+        return out, (x, c, out)
 
     def backward(self, dy, cache, out):
-        x, y = cache
+        x, c, y = cache
+        top = c[:, :, 0::2] == y
+        rows = np.empty(c.shape, dtype=DTYPE)  # dy in the window's max row
+        rows[:, :, 0::2] = np.where(top, dy, 0.0)
+        rows[:, :, 1::2] = np.where(top, 0.0, dy)
+        left = x[..., 0::2] == c
         dx = np.empty(x.shape, dtype=DTYPE)
-        free = np.ones(y.shape, dtype=bool)  # windows whose max is not yet found
-        for di in (0, 1):
-            for dj in (0, 1):
-                hit = free & (x[:, :, di::2, dj::2] == y)
-                dx[:, :, di::2, dj::2] = np.where(hit, dy, 0.0)
-                free &= ~hit
+        dx[..., 0::2] = np.where(left, rows, 0.0)
+        dx[..., 1::2] = np.where(left, 0.0, rows)
         return dx, out
 
     def named_params(self):

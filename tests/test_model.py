@@ -18,7 +18,7 @@ from ftlab.model import (CheckpointError, LayerSpec, StageSpec, arch_digest,
                          layer_shapes, load_checkpoint, mini_staged_spec,
                          model_from_checkpoint, save_checkpoint, transfer_init)
 from ftlab.nn_core import backward, forward, grad_check, run_stages
-from ftlab.optim import LrPolicy
+from ftlab.optim import LrPolicy, train, uniform_schedule
 
 
 def params_of(model):
@@ -100,6 +100,27 @@ class TestBuild:
                 StageSpec("fc", (LayerSpec("dense"),)))
         with pytest.raises(ValueError, match="even"):
             build_staged_network(spec, (1, 7, 7), 3, seed=0)
+
+    @pytest.mark.parametrize("shape, pools", [
+        ((1, 16, 16), (True, True, True, False, False)),
+        ((1, 8, 8), (True, True, False, False, False)),
+        ((1, 16, 6), (True, False, False, False, False)),
+        ((1, 16, 2), (False,) * 5)])
+    def test_default_pools_halve_both_dims_while_even_and_at_least_4(
+            self, shape, pools):
+        assert mini_staged_spec(input_shape=shape) == \
+            mini_staged_spec(input_shape=shape, pools=pools)
+
+    @pytest.mark.parametrize("shape", [(1, 16, 6), (1, 16, 2)])
+    def test_default_spec_of_a_non_square_input_trains(self, shape):
+        m = build_staged_network(mini_staged_spec(input_shape=shape), shape, 2,
+                                 seed=0)
+        x = np.random.default_rng(0).uniform(size=(4,) + shape)
+        ds = LabeledDataset(x, np.arange(4) % 2, ("a", "b"), "d")
+        before = m.params.copy()
+        train(m, ds, ds, uniform_schedule(m.stage_names, m.head_name, 1.0, 1.0),
+              LrPolicy(0.01, 1, 1), batch_size=4, seed=0)
+        assert not np.array_equal(m.params, before)
 
 
 class TestLayerShapes:

@@ -105,6 +105,23 @@ def reference_conv(layer, x, dy):
             {"w": dw.transpose(3, 0, 1, 2), "b": dy.sum(axis=(0, 2, 3))})
 
 
+def reference_max_pool(x, dy):
+    """(y, dx) by the earlier kernel over the four window-position views:
+    y groups as max(max(x00, x01), max(x10, x11)), and dx is a fresh
+    C-ordered array that each view fills in the order (0,0), (0,1), (1,0),
+    (1,1), dy going to the first view holding its window's max."""
+    y = np.maximum(np.maximum(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2]),
+                   np.maximum(x[:, :, 1::2, 0::2], x[:, :, 1::2, 1::2]))
+    dx = np.empty(x.shape)
+    free = np.ones(y.shape, dtype=bool)  # windows whose max is not yet found
+    for di in (0, 1):
+        for dj in (0, 1):
+            hit = free & (x[:, :, di::2, dj::2] == y)
+            dx[:, :, di::2, dj::2] = np.where(hit, dy, 0.0)
+            free &= ~hit
+    return y, dx
+
+
 def grad_views(layer):
     """Fresh arrays for a layer's parameter gradients, keyed as its
     named_params(): the out that backward and param_grads write into."""
@@ -788,6 +805,36 @@ class TestMaxPool:
             want_dx[n, c, 2 * i + a, 2 * j + b] = dy[n, c, i, j]
         assert np.array_equal(y, want_y)
         assert np.array_equal(dx, want_dx)
+
+    # values drawn from five, so most windows tie, often 0.0 with -0.0
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(n=st.sampled_from([1, 8, 100]), c=st.integers(1, 8),
+           h=st.integers(1, 8), w=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1),
+           x_layout=st.sampled_from(["C", "channel-major", "Fortran", "sliced"]),
+           dy_layout=st.sampled_from(["C", "channel-major"]))
+    def test_bitwise_equal_to_four_view_kernel(self, n, c, h, w, seed,
+                                               x_layout, dy_layout):
+        rng = np.random.default_rng(seed)
+        values = np.array([-1.0, -0.0, 0.0, 1.0, 2.0])
+        shape = (n, c, 2 * h, 2 * w)
+        if x_layout == "channel-major":
+            x = rng.choice(values, (c, n) + shape[2:]).transpose(1, 0, 2, 3)
+        elif x_layout == "sliced":     # offset on every axis, every other column
+            x = rng.choice(values, (n + 1, c + 1, 2 * h + 2, 4 * w))
+            x = x[1:, 1:, 1:-1, ::2]
+        else:
+            x = rng.choice(values, shape)
+            if x_layout == "Fortran":
+                x = np.asfortranarray(x)
+        dy = rng.uniform(-1, 1, (c, n, h, w)).transpose(1, 0, 2, 3) \
+            if dy_layout == "channel-major" else rng.uniform(-1, 1, (n, c, h, w))
+        layer = MaxPool()
+        y, cache = layer.forward(x)
+        dx, _ = layer.backward(dy, cache, {})
+        want_y, want_dx = reference_max_pool(x, dy)
+        assert y.tobytes() == want_y.tobytes()
+        assert same_bytes(dx, want_dx)
 
 
 def reference_softmax_cross_entropy(logits, labels):
