@@ -6,6 +6,8 @@ writes the effective config, runs the jobs with run_jobs and records them
 in the ledger, so any number in a report traces back to the exact inputs.
 Exit codes: 0 success, 1 validation error or diverged training, 2 partial
 sweep failure or a usage error (an unknown command or flag).
+main also sets the process's malloc policy (keep_freed_heap); importing
+the package sets nothing.
 """
 
 from __future__ import annotations
@@ -72,16 +74,16 @@ def _positive(n) -> bool:
 
 
 def _non_negative(n) -> bool:
-    return n >= 0
+    return n is None or n >= 0
 
 
-SEED_RULE = "must be a non-negative integer"    # the seed of every command
+SEED_RULE = "must be a non-negative integer"    # every seed a config gives
 
 
 @dataclass(frozen=True)
 class SplitConfig:
     train_fraction: float
-    seed: int
+    seed: int = field(metadata=check(_non_negative, SEED_RULE))
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,8 @@ class TaskData:
     """One task's data, in one of the TASK_FORMS."""
 
     dataset: str | None = None
-    partition_seed: int | None = None
+    partition_seed: int | None = field(
+        default=None, metadata=check(_non_negative, SEED_RULE))
     split: SplitConfig | None = None
     train_dir: str | None = None
     val_dir: str | None = None
@@ -470,7 +473,40 @@ def cmd_grad_check(model_cfg: ModelConfig, seed: int, epsilon: float,
     return 0 if ok else 1
 
 
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+def _libc():
+    """The C library, as ctypes loads the process's own symbols."""
+    import ctypes
+    return ctypes.CDLL(None)
+
+
+def keep_freed_heap() -> None:
+    """Keep freed memory in the heap for reuse, where libc is glibc.
+
+    Evaluation frees multi-MB temporaries every call; by default glibc
+    returns them to the kernel and page-faults them back in on the next
+    call. With this policy, allocations up to 32 MiB come from the heap,
+    and the heap is trimmed only above 1 GiB free, so RSS stays at its
+    peak until the process exits. The trim threshold is set only if the
+    mmap one was: alone it turns off glibc's dynamic mmap threshold, and
+    every large temporary is mmapped afresh. No arithmetic changes.
+    Without mallopt (not glibc, or no ctypes) this does nothing.
+    """
+    try:
+        mallopt = _libc().mallopt
+    except (ImportError, OSError, TypeError, AttributeError):
+        return
+    if mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1:
+        mallopt(M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None) -> int:
+    # first, so the sweep workers, which fork from this process, inherit it
+    keep_freed_heap()
     parser = argparse.ArgumentParser(
         prog="ftlab",
         description="Layer-wise learning-rate finetuning experiments.")

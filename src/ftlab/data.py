@@ -208,14 +208,18 @@ class SyntheticDomainSpec:
     family_seed: int = 0
 
     def __post_init__(self):
-        if self.num_labels < 2:
-            raise ValueError(f"num_labels must be >= 2, got {self.num_labels}")
-        if self.examples_per_label < 4:
-            raise ValueError(f"examples_per_label must be >= 4, "
-                             f"got {self.examples_per_label}")
+        for name, least in (("num_labels", 2), ("examples_per_label", 4),
+                            ("motif_size", 1), ("num_motifs", 1), ("seed", 0),
+                            ("family_seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, "
+                                 f"got {getattr(self, name)}")
         if not 0 <= self.relatedness <= 1:
             raise ValueError(f"relatedness must be in [0, 1], "
                              f"got {self.relatedness}")
+        if self.image_size < self.motif_size:
+            raise ValueError(f"image_size must be >= motif_size "
+                             f"{self.motif_size}, got {self.image_size}")
         if self.image_size % self.motif_size:
             raise ValueError(f"image_size {self.image_size} must be a multiple "
                              f"of motif_size {self.motif_size}")

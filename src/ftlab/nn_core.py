@@ -88,13 +88,10 @@ class _Columns:
 
 
 # Conv2d.forward builds the column matrix of at most about this many bytes
-# at a time. A training batch fits in one chunk. At evaluation batches of 96
-# and 256, one whole-batch copy was 35-60% slower per example than chunks
-# of this size (2-core VM, OpenBLAS), mostly from page faults on the large
-# temporaries. The chunk size sets the width of each forward matrix product,
-# and so the bytes of y (a column matrix padded to a wider row changed them
-# at batch 256). So, like optim.EVAL_CHUNK, it is part of the bitwise
-# contract.
+# at a time. A training batch fits in one chunk. The size stays because it
+# is part of the bitwise contract, like optim.EVAL_CHUNK: it sets the width
+# of each forward matrix product, and so the bytes of y (a column matrix
+# padded to a wider row changed them at batch 256).
 _FORWARD_CHUNK_BYTES = 1 << 19
 
 

@@ -2,7 +2,10 @@
 
 import json
 import os
+import platform
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -11,7 +14,7 @@ import pytest
 from conftest import (BROKEN_DATASET_CASES, FAST_POLICY, TINY_MODEL,
                       die_in_worker, one_conv_metadata, write_broken_dataset,
                       write_config)
-from ftlab import binio, experiment
+from ftlab import binio, cli, experiment
 from ftlab.cli import ConfigError, ModelConfig, RunConfig, load_config, main
 from ftlab.codec import decode, encode
 from ftlab.data import (SyntheticDomainSpec, gen_synthetic_domain,
@@ -331,6 +334,35 @@ class TestMalformedInput:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, data, line", [
+        *[(command, data, line)
+          for command in ("train-source", "finetune", "sweep")
+          for data, line in (
+              ({"dataset": "d", "partition_seed": -1},
+               "data.partition_seed must be a non-negative integer, got -1"),
+              ({"dataset": "d", "split": {"train_fraction": 0.5, "seed": -3}},
+               "data.split.seed must be a non-negative integer, got -3"))],
+        ("sweep", {"tasks": [{"dataset": "d", "partition_seed": 4},
+                             {"dataset": "d", "partition_seed": -2}]},
+         "data.tasks[1].partition_seed must be a non-negative integer, "
+         "got -2"),
+        ("sweep", {"tasks": [{"dataset": "d", "split": {
+            "train_fraction": 0.5, "seed": -1}}]},
+         "data.tasks[0].split.seed must be a non-negative integer, got -1")])
+    def test_negative_data_seed_exits_1_naming_the_field(
+            self, tmp_path, capsys, command, data, line):
+        # it reached numpy, whose error named neither the field nor the value
+        cfg = {"policy": FAST_POLICY, "batch_size": 6,
+               "source_checkpoint": "s.ftlb", "data": data,
+               "schedule": {"ll": 0.1}, "grid": {"ll_values": [0.1]}}
+        out = tmp_path / "o"
+        assert main([command, write_config(tmp_path / "c.json", cfg),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {line}"]
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_even_kernel_model_is_config_error(self, tmp_path):
         config = write_config(tmp_path / "c.json",
                               {"policy": FAST_POLICY,
@@ -429,6 +461,29 @@ class TestGenData:
         assert len(load_dataset(out / "d")) == 8
         copy = json.loads((out / "config.json").read_text(encoding="utf-8"))
         assert copy["policy"] is None
+
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("motif_size", 0, "motif_size must be >= 1, got 0"),
+        ("motif_size", -4, "motif_size must be >= 1, got -4"),
+        ("num_motifs", 0, "num_motifs must be >= 1, got 0"),
+        ("num_motifs", -1, "num_motifs must be >= 1, got -1"),
+        ("image_size", 0, "image_size must be >= motif_size 4, got 0"),
+        ("image_size", -16, "image_size must be >= motif_size 4, got -16"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("family_seed", -1, "family_seed must be >= 0, got -1")])
+    def test_malformed_domain_exits_1_with_one_error_line(
+            self, tmp_path, capsys, field, value, message):
+        # each raised a bare Python exception or wrote a degenerate dataset
+        domain = {"name": "d", "num_labels": 2, "examples_per_label": 4,
+                  field: value}
+        config = write_config(tmp_path / "c.json", {"domains": [domain]})
+        out = tmp_path / "o"
+        assert main(["gen-data", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: domains[0]: {message}"]
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestTrainSource:
@@ -1002,3 +1057,77 @@ class TestGradCheckCommand:
         printed = capsys.readouterr().out
         assert (out / "grad_check.txt").read_text(encoding="utf-8") == printed
         assert printed.splitlines()[-1] == "gradient check FAILED (>= 1e-4)"
+
+
+class FakeLibc:
+    """A libc whose mallopt records its calls and returns result."""
+
+    def __init__(self, result):
+        self.result = result
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+# 20 all-live evaluation passes of the default net at batch 100, after one
+# that sizes the heap; prints the minor page faults per pass
+FAULTS_SCRIPT = """
+import resource
+import numpy as np
+from ftlab.cli import keep_freed_heap
+from ftlab.model import build_staged_network, mini_staged_spec
+from ftlab.nn_core import run_stages
+keep_freed_heap()
+net = build_staged_network(mini_staged_spec(), (1, 16, 16), 4, seed=0)
+x = np.random.default_rng(0).uniform(-1.0, 1.0, size=(100, 1, 16, 16))
+run_stages(net.stages, x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    run_stages(net.stages, x)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+class TestMallocPolicy:
+    def test_mmap_threshold_then_trim_threshold(self, monkeypatch):
+        libc = FakeLibc(1)
+        monkeypatch.setattr(cli, "_libc", lambda: libc)
+        cli.keep_freed_heap()
+        assert libc.calls == [(cli.M_MMAP_THRESHOLD, 32 << 20),
+                              (cli.M_TRIM_THRESHOLD, 1 << 30)]
+
+    def test_trim_threshold_alone_is_never_set(self, monkeypatch):
+        # alone it turns off glibc's dynamic mmap threshold
+        libc = FakeLibc(0)
+        monkeypatch.setattr(cli, "_libc", lambda: libc)
+        cli.keep_freed_heap()
+        assert libc.calls == [(cli.M_MMAP_THRESHOLD, 32 << 20)]
+
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        # a libc without mallopt (macOS), and one that cannot be loaded
+        def no_libc():
+            raise OSError("no libc")
+        for load in (object, no_libc):
+            monkeypatch.setattr(cli, "_libc", load)
+            cli.keep_freed_heap()
+
+    def test_main_sets_the_policy_before_parsing_arguments(self, monkeypatch):
+        libc = FakeLibc(1)
+        monkeypatch.setattr(cli, "_libc", lambda: libc)
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert len(libc.calls) == 2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="mallopt's thresholds are glibc's")
+    def test_evaluation_passes_do_not_page_fault(self):
+        # a fresh process, so no earlier test has set the policy; without
+        # it each pass takes about 400 faults
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        assert float(out.stdout) < 40
