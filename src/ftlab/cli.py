@@ -458,7 +458,10 @@ def cmd_grad_check(model_cfg: ModelConfig, seed: int, epsilon: float,
     rng = np.random.default_rng(derive_seed(seed, "grad-check"))
     batch = rng.uniform(-1.0, 1.0, size=(4,) + model_cfg.input_shape)
     labels = np.arange(4) % 3
-    err = grad_check(model.stages, batch, labels, epsilon=epsilon)
+    try:
+        err = grad_check(model.stages, batch, labels, epsilon=epsilon)
+    except ValueError as e:     # a bad epsilon, or a net too large to check
+        return _fail([f"grad-check: {e}"])
     lines = [f"parameters: {model.param_count()}",
              f"max relative gradient error: {err:.3e} (epsilon {epsilon:g})"]
     ok = err < 1e-4

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from collections import Counter
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
@@ -88,10 +89,11 @@ class GridSpec:
 
     def il_values(self, ll: float) -> tuple[float, ...]:
         """0 plus every power of 10 from min_il up to LL (inclusive), both
-        ends within a relative 1e-9."""
+        ends within a relative 1e-9, and up to 1e308, the largest power of
+        10 a float holds."""
         values = [0.0]
         k = math.ceil(math.log10(self.min_il * (1 - 1e-9)))
-        while 10.0 ** k <= ll * (1 + 1e-9):
+        while k <= sys.float_info.max_10_exp and 10.0 ** k <= ll * (1 + 1e-9):
             values.append(10.0 ** k)
             k += 1
         return tuple(values)

@@ -253,7 +253,7 @@ class Architecture:
     builds one per call, and a checkpoint header one per head size it is
     read at (CheckpointHeader.architecture); the models built on it hold
     it, and so do their clones and checkpoints. So the jobs of one source
-    neither walk, hash nor encode the spec again. It holds:
+    neither walk nor hash the spec again. It holds:
 
     - spec, with the head resized to num_labels, its layer_shapes() layout,
       and stage_names;
@@ -262,10 +262,8 @@ class Architecture:
       and tensor_headers, each parameter's shape and the bytes a checkpoint
       writes before its data (binio.named_tensor_header);
     - digest: the one given, else arch_digest() of spec;
-    - prefix_ids[d], a string that names the first d stages and the input
-      shape, and stage_starts[d], where stage d's parameters start (the
-      last entry is size, the parameter count);
-    - encoded_arch: spec as a checkpoint's arch field holds it;
+    - stage_starts[d], where stage d's parameters start (the last entry is
+      size, the parameter count);
     - builders, what StagedModel builds each layer of layout from.
     """
 
@@ -300,12 +298,6 @@ class Architecture:
         self.builders = tuple(builders)
         self.size = offset
         self.stage_starts = tuple(starts[n] for n in self.stage_names) + (offset,)
-        self.head_names = tuple(self.slices)[-2:]   # the dense head's w and b
-        self.encoded_arch = tuple(s.to_dict() for s in self.spec)
-        stages = [_json(s) for s in self.encoded_arch]
-        shape = _json(list(self.input_shape))
-        self.prefix_ids = tuple(f"{shape}[{','.join(stages[:d])}]"
-                                for d in range(len(stages) + 1))
 
     def __reduce__(self):
         return Architecture, (self.spec, self.input_shape, self.num_labels,
@@ -477,14 +469,10 @@ class Checkpoint:
 
     def _block(self) -> dict:
         """The metadata block that save_checkpoint writes: the header's
-        fields, then extra. arch, a list, is the encoded_arch of the
-        header's architecture, except that a header with an unset head size
-        encodes its own arch, not the resized one (by LayerSpec.to_dict,
-        which leaves out the fields a layer kind does not use)."""
+        fields, then extra. arch is the header's own, an unset head size
+        included, as StageSpec.to_dict spells it."""
         h = self.header
-        arch = h.architecture()
-        return ({"arch": list(arch.encoded_arch) if arch.spec is h.arch
-                 else [s.to_dict() for s in h.arch]}
+        return ({"arch": [s.to_dict() for s in h.arch]}
                 | {f: encode(getattr(h, f)) for f in _HEADER_FIELDS
                    if f != "arch"} | self.extra)
 
@@ -519,10 +507,10 @@ def checkpoint_from_model(model: StagedModel,
 def save_checkpoint(model_or_ckpt, path) -> None:
     """Write a checkpoint file (magic FTLB, version, metadata, tensors).
 
-    The header's architecture gives the encoded arch and the record header
-    of each tensor that has its expected name and shape. The file's bytes
-    are built before it is opened, so a tensor the format refuses (not
-    finite as float32, say) leaves no file."""
+    The header's architecture gives the record header of each tensor that
+    has its expected name and shape. The file's bytes are built before it
+    is opened, so a tensor the format refuses (not finite as float32, say)
+    leaves no file."""
     ckpt = (model_or_ckpt if isinstance(model_or_ckpt, Checkpoint)
             else checkpoint_from_model(model_or_ckpt))
     meta = _json(ckpt._block()).encode("utf-8")
@@ -609,7 +597,7 @@ def _assign_tensors(arch: Architecture, params: np.ndarray, tensors: dict,
                     skip_head: bool) -> None:
     """Copy tensors into params, laid out as arch lays them out, skipping
     the head's if skip_head; each is checked against arch first."""
-    skip = arch.head_names if skip_head else ()
+    skip = tuple(arch.slices)[-2:] if skip_head else ()   # the head's w, b
     for name in arch.slices:
         if name not in tensors and name not in skip:
             raise CheckpointError(f"checkpoint missing tensor {name!r}")

@@ -401,7 +401,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 class ForwardCache:
     """Activations saved by forward() for the matching backward() call."""
 
-    stage_caches: list
+    layer_caches: list
     dlogits: np.ndarray
 
 
@@ -410,19 +410,16 @@ def run_stages(stages: list[Stage], x: np.ndarray,
     """The one stage loop: run a batch through a stage list, with no loss.
 
     A layer's shape error is re-raised with its stage named. caches gets
-    each stage's layer caches."""
+    each layer's cache, in run order."""
     for stage in stages:
-        layer_caches = []
         for layer in stage.layers:
             try:
                 x, c = layer.forward(x)
             except ValueError as e:
                 raise ValueError(f"stage '{stage.name}': {e}") from None
             if caches is not None:
-                layer_caches.append(c)
+                caches.append(c)
             del c     # else it would live through the next layer's forward
-        if caches is not None:
-            caches.append(layer_caches)
     return x
 
 
@@ -472,36 +469,36 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
         raise ValueError(f"labels must be a length-{x.shape[0]} vector, "
                          f"got shape {y.shape}")
     y = y.astype(np.int64)
-    stage_caches: list = []
+    layer_caches: list = []
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _head_scores(stages, x, stage_caches)
+        x = _head_scores(stages, x, layer_caches)
     if np.any(y < 0) or np.any(y >= x.shape[1]):
         raise ValueError(f"labels out of range for {x.shape[1]} classes")
     probs, top, denom = _softmax(x)
     loss = -(np.add.reduce(x[np.arange(len(y)), y] - top[:, 0]
                            - np.log(denom[:, 0])) / len(y))
     return (float(loss), probs,
-            ForwardCache(stage_caches, softmax_cross_entropy(x, y)))
+            ForwardCache(layer_caches, softmax_cross_entropy(x, y)))
 
 
 class Gradients(Mapping):
     """backward()'s result and plan for one stage list: a read-only mapping
     of each parameter's name to its gradient, a view of vector, keyed top
     layer first, as backward computes them. vector is laid out like the
-    list's parameters in their named_params() order, and layout maps each
-    name to its slice. layers pairs each layer with the views it writes
-    into; lowest indexes the lowest layer with parameters. The object fits
-    the stage list it was built from, with its layer lists then."""
+    list's parameters in their named_params() order. stages is the stage
+    list it was built from, which it fits with its layer lists then; layers
+    pairs each layer with the views it writes into; lowest indexes the
+    lowest layer with parameters."""
 
     def __init__(self, stages: list[Stage]):
-        paths = [(f"{s.name}/{li}", layer) for s in stages
+        self.stages = tuple(stages)
+        paths = [(f"{s.name}/{li}", layer) for s in self.stages
                  for li, layer in enumerate(s.layers)]
         self.vector = np.empty(param_count(stages), dtype=DTYPE)
-        self.layout, self.layers, at = {}, [], 0
+        self.layers, at = [], 0
         for path, layer in paths:
             views = {}
             for p, a in layer.named_params():
-                self.layout[f"{path}/{p}"] = slice(at, at + a.size)
                 views[p] = self.vector[at:at + a.size].reshape(a.shape)
                 at += a.size
             self.layers.append((layer, views))
@@ -538,16 +535,15 @@ def backward(stages: list[Stage], cache: ForwardCache,
     if not isinstance(cache, ForwardCache):
         raise ValueError("backward called without a forward cache; run forward first")
     grads = Gradients(stages) if out is None else out
-    layer_caches = [c for caches in cache.stage_caches for c in caches]
-    if len(cache.stage_caches) != len(stages) or len(layer_caches) != len(grads.layers):
+    if len(cache.layer_caches) != len(grads.layers):
         raise ValueError("cache does not match this stage list")
     d = cache.dlogits
     for i in reversed(range(grads.lowest, len(grads.layers))):
         layer, views = grads.layers[i]
         if i == grads.lowest:
-            layer.param_grads(d, layer_caches[i], views)
+            layer.param_grads(d, cache.layer_caches[i], views)
         else:
-            d, _ = layer.backward(d, layer_caches[i], views)
+            d, _ = layer.backward(d, cache.layer_caches[i], views)
     if not _all_finite(grads.vector):
         name = next(n for n, g in grads.items() if not np.isfinite(g).all())
         raise ValueError(f"non-finite values produced in gradient of {name}")
@@ -569,8 +565,8 @@ def grad_check(stages: list[Stage], batch: np.ndarray, labels,
     relative error max |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
     Only intended for models with at most 10^4 parameters.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     total = param_count(stages)
     if total > MAX_GRAD_CHECK_PARAMS:
         raise ValueError(f"model has {total} parameters; grad_check supports "

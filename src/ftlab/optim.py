@@ -134,16 +134,16 @@ def _runs(model: StagedModel, schedule: MultiplierSchedule, grads: Gradients,
           velocity: np.ndarray) -> list[tuple]:
     """(velocity view, gradient view, parameter view, multiplier) of each run:
     a maximal group of adjacent stages with one non-zero multiplier. Rejects
-    a schedule that does not cover the stages, and gradients that are not
-    laid out like the model's parameters from a stage on or leave out a run."""
+    a schedule that does not cover the stages, and gradients that leave out
+    a run or were not built from the model's own stages from one on."""
     schedule.check_covers(model.stage_names)
-    starts = model.arch.stage_starts
-    offset = starts[-1] - grads.vector.size
-    if offset not in starts or grads.layout != {
-            name: slice(p.start - offset, p.stop - offset)
-            for name, p in model.slices.items() if p.start >= offset}:
+    first = len(model.stages) - len(grads.stages)
+    if first < 0 or any(a is not b for a, b in zip(grads.stages,
+                                                   model.stages[first:])):
         raise ValueError("gradients are not laid out like the model's "
                          "parameters from a stage on")
+    starts = model.arch.stage_starts
+    offset = starts[first]
     runs: list[list] = []
     for name, start, stop in zip(model.stage_names, starts, starts[1:]):
         m = schedule.stage_multipliers[name]
@@ -216,14 +216,14 @@ def evaluate(model: StagedModel, dataset: LabeledDataset) -> float:
 
 def prefix_key(model: StagedModel, schedule: MultiplierSchedule) -> tuple:
     """All that the frozen prefix of model under schedule depends on, besides
-    the data: the model architecture's prefix id at the frozen depth, a
-    string naming the frozen stages' specs, which also fix the layout of
-    their parameters, and the input shape; and a sha256 of the frozen
-    stages' slice of the parameter vector."""
+    the data: the architecture's digest, which fixes the input shape and
+    every stage's layers and parameter shapes but the head's size; the
+    frozen depth; and a sha256 of the frozen stages' slice of the parameter
+    vector, which covers the head's size too when the head is frozen."""
     schedule.check_covers(model.stage_names)
     depth = lowest_trainable_stage(model.stage_names, schedule)
     arch = model.arch
-    return (arch.prefix_ids[depth],
+    return (arch.digest, depth,
             hashlib.sha256(model.params[:arch.stage_starts[depth]]).hexdigest())
 
 

@@ -922,6 +922,21 @@ class TestSweep:
         assert "failed job" not in err
         assert not out.exists()
 
+    def test_last_layer_rate_of_1e308_exits_1_with_one_error_line(
+            self, tmp_path, data_root, source_run, capsys):
+        # the grid's inner rates stop at 1e308; the head's multiplier,
+        # 1e308 over base_lr 0.01, overflows to inf
+        cfg = self.grid_cfg(data_root, source_run)
+        cfg["grid"] = {"ll_values": [1e308]}
+        config = write_config(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert main(["sweep", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == ["error: sweep: stage 'fc' multiplier must "
+                                    "be >= 0 and finite, got inf"]
+        assert not out.exists()
+
     def test_grid_and_graduated_both_given_rejected(self, tmp_path, data_root,
                                                     source_run):
         cfg = self.grid_cfg(data_root, source_run)
@@ -1049,6 +1064,32 @@ class TestGradCheckCommand:
 
     def test_epsilon_flag(self, capsys):
         assert main(["grad-check", "--epsilon", "1e-5"]) == 0
+
+    @staticmethod
+    def refused(argv, out, capsys) -> list:
+        """The stderr lines of a grad-check run that must exit 1, print no
+        traceback and write nothing."""
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+        return captured.err.splitlines()
+
+    @pytest.mark.parametrize("epsilon", ["0", "-1", "nan", "inf"])
+    def test_epsilon_out_of_range_exits_1_with_one_error_line(
+            self, tmp_path, capsys, epsilon):
+        lines = self.refused(["grad-check", f"--epsilon={epsilon}"],
+                             tmp_path / "o", capsys)
+        assert lines == [f"error: grad-check: epsilon must be positive and "
+                         f"finite, got {float(epsilon)}"]
+
+    def test_net_too_large_to_check_exits_1_with_one_error_line(
+            self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json",
+                              {"model": {"widths": [32, 32, 32, 32, 32]}})
+        lines = self.refused(["grad-check", config], tmp_path / "o", capsys)
+        assert lines == ["error: grad-check: model has 37411 parameters; "
+                         "grad_check supports at most 10000"]
 
     def test_failed_check_exits_1_and_reports_it(self, tmp_path, capsys):
         # differences over a step of 0.5 cross kinks and curvature alike

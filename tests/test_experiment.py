@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +174,12 @@ class TestGridSpec:
         for min_il in (math.inf, math.nan):
             with pytest.raises(ValueError, match="min_il"):
                 GridSpec((0.1,), min_il)
+
+    @pytest.mark.parametrize("ll", [1e308, sys.float_info.max])
+    def test_ladder_ends_at_the_largest_power_of_10(self, ll):
+        # 10.0 ** 309 overflowed; the ladder stops at 1e308 instead
+        values = GridSpec((ll,), 1e300).il_values(ll)
+        assert values == (0.0,) + tuple(10.0 ** k for k in range(300, 309))
 
 
 class TestGraduatedSchedule:

@@ -765,3 +765,31 @@ class TestArchitectureRecord:
             save_checkpoint(obj, want)
             save_checkpoint(copy, got)
             assert got.read_bytes() == want.read_bytes()
+
+    def test_unset_head_size_is_kept_through_load_and_save(self, tmp_path):
+        # the digest masks the head's size, so a file may leave it unset; its
+        # arch is written back as read, not as the head size resizes it
+        meta = one_conv_metadata(3)
+        meta["arch"][-1]["layers"][0]["out_features"] = None
+        rng = np.random.default_rng(0)
+        tensors = {name: rng.uniform(-1, 1, shape).astype(np.float32)
+                   for name, shape in (("conv1/0/w", (2, 1, 3, 3)),
+                                       ("conv1/0/b", (2,)),
+                                       ("fc/0/w", (2, 3)), ("fc/0/b", (3,)))}
+        blob = json.dumps(meta).encode()
+        path = tmp_path / "unset.ftlb"
+        path.write_bytes(b"FTLB" + struct.pack("<II", 1, len(blob)) + blob
+                         + struct.pack("<I", len(tensors))
+                         + b"".join(binio.named_tensors(tensors)))
+        saved, again = tmp_path / "saved.ftlb", tmp_path / "again.ftlb"
+        save_checkpoint(load_checkpoint(path), saved)
+        reloaded = load_checkpoint(saved)
+        assert reloaded.metadata["arch"] == meta["arch"]
+        save_checkpoint(reloaded, again)
+        assert again.read_bytes() == saved.read_bytes()
+        target = transfer_init(reloaded, 4, head_seed=1)
+        got = dict(target.named_parameters())
+        assert got["fc/0/w"].shape == (2, 4)
+        for name in ("conv1/0/w", "conv1/0/b"):
+            assert got[name].tobytes() == (tensors[name].astype(np.float64)
+                                           .tobytes())

@@ -234,6 +234,27 @@ class TestSgdStep:
                                                  "like the model's parameters"):
                 sgd_step(m, grads, state, schedule, policy, 0)
 
+    def test_gradients_fit_a_model_by_its_own_stages(self):
+        # the gradients of the model's stages from any one on are accepted;
+        # a clone's stages have the same layout but are other objects
+        m = conv_model()
+        policy = LrPolicy(0.1, 10, 100)
+        for d in range(len(m.stages) + 1):
+            schedule = MultiplierSchedule({name: float(i >= d) for i, name
+                                           in enumerate(m.stage_names)})
+            grads = Gradients(m.stages[d:])
+            grads.vector[...] = 1.0
+            before = m.params.copy()
+            sgd_step(m, grads, SgdState.for_model(m), schedule, policy, 0)
+            changed = m.params != before
+            start = m.arch.stage_starts[d]
+            assert changed[start:].all() and not changed[:start].any(), d
+        grads = filled_gradients(m.clone(), 1.0)
+        with pytest.raises(ValueError, match="gradients are not laid out "
+                                             "like the model's parameters"):
+            sgd_step(m, grads, SgdState.for_model(m),
+                     MultiplierSchedule(ALL_LIVE), policy, 0)
+
     def test_missing_gradient_of_a_trainable_stage_rejected(self):
         m = dense_model()
         policy = LrPolicy(0.1, 10, 100)
