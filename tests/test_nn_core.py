@@ -480,39 +480,47 @@ class TestConv2d:
     central differences are exact up to roundoff and give dW, db and dX.
     """
 
+    # the default net's 2x2 and 4x4 maps, a non-square 2x4 and an odd 5x7
+    @pytest.mark.parametrize("hw", [(5, 7), (2, 2), (4, 4), (2, 4)],
+                             ids=lambda hw: "x".join(map(str, hw)))
     @pytest.mark.parametrize("batch", [1, 256])
     @pytest.mark.parametrize("k", [1, 3, 5])
-    def test_matches_naive_reference(self, k, batch):
+    def test_matches_naive_reference(self, k, batch, hw):
         rng = np.random.default_rng(10 * k + batch)
-        x = rng.uniform(-1, 1, size=(batch, 2, 5, 7))
+        x = rng.uniform(-1, 1, size=(batch, 2) + hw)
         w = rng.uniform(-1, 1, size=(3, 2, k, k))
         b = rng.uniform(-1, 1, size=3)
-        r = rng.uniform(-1, 1, size=(batch, 3, 5, 7))
+        r = rng.uniform(-1, 1, size=(batch, 3) + hw)
         layer = Conv2d(w, b)
         y, cache = layer.forward(x)
         assert y.shape == r.shape
         assert np.allclose(y, naive_conv2d(x, w, b), rtol=1e-12, atol=1e-12)
         dx, grads = layer.backward(r, cache, grad_views(layer))
 
-        def central(arr, idx, eps=1e-3):
+        def central(xs, rs, arr, idx, eps=1e-3):
+            """The central difference in arr[idx] of the loss on xs and rs."""
             orig = arr[idx]
             arr[idx] = orig + eps
-            lp = float((naive_conv2d(x, w, b) * r).sum())
+            lp = float((naive_conv2d(xs, w, b) * rs).sum())
             arr[idx] = orig - eps
-            lm = float((naive_conv2d(x, w, b) * r).sum())
+            lm = float((naive_conv2d(xs, w, b) * rs).sum())
             arr[idx] = orig
             return (lp - lm) / (2 * eps)
 
         for arr, g in ((w, grads["w"]), (b, grads["b"])):
             assert g.shape == arr.shape
             for idx in np.ndindex(arr.shape):
-                assert g[idx] == pytest.approx(central(arr, idx), rel=1e-7, abs=1e-7)
+                assert g[idx] == pytest.approx(central(x, r, arr, idx),
+                                               rel=1e-7, abs=1e-7)
         assert dx.shape == x.shape
-        # every pixel of the first and last example: corners, edges, interior
-        for idx in np.ndindex(x.shape[1:]):
-            for ex in {0, batch - 1}:
-                full = (ex,) + idx
-                assert dx[full] == pytest.approx(central(x, full), rel=1e-7, abs=1e-7)
+        # every pixel of the first and last example: corners, edges, interior.
+        # A pixel of example ex moves only that example's output, so the
+        # differences run on it alone: xs is a view, perturbed with x.
+        for ex in {0, batch - 1}:
+            xs, rs = x[ex:ex + 1], r[ex:ex + 1]
+            for idx in np.ndindex(x.shape[1:]):
+                assert dx[(ex,) + idx] == pytest.approx(
+                    central(xs, rs, xs, (0,) + idx), rel=1e-7, abs=1e-7)
 
 
 class TestConvKernel:
@@ -696,6 +704,78 @@ class TestConvPlan:
         copy = pickle.loads(pickle.dumps(layer))
         assert copy.forward(np.ones((2, 1, 5, 5)))[0].tobytes() == \
             layer.forward(np.ones((2, 1, 5, 5)))[0].tobytes()
+
+
+def laid_out(rng, shape, layout):
+    """An (n, c, h, w) array of uniform values, a third of them swapped for
+    -0.0 or 0.0, laid out C-ordered, channel-major or as a slice of a larger
+    array, offset on every axis and taking every other column."""
+    n, c, h, w = shape
+    big = {"C": shape, "channel-major": (c, n, h, w),
+           "sliced": (n + 1, c + 1, h + 2, 2 * w)}[layout]
+    a = rng.uniform(-1, 1, big)
+    zeros = rng.random(big) < 1 / 3
+    a[zeros] = rng.choice([-0.0, 0.0], zeros.sum())
+    if layout == "channel-major":
+        return a.transpose(1, 0, 2, 3)
+    return a[1:, 1:, 1:-1, ::2] if layout == "sliced" else a
+
+
+def padded_windows(a, k):
+    """A plain copy of _windows over a zero-padded copy of a."""
+    p = k // 2
+    n, c, h, w = a.shape
+    ap = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    ap[:, :, p:p + h, p:p + w] = a
+    return nn_core._windows(ap, k).copy()
+
+
+class TestColumnFill:
+    """Every column matrix a plan fills, copying whole window rows, is a
+    bitwise copy of the padded tensor's windows, whatever x's and dy's
+    layout."""
+
+    # chunks * step + extra images: a few, exactly one chunk, or one image
+    # (or up to 8) into the next chunk; sides of at most 4 drawn more often
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(h=st.integers(1, 4) | st.integers(1, 8),
+           w=st.integers(1, 4) | st.integers(1, 8), k=st.sampled_from([1, 3, 5]),
+           c=st.integers(1, 4), f=st.integers(1, 3),
+           chunks=st.integers(0, 2), extra=st.integers(0, 8),
+           seed=st.integers(0, 2**32 - 1),
+           x_layout=st.sampled_from(["C", "channel-major", "sliced"]),
+           dy_layout=st.sampled_from(["C", "channel-major", "sliced"]))
+    def test_matrices_copy_the_windows(self, h, w, k, c, f, chunks, extra,
+                                       seed, x_layout, dy_layout):
+        step = max(1, nn_core._FORWARD_CHUNK_BYTES // (c * k * k * h * w * 8))
+        n = max(1, chunks * step + extra)
+        rng = np.random.default_rng(seed)
+        x = laid_out(rng, (n, c, h, w), x_layout)
+        dy = laid_out(rng, (n, f, h, w), dy_layout)
+        plan = nn_core._ConvPlan(x.shape, k)
+        assert plan.step == step and len(plan.chunks) == -(-n // step)
+        want = padded_windows(x, k)
+        # other data first, so nothing a fill leaves behind can pass
+        for a in (rng.uniform(-1, 1, x.shape), x):
+            plan.x[...] = a
+            for i, cols in zip(range(0, n, step), plan.chunks):
+                got = cols.fill()
+                assert got.shape == (c * k * k, min(step, n - i) * h * w)
+                if a is x:
+                    assert got.tobytes() == want[:, :, :, i:i + step].tobytes()
+        plan.dy_columns(rng.uniform(-1, 1, dy.shape))
+        got = plan.dy_columns(dy)
+        assert got.shape == (f * k * k, n * h * w)
+        assert got.tobytes() == padded_windows(dy, k).tobytes()
+
+    def test_chunks_share_one_column_buffer(self):
+        # 8 channels, k = 3 at 2x2: 227 images a chunk, so batch 500 takes 3
+        plan = nn_core._ConvPlan((500, 8, 2, 2), 3)
+        assert plan.windows.base is plan.xp and not plan.windows.flags.writeable
+        assert len(plan.chunks) == 3
+        buf = plan.chunks[0].matrix.base
+        assert buf.size == plan.chunks[0].matrix.size
+        assert all(cols.matrix.base is buf for cols in plan.chunks)
 
 
 def spy_on_backward(monkeypatch, stages):
