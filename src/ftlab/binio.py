@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Mapping
 
 import numpy as np
 
@@ -91,27 +90,6 @@ def named_tensor_header(name: str, shape: tuple) -> bytes:
     if len(encoded) > 0xFFFF:
         raise FormatError(f"tensor name too long: {len(encoded)} bytes")
     return struct.pack("<H", len(encoded)) + encoded + _payload_header(shape)
-
-
-def named_tensors(tensors: Mapping[str, np.ndarray],
-                  headers: Mapping[str, tuple] | None = None) -> list:
-    """The named tensors in order, as buffers to join: each one's
-    named_tensor_header, then its data as finite_float32 gives it. headers
-    maps a name to a (shape, header) pair made before, which is used when the
-    array has that shape. One check covers every value: FormatError unless
-    all are finite as float32."""
-    with np.errstate(over="ignore"):     # the check below reports it
-        arrays = [np.ascontiguousarray(a, dtype=np.float32)
-                  for a in tensors.values()]
-    if arrays and not np.isfinite(np.concatenate([a.ravel() for a in arrays])).all():
-        raise FormatError("tensor data is not finite as float32")
-    parts = []
-    for name, arr in zip(tensors, arrays):
-        shape, header = (headers or {}).get(name, (None, b""))
-        if shape != arr.shape:
-            header = named_tensor_header(name, arr.shape)
-        parts += (header, arr)
-    return parts
 
 
 def read_named_tensor(r: Reader, what: str = "tensor") -> tuple[str, np.ndarray]:

@@ -15,6 +15,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, fields, replace
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -253,7 +254,7 @@ class Architecture:
     builds one per call, and a checkpoint header one per head size it is
     read at (CheckpointHeader.architecture); the models built on it hold
     it, and so do their clones and checkpoints. So the jobs of one source
-    neither walk nor hash the spec again. It holds:
+    neither decode, walk, hash nor encode the spec again. It holds:
 
     - spec, with the head resized to num_labels, its layer_shapes() layout,
       and stage_names;
@@ -261,7 +262,8 @@ class Architecture:
       named_parameters() order, which is also the checkpoint's tensor order,
       and tensor_headers, each parameter's shape and the bytes a checkpoint
       writes before its data (binio.named_tensor_header);
-    - digest: the one given, else arch_digest() of spec;
+    - digest: the one given (a transfer target's is its source's), else
+      arch_digest() of spec;
     - stage_starts[d], where stage d's parameters start (the last entry is
       size, the parameter count);
     - builders, what StagedModel builds each layer of layout from.
@@ -310,6 +312,7 @@ class StagedModel:
     The layers are built from arch.builders. Each parameter is a view of
     params, one float64 vector laid out as arch.slices says, in
     named_parameters() order, so each stage is one contiguous slice of it.
+    The builder draws into it, and writing a layer's weights writes it.
     """
 
     def __init__(self, arch: Architecture, params: np.ndarray, seed: int,
@@ -450,12 +453,24 @@ _HEADER_FIELDS = tuple(f.name for f in fields(CheckpointHeader))
 
 @dataclass
 class Checkpoint:
-    """Float32 tensors in file order, the header, and extra: the free-form
-    metadata fields, such as domain."""
+    """params, the header's six required fields, and extra, the free-form
+    metadata fields, such as domain. params is one float32 vector laid out
+    as header.architecture() lays out a model's (arch.slices, file order).
+    load_checkpoint checks the header and every tensor once, so its readers
+    copy slices of params unchecked, and an edit in place reaches them."""
 
-    tensors: dict[str, np.ndarray]
+    params: np.ndarray
     header: CheckpointHeader
     extra: dict = field(default_factory=dict)
+
+    @property
+    def tensors(self) -> MappingProxyType:
+        """A read-only map of each tensor name, in file order, to its view of
+        params, shaped as the architecture gives it."""
+        arch = self.header.architecture()
+        return MappingProxyType({
+            name: self.params[s].reshape(arch.tensor_headers[name][0])
+            for name, s in arch.slices.items()})
 
     @property
     def stage_names(self) -> tuple[str, ...]:
@@ -480,8 +495,9 @@ class Checkpoint:
 def checkpoint_from_model(model: StagedModel,
                           extra_metadata: dict | None = None) -> Checkpoint:
     """The model's checkpoint; extra_metadata adds free-form fields, and may
-    not replace a field that the model gives. Its tensors are views of one
-    float32 copy of model.params."""
+    not replace a field that the model gives. Its params are one float32
+    copy of model.params; a ValueError names the first parameter that is
+    not finite as float32."""
     extra = extra_metadata or {}
     derived = sorted(extra.keys() & set(_HEADER_FIELDS))
     if derived:
@@ -499,33 +515,36 @@ def checkpoint_from_model(model: StagedModel,
                               model.trained_iterations, arch.num_labels,
                               model.seed)
     header._architectures[type(arch.num_labels), arch.num_labels] = arch
-    tensors = {name: image[s].reshape(arch.tensor_headers[name][0])
-               for name, s in arch.slices.items()}
-    return Checkpoint(tensors, header, dict(extra))
+    return Checkpoint(image, header, dict(extra))
 
 
 def save_checkpoint(model_or_ckpt, path) -> None:
     """Write a checkpoint file (magic FTLB, version, metadata, tensors).
 
-    The header's architecture gives the record header of each tensor that
-    has its expected name and shape. The file's bytes are built before it
-    is opened, so a tensor the format refuses (not finite as float32, say)
-    leaves no file."""
+    Each tensor is the header's architecture's record header for it, then
+    its slice of params, in architecture order. The file's bytes are built
+    before it is opened, so params the format refuses (not finite as
+    float32, say) leave no file."""
     ckpt = (model_or_ckpt if isinstance(model_or_ckpt, Checkpoint)
             else checkpoint_from_model(model_or_ckpt))
+    arch = ckpt.header.architecture()
+    params = binio.finite_float32(ckpt.params).reshape(arch.size)
     meta = _json(ckpt._block()).encode("utf-8")
-    blob = b"".join([CHECKPOINT_MAGIC,
-                     struct.pack("<II", CHECKPOINT_VERSION, len(meta)), meta,
-                     struct.pack("<I", len(ckpt.tensors)),
-                     *binio.named_tensors(ckpt.tensors,
-                                          ckpt.header.architecture()
-                                          .tensor_headers)])
+    parts = [CHECKPOINT_MAGIC,
+             struct.pack("<II", CHECKPOINT_VERSION, len(meta)), meta,
+             struct.pack("<I", len(arch.slices))]
+    for name, s in arch.slices.items():
+        parts += (arch.tensor_headers[name][1], params[s])
+    blob = b"".join(parts)
     with open(path, "wb") as out:
         out.write(blob)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and validate a checkpoint file, its digest included."""
+    """Read and validate a checkpoint file: the whole stream, then the
+    header, its digest included, then each tensor, placed into params by
+    name. Tensors may come in any order, but each must fit the header's
+    architecture: a known name, the expected shape, exactly once."""
     with open(path, "rb") as f:
         r = binio.Reader(f.read())
     try:
@@ -542,19 +561,30 @@ def load_checkpoint(path) -> Checkpoint:
         except (ValueError, RecursionError) as e:
             raise CheckpointError(f"corrupt metadata block: {e}") from None
         (count,) = r.unpack("<I", "tensor count")
-        tensors: dict[str, np.ndarray] = {}
-        for i in range(count):
-            name, arr = binio.read_named_tensor(r, f"tensor {i + 1}/{count}")
-            if name in tensors:
-                raise CheckpointError(f"tensor {i + 1}/{count}: name "
-                                      f"{name!r} repeats")
-            tensors[name] = arr
+        records = [binio.read_named_tensor(r, f"tensor {i + 1}/{count}")
+                   for i in range(count)]
         r.end("the last tensor")
     except binio.FormatError as e:
         raise CheckpointError(str(e)) from None
     header = _read_header(meta)
-    return Checkpoint(tensors, header, {k: v for k, v in meta.items()
-                                        if k not in _HEADER_FIELDS})
+    arch = header.architecture()
+    params = np.empty(arch.size, np.float32)
+    left = dict(arch.slices)            # the slices no tensor has filled yet
+    for i, (name, arr) in enumerate(records):
+        if name not in left:
+            raise CheckpointError(
+                f"tensor {i + 1}/{count}: name {name!r} repeats"
+                if name in arch.slices else
+                f"checkpoint has unexpected tensor {name!r}")
+        shape = arch.tensor_headers[name][0]
+        if arr.shape != shape:
+            raise CheckpointError(f"tensor {name!r} has shape {arr.shape}, "
+                                  f"model expects {shape}")
+        params[left.pop(name)] = arr.reshape(-1)
+    if left:
+        raise CheckpointError(f"checkpoint missing tensor {next(iter(left))!r}")
+    return Checkpoint(params, header, {k: v for k, v in meta.items()
+                                       if k not in _HEADER_FIELDS})
 
 
 def _read_header(meta) -> CheckpointHeader:
@@ -584,34 +614,11 @@ def _read_header(meta) -> CheckpointHeader:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> StagedModel:
-    """Rebuild the saved model, restoring all parameters."""
+    """Rebuild the saved model, restoring all parameters bit-identically."""
     h = ckpt.header
-    arch = h.architecture()
     _check_head(h.arch, h.num_labels)       # a header built by hand may differ
-    model = StagedModel(arch, np.empty(arch.size), h.seed, h.iterations)
-    _assign_tensors(arch, model.params, ckpt.tensors, skip_head=False)
-    return model
-
-
-def _assign_tensors(arch: Architecture, params: np.ndarray, tensors: dict,
-                    skip_head: bool) -> None:
-    """Copy tensors into params, laid out as arch lays them out, skipping
-    the head's if skip_head; each is checked against arch first."""
-    skip = tuple(arch.slices)[-2:] if skip_head else ()   # the head's w, b
-    for name in arch.slices:
-        if name not in tensors and name not in skip:
-            raise CheckpointError(f"checkpoint missing tensor {name!r}")
-    for name, arr in tensors.items():
-        if name not in arch.slices:
-            raise CheckpointError(f"checkpoint has unexpected tensor {name!r}")
-        if name in skip:
-            continue
-        shape = arch.tensor_headers[name][0]
-        if tuple(arr.shape) != shape:
-            raise CheckpointError(f"tensor {name!r} has shape {arr.shape}, "
-                                  f"model expects {shape}")
-        # float32 -> float64 is exact, so saved weights survive bit-identically
-        params[arch.slices[name]] = arr.reshape(-1)
+    return StagedModel(h.architecture(), ckpt.params.astype(np.float64),
+                       h.seed, h.iterations)
 
 
 def transfer_init(source: Checkpoint, target_num_labels: int,
@@ -621,16 +628,17 @@ def transfer_init(source: Checkpoint, target_num_labels: int,
     The target model is built on source.header.architecture(
     target_num_labels), shared by every target of the source at that head
     size: the source architecture, and so its digest, except for the head
-    output size. The inner tensors are read and checked at each call. Both
-    head weight and bias are re-initialized from head_seed, with the bytes
-    that build_staged_network(..., head_seed) gives the head: the generator
-    skips the draws of the inner parameters, one 64-bit step each.
+    output size. The inner stages are one copy of the leading slice of
+    source.params. Both head weight and bias are re-initialized from
+    head_seed, with the bytes that build_staged_network(..., head_seed)
+    gives the head: the generator skips the draws of the inner
+    parameters, one 64-bit step each.
     """
     arch = source.header.architecture(target_num_labels)
     inner = arch.stage_starts[-2]              # the head stage's start
     rng = np.random.default_rng(head_seed)
     rng.bit_generator.advance(inner)
     params = np.empty(arch.size)
+    params[:inner] = source.params[:inner]
     params[inner:] = _draws(arch.layout[-1:], rng)   # the last layer is the head
-    _assign_tensors(arch, params, source.tensors, skip_head=True)
     return StagedModel(arch, params, head_seed)

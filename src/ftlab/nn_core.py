@@ -235,17 +235,16 @@ class Conv2d:
         # full correlation of dy with the flipped kernel
         w = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(-1, f * k * k)
         dx = w @ plan.dy_columns(dy)
-        return (dx.reshape(-1, n, h, wd).transpose(1, 0, 2, 3),
+        return (dx.reshape(self.w.shape[1], n, h, wd).transpose(1, 0, 2, 3),
                 self.param_grads(dy, cache, out))
 
     def param_grads(self, dy, cache, out):
         """The parameter half of backward: no input gradient."""
         plan = self._live_plan(dy, cache)
-        k = self.kernel_size
-        f = dy.shape[1]
+        f, c, k, _ = self.w.shape
         # forward's column matrix if the batch was one chunk, else a copy
         cols = (plan.chunks[0].matrix if len(plan.chunks) == 1
-                else plan.windows.reshape(plan.chunks[0].matrix.shape[0], -1))
+                else plan.windows.reshape(c * k * k, -1))
         dw = cols @ dy.transpose(0, 2, 3, 1).reshape(-1, f)
         out["w"][...] = dw.reshape(-1, k, k, f).transpose(3, 0, 1, 2)
         np.add.reduce(dy, axis=(0, 2, 3), out=out["b"])

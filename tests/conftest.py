@@ -46,6 +46,13 @@ def write_broken_dataset(directory, case: str) -> None:
     (directory / "manifest.tsv").write_bytes(b"".join(lines))
 
 
+def tensor_records(items) -> bytes:
+    """(name, array) pairs as a checkpoint's tensor records, in order: each
+    one's named_tensor_header, then its data as little-endian float32."""
+    return b"".join(binio.named_tensor_header(name, np.shape(arr))
+                    + np.asarray(arr, "<f4").tobytes() for name, arr in items)
+
+
 def die_in_worker(monkeypatch, job_name: str, checkpoint_dir=None,
                   others: int = 0) -> None:
     """Make the job named job_name end its worker process with os._exit(3).

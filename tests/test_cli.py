@@ -12,9 +12,9 @@ from dataclasses import replace
 import pytest
 
 from conftest import (BROKEN_DATASET_CASES, FAST_POLICY, TINY_MODEL,
-                      die_in_worker, one_conv_metadata, write_broken_dataset,
-                      write_config)
-from ftlab import binio, cli, experiment
+                      die_in_worker, one_conv_metadata, tensor_records,
+                      write_broken_dataset, write_config)
+from ftlab import cli, experiment
 from ftlab.cli import ConfigError, ModelConfig, RunConfig, load_config, main
 from ftlab.codec import decode, encode
 from ftlab.data import (SyntheticDomainSpec, gen_synthetic_domain,
@@ -33,20 +33,36 @@ def crafted_checkpoint(meta: bytes, tensors: bytes = b"", count: int = 0) -> byt
             + struct.pack("<I", count) + tensors)
 
 
-def tiny_checkpoint(edit=lambda meta: None, repeat: int = 0) -> bytes:
+def tiny_checkpoint(edit=lambda meta: None, records=lambda items: items) -> bytes:
     """A whole checkpoint of the TINY_MODEL net, its metadata changed by edit
-    and its first `repeat` tensors written a second time at the end."""
+    and its (name, array) tensor records, in file order, replaced by
+    records(items)."""
     shape = tuple(TINY_MODEL["input_shape"])
     net = build_staged_network(mini_staged_spec(TINY_MODEL["widths"], shape),
                                shape, 3, seed=0)
     ckpt = checkpoint_from_model(net)
     meta = ckpt.metadata
     edit(meta)
-    items = list(ckpt.tensors.items())
-    items += items[:repeat]
-    tensors = b"".join(part for name, arr in items
-                       for part in binio.named_tensors({name: arr}))
-    return crafted_checkpoint(json.dumps(meta).encode(), tensors, len(items))
+    items = records(list(ckpt.tensors.items()))
+    return crafted_checkpoint(json.dumps(meta).encode(), tensor_records(items),
+                              len(items))
+
+
+# the header is sound, but the tensors do not fit its architecture
+MISFIT_CHECKPOINTS = {
+    "missing": (tiny_checkpoint(records=lambda items: [
+        (n, a) for n, a in items if n != "conv2/0/b"]),
+        "checkpoint missing tensor 'conv2/0/b'"),
+    "unexpected": (tiny_checkpoint(records=lambda items: [
+        ("conv2/0/c" if n == "conv2/0/b" else n, a) for n, a in items]),
+        "checkpoint has unexpected tensor 'conv2/0/c'"),
+    "misshapen": (tiny_checkpoint(records=lambda items: [
+        (n, a[..., :2] if n == "conv1/0/w" else a) for n, a in items]),
+        "tensor 'conv1/0/w' has shape (2, 1, 3, 2), model expects "
+        "(2, 1, 3, 3)"),
+    "repeated": (tiny_checkpoint(records=lambda items: items + items[:1]),
+                 "tensor 7/7: name 'conv1/0/w' repeats"),
+}
 
 
 # each one escaped load_checkpoint as a bare Python exception before
@@ -80,7 +96,7 @@ MALFORMED_CHECKPOINTS = {
     # the two below loaded: the bytes after the last tensor were ignored, and
     # the second tensor of one name silently replaced the first
     "trailing_bytes": tiny_checkpoint() + b"\0" * 700,
-    "tensor_name_repeats": tiny_checkpoint(repeat=1),
+    "tensor_name_repeats": MISFIT_CHECKPOINTS["repeated"][0],
     # a NaN in the last tensor, the head's bias, which finetune re-initializes
     "nan_in_tensor": tiny_checkpoint()[:-4] + struct.pack("<f", float("nan")),
 }
@@ -855,6 +871,29 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "source checkpoint" in err and "digest" in err
         assert "failed job" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(MISFIT_CHECKPOINTS))
+    @pytest.mark.parametrize("run", ["finetune", "grid", "graduated"])
+    def test_misfit_source_tensors_exit_1_before_any_output(
+            self, tmp_path, data_root, source_run, capsys, run, case):
+        blob, message = MISFIT_CHECKPOINTS[case]
+        path = tmp_path / "misfit.ftlb"
+        path.write_bytes(blob)
+        command, cfg = {
+            "finetune": ("finetune", TestFinetune().finetune_cfg(
+                data_root, source_run, {"ll": 0.1})),
+            "grid": ("sweep", self.grid_cfg(data_root, source_run)),
+            "graduated": ("sweep", self.graduated_cfg(data_root, source_run)),
+        }[run]
+        cfg["source_checkpoint"] = str(path)
+        out = tmp_path / "o"
+        assert main([command, write_config(tmp_path / "c.json", cfg),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: source checkpoint: {message}"]
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAST_POLICY, TINY_MODEL
+from conftest import FAST_POLICY, TINY_MODEL, tensor_records
 from ftlab import binio
 from ftlab.cli import ConfigError, RunConfig, load_config
 from ftlab.codec import decode, encode
@@ -65,12 +65,8 @@ CHECKPOINT = checkpoint_from_model(build_staged_network(
     mini_staged_spec((2, 3), (1, 8, 8), residual=True), (1, 8, 8), 3, seed=0))
 
 
-def _tensor_bytes(tensors) -> bytes:
-    return b"".join([struct.pack("<I", len(tensors)),
-                     *binio.named_tensors(tensors)])
-
-
-TENSOR_BYTES = _tensor_bytes(CHECKPOINT.tensors)
+TENSOR_BYTES = (struct.pack("<I", len(CHECKPOINT.tensors))
+                + tensor_records(CHECKPOINT.tensors.items()))
 METADATA_BYTES = json.dumps(CHECKPOINT.metadata).encode()
 
 # magic, rank 3, dims (1, 2, 3), and six little-endian float32 values
@@ -171,7 +167,7 @@ def test_checkpoint_tensors_load_or_are_checkpoint_error(scratch, splice):
     path = scratch / "mutated.ftlb"
     path.write_bytes(b"FTLB" + struct.pack("<II", 1, len(METADATA_BYTES))
                      + METADATA_BYTES + _splice(TENSOR_BYTES, splice))
-    # both readers of the tensors: they are checked against the model there
+    # load_checkpoint checks the tensors once; both readers then take them
     for rebuild in (model_from_checkpoint,
                     lambda ckpt: transfer_init(ckpt, 4, head_seed=0)):
         try:

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import one_conv_metadata
+from conftest import one_conv_metadata, tensor_records
 from ftlab import binio, codec, model
 from ftlab.codec import decode
 from ftlab.data import LabeledDataset
@@ -25,11 +25,21 @@ def params_of(model):
     return {name: arr.copy() for name, arr in model.named_parameters()}
 
 
-def write_metadata_only(path, meta: dict) -> None:
-    """A tensor-free checkpoint file holding meta as its metadata."""
+def write_checkpoint_file(path, meta: dict, tensors=()) -> None:
+    """A checkpoint file holding meta as its metadata and tensors, (name,
+    array) pairs, as its tensor records in that order. Files with a header
+    error need no tensors: it is reported before any tensor is placed."""
     blob = json.dumps(meta).encode()
     path.write_bytes(b"FTLB" + struct.pack("<II", 1, len(blob)) + blob
-                     + struct.pack("<I", 0))
+                     + struct.pack("<I", len(tensors)) + tensor_records(tensors))
+
+
+def one_conv_tensors() -> list:
+    """Tensors that fit one_conv_metadata(3), in file order."""
+    rng = np.random.default_rng(0)
+    return [(name, rng.uniform(-1, 1, shape).astype(np.float32))
+            for name, shape in (("conv1/0/w", (2, 1, 3, 3)), ("conv1/0/b", (2,)),
+                                ("fc/0/w", (2, 3)), ("fc/0/b", (3,)))]
 
 
 def tiny_spec(residual=False):
@@ -251,7 +261,7 @@ class TestCheckpoint:
         ckpt = checkpoint_from_model(
             build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5))
         assert list(ckpt.tensors)[-1] == "fc/0/b"
-        ckpt.tensors["fc/0/b"] = np.array([0.0, np.nan, 0.0], dtype=np.float32)
+        ckpt.tensors["fc/0/b"][1] = np.nan
         path = tmp_path / "m.ftlb"
         with pytest.raises(binio.FormatError, match="not finite as float32"):
             save_checkpoint(ckpt, path)
@@ -292,14 +302,14 @@ class TestCheckpoint:
         meta = checkpoint_from_model(m).metadata
         meta[field] = value
         path = tmp_path / "m.ftlb"
-        write_metadata_only(path, meta)
+        write_checkpoint_file(path, meta)
         with pytest.raises(CheckpointError, match=field):
             load_checkpoint(path)
 
     def test_even_kernel_arch_rejected_although_digest_matches(self, tmp_path):
         odd, even = tmp_path / "odd.ftlb", tmp_path / "even.ftlb"
-        write_metadata_only(odd, one_conv_metadata(3))
-        write_metadata_only(even, one_conv_metadata(4))
+        write_checkpoint_file(odd, one_conv_metadata(3), one_conv_tensors())
+        write_checkpoint_file(even, one_conv_metadata(4))
         arch = load_checkpoint(odd).header.arch     # the digest formula holds
         assert arch_digest(arch, (1, 8, 8)) == one_conv_metadata(3)["digest"]
         with pytest.raises(CheckpointError, match="kernel size must be odd"):
@@ -312,7 +322,7 @@ class TestCheckpoint:
     def test_out_of_range_header_field_rejected_at_load(self, tmp_path, field,
                                                         value, message):
         path = tmp_path / "m.ftlb"
-        write_metadata_only(path, dict(one_conv_metadata(3), **{field: value}))
+        write_checkpoint_file(path, dict(one_conv_metadata(3), **{field: value}))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
@@ -362,12 +372,62 @@ class TestCheckpoint:
         meta = ckpt.metadata
         meta["arch"][-1]["layers"][0]["out_features"] = 7
         path = tmp_path / "m.ftlb"
-        write_metadata_only(path, meta)
+        write_checkpoint_file(path, meta)
         with pytest.raises(CheckpointError,
                            match="head outputs 7 but num_labels is 3"):
             load_checkpoint(path)
         # in memory, the model is built from the header, not the edited dict
         assert model_from_checkpoint(ckpt).num_labels == 3
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: [(n, a) for n, a in t if n != "conv2/0/b"],
+         "checkpoint missing tensor 'conv2/0/b'"),
+        (lambda t: t + [("extra", np.zeros(2, np.float32))],
+         "checkpoint has unexpected tensor 'extra'"),
+        (lambda t: [(n, a[..., :2] if n == "conv1/0/w" else a) for n, a in t],
+         r"tensor 'conv1/0/w' has shape \(2, 1, 3, 2\), model expects "
+         r"\(2, 1, 3, 3\)"),
+        (lambda t: [(n, a[:3] if n == "fc/0/b" else a) for n, a in t],
+         r"tensor 'fc/0/b' has shape \(3,\), model expects \(4,\)"),
+        (lambda t: t + t[2:3], "tensor 7/7: name 'conv2/0/w' repeats")])
+    def test_tensors_that_do_not_fit_the_header_rejected(self, tmp_path, edit,
+                                                         message):
+        ckpt = checkpoint_from_model(
+            build_staged_network(tiny_spec(), (1, 8, 8), 4, seed=7))
+        path = tmp_path / "m.ftlb"
+        write_checkpoint_file(path, ckpt.metadata,
+                              edit(list(ckpt.tensors.items())))
+        with pytest.raises(CheckpointError, match=f"^{message}$"):
+            load_checkpoint(path)
+
+    def test_tensors_in_any_order_load_to_the_same_params(self, tmp_path):
+        m = build_staged_network(tiny_spec(True), (1, 8, 8), 3, seed=2)
+        path, permuted, saved = (tmp_path / n for n in ("a.ftlb", "p.ftlb",
+                                                        "s.ftlb"))
+        save_checkpoint(m, path)
+        ckpt = load_checkpoint(path)
+        items = list(ckpt.tensors.items())
+        order = np.random.default_rng(0).permutation(len(items))
+        assert list(order) != sorted(order)
+        write_checkpoint_file(permuted, ckpt.metadata, [items[i] for i in order])
+        loaded = load_checkpoint(permuted)
+        assert loaded.params.dtype == np.float32
+        assert loaded.params.tobytes() == ckpt.params.tobytes()
+        # saved back in architecture order: the file save_checkpoint wrote
+        save_checkpoint(loaded, saved)
+        assert saved.read_bytes() == path.read_bytes()
+
+    def test_tensors_map_is_read_only(self):
+        ckpt = checkpoint_from_model(
+            build_staged_network(tiny_spec(), (1, 8, 8), 4, seed=7))
+        with pytest.raises(TypeError):
+            ckpt.tensors["conv2/0/b"] = np.zeros(3, np.float32)
+        with pytest.raises(TypeError):
+            del ckpt.tensors["conv2/0/b"]
+        # each tensor is a view of params, so an edit through it is kept
+        ckpt.tensors["conv2/0/b"][...] = 0.5
+        assert (ckpt.params[ckpt.header.architecture()
+                            .slices["conv2/0/b"]] == 0.5).all()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ftlb"
@@ -394,7 +454,7 @@ class TestDigest:
         meta = checkpoint_from_model(m).metadata
         meta["digest"] = "f" * 64
         path = tmp_path / "forged.ftlb"
-        write_metadata_only(path, meta)
+        write_checkpoint_file(path, meta)
         with pytest.raises(CheckpointError, match="digest"):
             load_checkpoint(path)
 
@@ -502,19 +562,6 @@ class TestTransferInit:
         assert (got.spec, got.layout, got.seed) == (want.spec, want.layout,
                                                      want.seed)
 
-    @pytest.mark.parametrize("edit, message", [
-        (lambda t: t.pop("conv2/0/b"), "checkpoint missing tensor 'conv2/0/b'"),
-        (lambda t: t.update(extra=np.zeros(2, np.float32)),
-         "checkpoint has unexpected tensor 'extra'"),
-        (lambda t: t.update({"conv1/0/w": np.zeros((2, 1, 3, 2), np.float32)}),
-         r"tensor 'conv1/0/w' has shape \(2, 1, 3, 2\), model expects "
-         r"\(2, 1, 3, 3\)")])
-    def test_tensors_checked_against_the_target(self, edit, message):
-        ckpt = checkpoint_from_model(
-            build_staged_network(tiny_spec(), (1, 8, 8), 4, seed=7))
-        edit(ckpt.tensors)
-        with pytest.raises(CheckpointError, match=f"^{message}$"):
-            transfer_init(ckpt, 3, head_seed=1)
 
 
 def test_mini_spec_pool_defaults_keep_spatial_dims_valid():
@@ -660,12 +707,13 @@ class TestArchitectureRecord:
         assert saved.read_bytes() == reference_checkpoint_bytes(
             load_checkpoint(saved))
 
-    def test_tensors_edited_in_place_reach_the_next_target(self):
+    def test_params_edited_in_place_reach_the_next_target(self):
         ckpt = checkpoint_from_model(
             build_staged_network(tiny_spec(), (1, 8, 8), 4, seed=7))
         first = transfer_init(ckpt, 3, head_seed=1)
-        ckpt.tensors["conv1/0/w"] += 1.0
-        ckpt.tensors["conv2/0/b"] = np.full(3, 0.5, np.float32)
+        slices = ckpt.header.architecture().slices
+        ckpt.params[slices["conv1/0/w"]] += 1.0
+        ckpt.params[slices["conv2/0/b"]] = 0.5
         second = transfer_init(ckpt, 3, head_seed=1)
         assert second.arch is first.arch
         got = dict(second.named_parameters())
@@ -709,8 +757,7 @@ class TestArchitectureRecord:
             build_staged_network(tiny_spec(residual), (1, 8, 8), 5, seed=1),
             {"domain": "src"})
         edited = checkpoint_from_model(built, {"z": [1, {"b": None}]})
-        edited.tensors["fc/0/b"] = np.zeros((1, labels), np.float32)
-        edited.tensors["extra"] = np.ones((2, 2), np.float64)
+        edited.tensors["fc/0/b"][...] = 0.0
         ckpts = {"built": checkpoint_from_model(built, {"domain": "d"}),
                  "transferred": checkpoint_from_model(
                      transfer_init(source, labels, head_seed=2)),
@@ -771,16 +818,9 @@ class TestArchitectureRecord:
         # arch is written back as read, not as the head size resizes it
         meta = one_conv_metadata(3)
         meta["arch"][-1]["layers"][0]["out_features"] = None
-        rng = np.random.default_rng(0)
-        tensors = {name: rng.uniform(-1, 1, shape).astype(np.float32)
-                   for name, shape in (("conv1/0/w", (2, 1, 3, 3)),
-                                       ("conv1/0/b", (2,)),
-                                       ("fc/0/w", (2, 3)), ("fc/0/b", (3,)))}
-        blob = json.dumps(meta).encode()
+        tensors = dict(one_conv_tensors())
         path = tmp_path / "unset.ftlb"
-        path.write_bytes(b"FTLB" + struct.pack("<II", 1, len(blob)) + blob
-                         + struct.pack("<I", len(tensors))
-                         + b"".join(binio.named_tensors(tensors)))
+        write_checkpoint_file(path, meta, list(tensors.items()))
         saved, again = tmp_path / "saved.ftlb", tmp_path / "again.ftlb"
         save_checkpoint(load_checkpoint(path), saved)
         reloaded = load_checkpoint(saved)

@@ -522,6 +522,19 @@ class TestConv2d:
                 assert dx[(ex,) + idx] == pytest.approx(
                     central(xs, rs, xs, (0,) + idx), rel=1e-7, abs=1e-7)
 
+    def test_empty_batch_has_zero_parameter_gradients(self):
+        rng = np.random.default_rng(3)
+        layer = Conv2d(rng.uniform(-1, 1, size=(5, 3, 3, 3)),
+                       rng.uniform(-1, 1, size=5))
+        y, cache = layer.forward(np.zeros((0, 3, 4, 4)))
+        assert y.shape == (0, 5, 4, 4)
+        dy = np.zeros(y.shape)
+        for grads in (layer.param_grads(dy, cache, grad_views(layer)),
+                      layer.backward(dy, cache, grad_views(layer))[1]):
+            assert not grads["w"].any() and not grads["b"].any()
+        dx, _ = layer.backward(dy, cache, grad_views(layer))
+        assert dx.shape == (0, 3, 4, 4)
+
 
 class TestConvKernel:
     """The column-matrix kernel against the earlier tensordot kernel, bitwise."""
