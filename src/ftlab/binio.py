@@ -102,11 +102,16 @@ def read_named_tensor(r: Reader, what: str = "tensor") -> tuple[str, np.ndarray]
     return name, read_tensor_payload(r, f"{what} '{name}'")
 
 
+def tensor_file_header(shape: tuple) -> bytes:
+    """The bytes of a tensor file before its data: magic, rank and dims."""
+    return TENSOR_FILE_MAGIC + _payload_header(shape)
+
+
 def save_tensor_file(path, array: np.ndarray) -> None:
     """Write a single unnamed tensor file (magic FTT0 + payload); an array
     the payload refuses leaves no file."""
     arr = finite_float32(array)
-    header = TENSOR_FILE_MAGIC + _payload_header(arr.shape)
+    header = tensor_file_header(arr.shape)
     with open(path, "wb") as f:
         f.write(header)
         f.write(arr)

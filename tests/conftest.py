@@ -11,6 +11,7 @@ import pytest
 
 from ftlab import binio, experiment
 from ftlab.cli import main
+from ftlab.data import MANIFEST_NAME, LabeledDataset, load_dataset
 
 
 def write_config(path, cfg: dict) -> str:
@@ -44,6 +45,64 @@ def write_broken_dataset(directory, case: str) -> None:
     elif case == "not_utf8":
         lines[1] = b"a/1.ftt\ta\xff\n"
     (directory / "manifest.tsv").write_bytes(b"".join(lines))
+
+
+def reference_load_dataset(directory) -> LabeledDataset:
+    """The per-file loader that load_dataset replaced, kept as its
+    reference: binio.load_tensor_file for each manifest line, then np.stack."""
+    manifest = os.path.join(directory, MANIFEST_NAME)
+    label_ids: dict[str, int] = {}
+    features, labels = [], []
+    with open(manifest, "rb") as f:
+        raw_lines = f.read().splitlines()
+    for lineno, raw in enumerate(raw_lines, 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{manifest}:{lineno}: "
+                             f"{raw.decode('utf-8', 'backslashreplace')}: "
+                             f"not valid UTF-8") from None
+        if not line:
+            continue
+        try:
+            rel, label_name = line.split("\t")
+        except ValueError:
+            raise ValueError(f"{manifest}:{lineno}: expected "
+                             f"'<path>\\t<label>'") from None
+        if label_name not in label_ids:
+            label_ids[label_name] = len(label_ids)
+        try:
+            arr = binio.load_tensor_file(os.path.join(directory, rel))
+        except (OSError, ValueError, binio.FormatError) as e:
+            raise ValueError(f"{manifest}:{lineno}: {rel}: {e}") from None
+        if features and arr.shape != features[0].shape:
+            raise ValueError(f"{manifest}:{lineno}: {rel}: mixed shapes: "
+                             f"{arr.shape}, the first example has "
+                             f"{features[0].shape}")
+        features.append(arr)
+        labels.append(label_ids[label_name])
+    if not features:
+        raise ValueError(f"{manifest} lists no examples")
+    return LabeledDataset(np.stack(features), np.array(labels),
+                          tuple(label_ids),
+                          os.path.basename(os.path.normpath(directory)))
+
+
+def load_as_reference_does(directory) -> str | None:
+    """Load directory with load_dataset and with reference_load_dataset, and
+    require the same dataset, byte for byte, or the same ValueError text.
+    Returns that text, or None when both loaded."""
+    def outcome(load):
+        try:
+            ds = load(directory)
+        except ValueError as e:
+            return type(e), str(e)
+        return (ds.features.dtype, ds.features.shape, ds.features.tobytes(),
+                ds.labels.tobytes(), ds.label_names, ds.domain_name)
+
+    got = outcome(load_dataset)
+    assert got == outcome(reference_load_dataset)
+    return got[1] if got[0] is ValueError else None
 
 
 def tensor_records(items) -> bytes:

@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import BROKEN_DATASET_CASES, write_broken_dataset
+from conftest import (BROKEN_DATASET_CASES, load_as_reference_does,
+                      write_broken_dataset)
 from ftlab import binio
 from ftlab.data import (LabeledDataset, SyntheticDomainSpec, domain_parameters,
                         gen_synthetic_domain, images_per_label, load_dataset,
@@ -365,3 +366,28 @@ class TestOnDiskFormat:
         with pytest.raises(ValueError, match=r"manifest\.tsv:2: ") as info:
             load_dataset(tmp_path / "ds")
         assert "a/1.ftt" in str(info.value)
+
+    @pytest.mark.parametrize("shapes, loads", [
+        ([(1, 4, 4)], True),
+        ([(5,)] * 4, True),
+        ([(2, 3, 4)] * 4, True),
+        ([(0, 4)] * 3, True),
+        ([(2, 2)] + [(3, 3)] * 3, False),
+        ([(0, 4)] + [(1, 4)] * 2, False),
+        ([(1, 4)] + [(0, 4)] * 2, False),
+    ], ids=["one_example", "rank_1", "rank_3", "zero_size",
+            "first_shape_differs", "zero_size_first", "zero_size_after"])
+    def test_edge_shapes_load_as_the_per_file_reference_does(self, tmp_path,
+                                                            shapes, loads):
+        rng = np.random.default_rng(0)
+        (tmp_path / "a").mkdir()
+        for i, shape in enumerate(shapes):
+            binio.save_tensor_file(tmp_path / "a" / f"{i}.ftt",
+                                   rng.normal(size=shape))
+        (tmp_path / "manifest.tsv").write_text(
+            "".join(f"a/{i}.ftt\t{'ab'[i % 2]}\n" for i in range(len(shapes))),
+            encoding="utf-8")
+        error = load_as_reference_does(tmp_path)
+        assert (error is None) == loads, error
+        if not loads:
+            assert "manifest.tsv:2: a/1.ftt: mixed shapes" in error

@@ -6,19 +6,25 @@ requires the reader to take it or to end in its own typed error (for the
 ledger: a skipped line; for a manifest: a ValueError naming the manifest),
 never in any other exception. The runs are derandomized, so they are the
 same on every run. One more test, with no random draws, cuts a tensor file
-and a checkpoint at every byte offset.
+and a checkpoint at every byte offset. Another writes whole dataset
+directories with one or two faults and requires load_dataset to do what
+the per-file reference loader does.
 """
 
 import json
+import os
 import re
+import shutil
 import struct
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FAST_POLICY, TINY_MODEL, tensor_records
+from conftest import (FAST_POLICY, TINY_MODEL, load_as_reference_does,
+                      tensor_records)
 from ftlab import binio
 from ftlab.cli import ConfigError, RunConfig, load_config
 from ftlab.codec import decode, encode
@@ -230,6 +236,114 @@ def test_manifest_loads_or_names_its_line(dataset, splice):
         assert type(e) is ValueError
         assert re.match(re.escape(str(manifest)) + "(:[0-9]+: | lists no)",
                         str(e)), str(e)
+
+
+# every way one example of a dataset directory can be broken; each one is
+# drawn with an example index and a number that picks a byte offset or a
+# bad rank, and a flag that picks the first value or the last
+DATASET_FAULTS = ("cut", "extra_byte", "bad_magic", "rank", "dims", "nan",
+                  "inf", "-inf", "missing", "directory", "nul_in_path",
+                  "mixed_shape", "not_utf8", "no_tab")
+
+# no tab, line break or NUL: bytes.splitlines breaks only at \n and \r
+LABEL_ALPHABET = "ab_ -\u00e9\u2603\U0001f33c"
+
+
+@st.composite
+def faulty_datasets(draw):
+    """(shape, values, label names, indices of examples preceded by a blank
+    line, faults): 1-30 examples of rank 1-3, each fault (example, kind,
+    number, flag) on its own example."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    n = draw(st.integers(1, 30))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        size=(n,) + shape).astype("<f4")
+    labels = draw(st.lists(st.text(LABEL_ALPHABET, min_size=1, max_size=3),
+                           min_size=n, max_size=n))
+    blanks = draw(st.sets(st.integers(0, n), max_size=3))
+    count = draw(st.integers(1, min(2, n)))
+    faults = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.sampled_from(DATASET_FAULTS),
+                  st.integers(0, 2**16), st.booleans()),
+        min_size=count, max_size=count, unique_by=lambda f: f[0]))
+    return shape, values, labels, blanks, faults
+
+
+def _nan_then(kind):
+    """Five (2, 3) examples: the second ends in NaN, the fourth has kind."""
+    values = np.arange(30, dtype="<f4").reshape(5, 2, 3)
+    return ((2, 3), values, ["a", "b"] * 2 + ["a"], {0},
+            [(1, "nan", 0, True), (3, kind, 7, False)])
+
+
+def _write_faulty_dataset(directory, case) -> dict:
+    """Write case's dataset; returns each example's manifest line number."""
+    shape, values, labels, blanks, faults = case
+    os.mkdir(os.path.join(directory, "x"))
+    fault = {i: (kind, k, last) for i, kind, k, last in faults}
+    lines, linenos = [], {}
+    for i, arr in enumerate(values):
+        rel = f"x/{i}.ftt"
+        kind, k, last = fault.get(i, (None, 0, False))
+        if kind in ("nan", "inf", "-inf"):
+            arr = arr.copy()
+            arr.flat[-1 if last else 0] = float(kind)
+        elif kind == "mixed_shape":
+            arr = np.zeros(shape[:-1] + (shape[-1] + 1,), "<f4")
+        blob = binio.tensor_file_header(arr.shape) + arr.tobytes()
+        if kind == "cut":
+            blob = blob[:k % len(blob)]
+        elif kind == "extra_byte":
+            blob += b"\0"
+        elif kind == "bad_magic":
+            blob = b"FTT1" + blob[4:]
+        elif kind == "rank":
+            blob = blob[:4] + bytes([binio.MAX_RANK + 1 + k % 200]) + blob[5:]
+        elif kind == "dims":
+            blob = blob[:5] + struct.pack("<I", shape[0] + 1 + k % 3) + blob[9:]
+        path = os.path.join(directory, rel)
+        if kind == "directory":
+            os.mkdir(path)
+        elif kind != "missing":
+            with open(path, "wb") as f:
+                f.write(blob)
+        line = f"{rel}\t{labels[i]}\n".encode()
+        if kind == "nul_in_path":
+            line = line.replace(b"\t", b"\0\t")
+        elif kind == "not_utf8":
+            line = line.replace(b"\t", b"\t\xff")
+        elif kind == "no_tab":
+            line = line.replace(b"\t", b" ")
+        lines += [b"\n"] * (i in blanks) + [line]
+        linenos[i] = len(lines)
+    lines += [b"\n"] * (len(values) in blanks)
+    with open(os.path.join(directory, "manifest.tsv"), "wb") as f:
+        f.write(b"".join(lines))
+    return linenos
+
+
+@settings(FUZZ, max_examples=150)
+@given(case=faulty_datasets())
+@example(case=_nan_then("-inf"))
+@example(case=_nan_then("cut"))
+@example(case=_nan_then("directory"))
+@example(case=_nan_then("mixed_shape"))
+@example(case=_nan_then("no_tab"))
+def test_dataset_loads_as_the_per_file_reference_does(scratch, case):
+    """The same dataset, byte for byte, or the same error, which names the
+    first broken line in manifest order; a first example of another shape
+    than the rest makes the second example's line the broken one."""
+    directory = tempfile.mkdtemp(dir=scratch)
+    try:
+        linenos = _write_faulty_dataset(directory, case)
+        error = load_as_reference_does(directory)
+    finally:
+        shutil.rmtree(directory)
+    first, kind, _, _ = min(case[4])
+    if kind == "mixed_shape" and first == 0:
+        return
+    assert error is not None
+    assert f"manifest.tsv:{linenos[first]}: " in error, error
 
 
 def test_deep_nesting_is_each_readers_error(scratch):
