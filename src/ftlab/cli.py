@@ -340,12 +340,21 @@ def _run_and_record(cfg: RunConfig, out_dir, source, tasks, specs,
 def cmd_gen_data(cfg: RunConfig, out_dir) -> int:
     if not cfg.domains:
         return _fail(["config needs a 'domains' list"])
+    names = [spec.name for spec in cfg.domains]
+    repeats = [f"domains[{j}]: name {name!r} is already the name of "
+               f"domains[{names.index(name)}]"
+               for j, name in enumerate(names) if names.index(name) < j]
+    if repeats:
+        return _fail(repeats)
     _make_dirs(out_dir)
     _write_config_copy(cfg, out_dir)
     for spec in cfg.domains:
         ds = gen_synthetic_domain(spec)
         dest = os.path.join(out_dir, spec.name)
-        save_dataset(ds, dest)
+        try:
+            save_dataset(ds, dest)
+        except OSError as e:    # a file already at dest, say
+            return _fail([f"gen-data: {e}"])
         print(f"wrote {len(ds)} examples ({ds.num_labels} labels) to {dest}")
     return 0
 
@@ -444,10 +453,11 @@ def cmd_report(ledger_path, out_dir=None) -> int:
     report = report_from_records(records)
     status = ("complete" if not skipped
               else f"complete ({skipped} records skipped)")
-    print(render_report(report, status=status), end="")
+    # files first, so an --out that cannot be a directory prints nothing
     if out_dir:
         _make_dirs(out_dir)
         _write_report(report, status, out_dir)
+    print(render_report(report, status=status), end="")
     return 0
 
 
@@ -467,12 +477,12 @@ def cmd_grad_check(model_cfg: ModelConfig, seed: int, epsilon: float,
     ok = err < 1e-4
     lines.append("gradient check passed (< 1e-4)" if ok
                  else "gradient check FAILED (>= 1e-4)")
-    print("\n".join(lines))
-    if out_dir:
+    if out_dir:     # first, as in cmd_report
         _make_dirs(out_dir)
         with open(os.path.join(out_dir, "grad_check.txt"), "w",
                   encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
+    print("\n".join(lines))
     return 0 if ok else 1
 
 

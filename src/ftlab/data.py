@@ -208,6 +208,12 @@ class SyntheticDomainSpec:
     family_seed: int = 0
 
     def __post_init__(self):
+        # gen-data writes the domain to <out>/<name>, one entry of <out>
+        if (self.name in ("", ".", "..")
+                or any(c and c in self.name for c in ("/", os.sep, os.altsep,
+                                                      "\0"))):
+            raise ValueError(f"name must be one plain path component, "
+                             f"got {self.name!r}")
         for name, least in (("num_labels", 2), ("examples_per_label", 4),
                             ("motif_size", 1), ("num_motifs", 1), ("seed", 0),
                             ("family_seed", 0)):

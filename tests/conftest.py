@@ -4,12 +4,14 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from ftlab import binio, experiment
+from ftlab import binio, cli, experiment
 from ftlab.cli import main
 from ftlab.data import MANIFEST_NAME, LabeledDataset, load_dataset
 
@@ -20,9 +22,16 @@ def write_config(path, cfg: dict) -> str:
     return str(path)
 
 
-# each one breaks line 2 of a three-line manifest
-BROKEN_DATASET_CASES = ("missing_tensor", "corrupt_tensor", "mixed_shape",
-                        "nul_in_path", "not_utf8", "nan_pixel")
+# each one breaks line 2 of a three-line manifest; the fault its error names
+BROKEN_DATASET_CASES = {
+    "missing_tensor": "No such file or directory",
+    "corrupt_tensor": "bad magic b'FTT1'",
+    "mixed_shape": "mixed shapes: (1, 4, 5)",
+    "nul_in_path": "embedded null byte",
+    "not_utf8": "not valid UTF-8",
+    "nan_pixel": "data holds NaN or infinity",
+    "truncated_tensor": "truncated stream while reading data",
+    "trailing_byte": "trailing bytes after tensor data"}
 
 
 def write_broken_dataset(directory, case: str) -> None:
@@ -32,13 +41,17 @@ def write_broken_dataset(directory, case: str) -> None:
         shape = (1, 4, 5) if case == "mixed_shape" and i == 1 else (1, 4, 4)
         binio.save_tensor_file(directory / "a" / f"{i}.ftt",
                                np.zeros(shape, np.float32))
+    path = directory / "a" / "1.ftt"
     if case == "missing_tensor":
-        (directory / "a" / "1.ftt").unlink()
+        path.unlink()
     elif case == "corrupt_tensor":
-        (directory / "a" / "1.ftt").write_bytes(b"FTT1\x03\x01")
+        path.write_bytes(b"FTT1\x03\x01")
     elif case == "nan_pixel":       # the last of its 16 float32 values
-        path = directory / "a" / "1.ftt"
         path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", np.nan))
+    elif case == "truncated_tensor":        # cut inside its last value
+        path.write_bytes(path.read_bytes()[:-2])
+    elif case == "trailing_byte":
+        path.write_bytes(path.read_bytes() + b"\0")
     lines = [f"a/{i}.ftt\ta\n".encode() for i in range(3)]
     if case == "nul_in_path":
         lines[1] = b"a/1.ftt\x00\ta\n"
@@ -103,6 +116,16 @@ def load_as_reference_does(directory) -> str | None:
     got = outcome(load_dataset)
     assert got == outcome(reference_load_dataset)
     return got[1] if got[0] is ValueError else None
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on args with this checkout's ftlab on its
+    path; its output is returned as text, and a non-zero exit raises."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True)
 
 
 def tensor_records(items) -> bytes:

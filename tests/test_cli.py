@@ -4,16 +4,14 @@ import json
 import os
 import platform
 import struct
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from conftest import (BROKEN_DATASET_CASES, FAST_POLICY, TINY_MODEL,
-                      die_in_worker, one_conv_metadata, tensor_records,
-                      write_broken_dataset, write_config)
+                      die_in_worker, one_conv_metadata, run_python,
+                      tensor_records, write_broken_dataset, write_config)
 from ftlab import cli, experiment
 from ftlab.cli import ConfigError, ModelConfig, RunConfig, load_config, main
 from ftlab.codec import decode, encode
@@ -65,40 +63,60 @@ MISFIT_CHECKPOINTS = {
 }
 
 
-# each one escaped load_checkpoint as a bare Python exception before
+# each one escaped load_checkpoint as a bare Python exception before; the
+# fault its error names
 MALFORMED_CHECKPOINTS = {
-    "rank8_max_dims": crafted_checkpoint(
+    "rank8_max_dims": (crafted_checkpoint(
         b"{}", struct.pack("<H", 1) + b"w" + struct.pack("<B8I", 8, *[0xFFFFFFFF] * 8),
-        count=1),
-    "non_utf8_name": crafted_checkpoint(
+        count=1), "truncated stream while reading data of tensor 1/1 'w'"),
+    "non_utf8_name": (crafted_checkpoint(
         b"{}", struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<BIf", 1, 1, 0.0),
-        count=1),
-    "metadata_not_object": crafted_checkpoint(b"5"),
+        count=1), "tensor 1/1: name b'\\xff\\xfe' is not valid UTF-8"),
+    "metadata_not_object": (crafted_checkpoint(b"5"),
+                            "metadata must be a JSON object, got int"),
     # a 4 GB metadata read: a MemoryError under a memory limit
-    "metadata_length_past_end": b"FTLB" + struct.pack("<II", 1, 0xFFFFFFF0),
+    "metadata_length_past_end": (
+        b"FTLB" + struct.pack("<II", 1, 0xFFFFFFF0),
+        "truncated stream while reading metadata (wanted 4294967280 bytes"),
     # every field present, but "arch" cannot be iterated
-    "arch_not_a_list": crafted_checkpoint(json.dumps(
+    "arch_not_a_list": (crafted_checkpoint(json.dumps(
         {"arch": 5, "digest": "0", "input_shape": [1, 8, 8],
          "iterations": 0, "num_labels": 3, "seed": 0}).encode()),
+        "metadata: arch must be a list, got 5"),
     # a layer size that numpy cannot take as a shape
-    "layer_size_not_an_int": crafted_checkpoint(json.dumps(
+    "layer_size_not_an_int": (crafted_checkpoint(json.dumps(
         {"arch": [{"name": "conv1", "layers": [{"kind": "conv2d",
                                                 "out_channels": "2"}]},
                   {"name": "fc", "layers": [{"kind": "dense"}]}],
          "digest": "0", "input_shape": [1, 8, 8], "iterations": 0,
          "num_labels": 3, "seed": 0}).encode()),
+        "arch[0].layers[0].out_channels must be an integer, got '2'"),
     # sound in every other way: it finetuned and exited 0
-    "digest_forged": tiny_checkpoint(lambda meta: meta.update(digest="f" * 64)),
+    "digest_forged": (tiny_checkpoint(lambda meta: meta.update(digest="f" * 64)),
+                      "metadata digest does not match the stored architecture"),
     # the digest masks the head's size, so it matched; a 7-way head with
     # num_labels 3 failed only when the model was rebuilt
-    "head_size_not_num_labels": tiny_checkpoint(
+    "head_size_not_num_labels": (tiny_checkpoint(
         lambda meta: meta["arch"][-1]["layers"][0].update(out_features=7)),
+        "head outputs 7 but num_labels is 3"),
     # the two below loaded: the bytes after the last tensor were ignored, and
     # the second tensor of one name silently replaced the first
-    "trailing_bytes": tiny_checkpoint() + b"\0" * 700,
-    "tensor_name_repeats": MISFIT_CHECKPOINTS["repeated"][0],
+    "trailing_bytes": (tiny_checkpoint() + b"\0" * 700,
+                       "trailing bytes after the last tensor"),
+    "tensor_name_repeats": (MISFIT_CHECKPOINTS["repeated"][0],
+                            "tensor 7/7: name 'conv1/0/w' repeats"),
     # a NaN in the last tensor, the head's bias, which finetune re-initializes
-    "nan_in_tensor": tiny_checkpoint()[:-4] + struct.pack("<f", float("nan")),
+    "nan_in_tensor": (tiny_checkpoint()[:-4] + struct.pack("<f", float("nan")),
+                      "tensor 6/6 'fc/0/b': data holds NaN or infinity"),
+    # cut inside the 12-byte header, 100 bytes into the metadata, and inside
+    # the last tensor
+    "cut_in_header": (tiny_checkpoint()[:6],
+                      "truncated stream while reading version"),
+    "cut_in_metadata": (tiny_checkpoint()[:112],
+                        "truncated stream while reading metadata"),
+    "cut_in_last_tensor": (
+        tiny_checkpoint()[:-2],
+        "truncated stream while reading data of tensor 6/6 'fc/0/b'"),
 }
 
 
@@ -448,7 +466,9 @@ class TestMalformedInput:
                     command, [write_config(tmp_path / "c.json", cfg)])
         out = afile / "sub" if under_a_file else afile
         assert main([command, *args, "--out", str(out)]) == 1
-        lines = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: cannot create output directory: ")
         assert str(out) in lines[0]
@@ -487,19 +507,40 @@ class TestGenData:
         ("image_size", 0, "image_size must be >= motif_size 4, got 0"),
         ("image_size", -16, "image_size must be >= motif_size 4, got -16"),
         ("seed", -1, "seed must be >= 0, got -1"),
-        ("family_seed", -1, "family_seed must be >= 0, got -1")])
+        ("family_seed", -1, "family_seed must be >= 0, got -1"),
+        # these wrote into --out itself, into its parent or below another
+        # domain's directory, or raised a bare Python exception
+        *[("name", name, f"name must be one plain path component, got {name!r}")
+          for name in ("", ".", "..", "d/e", "e\0")],
+        # the second domain overwrote the first
+        ("name", "d", "name 'd' is already the name of domains[0]")])
     def test_malformed_domain_exits_1_with_one_error_line(
             self, tmp_path, capsys, field, value, message):
         # each raised a bare Python exception or wrote a degenerate dataset
-        domain = {"name": "d", "num_labels": 2, "examples_per_label": 4,
-                  field: value}
-        config = write_config(tmp_path / "c.json", {"domains": [domain]})
+        first = {"name": "d", "num_labels": 2, "examples_per_label": 4}
+        config = write_config(tmp_path / "c.json", {"domains": [
+            first, {**first, "name": "e", field: value}]})
         out = tmp_path / "o"
         assert main(["gen-data", config, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"error: domains[0]: {message}"]
+        assert captured.err.splitlines() == [f"error: domains[1]: {message}"]
         assert captured.out == ""
         assert not out.exists()
+
+    def test_domain_that_cannot_be_written_exits_1_with_one_error_line(
+            self, tmp_path, capsys):
+        # a file where the domain's directory goes raised a bare exception
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "d").write_text("kept\n")
+        domain = {"name": "d", "num_labels": 2, "examples_per_label": 4}
+        config = write_config(tmp_path / "c.json", {"domains": [domain]})
+        assert main(["gen-data", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: gen-data: ") and str(out / "d") in line
+        assert captured.out == ""
+        assert (out / "d").read_text() == "kept\n"
 
 
 class TestTrainSource:
@@ -571,9 +612,15 @@ class TestTrainSource:
                "data": {"train_dir": str(tmp_path / "ds"),
                         "val_dir": str(tmp_path / "ds")}}
         config = write_config(tmp_path / "c.json", cfg)
-        assert main(["train-source", config, "--out", str(tmp_path / "o")]) == 1
-        assert "manifest.tsv:2: a/1.ftt" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        out = tmp_path / "o"
+        assert main(["train-source", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: data (source): {tmp_path / 'ds'}"
+                               f"{os.sep}manifest.tsv:2: a/1.ftt")
+        assert BROKEN_DATASET_CASES[case] in line
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_seed_override_recorded(self, tmp_path, data_root):
         cfg = {"policy": FAST_POLICY, "model": TINY_MODEL, "batch_size": 6,
@@ -689,8 +736,9 @@ class TestFinetune:
     @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
     def test_malformed_source_checkpoint_exits_1(self, tmp_path, data_root,
                                                  source_run, capsys, case):
+        blob, fault = MALFORMED_CHECKPOINTS[case]
         path = tmp_path / "bad.ftlb"
-        path.write_bytes(MALFORMED_CHECKPOINTS[case])
+        path.write_bytes(blob)
         tracemalloc.start()
         try:
             with pytest.raises(CheckpointError):
@@ -703,8 +751,14 @@ class TestFinetune:
         cfg = self.finetune_cfg(data_root, source_run, {"ll": 0.1})
         cfg["source_checkpoint"] = str(path)
         config = write_config(tmp_path / "c.json", cfg)
-        assert main(["finetune", config, "--out", str(tmp_path / "o")]) == 1
-        assert "source checkpoint" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert main(["finetune", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: source checkpoint: ")
+        assert fault in line
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")     # no numpy warning either
     def test_diverged_run_exits_1_saving_and_recording_nothing(
@@ -862,7 +916,7 @@ class TestSweep:
                                                          data_root, source_run,
                                                          capsys):
         path = tmp_path / "forged.ftlb"
-        path.write_bytes(MALFORMED_CHECKPOINTS["digest_forged"])
+        path.write_bytes(MALFORMED_CHECKPOINTS["digest_forged"][0])
         cfg = self.grid_cfg(data_root, source_run)
         cfg["source_checkpoint"] = str(path)
         config = write_config(tmp_path / "c.json", cfg)
@@ -1205,9 +1259,4 @@ class TestMallocPolicy:
     def test_evaluation_passes_do_not_page_fault(self):
         # a fresh process, so no earlier test has set the policy; without
         # it each pass takes about 400 faults
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env,
-                             capture_output=True, text=True, check=True)
-        assert float(out.stdout) < 40
+        assert float(run_python("-c", FAULTS_SCRIPT).stdout) < 40
