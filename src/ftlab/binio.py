@@ -5,11 +5,14 @@ rank (u8), dims (u32 each), data (IEEE-754 single precision, row-major,
 every value finite: readers and writers reject NaN and infinity).
 Named tensors prefix the payload with a u16 length + UTF-8 name.
 Standalone tensor files carry the magic "FTT0" before the payload.
+This module alone knows those bytes: it writes and reads one tensor file,
+and stacks a dataset's tensor files into one array (stack_tensor_files).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -127,3 +130,30 @@ def load_tensor_file(path) -> np.ndarray:
     arr = read_tensor_payload(r, "tensor")
     r.end("tensor data")
     return arr
+
+
+def stack_tensor_files(paths) -> np.ndarray | None:
+    """The tensor files at paths as one (n, *shape) float32 array, or None
+    when a file cannot be read, differs from the first in length or header
+    (magic, rank, dims), or holds a value that is not finite. Raises nothing.
+    The first file is loaded by load_tensor_file; every other one is read
+    once, by one os.read of one byte more than the first's length, and its
+    data appended to one buffer, which is checked for finiteness at the end."""
+    try:
+        first = load_tensor_file(paths[0])
+        header = tensor_file_header(first.shape)
+        size = len(header) + first.nbytes
+        data = bytearray(first.astype("<f4").tobytes())
+        for path in paths[1:]:
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                blob = os.read(fd, size + 1)
+            finally:
+                os.close(fd)
+            if len(blob) != size or not blob.startswith(header):
+                return None
+            data += memoryview(blob)[len(header):]
+    except (OSError, ValueError, FormatError):  # ValueError: a NUL in a path
+        return None
+    stacked = np.frombuffer(data, "<f4").reshape((len(paths),) + first.shape)
+    return stacked if np.isfinite(stacked).all() else None

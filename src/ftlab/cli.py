@@ -4,8 +4,9 @@ Subcommands: gen-data, train-source, finetune, sweep, report, grad-check.
 The three training commands each build a job list and end in one tail: it
 writes the effective config, runs the jobs with run_jobs and records them
 in the ledger, so any number in a report traces back to the exact inputs.
-Exit codes: 0 success, 1 validation error or diverged training, 2 partial
-sweep failure or a usage error (an unknown command or flag).
+Exit codes: 0 success, 1 validation error, diverged training or an output
+file that cannot be written, 2 partial sweep failure or a usage error (an
+unknown command or flag).
 main also sets the process's malloc policy (keep_freed_heap); importing
 the package sets nothing.
 """
@@ -341,20 +342,22 @@ def cmd_gen_data(cfg: RunConfig, out_dir) -> int:
     if not cfg.domains:
         return _fail(["config needs a 'domains' list"])
     names = [spec.name for spec in cfg.domains]
-    repeats = [f"domains[{j}]: name {name!r} is already the name of "
-               f"domains[{names.index(name)}]"
-               for j, name in enumerate(names) if names.index(name) < j]
-    if repeats:
-        return _fail(repeats)
+    errors = [f"domains[{j}]: name {name!r} is already the name of "
+              f"domains[{names.index(name)}]"
+              for j, name in enumerate(names) if names.index(name) < j]
+    # save_dataset would merge a domain into the files already there
+    errors += [f"gen-data: {dest} already exists: gen-data into a new "
+               f"directory" for dest in dict.fromkeys(
+                   os.path.join(out_dir, name) for name in names)
+               if os.path.exists(dest)]
+    if errors:
+        return _fail(errors)
     _make_dirs(out_dir)
     _write_config_copy(cfg, out_dir)
     for spec in cfg.domains:
         ds = gen_synthetic_domain(spec)
         dest = os.path.join(out_dir, spec.name)
-        try:
-            save_dataset(ds, dest)
-        except OSError as e:    # a file already at dest, say
-            return _fail([f"gen-data: {e}"])
+        save_dataset(ds, dest)
         print(f"wrote {len(ds)} examples ({ds.num_labels} labels) to {dest}")
     return 0
 
@@ -575,6 +578,8 @@ def main(argv=None) -> int:
                        args.out)
     except ConfigError as e:
         return _fail(e.errors)
+    except OSError as e:        # an output file that cannot be written
+        return _fail([f"{args.command}: {e}"])
 
 
 if __name__ == "__main__":

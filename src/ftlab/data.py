@@ -339,21 +339,6 @@ def save_dataset(dataset: LabeledDataset, directory) -> None:
         f.writelines(lines)
 
 
-def _read_at_most(path: str, n: int) -> bytes | None:
-    """Up to n bytes of the file at path, in one read; None if it cannot be
-    opened or read (a NUL byte in the path included)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except (OSError, ValueError):
-        return None
-    try:
-        return os.read(fd, n)
-    except OSError:             # a directory, say
-        return None
-    finally:
-        os.close(fd)
-
-
 def load_dataset(directory) -> LabeledDataset:
     """Load a dataset directory, its domain named after it; label ids follow
     first appearance order.
@@ -364,17 +349,8 @@ def load_dataset(directory) -> LabeledDataset:
     example's, is a ValueError that names `<manifest>:<line>`. Of several bad
     lines, the first in manifest order is the one reported.
 
-    A sound dataset's example files are each read once. The first is loaded
-    by binio.load_tensor_file, and its header (magic, rank, dims) and length
-    are what every other file must have: each is read with one os.read of
-    one byte more than that length, its header compared as bytes and its
-    data copied into one buffer for the whole dataset, whose values are
-    checked for finiteness once, at the end. A file that cannot be read so,
-    or whose length or header differs, is loaded by binio.load_tensor_file
-    after all, as is a file whose data is not finite, so every error is that
-    reader's, raised for its own line. Before a line's error is raised, the
-    data already copied is checked, so an earlier non-finite example wins.
-    The features are the bytes that stacking per-file loads would give.
+    A sound directory is read by binio.stack_tensor_files; any other is read
+    file by file with binio.load_tensor_file, to find its first fault.
     """
     manifest = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(manifest):
@@ -385,69 +361,43 @@ def load_dataset(directory) -> LabeledDataset:
     label_ids: dict[str, int] = {}
     labels = []
     examples = []               # (lineno, rel) of each example, in order
-    shape = None                # the first example's
-
-    def load(lineno, rel):
-        try:
-            return binio.load_tensor_file(os.path.join(directory, rel))
-        except (OSError, ValueError, binio.FormatError) as e:
-            # a NUL byte in the path is a ValueError of open()
-            raise ValueError(f"{manifest}:{lineno}: {rel}: {e}") from None
-
-    def features():
-        return data[:len(examples) * nbytes].view("<f4").reshape(
-            (len(examples),) + shape)
-
-    def check_finite():
-        """Reload the first copied example that is not finite, which raises
-        its line's error."""
-        if shape is None or np.isfinite(values := features()).all():
-            return
-        finite = np.isfinite(values.reshape(len(values), -1)).all(axis=1)
-        for i in np.flatnonzero(~finite):
-            load(*examples[i])
-
+    bad_line = None             # the error of the first malformed line
     for lineno, raw in enumerate(raw_lines, 1):
         try:
             line = raw.decode("utf-8")
         except UnicodeDecodeError:
-            check_finite()
-            raise ValueError(f"{manifest}:{lineno}: "
-                             f"{raw.decode('utf-8', 'backslashreplace')}: "
-                             f"not valid UTF-8") from None
+            text = raw.decode("utf-8", "backslashreplace")
+            bad_line = ValueError(f"{manifest}:{lineno}: {text}: not valid UTF-8")
+            break
         if not line:
             continue
         try:
             rel, label_name = line.split("\t")
         except ValueError:
-            check_finite()
-            raise ValueError(f"{manifest}:{lineno}: expected "
-                             f"'<path>\\t<label>'") from None
-        if label_name not in label_ids:
-            label_ids[label_name] = len(label_ids)
-        blob = (None if shape is None else
-                _read_at_most(os.path.join(directory, rel), size + 1))
-        if blob is not None and len(blob) == size and blob.startswith(header):
-            payload = memoryview(blob)[len(header):]
-        else:
-            check_finite()
-            arr = load(lineno, rel)
-            if shape is None:
-                shape, nbytes = arr.shape, arr.nbytes
-                header = binio.tensor_file_header(shape)
-                size = len(header) + nbytes
-                data = np.empty(len(raw_lines) * nbytes, np.uint8)
-                out = memoryview(data)
-            elif arr.shape != shape:
-                raise ValueError(f"{manifest}:{lineno}: {rel}: mixed shapes: "
-                                 f"{arr.shape}, the first example has {shape}")
-            payload = arr.astype("<f4").tobytes()
-        at = len(examples) * nbytes
-        out[at:at + nbytes] = payload
+            bad_line = ValueError(f"{manifest}:{lineno}: expected "
+                                  f"'<path>\\t<label>'")
+            break
+        labels.append(label_ids.setdefault(label_name, len(label_ids)))
         examples.append((lineno, rel))
-        labels.append(label_ids[label_name])
-    if not examples:
-        raise ValueError(f"{manifest} lists no examples")
-    check_finite()
-    return LabeledDataset(features(), np.array(labels), tuple(label_ids),
+    if bad_line is None and not examples:
+        bad_line = ValueError(f"{manifest} lists no examples")
+    features = None if bad_line else binio.stack_tensor_files(
+        [os.path.join(directory, rel) for _, rel in examples])
+    if features is None:
+        arrays = []
+        for lineno, rel in examples:
+            try:
+                arr = binio.load_tensor_file(os.path.join(directory, rel))
+            except (OSError, ValueError, binio.FormatError) as e:
+                # a NUL byte in the path is a ValueError of open()
+                raise ValueError(f"{manifest}:{lineno}: {rel}: {e}") from None
+            if arrays and arr.shape != arrays[0].shape:
+                raise ValueError(f"{manifest}:{lineno}: {rel}: mixed shapes: "
+                                 f"{arr.shape}, the first example has "
+                                 f"{arrays[0].shape}")
+            arrays.append(arr)
+        if bad_line is not None:
+            raise bad_line
+        features = np.stack(arrays)
+    return LabeledDataset(features, np.array(labels), tuple(label_ids),
                           os.path.basename(os.path.normpath(directory)))

@@ -445,14 +445,9 @@ class TestMalformedInput:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("under_a_file", [False, True])
-    @pytest.mark.parametrize("command", ["gen-data", "train-source", "finetune",
-                                         "sweep", "report", "grad-check"])
-    def test_out_that_cannot_be_a_directory_exits_1(
-            self, tmp_path, data_root, source_run, capsys, command,
-            under_a_file):
-        afile = tmp_path / "afile"
-        afile.write_text("kept\n")
+    @staticmethod
+    def command_args(tmp_path, data_root, source_run, command) -> list[str]:
+        """The arguments, --out aside, of a run of command that succeeds."""
         cfg = {"policy": FAST_POLICY, "model": TINY_MODEL, "batch_size": 6,
                "source_checkpoint": str(source_run / "source.ftlb"),
                "data": {"dataset": str(data_root / "near"),
@@ -461,9 +456,19 @@ class TestMalformedInput:
                "domains": [{"name": "d", "num_labels": 2,
                             "examples_per_label": 4, "image_size": 8,
                             "motif_size": 4, "num_motifs": 2}]}
-        args = {"report": [str(source_run / "ledger.jsonl")],
+        return {"report": [str(source_run / "ledger.jsonl")],
                 "grad-check": []}.get(
                     command, [write_config(tmp_path / "c.json", cfg)])
+
+    @pytest.mark.parametrize("under_a_file", [False, True])
+    @pytest.mark.parametrize("command", ["gen-data", "train-source", "finetune",
+                                         "sweep", "report", "grad-check"])
+    def test_out_that_cannot_be_a_directory_exits_1(
+            self, tmp_path, data_root, source_run, capsys, command,
+            under_a_file):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        args = self.command_args(tmp_path, data_root, source_run, command)
         out = afile / "sub" if under_a_file else afile
         assert main([command, *args, "--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -473,6 +478,24 @@ class TestMalformedInput:
         assert lines[0].startswith("error: cannot create output directory: ")
         assert str(out) in lines[0]
         assert afile.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, name", [
+        ("gen-data", "config.json"), ("train-source", "config.json"),
+        ("finetune", "config.json"), ("sweep", "config.json"),
+        ("train-source", "ledger.jsonl"), ("sweep", "report.json"),
+        ("report", "report.txt"), ("grad-check", "grad_check.txt")])
+    def test_output_file_that_cannot_be_written_exits_1(
+            self, tmp_path, data_root, source_run, capsys, command, name):
+        # a directory where the file goes ended in a traceback
+        args = self.command_args(tmp_path, data_root, source_run, command)
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert main([command, *args, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {command}: ")
+        assert str(out / name) in line
 
 
 class TestGenData:
@@ -541,6 +564,27 @@ class TestGenData:
         assert line.startswith("error: gen-data: ") and str(out / "d") in line
         assert captured.out == ""
         assert (out / "d").read_text() == "kept\n"
+
+    def test_existing_domain_directory_refused_before_anything_is_written(
+            self, tmp_path, capsys):
+        # the second run merged its 8 examples into the first run's 24
+        out = tmp_path / "o"
+        domain = {"name": "d", "image_size": 8}
+        first, second = (write_config(tmp_path / f"{i}.json", {"domains": [
+            dict(domain, num_labels=labels, examples_per_label=per_label)]})
+            for i, labels, per_label in ((1, 3, 8), (2, 2, 4)))
+        assert main(["gen-data", first, "--out", str(out)]) == 0
+        files = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["gen-data", second, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: gen-data: {out / 'd'} already exists: gen-data into a "
+            f"new directory"]
+        assert captured.out == ""
+        assert {p: p.read_bytes() for p in out.rglob("*")
+                if p.is_file()} == files
+        assert len(load_dataset(out / "d")) == 24
 
 
 class TestTrainSource:

@@ -1,5 +1,8 @@
 """Partitioning protocol, splits, synthetic domains, and on-disk format tests."""
 
+import builtins
+import collections
+import os
 import struct
 
 import numpy as np
@@ -328,6 +331,25 @@ class TestOnDiskFormat:
         ds = load_dataset(d)
         assert ds.label_names == ("zebra", "apple")
         assert ds.labels.tolist() == [0, 1, 0]
+
+    def test_sound_dataset_opens_each_example_file_once(self, tmp_path,
+                                                         monkeypatch):
+        d = str(tmp_path / "dom")
+        save_dataset(gen_synthetic_domain(SyntheticDomainSpec(
+            "dom", 3, 4, image_size=8, seed=3)), d)
+        opened = collections.Counter()
+        with monkeypatch.context() as m:
+            for module in (builtins, os):
+                def recording(path, *args, _open=module.open, **kwargs):
+                    opened[os.fspath(path)] += 1
+                    return _open(path, *args, **kwargs)
+                m.setattr(module, "open", recording)
+            load_dataset(d)
+        manifest = os.path.join(d, "manifest.tsv")
+        with open(manifest, encoding="utf-8") as f:
+            examples = [os.path.join(d, line.split("\t")[0]) for line in f]
+        assert opened == collections.Counter([manifest] + examples)
+        assert len(examples) == 12
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
