@@ -296,12 +296,10 @@ def _fail(errors) -> int:
 
 
 def _make_dirs(*dirs) -> None:
-    """Make each output directory; one it cannot make is an input error."""
-    try:
-        for d in dirs:
-            os.makedirs(d, exist_ok=True)
-    except OSError as e:
-        raise ConfigError([f"cannot create output directory: {e}"]) from None
+    """Make each output directory; main reports an OSError, as for any
+    other output it cannot write."""
+    for d in dirs:
+        os.makedirs(d, exist_ok=True)
 
 
 def _run_and_record(cfg: RunConfig, out_dir, source, tasks, specs,

@@ -21,15 +21,20 @@ MANIFEST_NAME = "manifest.tsv"
 
 @dataclass
 class LabeledDataset:
-    """Stacked feature tensors with dense integer labels."""
+    """Stacked feature tensors with dense integer labels. Features that are
+    not finite as float32 are a ValueError."""
 
-    features: np.ndarray          # (N, ...) float64
+    features: np.ndarray          # (N, ...) float32, as the files hold them
     labels: np.ndarray            # (N,) int64
     label_names: tuple[str, ...]
     domain_name: str = ""
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        try:
+            self.features = binio.finite_float32(self.features)
+        except binio.FormatError:
+            raise ValueError("dataset features are not finite as "
+                             "float32") from None
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError(f"{self.features.shape[0]} feature rows but "

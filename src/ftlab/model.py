@@ -310,9 +310,10 @@ class StagedModel:
     """A built network: stages with live parameters on an Architecture.
 
     The layers are built from arch.builders. Each parameter is a view of
-    params, one float64 vector laid out as arch.slices says, in
+    params, one float32 vector laid out as arch.slices says, in
     named_parameters() order, so each stage is one contiguous slice of it.
-    The builder draws into it, and writing a layer's weights writes it.
+    The builder draws into it, and writing a layer's weights writes it. The
+    layers compute in params' dtype, float32, the precision of the files.
     """
 
     def __init__(self, arch: Architecture, params: np.ndarray, seed: int,
@@ -352,8 +353,9 @@ class StagedModel:
         return self.arch.digest
 
     def check_input(self, batch) -> np.ndarray:
-        """The batch as float64, rejected unless it has the model input shape."""
-        x = np.asarray(batch, dtype=np.float64)
+        """The batch in params' dtype, rejected unless it has the model input
+        shape."""
+        x = np.asarray(batch, dtype=self.params.dtype)
         if tuple(x.shape[1:]) != self.input_shape:
             raise ValueError(f"batch shape {tuple(x.shape[1:])} does not match "
                              f"model input shape {self.input_shape}")
@@ -402,7 +404,8 @@ def _with_head(spec: tuple, input_shape, num_labels: int) -> tuple:
 
 
 def _draws(layout: Sequence[LayerShape], rng: np.random.Generator) -> np.ndarray:
-    """The initial parameters of layout's layers, drawn in order from rng."""
+    """The initial parameters of layout's layers, drawn in order from rng in
+    float64 and rounded once to float32."""
     draws = []
     for rec in layout:
         if rec.param_shapes:                    # fan_in = w.size / b.size
@@ -410,7 +413,7 @@ def _draws(layout: Sequence[LayerShape], rng: np.random.Generator) -> np.ndarray
             limit = 1.0 / np.sqrt(math.prod(w_shape) // b_shape[0])
             draws += [rng.uniform(-limit, limit, size=s).ravel()
                       for s in rec.param_shapes]
-    return np.concatenate(draws)
+    return np.concatenate(draws).astype(np.float32)
 
 
 # --- checkpoint format -----------------------------------------------------
@@ -614,10 +617,11 @@ def _read_header(meta) -> CheckpointHeader:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> StagedModel:
-    """Rebuild the saved model, restoring all parameters bit-identically."""
+    """Rebuild the saved model on a copy of the checkpoint's float32
+    parameters: a saved model loads back bit-exact."""
     h = ckpt.header
     _check_head(h.arch, h.num_labels)       # a header built by hand may differ
-    return StagedModel(h.architecture(), ckpt.params.astype(np.float64),
+    return StagedModel(h.architecture(), ckpt.params.astype(np.float32),
                        h.seed, h.iterations)
 
 
@@ -638,7 +642,7 @@ def transfer_init(source: Checkpoint, target_num_labels: int,
     inner = arch.stage_starts[-2]              # the head stage's start
     rng = np.random.default_rng(head_seed)
     rng.bit_generator.advance(inner)
-    params = np.empty(arch.size)
+    params = np.empty(arch.size, np.float32)
     params[:inner] = source.params[:inner]
     params[inner:] = _draws(arch.layout[-1:], rng)   # the last layer is the head
     return StagedModel(arch, params, head_seed)

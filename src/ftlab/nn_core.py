@@ -1,7 +1,9 @@
 """Dense/convolutional network kernels with exact reverse-mode gradients.
 
-Layers operate on float64 numpy arrays. Feature maps are laid out NCHW;
-dense layers take (batch, features). Each layer implements a
+A layer computes in its parameters' float dtype: float32 for every model
+ftlab builds, the precision its files hold; float64 for a layer built on
+float64 arrays. Feature maps are laid out NCHW; dense layers take (batch,
+features). Each layer implements a
 forward(x) -> (y, cache) and backward(dy, cache, out) -> (dx, out) pair
 whose results depend only on the inputs and the parameters; the only other
 state is Conv2d's scratch buffers, which no result aliases. out, required,
@@ -18,13 +20,19 @@ optim.train() passes one at every step of a call.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-DTYPE = np.float64
+
+def _float_array(a) -> np.ndarray:
+    """a as an array of its own float dtype; other numbers become float64.
+    An array of a float dtype is itself, so a view stays a view."""
+    a = np.asarray(a)
+    return a if a.dtype.kind == "f" else a.astype(np.float64)
 
 
 class Dense:
@@ -33,8 +41,8 @@ class Dense:
     kind = "dense"
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
-        self.w = np.asarray(w, dtype=DTYPE)
-        self.b = np.asarray(b, dtype=DTYPE)
+        self.w = _float_array(w)
+        self.b = np.asarray(b, dtype=self.w.dtype)
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise ValueError(f"dense parameter shapes inconsistent: "
                              f"w {self.w.shape}, b {self.b.shape}")
@@ -68,7 +76,7 @@ def _windows(xp: np.ndarray, k: int) -> np.ndarray:
     microseconds more, and evaluation makes a view at every conv call."""
     n, c, hp, wp = xp.shape
     sn, sc, sh, sw = xp.strides
-    view = np.ndarray((c, k, k, n, hp - k + 1, wp - k + 1), DTYPE, xp, 0,
+    view = np.ndarray((c, k, k, n, hp - k + 1, wp - k + 1), xp.dtype, xp, 0,
                       (sc, sh, sw, sn, sh, sw))
     view.flags.writeable = False
     return view
@@ -93,7 +101,7 @@ class _Columns:
         dest = buf[:windows.size].reshape(windows.shape)
         c, k, _, n, h, w = windows.shape
         self.matrix = dest.reshape(c * k * k, n * h * w)
-        # a row's w contiguous doubles as one raw item; "V<bytes>" makes the
+        # a row's w contiguous values as one raw item; "V<bytes>" makes the
         # dtype in a third of the time np.dtype((np.void, bytes)) takes
         row = f"V{w * windows.itemsize}"
         self.dest, self.source = dest.view(row), windows.view(row)
@@ -113,7 +121,8 @@ _FORWARD_CHUNK_BYTES = 1 << 19
 
 
 class _ConvPlan:
-    """The buffers of one Conv2d at one input shape, for reuse across calls.
+    """The buffers of one Conv2d at one input shape, for reuse across calls,
+    in the dtype of the layer's weights w.
 
     xp is the zero-padded input, its borders zeroed once; forward writes x
     into its interior and fills the column matrix of each batch chunk in
@@ -125,15 +134,16 @@ class _ConvPlan:
     generation is the plan's.
     """
 
-    def __init__(self, x_shape: tuple, k: int):
-        n, c, h, w = x_shape
+    def __init__(self, x_shape: tuple, w: np.ndarray):
+        n, c, h, wd = x_shape
+        k = w.shape[2]
         p = k // 2
-        self.xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=DTYPE)
-        self.x = self.xp[:, :, p:p + h, p:p + w]
+        self.xp = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=w.dtype)
+        self.x = self.xp[:, :, p:p + h, p:p + wd]
         self.windows = _windows(self.xp, k)
         self.step = max(1, _FORWARD_CHUNK_BYTES
-                        // (c * k * k * h * w * self.xp.itemsize))
-        buf = np.empty(c * k * k * min(n, self.step) * h * w, dtype=DTYPE)
+                        // (c * k * k * h * wd * self.xp.itemsize))
+        buf = np.empty(c * k * k * min(n, self.step) * h * wd, dtype=w.dtype)
         self.chunks = [_Columns(self.windows[:, :, :, i:i + self.step], buf)
                        for i in range(0, n, self.step)]
         self.dyp = None
@@ -144,10 +154,11 @@ class _ConvPlan:
         if self.dyp is None:
             n, _, hp, wp = self.xp.shape
             k = self.windows.shape[1]
-            self.dyp = np.zeros((n, dy.shape[1], hp, wp), dtype=DTYPE)
+            self.dyp = np.zeros((n, dy.shape[1], hp, wp), dtype=self.xp.dtype)
             self.dy = self.dyp[:, :, k // 2:hp - k // 2, k // 2:wp - k // 2]
             windows = _windows(self.dyp, k)
-            self.dy_cols = _Columns(windows, np.empty(windows.size, dtype=DTYPE))
+            self.dy_cols = _Columns(windows, np.empty(windows.size,
+                                                      dtype=self.xp.dtype))
         self.dy[...] = dy
         return self.dy_cols.fill()
 
@@ -173,8 +184,8 @@ class Conv2d:
     kind = "conv2d"
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
-        self.w = np.asarray(w, dtype=DTYPE)  # (out_c, in_c, k, k)
-        self.b = np.asarray(b, dtype=DTYPE)
+        self.w = _float_array(w)  # (out_c, in_c, k, k)
+        self.b = np.asarray(b, dtype=self.w.dtype)
         if self.w.ndim != 4 or self.w.shape[2] != self.w.shape[3]:
             raise ValueError(f"conv2d weight must be (out, in, k, k), got {self.w.shape}")
         if self.b.shape != (self.w.shape[0],):
@@ -200,13 +211,13 @@ class Conv2d:
                              f"got {x.shape}")
         plan = self._plan
         if plan is None or plan.x.shape != x.shape:
-            plan = _ConvPlan(x.shape, self.kernel_size)
+            plan = _ConvPlan(x.shape, self.w)
         plan.generation += 1
         plan.x[...] = x
         n, _, h, wd = x.shape
         f = self.w.shape[0]
         w = self.w.reshape(f, -1)
-        out = np.empty((f, n, h, wd), dtype=DTYPE)
+        out = np.empty((f, n, h, wd), dtype=self.w.dtype)
         # each chunk's product goes straight into its columns of out: the
         # same BLAS call as into a fresh array, with a wider row stride
         flat = out.reshape(f, -1)
@@ -245,9 +256,11 @@ class Conv2d:
         # forward's column matrix if the batch was one chunk, else a copy
         cols = (plan.chunks[0].matrix if len(plan.chunks) == 1
                 else plan.windows.reshape(c * k * k, -1))
-        dw = cols @ dy.transpose(0, 2, 3, 1).reshape(-1, f)
-        out["w"][...] = dw.reshape(-1, k, k, f).transpose(3, 0, 1, 2)
-        np.add.reduce(dy, axis=(0, 2, 3), out=out["b"])
+        # dy channel-major, a copy unless it is laid out so already: each
+        # channel's sums then run in one order, whatever dy's layout
+        dyc = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(f, -1)
+        np.matmul(dyc, cols.T, out=out["w"].reshape(f, -1))
+        np.add.reduce(dyc, axis=1, out=out["b"])
         return out
 
     def named_params(self):
@@ -282,8 +295,7 @@ class MaxPool:
     holds the window's max exactly when its own max equals it, so this is
     the first max in the order (0,0), (0,1), (1,0), (1,1); forward's caller
     refuses a NaN output before any backward runs. dx is a fresh C-ordered
-    array whatever x's layout, on purpose: the conv below sums its dW and db
-    over that gradient in memory order, so another layout changes their bytes.
+    array whatever x's layout.
     """
 
     kind = "max-pool"
@@ -302,11 +314,11 @@ class MaxPool:
     def backward(self, dy, cache, out):
         x, c, y = cache
         top = c[:, :, 0::2] == y
-        rows = np.empty(c.shape, dtype=DTYPE)  # dy in the window's max row
+        rows = np.empty(c.shape, dtype=dy.dtype)  # dy in the window's max row
         rows[:, :, 0::2] = np.where(top, dy, 0.0)
         rows[:, :, 1::2] = np.where(top, 0.0, dy)
         left = x[..., 0::2] == c
-        dx = np.empty(x.shape, dtype=DTYPE)
+        dx = np.empty(x.shape, dtype=dy.dtype)
         dx[..., 0::2] = np.where(left, rows, 0.0)
         dx[..., 1::2] = np.where(left, 0.0, rows)
         return dx, out
@@ -328,7 +340,7 @@ class GlobalAvgPool:
 
     def backward(self, dy, cache, out):
         h, w = cache[2:]
-        dx = np.empty(cache, dtype=DTYPE)
+        dx = np.empty(cache, dtype=dy.dtype)
         dx[...] = (dy / (h * w))[:, :, None, None]
         return dx, out
 
@@ -411,7 +423,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     dlogits = np.ascontiguousarray(_softmax(logits)[0])
     targets = np.asarray(labels)
     if targets.ndim == 1:
-        targets = np.eye(dlogits.shape[1])[targets]
+        targets = np.eye(dlogits.shape[1], dtype=dlogits.dtype)[targets]
     if targets.shape != dlogits.shape:
         raise ValueError(f"labels of shape {np.shape(labels)} do not fit "
                          f"logits of shape {dlogits.shape}")
@@ -467,7 +479,7 @@ def check_output(stages: list[Stage], x: np.ndarray, y: np.ndarray) -> np.ndarra
 
 
 def _head_scores(stages: list[Stage], x: np.ndarray, caches: list) -> np.ndarray:
-    """The (batch, labels) scores of stages on the float64 batch x, their
+    """The (batch, labels) scores of stages on the batch x, their
     caches appended to caches: forward()'s pass without the label checks
     and the loss, also run by optim.train(), which checks its labels once."""
     y = check_output(stages, x, run_stages(stages, x, caches))
@@ -480,13 +492,14 @@ def _head_scores(stages: list[Stage], x: np.ndarray, caches: list) -> np.ndarray
 def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.ndarray, ForwardCache]:
     """Run the stage list on a batch and apply softmax cross-entropy.
 
-    Returns (loss, per-label probabilities, cache for backward).
+    Returns (loss, per-label probabilities, cache for backward). The batch
+    is cast to the dtype of the stage list's parameters.
     Shape problems and non-finite logits are rejected with the offending
     stage named; with finite logits the probabilities are finite. As in
     optim.train(), numpy's overflow and invalid-value warnings are silenced
     for the stage pass, whose typed error reports a non-finite activation.
     """
-    x = np.asarray(batch, dtype=DTYPE)
+    x = np.asarray(batch, dtype=_param_dtype(stages))
     y = np.asarray(labels)
     if y.ndim != 1 or y.shape[0] != x.shape[0]:
         raise ValueError(f"labels must be a length-{x.shape[0]} vector, "
@@ -517,7 +530,7 @@ class Gradients(Mapping):
         self.stages = tuple(stages)
         paths = [(f"{s.name}/{li}", layer) for s in self.stages
                  for li, layer in enumerate(s.layers)]
-        self.vector = np.empty(param_count(stages), dtype=DTYPE)
+        self.vector = np.empty(param_count(stages), dtype=_param_dtype(stages))
         self.layers, at = [], 0
         for path, layer in paths:
             views = {}
@@ -577,6 +590,12 @@ def param_count(stages: list[Stage]) -> int:
     return sum(arr.size for stage in stages for _, arr in stage.named_params())
 
 
+def _param_dtype(stages: list[Stage]) -> np.dtype:
+    """The dtype of a stage list's first parameter; float64 with none."""
+    return next((arr.dtype for stage in stages
+                 for _, arr in stage.named_params()), np.dtype(np.float64))
+
+
 MAX_GRAD_CHECK_PARAMS = 10_000
 
 
@@ -586,6 +605,9 @@ def grad_check(stages: list[Stage], batch: np.ndarray, labels,
 
     Perturbs every parameter scalar by +-epsilon and returns the maximum
     relative error max |analytic - numeric| / max(|analytic|, |numeric|, 1e-12).
+    Both sides run on a copy of the stage list whose parameters are float64,
+    so a float32 model's check has float64 differences, and the stages'
+    own parameters are never written.
     Only intended for models with at most 10^4 parameters.
     """
     if not 0 < epsilon < np.inf:
@@ -594,6 +616,10 @@ def grad_check(stages: list[Stage], batch: np.ndarray, labels,
     if total > MAX_GRAD_CHECK_PARAMS:
         raise ValueError(f"model has {total} parameters; grad_check supports "
                          f"at most {MAX_GRAD_CHECK_PARAMS}")
+    # deepcopy takes each parameter's float64 copy from its memo
+    stages = copy.deepcopy(stages, {id(arr): arr.astype(np.float64)
+                                    for stage in stages
+                                    for _, arr in stage.named_params()})
     _, _, cache = forward(stages, batch, labels)
     analytic = backward(stages, cache)
     worst = 0.0

@@ -325,7 +325,7 @@ def train(model: StagedModel, train_set: LabeledDataset,
     if labels.min() < 0 or labels.max() >= model.num_labels:
         raise ValueError(f"training labels out of range for "
                          f"{model.num_labels} classes")
-    onehot = np.eye(model.num_labels)[labels]
+    onehot = np.eye(model.num_labels, dtype=model.params.dtype)[labels]
     prefixes = {} if prefixes is None else prefixes
     key = prefix_key(model, schedule)
     live = model.stages[lowest_trainable_stage(model.stage_names, schedule):]

@@ -14,6 +14,7 @@ import pytest
 from ftlab import binio, cli, experiment
 from ftlab.cli import main
 from ftlab.data import MANIFEST_NAME, LabeledDataset, load_dataset
+from ftlab.model import StagedModel
 
 
 def write_config(path, cfg: dict) -> str:
@@ -116,6 +117,13 @@ def load_as_reference_does(directory) -> str | None:
     got = outcome(load_dataset)
     assert got == outcome(reference_load_dataset)
     return got[1] if got[0] is ValueError else None
+
+
+def float64_model(model: StagedModel) -> StagedModel:
+    """model rebuilt on a float64 copy of its float32 parameters: its layers
+    compute in float64, for tests of float64 arithmetic."""
+    return StagedModel(model.arch, model.params.astype(np.float64),
+                       model.seed, model.trained_iterations)
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

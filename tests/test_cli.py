@@ -475,7 +475,7 @@ class TestMalformedInput:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: cannot create output directory: ")
+        assert lines[0].startswith(f"error: {command}: ")
         assert str(out) in lines[0]
         assert afile.read_text() == "kept\n"
 
@@ -612,14 +612,13 @@ class TestTrainSource:
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("base_lr, error", [
-        # weights that stay finite as float64 but overflow float32, with no
-        # warning from the cast
-        pytest.param(1e6, "checkpoint: parameter 'conv3/0/b' is not finite "
-                          "as float32",
+        # weights that overflow float32, the training precision, with no
+        # warning from a cast
+        pytest.param(1e6, "stage 'conv4': non-finite activation",
                      marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
-        # weights that overflow float64 during training, with no numpy
-        # warning before the error line
-        pytest.param(1e300, "stage 'conv2': non-finite activation",
+        # a rate that overflows every update, with no numpy warning before
+        # the error line
+        pytest.param(1e300, "stage 'conv1': non-finite activation",
                      marks=pytest.mark.filterwarnings("error"))])
     def test_diverged_run_exits_1_saving_and_recording_nothing(
             self, tmp_path, capsys, base_lr, error):
@@ -815,7 +814,7 @@ class TestFinetune:
         assert main(["finetune", config, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
-            "error: stage 'conv2': non-finite activation"]
+            "error: stage 'conv1': non-finite activation"]
         assert captured.out == ""
         assert sorted(os.listdir(out)) == ["config.json"]
 

@@ -42,6 +42,21 @@ class TestLabeledDataset:
             LabeledDataset(np.zeros((3, 2)), np.array([0, 1]), ("a", "b"), "d")
 
 
+    def test_features_are_float32(self):
+        ds = LabeledDataset(np.ones((2, 3)), np.array([0, 1]), ("a", "b"))
+        assert ds.features.dtype == np.float32
+        assert ds.subset([1]).features.dtype == np.float32
+
+    @pytest.mark.filterwarnings("error")     # no overflow warning from a cast
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
+    def test_features_not_finite_as_float32_rejected(self, value):
+        features = np.zeros((2, 3))
+        features[1, 2] = value
+        with pytest.raises(ValueError, match="^dataset features are not "
+                                             "finite as float32$"):
+            LabeledDataset(features, np.array([0, 1]), ("a", "b"))
+
+
 class TestImagesPerLabel:
     def test_oxford_configuration_is_exactly_10(self):
         ds = make_dataset(per_label=10, labels=102)

@@ -2,16 +2,14 @@
 
 The source fixture's checkpoint and ledger, and every file of a small grid
 sweep and a small graduated sweep but config.json, are hashed; each sweep
-runs at --workers 1 and 2 and must give the same digests at both. Files
-hold float32 tensors, which round away a change in the last bits of
-training's float64 arithmetic, so the float64 parameters of a small
-from-scratch train() are hashed too, and those of a head-only and a
-conv1-frozen train() transferred from it; so are those of the same net with
-a residual block in each conv stage, trained from scratch and transferred
-with conv1 frozen, the one net that runs ResidualBlock's backward. A change
-that alters result bytes
-on purpose updates golden.json with the digests that the failure message
-prints.
+runs at --workers 1 and 2 and must give the same digests at both.
+Training computes in float32, the precision the files hold. The final and
+best float32 parameters of a small from-scratch train() are hashed too, and
+those of a head-only and a conv1-frozen train() transferred from it; so are
+those of the same net with a residual block in each conv stage, trained
+from scratch and transferred with conv1 frozen, the one net that runs
+ResidualBlock's backward. A change that alters result bytes on purpose
+updates golden.json with the digests that the failure message prints.
 """
 
 import hashlib
@@ -59,7 +57,7 @@ def sweep_digests(out: pathlib.Path, kind: str) -> dict:
 
 
 def params_digest(result) -> str:
-    """Digest of the float64 final and best parameters of a train() result."""
+    """Digest of the float32 final and best parameters of a train() result."""
     return hashlib.sha256(result.model.params.tobytes()
                           + result.best_model.params.tobytes()).hexdigest()
 
@@ -69,7 +67,7 @@ FINETUNE_MULTIPLIERS = {"head_only": {"conv1": 0.0, "conv2": 0.0, "fc": 1.0},
 
 
 def trained_params_digests(data_root, residual: bool, finetunes) -> dict:
-    """Digests of the float64 parameters of a small net trained from scratch,
+    """Digests of the float32 parameters of a small net trained from scratch,
     every stage live, on a split of srcdom, and of the nets transferred from
     its checkpoint to a split of near and finetuned with each of finetunes,
     FINETUNE_MULTIPLIERS names; keyed under residual/ for a residual net.
@@ -86,7 +84,7 @@ def trained_params_digests(data_root, residual: bool, finetunes) -> dict:
     schedule = uniform_schedule(model.stage_names, model.head_name, 1.0, 1.0)
     policy = LrPolicy(**dict(FAST_POLICY, base_lr=0.05))
     result = train(model, train_set, val_set, schedule, policy, 6, seed=3)
-    digests = {f"{key}train/params.float64": params_digest(result)}
+    digests = {f"{key}train/params.float32": params_digest(result)}
     source = checkpoint_from_model(result.model)
     train_set, val_set = split_train_val(load_dataset(data_root / "near"),
                                          2 / 3, 5)
@@ -95,7 +93,7 @@ def trained_params_digests(data_root, residual: bool, finetunes) -> dict:
         result = train(target, train_set, val_set,
                        MultiplierSchedule(FINETUNE_MULTIPLIERS[name]),
                        policy, 6, seed=4)
-        digests[f"{key}finetune/{name}.params.float64"] = params_digest(result)
+        digests[f"{key}finetune/{name}.params.float32"] = params_digest(result)
     return digests
 
 

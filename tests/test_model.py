@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import one_conv_metadata, tensor_records
+from conftest import float64_model, one_conv_metadata, tensor_records
 from ftlab import binio, codec, model
 from ftlab.codec import decode
 from ftlab.data import LabeledDataset
@@ -17,7 +17,7 @@ from ftlab.model import (CheckpointError, LayerSpec, StageSpec, arch_digest,
                          build_staged_network, checkpoint_from_model,
                          layer_shapes, load_checkpoint, mini_staged_spec,
                          model_from_checkpoint, save_checkpoint, transfer_init)
-from ftlab.nn_core import backward, forward, grad_check, run_stages
+from ftlab.nn_core import Conv2d, backward, forward, grad_check, run_stages
 from ftlab.optim import LrPolicy, train, uniform_schedule
 
 
@@ -153,8 +153,10 @@ class TestLayerShapes:
         params = [arr for _, arr in m.named_parameters()]
         for w, b in zip(params[::2], params[1::2]):
             limit = 1.0 / np.sqrt(w.size // b.size)         # 1 / sqrt(fan_in)
-            assert np.array_equal(w, rng.uniform(-limit, limit, size=w.shape))
-            assert np.array_equal(b, rng.uniform(-limit, limit, size=b.shape))
+            # drawn in float64, rounded once to float32
+            for arr in (w, b):
+                assert arr.tobytes() == rng.uniform(
+                    -limit, limit, size=arr.shape).astype(np.float32).tobytes()
 
     @pytest.mark.parametrize("kernel_size", [2, 4])
     def test_even_kernel_rejected(self, kernel_size):
@@ -245,6 +247,8 @@ class TestCheckpoint:
     def test_parameter_not_finite_as_float32_refused_before_any_file(
             self, tmp_path, value):
         m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5)
+        if value == 1e39:       # only a float64 model's vector holds it
+            m = float64_model(m)
         params = dict(m.named_parameters())
         params["conv2/0/b"][1] = value
         params["fc/0/w"][0, 0] = value
@@ -272,10 +276,12 @@ class TestCheckpoint:
         path = tmp_path / "m.ftlb"
         save_checkpoint(m, path)
         m2 = model_from_checkpoint(load_checkpoint(path))
+        # float32 in the model as in the file: byte for byte
+        assert m2.params.dtype == np.float32
+        assert m2.params.tobytes() == m.params.tobytes()
         p1, p2 = params_of(m), params_of(m2)
         for name in p1:
-            # one float32 round trip, then exact
-            assert np.array_equal(p1[name].astype(np.float32), p2[name])
+            assert p1[name].tobytes() == p2[name].tobytes()
 
     def test_truncated_file_names_missing_tensor(self, tmp_path):
         m = build_staged_network(tiny_spec(), (1, 8, 8), 3, seed=5)
@@ -618,7 +624,7 @@ class TestParameterVector:
     def test_parameters_are_views_of_the_model_vector(self, tmp_path):
         models = self.models(tmp_path)
         for kind, m in models.items():
-            assert m.params.dtype == np.float64 and m.params.flags.c_contiguous
+            assert m.params.dtype == np.float32 and m.params.flags.c_contiguous
             assert m.param_count() == sum(a.size for _, a in m.named_parameters())
             for name, arr in m.named_parameters():
                 assert np.shares_memory(arr, m.params), (kind, name)
@@ -647,22 +653,29 @@ class TestParameterVector:
             save_checkpoint(model_from_checkpoint(load_checkpoint(first)), second)
             assert first.read_bytes() == second.read_bytes(), kind
 
-    def test_grad_check_perturbs_the_live_weights(self, tmp_path, monkeypatch):
+    def test_grad_check_checks_a_float64_copy_and_writes_no_weight(
+            self, tmp_path, monkeypatch):
         x = np.random.default_rng(8).uniform(-1, 1, size=(4, 1, 8, 8))
         y = np.array([0, 1, 2, 0])
-        for kind, m in self.models(tmp_path).items():
+        models = self.models(tmp_path)
+        before = {kind: m.params.tobytes() for kind, m in models.items()}
+        for kind, m in models.items():
             assert grad_check(m.stages, x, y) < 1e-4, kind
-            # backward reaches conv1's parameter gradients through param_grads
-            conv1 = m.stages[0].layers[0]
-            original = conv1.param_grads
+        # backward reaches conv1's parameter gradients through param_grads,
+        # which the copy's conv layers share
+        original = Conv2d.param_grads
 
-            def doubled(dy, cache, out, original=original):
-                grads = original(dy, cache, out)
-                for g in grads.values():
-                    g *= 2
-                return grads
-            monkeypatch.setattr(conv1, "param_grads", doubled)
+        def doubled(layer, dy, cache, out):
+            grads = original(layer, dy, cache, out)
+            for g in grads.values():
+                g *= 2
+            return grads
+        monkeypatch.setattr(Conv2d, "param_grads", doubled)
+        for kind, m in models.items():
             assert grad_check(m.stages, x, y) > 1e-4, kind
+        for kind, m in models.items():
+            assert m.params.dtype == np.float32, kind
+            assert m.params.tobytes() == before[kind], kind
 
 
 def reference_checkpoint_bytes(ckpt) -> bytes:
@@ -721,8 +734,7 @@ class TestArchitectureRecord:
             edited = name in ("conv1/0/w", "conv2/0/b")
             assert (got[name].tobytes() == arr.tobytes()) != edited, name
             if not name.startswith("fc/"):
-                assert got[name].tobytes() == (ckpt.tensors[name]
-                                               .astype(np.float64).tobytes())
+                assert got[name].tobytes() == ckpt.tensors[name].tobytes()
 
     def test_checkpoints_of_one_architecture_keep_their_own_tensors(
             self, tmp_path):
@@ -744,8 +756,7 @@ class TestArchitectureRecord:
             target = transfer_init(loaded, 2, head_seed=3)
             for name, arr in target.named_parameters():
                 if not name.startswith("fc/"):
-                    assert arr.tobytes() == (loaded.tensors[name]
-                                             .astype(np.float64).tobytes())
+                    assert arr.tobytes() == loaded.tensors[name].tobytes()
 
     @pytest.mark.parametrize("residual", [False, True])
     @pytest.mark.parametrize("labels", [2, 3, 7])
@@ -831,5 +842,4 @@ class TestArchitectureRecord:
         got = dict(target.named_parameters())
         assert got["fc/0/w"].shape == (2, 4)
         for name in ("conv1/0/w", "conv1/0/b"):
-            assert got[name].tobytes() == (tensors[name].astype(np.float64)
-                                           .tobytes())
+            assert got[name].tobytes() == tensors[name].tobytes()

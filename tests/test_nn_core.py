@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import float64_model
 from ftlab import nn_core
 from ftlab.data import LabeledDataset
 from ftlab.model import (LayerSpec, StageSpec, build_staged_network,
@@ -84,25 +85,31 @@ def naive_conv2d(x, w, b):
 
 
 def reference_conv(layer, x, dy):
-    """(y, dx, grads) by the earlier kernel: one tensordot over a
-    sliding_window_view per product, y in the same batch chunks."""
+    """(y, dx, grads) by the earlier kernel, in the layer's dtype: one
+    tensordot over a sliding_window_view per product, y in the same batch
+    chunks. dW and db sum over a channel-major copy of dy: dW is its
+    product with the transposed (c*k*k, n*h*w) column matrix of x."""
     w, k = layer.w, layer.kernel_size
     n, c, h, wd = x.shape
+    f = w.shape[0]
     xp = np.pad(x, ((0, 0), (0, 0), (k // 2,) * 2, (k // 2,) * 2))
     windows = sliding_window_view(xp, (k, k), axis=(2, 3))
-    step = max(1, nn_core._FORWARD_CHUNK_BYTES // (c * k * k * h * wd * 8))
-    y = np.empty((w.shape[0], n, h, wd))
+    step = max(1, nn_core._FORWARD_CHUNK_BYTES
+               // (c * k * k * h * wd * w.itemsize))
+    y = np.empty((f, n, h, wd), w.dtype)
     for i in range(0, n, step):
         y[:, i:i + step] = np.tensordot(w, windows[i:i + step],
                                         axes=([1, 2, 3], [1, 4, 5]))
     y += layer.b[:, None, None, None]
-    dw = np.tensordot(windows, dy, axes=([0, 2, 3], [0, 2, 3]))
+    dyc = np.ascontiguousarray(dy.transpose(1, 0, 2, 3)).reshape(f, -1)
+    cols = np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+    dw = dyc @ cols.reshape(c * k * k, -1).T
     dyp = np.pad(dy, ((0, 0), (0, 0), (k // 2,) * 2, (k // 2,) * 2))
     dx = np.tensordot(w[:, :, ::-1, ::-1],
                       sliding_window_view(dyp, (k, k), axis=(2, 3)),
                       axes=([0, 2, 3], [1, 4, 5]))
     return (y.transpose(1, 0, 2, 3), dx.transpose(1, 0, 2, 3),
-            {"w": dw.transpose(3, 0, 1, 2), "b": dy.sum(axis=(0, 2, 3))})
+            {"w": dw.reshape(w.shape), "b": dyc.sum(axis=1)})
 
 
 def reference_max_pool(x, dy):
@@ -128,11 +135,15 @@ def grad_views(layer):
     return {name: np.empty_like(arr) for name, arr in layer.named_params()}
 
 
-def conv_layers_with_inputs(k, batch, seed):
-    """Every Conv2d of mini_staged_spec(kernel_size=k), with a batch of its input."""
+def conv_layers_with_inputs(k, batch, seed, dtype):
+    """Every Conv2d of mini_staged_spec(kernel_size=k) on parameters of
+    dtype, with a batch of its input."""
     net = build_staged_network(mini_staged_spec(kernel_size=k), (1, 16, 16),
                                num_labels=4, seed=seed)
-    x = np.random.default_rng(seed).uniform(-1, 1, size=(batch, 1, 16, 16))
+    if dtype == np.float64:
+        net = float64_model(net)
+    x = np.random.default_rng(seed).uniform(
+        -1, 1, size=(batch, 1, 16, 16)).astype(dtype)
     found = []
     for stage in net.stages:
         for layer in stage.layers:
@@ -142,8 +153,9 @@ def conv_layers_with_inputs(k, batch, seed):
     return found
 
 
-# value computed once with scalar_loss_oracle on the seed-123 model below
-TWO_LAYER_ORACLE_LOSS = 1.165160769542393
+# value computed once with scalar_loss_oracle on the seed-123 model below,
+# its float32 parameters widened to float64
+TWO_LAYER_ORACLE_LOSS = 1.1651607691813977
 
 
 class TestForward:
@@ -170,7 +182,7 @@ class TestForward:
         assert loss == pytest.approx(expected, abs=1e-9)
 
     def test_fixed_two_layer_net_matches_scalar_oracle(self):
-        m = two_layer_model(seed=123)
+        m = float64_model(two_layer_model(seed=123))
         rng = np.random.default_rng(321)
         x = rng.uniform(-1.0, 1.0, size=(3, 4))
         y = [0, 2, 1]
@@ -291,7 +303,7 @@ class TestBackward:
             assert grads[name].shape == params[name].shape
 
     def test_duplicated_batch_keeps_mean_gradients(self):
-        m = small_conv_model(seed=4)
+        m = float64_model(small_conv_model(seed=4))
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, size=(3, 1, 8, 8))
         y = np.array([0, 1, 2])
@@ -543,21 +555,24 @@ class TestConvKernel:
     @pytest.mark.parametrize("batch", [8, 256])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_bitwise_equal_to_tensordot_kernel(self, k, batch):
-        layers = conv_layers_with_inputs(k, batch, seed=k + batch)
-        assert len(layers) == 5
         rng = np.random.default_rng(k * batch)
-        for layer, x in layers:
-            y, cache = layer.forward(x)
-            n, f, h, wd = y.shape
-            # dy C-contiguous, and laid out channel-major as the kernel makes y
-            for dy in (rng.uniform(-1, 1, size=y.shape),
-                       rng.uniform(-1, 1, size=(f, n, h, wd)).transpose(1, 0, 2, 3)):
-                want_y, want_dx, want = reference_conv(layer, x, dy)
-                dx, grads = layer.backward(dy, cache, grad_views(layer))
-                assert y.tobytes() == want_y.tobytes()
-                assert dx.tobytes() == want_dx.tobytes()
-                for name in ("w", "b"):
-                    assert grads[name].tobytes() == want[name].tobytes()
+        for dtype in (np.float32, np.float64):
+            layers = conv_layers_with_inputs(k, batch, k + batch, dtype)
+            assert len(layers) == 5
+            for layer, x in layers:
+                y, cache = layer.forward(x)
+                assert y.dtype == dtype
+                n, f, h, wd = y.shape
+                # dy C-contiguous, and channel-major as the kernel makes y
+                for dy in (rng.uniform(-1, 1, y.shape).astype(dtype),
+                           rng.uniform(-1, 1, (f, n, h, wd)).astype(dtype)
+                           .transpose(1, 0, 2, 3)):
+                    want_y, want_dx, want = reference_conv(layer, x, dy)
+                    dx, grads = layer.backward(dy, cache, grad_views(layer))
+                    assert y.tobytes() == want_y.tobytes()
+                    assert dx.tobytes() == want_dx.tobytes()
+                    for name in ("w", "b"):
+                        assert grads[name].tobytes() == want[name].tobytes()
 
     @pytest.mark.parametrize("layer, x", [
         (Conv2d(*(np.random.default_rng(1).uniform(-1, 1, size=s)
@@ -629,7 +644,7 @@ class TestConvPlan:
                                    (1, 16, 16), num_labels=4, seed=k)
         rng = np.random.default_rng(k * batch)
         layers = []
-        x = rng.uniform(-1, 1, size=(batch, 1, 16, 16))
+        x = rng.uniform(-1, 1, size=(batch, 1, 16, 16)).astype(np.float32)
         for stage in net.stages:
             x = conv_inputs(stage.layers, x, layers)
         assert len(layers) == 10
@@ -639,7 +654,7 @@ class TestConvPlan:
             layer.backward(rng.uniform(-1, 1, size=y.shape), cache,
                            grad_views(layer))
             y, cache = layer.forward(x)
-            dy = rng.uniform(-1, 1, size=y.shape)
+            dy = rng.uniform(-1, 1, size=y.shape).astype(np.float32)
             dx, grads = layer.backward(dy, cache, grad_views(layer))
             want_y, want_dx, want = reference_conv(layer, x, dy)
             assert y.tobytes() == want_y.tobytes()
@@ -719,26 +734,40 @@ class TestConvPlan:
             layer.forward(np.ones((2, 1, 5, 5)))[0].tobytes()
 
 
-def laid_out(rng, shape, layout):
-    """An (n, c, h, w) array of uniform values, a third of them swapped for
-    -0.0 or 0.0, laid out C-ordered, channel-major or as a slice of a larger
-    array, offset on every axis and taking every other column."""
-    n, c, h, w = shape
-    big = {"C": shape, "channel-major": (c, n, h, w),
-           "sliced": (n + 1, c + 1, h + 2, 2 * w)}[layout]
-    a = rng.uniform(-1, 1, big)
-    zeros = rng.random(big) < 1 / 3
-    a[zeros] = rng.choice([-0.0, 0.0], zeros.sum())
+LAYOUTS = ["C", "channel-major", "Fortran", "sliced"]
+
+
+def relaid(a, layout, rng):
+    """A copy of the (n, c, h, w) array a laid out C-ordered, channel-major,
+    Fortran-ordered, or as a slice of a larger array of other values from
+    rng, offset on every axis and taking every other column."""
+    n, c, h, w = a.shape
     if layout == "channel-major":
-        return a.transpose(1, 0, 2, 3)
-    return a[1:, 1:, 1:-1, ::2] if layout == "sliced" else a
+        return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    if layout == "Fortran":
+        return np.asfortranarray(a)
+    if layout == "sliced":
+        view = rng.uniform(-1, 1, (n + 1, c + 1, h + 2, 2 * w)).astype(
+            a.dtype)[1:, 1:, 1:-1, ::2]
+        view[...] = a
+        return view
+    return np.array(a, order="C")
+
+
+def laid_out(rng, shape, layout, dtype=np.float64):
+    """An (n, c, h, w) array of uniform values of dtype, a third of them
+    swapped for -0.0 or 0.0, laid out as relaid() says."""
+    a = rng.uniform(-1, 1, shape).astype(dtype)
+    zeros = rng.random(shape) < 1 / 3
+    a[zeros] = rng.choice([-0.0, 0.0], zeros.sum())
+    return relaid(a, layout, rng)
 
 
 def padded_windows(a, k):
     """A plain copy of _windows over a zero-padded copy of a."""
     p = k // 2
     n, c, h, w = a.shape
-    ap = np.zeros((n, c, h + 2 * p, w + 2 * p))
+    ap = np.zeros((n, c, h + 2 * p, w + 2 * p), a.dtype)
     ap[:, :, p:p + h, p:p + w] = a
     return nn_core._windows(ap, k).copy()
 
@@ -756,16 +785,17 @@ class TestColumnFill:
            c=st.integers(1, 4), f=st.integers(1, 3),
            chunks=st.integers(0, 2), extra=st.integers(0, 8),
            seed=st.integers(0, 2**32 - 1),
-           x_layout=st.sampled_from(["C", "channel-major", "sliced"]),
-           dy_layout=st.sampled_from(["C", "channel-major", "sliced"]))
+           x_layout=st.sampled_from(LAYOUTS), dy_layout=st.sampled_from(LAYOUTS),
+           dtype=st.sampled_from([np.float32, np.float64]))
     def test_matrices_copy_the_windows(self, h, w, k, c, f, chunks, extra,
-                                       seed, x_layout, dy_layout):
-        step = max(1, nn_core._FORWARD_CHUNK_BYTES // (c * k * k * h * w * 8))
+                                       seed, x_layout, dy_layout, dtype):
+        step = max(1, nn_core._FORWARD_CHUNK_BYTES
+                   // (c * k * k * h * w * np.dtype(dtype).itemsize))
         n = max(1, chunks * step + extra)
         rng = np.random.default_rng(seed)
-        x = laid_out(rng, (n, c, h, w), x_layout)
-        dy = laid_out(rng, (n, f, h, w), dy_layout)
-        plan = nn_core._ConvPlan(x.shape, k)
+        x = laid_out(rng, (n, c, h, w), x_layout, dtype)
+        dy = laid_out(rng, (n, f, h, w), dy_layout, dtype)
+        plan = nn_core._ConvPlan(x.shape, np.zeros((f, c, k, k), dtype))
         assert plan.step == step and len(plan.chunks) == -(-n // step)
         want = padded_windows(x, k)
         # other data first, so nothing a fill leaves behind can pass
@@ -782,13 +812,43 @@ class TestColumnFill:
         assert got.tobytes() == padded_windows(dy, k).tobytes()
 
     def test_chunks_share_one_column_buffer(self):
-        # 8 channels, k = 3 at 2x2: 227 images a chunk, so batch 500 takes 3
-        plan = nn_core._ConvPlan((500, 8, 2, 2), 3)
+        # 8 channels, k = 3 at 2x2 in float64: 227 images a chunk, so batch
+        # 500 takes 3
+        plan = nn_core._ConvPlan((500, 8, 2, 2), np.zeros((1, 8, 3, 3)))
         assert plan.windows.base is plan.xp and not plan.windows.flags.writeable
         assert len(plan.chunks) == 3
         buf = plan.chunks[0].matrix.base
         assert buf.size == plan.chunks[0].matrix.size
         assert all(cols.matrix.base is buf for cols in plan.chunks)
+
+
+class TestConvGradientLayout:
+    """Conv2d's dx, dW and db are the same bytes whatever dy's memory
+    layout: param_grads sums each channel over a channel-major copy of dy,
+    and backward copies dy into its padded buffer."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), c=st.integers(1, 4), f=st.integers(1, 4),
+           h=st.integers(1, 6), w=st.integers(1, 6),
+           k=st.sampled_from([1, 3, 5]), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_gradients_do_not_depend_on_dy_layout(self, n, c, f, h, w, k, seed,
+                                                  dtype):
+        rng = np.random.default_rng(seed)
+        layer = Conv2d(rng.uniform(-1, 1, (f, c, k, k)).astype(dtype),
+                       rng.uniform(-1, 1, f).astype(dtype))
+        _, cache = layer.forward(rng.uniform(-1, 1, (n, c, h, w)).astype(dtype))
+        dy = rng.uniform(-1, 1, (n, f, h, w)).astype(dtype)
+        got = set()
+        for layout in LAYOUTS:
+            d = relaid(dy, layout, rng)
+            dx, grads = layer.backward(d, cache, grad_views(layer))
+            alone = layer.param_grads(d, cache, grad_views(layer))
+            assert {g.dtype for g in (dx, *grads.values())} == {np.dtype(dtype)}
+            assert alone["w"].tobytes() + alone["b"].tobytes() == \
+                grads["w"].tobytes() + grads["b"].tobytes()
+            got.add((dx.tobytes(), grads["w"].tobytes(), grads["b"].tobytes()))
+        assert len(got) == 1
 
 
 def spy_on_backward(monkeypatch, stages):
@@ -1164,7 +1224,7 @@ class TestGradCheck:
 
     def test_matches_independent_finite_differences(self):
         # spot-check grad_check's numeric side against a hand-rolled FD loop
-        m = two_layer_model(seed=8)
+        m = float64_model(two_layer_model(seed=8))
         rng = np.random.default_rng(8)
         x = rng.uniform(-1, 1, size=(4, 4))
         y = np.array([0, 1, 2, 0])

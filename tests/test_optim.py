@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import float64_model
 from ftlab import nn_core, optim
 from ftlab.data import LabeledDataset
 from ftlab.model import (LayerSpec, StageSpec, build_staged_network,
@@ -160,7 +161,7 @@ class TestSgdStep:
     def test_two_momentum_steps_match_hand_unroll(self):
         # v1 = -eta*g ; w1 = w - eta*g
         # v2 = mu*v1 - eta*g ; w2 = w - eta*g - (mu*eta*g + eta*g)
-        m = dense_model(seed=2)
+        m = float64_model(dense_model(seed=2))    # float64 sums, as below
         policy = LrPolicy(0.05, 10, 100, gamma=1.0)
         schedule = uniform_schedule(m.stage_names, m.head_name, 1.0, 1.0)
         state = SgdState.for_model(m, momentum=0.9)
@@ -500,7 +501,8 @@ class TestEpochGather:
         assert len(seen) == len(targets) == steps
         for x, t, idx in zip(seen, targets, want):
             assert x.tobytes() == rows[idx].tobytes()
-            assert t.tobytes() == np.eye(3)[self.train_set.labels[idx]].tobytes()
+            assert t.tobytes() == np.eye(3, dtype=np.float32)[
+                self.train_set.labels[idx]].tobytes()
 
     def test_a_batch_of_8_from_10_rows_draws_a_permutation_every_step(self):
         batches = self.batch_orders(10, 8, 4, seed=17)
@@ -622,9 +624,10 @@ class TestFrozenPrefixCache:
                   seed=4)
 
     def test_non_finite_row_past_the_first_batch_names_its_stage(self):
-        features = self.train_set.features.copy()
-        features[280, 0, 3, 3] = np.nan          # in the second 256-row batch
-        rows = LabeledDataset(features, self.train_set.labels, ("a", "b", "c"))
+        rows = LabeledDataset(self.train_set.features.copy(),
+                              self.train_set.labels, ("a", "b", "c"))
+        # in the second 256-row batch; a dataset refuses a NaN it is given
+        rows.features[280, 0, 3, 3] = np.nan
         with pytest.raises(ValueError,
                            match="^stage 'conv1': non-finite activation$"):
             frozen_prefix(conv_model(), MultiplierSchedule(HEAD_ONLY), rows,
@@ -742,6 +745,39 @@ def oracle_train(model, train_set, val_set, schedule, policy, batch_size, seed,
                 best = [arr.tobytes() for _, arr in model.named_parameters()]
     return (trace, best_iter,
             [arr.tobytes() for _, arr in model.named_parameters()], best)
+
+
+class TestFloat32Training:
+    """train() computes in float32 from end to end, the precision the files
+    hold: at every step, the logits' gradient, the gradient vector, the
+    velocity and the parameters."""
+
+    train_set = conv_dataset(40, seed=32)
+    val_set = conv_dataset(20, seed=33)
+
+    @pytest.mark.parametrize("mults", [HEAD_ONLY, CONV1_FROZEN, ALL_LIVE],
+                             ids=["head_only", "conv1_frozen", "all_live"])
+    def test_every_step_is_float32(self, monkeypatch, mults):
+        dtypes = []
+        xent, step = optim.softmax_cross_entropy, optim.sgd_step
+
+        def spy_xent(logits, labels):
+            dlogits = xent(logits, labels)
+            dtypes.append((logits.dtype, labels.dtype, dlogits.dtype))
+            return dlogits
+
+        def spy_step(model, grads, state, *args):
+            dtypes.append((grads.vector.dtype, state.velocity.dtype,
+                           model.params.dtype))
+            return step(model, grads, state, *args)
+        monkeypatch.setattr(optim, "softmax_cross_entropy", spy_xent)
+        monkeypatch.setattr(optim, "sgd_step", spy_step)
+        train(conv_model(), self.train_set, self.val_set,
+              MultiplierSchedule(mults), LrPolicy(0.05, 10, 7), batch_size=8,
+              seed=3)
+        assert len(dtypes) == 2 * 7
+        assert set(dt for triple in dtypes for dt in triple) == {
+            np.dtype(np.float32)}
 
 
 class TestArenaSgdOracle:
