@@ -29,8 +29,8 @@ from .experiment import (FinetuneTask, GraduatedSpec, GridSpec, JobInputs,
                          graduated_schedule, grid_jobs, rate_schedule,
                          render_report, report_from_records, run_jobs,
                          scale_jobs, scan_ledger, transfer_seeds)
-from .model import (Checkpoint, CheckpointError, build_staged_network,
-                    layer_shapes, load_checkpoint, mini_staged_spec)
+from .model import (Checkpoint, CheckpointError, MiniNet, build_staged_network,
+                    load_checkpoint)
 from .nn_core import grad_check
 from .optim import LrPolicy, MultiplierSchedule, uniform_schedule
 
@@ -42,32 +42,8 @@ CONFIG_COPY_NAME = "config.json"
 ConfigError = DecodeError
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Mini staged-net settings (stage widths plus head).
-
-    Settings that do not give a valid net are rejected when it is made.
-    """
-
-    input_shape: tuple[int, ...] = (1, 16, 16)
-    widths: tuple[int, ...] = (4, 4, 8, 8, 8)
-    kernel_size: int = 3
-    residual: bool = False
-    pools: tuple[bool, ...] | None = None
-    head_name: str = "fc"
-
-    def __post_init__(self):
-        layer_shapes(self.build_spec(), self.input_shape)
-
-    def build_spec(self):
-        return mini_staged_spec(widths=self.widths, input_shape=self.input_shape,
-                                kernel_size=self.kernel_size,
-                                residual=self.residual, head_name=self.head_name,
-                                pools=self.pools)
-
-
 # the net that grad-check checks when it is given no config
-GRAD_CHECK_MODEL = ModelConfig(input_shape=(1, 8, 8), widths=(2, 3))
+GRAD_CHECK_MODEL = MiniNet(widths=(2, 3), input_shape=(1, 8, 8))
 
 
 def _positive(n) -> bool:
@@ -144,7 +120,7 @@ class RunConfig:
     # no default policy or batch size: the training method never states
     # one, so the commands that train require them explicitly
     policy: LrPolicy | None = None
-    model: ModelConfig = ModelConfig()
+    model: MiniNet = MiniNet()
     batch_size: int | None = field(
         default=None, metadata=check(_positive, "must be a positive integer"))
     momentum: float = field(
@@ -368,7 +344,7 @@ def cmd_train_source(cfg: RunConfig, out_dir) -> int:
     if errors:
         return _fail(errors)
     # a random init drawn from the seed, every stage trained at the base rate
-    spec = cfg.model.build_spec()
+    spec = cfg.model.stages()
     names = [stage.name for stage in spec]
     job = JobSpec("source", task.task_id, task.task_id,
                   uniform_schedule(names, names[-1], 1.0, 1.0), cfg.seed,
@@ -462,12 +438,12 @@ def cmd_report(ledger_path, out_dir=None) -> int:
     return 0
 
 
-def cmd_grad_check(model_cfg: ModelConfig, seed: int, epsilon: float,
+def cmd_grad_check(net: MiniNet, seed: int, epsilon: float,
                    out_dir=None) -> int:
-    model = build_staged_network(model_cfg.build_spec(), model_cfg.input_shape,
-                                 num_labels=3, seed=seed)
+    model = build_staged_network(net.stages(), net.input_shape, num_labels=3,
+                                 seed=seed)
     rng = np.random.default_rng(derive_seed(seed, "grad-check"))
-    batch = rng.uniform(-1.0, 1.0, size=(4,) + model_cfg.input_shape)
+    batch = rng.uniform(-1.0, 1.0, size=(4,) + net.input_shape)
     labels = np.arange(4) % 3
     try:
         err = grad_check(model.stages, batch, labels, epsilon=epsilon)

@@ -83,6 +83,9 @@ class GridSpec:
             if not 0 < ll < math.inf:
                 raise ValueError(f"last-layer rate must be positive and "
                                  f"finite, got {ll}")
+        if len(set(self.ll_values)) != len(self.ll_values):
+            raise ValueError(f"last-layer rates must not repeat, "
+                             f"got {self.ll_values}")
         if not 0 < self.min_il <= min(self.ll_values):
             raise ValueError(f"min_il {self.min_il} must be in "
                              f"(0, {min(self.ll_values)}]")
@@ -122,6 +125,8 @@ class GraduatedSpec:
                                      self.inner_multipliers[1:])):
             raise ValueError(f"inner multipliers must be non-decreasing, "
                              f"got {self.inner_multipliers}")
+        if not self.scales:
+            raise ValueError("graduated sweep needs at least one scale")
         for s in self.scales:
             if not 0 < s < math.inf:
                 raise ValueError(f"scales must be positive and finite, got {s}")
@@ -131,12 +136,9 @@ class GraduatedSpec:
             raise ValueError(f"unknown layout {self.layout!r}")
 
 
-DEFAULT_INNER_STAGES = ("conv1", "conv2", "conv3", "conv4", "conv5")
-
-
 def graduated_schedule(spec: GraduatedSpec, scale: float,
-                       inner_stage_names: Sequence[str] = DEFAULT_INNER_STAGES,
-                       head_name: str = "fc") -> MultiplierSchedule:
+                       inner_stage_names: Sequence[str],
+                       head_name: str) -> MultiplierSchedule:
     """Multiplier schedule for one scale of a graduated sweep."""
     names = list(inner_stage_names)
     values = spec.inner_multipliers
@@ -162,7 +164,7 @@ def graduated_schedule(spec: GraduatedSpec, scale: float,
 class RunRecord:
     """One executed training job, as stored in the results ledger."""
 
-    kind: str                 # "source" | "ll" | "grid" | "graduated" | "baseline"
+    kind: str     # "source" | "ll" | "grid" | "graduated" | "baseline" | "custom"
     task: str
     source: str
     seed: int
@@ -254,7 +256,7 @@ class JobInputs:
 class JobSpec:
     """One job: all that a pool worker is sent for it."""
 
-    kind: str             # "source" | "ll" | "grid" | "graduated" | "baseline"
+    kind: str     # "source" | "ll" | "grid" | "graduated" | "baseline" | "custom"
     name: str                     # names the job in a JobFailure
     task_id: str
     schedule: MultiplierSchedule

@@ -28,8 +28,9 @@ from .nn_core import (Conv2d, Dense, GlobalAvgPool, MaxPool, Relu,
 CHECKPOINT_MAGIC = b"FTLB"
 CHECKPOINT_VERSION = 1
 
-VALID_KINDS = ("dense", "conv2d", "relu", "max-pool", "global-average-pool",
-               "residual-add")
+# every layer class by the kind a LayerSpec names it with
+_LAYER_CLASSES = {cls.kind: cls for cls in (Conv2d, Dense, Relu, MaxPool,
+                                           GlobalAvgPool, ResidualBlock)}
 
 
 class CheckpointError(Exception):
@@ -47,7 +48,7 @@ class LayerSpec:
     inner: tuple[LayerSpec, ...] | None = None  # residual-add
 
     def __post_init__(self):
-        if self.kind not in VALID_KINDS:
+        if self.kind not in _LAYER_CLASSES:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         for name in ("out_channels", "kernel_size", "out_features"):
             size = getattr(self, name)
@@ -99,39 +100,54 @@ def conv_stage(name: str, out_channels: int, kernel_size: int = 3,
     return StageSpec(name, tuple(layers))
 
 
-def mini_staged_spec(widths: Sequence[int] = (4, 4, 8, 8, 8),
-                     input_shape: Sequence[int] = (1, 16, 16),
-                     kernel_size: int = 3,
-                     residual: bool = False,
-                     head_name: str = "fc",
-                     pools: Sequence[bool] | None = None) -> tuple[StageSpec, ...]:
+@dataclass(frozen=True)
+class MiniNet:
     """Desk-scale staged net: len(widths) conv stage groups plus a dense head.
 
     Pooling defaults to halving the spatial dims while they stay even and
     at least 4; the last stage always ends with global average pooling so
-    the head sees a flat feature vector.
+    the head sees a flat feature vector. Settings that do not give a valid
+    net are rejected when it is made; a config's model section is one.
     """
-    if len(input_shape) != 3:
-        raise ValueError(f"input_shape must be (channels, H, W), got {input_shape}")
-    h, w = input_shape[1:]
-    if pools is None:
-        auto = []
-        for _ in widths:
-            do_pool = min(h, w) >= 4 and h % 2 == 0 and w % 2 == 0
-            auto.append(do_pool)
-            if do_pool:
-                h, w = h // 2, w // 2
-        pools = auto
-    if len(pools) != len(widths):
-        raise ValueError("pools and widths must have the same length")
-    stages = []
-    for i, w in enumerate(widths):
-        last = i == len(widths) - 1
-        stages.append(conv_stage(f"conv{i + 1}", w, kernel_size=kernel_size,
-                                 residual=residual, pool=pools[i] and not last,
-                                 global_pool=last))
-    stages.append(StageSpec(head_name, (LayerSpec("dense"),)))
-    return tuple(stages)
+
+    widths: tuple[int, ...] = (4, 4, 8, 8, 8)
+    input_shape: tuple[int, ...] = (1, 16, 16)
+    kernel_size: int = 3
+    residual: bool = False
+    head_name: str = "fc"
+    pools: tuple[bool, ...] | None = None
+
+    def __post_init__(self):
+        layer_shapes(self.stages(), self.input_shape)
+
+    def stages(self) -> tuple[StageSpec, ...]:
+        widths, input_shape, pools = self.widths, self.input_shape, self.pools
+        if len(input_shape) != 3:
+            raise ValueError(f"input_shape must be (channels, H, W), got {input_shape}")
+        h, w = input_shape[1:]
+        if pools is None:
+            auto = []
+            for _ in widths:
+                do_pool = min(h, w) >= 4 and h % 2 == 0 and w % 2 == 0
+                auto.append(do_pool)
+                if do_pool:
+                    h, w = h // 2, w // 2
+            pools = auto
+        if len(pools) != len(widths):
+            raise ValueError("pools and widths must have the same length")
+        stages = []
+        for i, w in enumerate(widths):
+            last = i == len(widths) - 1
+            stages.append(conv_stage(f"conv{i + 1}", w, kernel_size=self.kernel_size,
+                                     residual=self.residual, pool=pools[i] and not last,
+                                     global_pool=last))
+        stages.append(StageSpec(self.head_name, (LayerSpec("dense"),)))
+        return tuple(stages)
+
+
+def mini_staged_spec(*args, **kwargs) -> tuple[StageSpec, ...]:
+    """The stages of MiniNet(*args, **kwargs)."""
+    return MiniNet(*args, **kwargs).stages()
 
 
 class LayerShape(NamedTuple):
@@ -242,11 +258,6 @@ def _json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-_LAYER_TYPES = {"conv2d": Conv2d, "dense": Dense, "relu": Relu,
-                "max-pool": MaxPool, "global-average-pool": GlobalAvgPool,
-                "residual-add": lambda: ResidualBlock([])}
-
-
 class Architecture:
     """One architecture at one head size, and all that depends on it alone.
 
@@ -292,7 +303,7 @@ class Architecture:
                                              binio.named_tensor_header(name, shape))
                 views.append((self.slices[name], shape))
                 offset += math.prod(shape)
-            builders.append((_LAYER_TYPES[rec.kind], tuple(views),
+            builders.append((_LAYER_CLASSES[rec.kind], tuple(views),
                              (rec.stage, rec.path.rpartition("/")[0]),
                              (rec.stage, rec.path)))
         # per layer: its type, its parameters' (slice, shape), the (stage,

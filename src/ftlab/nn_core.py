@@ -3,12 +3,12 @@
 A layer computes in its parameters' float dtype: float32 for every model
 ftlab builds, the precision its files hold; float64 for a layer built on
 float64 arrays. Feature maps are laid out NCHW; dense layers take (batch,
-features). Each layer implements a
-forward(x) -> (y, cache) and backward(dy, cache, out) -> (dx, out) pair
-whose results depend only on the inputs and the parameters; the only other
-state is Conv2d's scratch buffers, which no result aliases. out, required,
-maps each parameter name to the array its gradient is written into. A
-layer with parameters also has param_grads(dy, cache, out) -> out:
+features). Each layer implements a forward(x) -> (y, cache) and
+backward(dy, cache, out) -> (dx, out) pair whose results depend only on the
+inputs and the parameters; the only other state is Conv2d's scratch
+buffers, which no result aliases. out, required, maps each parameter name
+to the array its gradient is written into, and is empty for a layer with
+none. A layer with parameters also has param_grads(dy, cache, out) -> out:
 backward's parameter gradients, computed without dx where the layer can.
 
 backward() over a stage list is the one place that allocates gradients: one
@@ -312,6 +312,7 @@ class MaxPool:
         return out, (x, c, out)
 
     def backward(self, dy, cache, out):
+        # each level in numpy calls over whole rows: about 10 calls, not 25
         x, c, y = cache
         top = c[:, :, 0::2] == y
         rows = np.empty(c.shape, dtype=dy.dtype)  # dy in the window's max row
@@ -353,7 +354,7 @@ class ResidualBlock:
 
     kind = "residual-add"
 
-    def __init__(self, inner: list):
+    def __init__(self, inner=()):
         self.inner = list(inner)
 
     def forward(self, x):
@@ -403,6 +404,7 @@ def _softmax(logits: np.ndarray):
     computed in place in one fresh array laid out as numpy lays out
     logits - top, with the row maxima top and the row sums denom of the
     shifted exponentials, both (batch, 1)."""
+    # the ufunc reductions, as in GlobalAvgPool: the ndarray methods' bytes
     top = np.maximum.reduce(logits, axis=1, keepdims=True)
     probs = logits - top
     np.exp(probs, out=probs)
@@ -413,13 +415,13 @@ def _softmax(logits: np.ndarray):
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """The gradient of the mean cross-entropy over the batch with respect to
-    the logits, as a fresh C-ordered array: the softmax less the one-hot
-    rows of the labels, divided by the batch size. labels are a (batch,)
-    vector of integer labels or their (batch, labels) one-hot rows, as
-    optim.train() passes them; subtracting a row's 0.0 entries leaves its
-    probabilities' bits as they are. It is training's loss kernel, so it
-    computes no loss and keeps no probabilities; forward() returns those,
-    from the same softmax."""
+    the logits, as a fresh C-ordered array: the softmax, computed in place,
+    less the one-hot rows of the labels, divided by the batch size. labels
+    are a (batch,) integer vector, as forward() passes them, or their
+    (batch, labels) one-hot rows, as optim.train() does; other shapes are a
+    ValueError. Subtracting a row's 0.0 entries leaves its probabilities'
+    bits as they are, and its 1.0 is a fancy-indexed -= 1.0. It is
+    training's loss kernel: no loss, no log, no kept probabilities."""
     dlogits = np.ascontiguousarray(_softmax(logits)[0])
     targets = np.asarray(labels)
     if targets.ndim == 1:
@@ -436,16 +438,17 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 class ForwardCache:
     """Activations saved by forward() for the matching backward() call."""
 
-    layer_caches: list
-    dlogits: np.ndarray
+    layer_caches: list    # every layer's cache in run order, read by index
+    dlogits: np.ndarray   # the loss's gradient with respect to the logits
 
 
 def run_stages(stages: list[Stage], x: np.ndarray,
                caches: list | None = None) -> np.ndarray:
-    """The one stage loop: run a batch through a stage list, with no loss.
+    """The one stage loop: run a batch through a stage list, with no loss,
+    for forward(), evaluation and training's frozen-prefix pass alike.
 
-    A layer's shape error is re-raised with its stage named. caches gets
-    each layer's cache, in run order."""
+    A layer's shape error is re-raised with its stage named. caches, which
+    forward() passes, gets each layer's cache, in run order."""
     for stage in stages:
         for layer in stage.layers:
             try:
@@ -459,16 +462,19 @@ def run_stages(stages: list[Stage], x: np.ndarray,
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of a is finite. Counting the finite entries skips
-    ndarray.all()'s Python wrapper, which costs more than the count on a
-    training step's small arrays; nothing is summed, so no value overflows."""
+    """Whether every entry of a is finite: each pass checks its output once,
+    forward() the logits, optim.frozen_prefix the training rows, backward()
+    the gradients. Counting the finite entries skips ndarray.all()'s Python
+    wrapper, which costs more than the count on a training step's small
+    arrays; nothing is summed, so no value overflows."""
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 def check_output(stages: list[Stage], x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """y, the output of stages on x, if it is finite; else a ValueError naming
     the first stage whose output is not, found by running them again on x,
-    or, with no stage to name, the logits."""
+    or, with no stage to name, the logits. A non-finite value that a later
+    stage maps back to finite ones (-inf into a ReLU) is no error."""
     if not _all_finite(y):
         for stage in stages:
             x = run_stages([stage], x)     # y is the last stage's output
@@ -492,10 +498,12 @@ def _head_scores(stages: list[Stage], x: np.ndarray, caches: list) -> np.ndarray
 def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.ndarray, ForwardCache]:
     """Run the stage list on a batch and apply softmax cross-entropy.
 
-    Returns (loss, per-label probabilities, cache for backward). The batch
-    is cast to the dtype of the stage list's parameters.
-    Shape problems and non-finite logits are rejected with the offending
-    stage named; with finite logits the probabilities are finite. As in
+    Returns (loss, per-label probabilities, cache for backward): the first
+    two from _softmax, the cache's gradient from softmax_cross_entropy. The
+    batch is cast to the dtype of the stage list's parameters, and the
+    labels' shape and range are checked at every call. Shape problems and
+    non-finite logits are rejected with the offending stage named; finite
+    logits give finite probabilities, which go unchecked. As in
     optim.train(), numpy's overflow and invalid-value warnings are silenced
     for the stage pass, whose typed error reports a non-finite activation.
     """
@@ -519,12 +527,12 @@ def forward(stages: list[Stage], batch: np.ndarray, labels) -> tuple[float, np.n
 
 class Gradients(Mapping):
     """backward()'s result and plan for one stage list: a read-only mapping
-    of each parameter's name to its gradient, a view of vector, keyed top
-    layer first, as backward computes them. vector is laid out like the
-    list's parameters in their named_params() order. stages is the stage
-    list it was built from, which it fits with its layer lists then; layers
-    pairs each layer with the views it writes into; lowest indexes the
-    lowest layer with parameters."""
+    (no item assignment) of each parameter's name to its gradient, a view
+    of vector, its one home, keyed top layer first, as backward computes
+    them. vector is laid out like the list's parameters in named_params()
+    order. stages is the list it was built from, which it fits with its
+    layer lists then, keeping nothing on them; layers pairs each layer with
+    the views it writes into; lowest indexes the lowest parameter layer."""
 
     def __init__(self, stages: list[Stage]):
         self.stages = tuple(stages)

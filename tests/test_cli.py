@@ -13,13 +13,13 @@ from conftest import (BROKEN_DATASET_CASES, FAST_POLICY, TINY_MODEL,
                       die_in_worker, one_conv_metadata, run_python,
                       tensor_records, write_broken_dataset, write_config)
 from ftlab import cli, experiment
-from ftlab.cli import ConfigError, ModelConfig, RunConfig, load_config, main
+from ftlab.cli import ConfigError, RunConfig, load_config, main
 from ftlab.codec import decode, encode
 from ftlab.data import (SyntheticDomainSpec, gen_synthetic_domain,
                         load_dataset, save_dataset, split_train_val)
 from ftlab.experiment import (FinetuneTask, RunRecord, append_records,
                               derive_seed, percent_gain, run_ll_experiment)
-from ftlab.model import (CheckpointError, build_staged_network,
+from ftlab.model import (CheckpointError, MiniNet, build_staged_network,
                          checkpoint_from_model, load_checkpoint,
                          mini_staged_spec, save_checkpoint, transfer_init)
 from ftlab.optim import LrPolicy, evaluate
@@ -179,7 +179,7 @@ class TestRunConfig:
 
     def test_default_model_config(self):
         cfg = decode(RunConfig, {"policy": dict(FAST_POLICY)})
-        assert cfg.model == ModelConfig()
+        assert cfg.model == MiniNet()
         assert cfg.batch_size is None and cfg.workers == 1
 
     def test_training_commands_require_batch_size(self, tmp_path, capsys,
@@ -229,6 +229,14 @@ MALFORMED_CONFIGS = {
                             "model.residual must be a boolean"),
     "grid_key_typo": ("sweep", {"grid": {"ll_value": [5]}},
                       "unknown field 'grid.ll_value'"),
+    # every (ll, il) cell ran, and was recorded, twice
+    "grid_repeated_ll": ("sweep", {"grid": {"ll_values": [0.1, 0.1],
+                                            "min_il": 0.1}},
+                         "grid: last-layer rates must not repeat"),
+    # only the baseline ran, and the report had no scale-sweep section
+    "graduated_no_scales": ("sweep", {"grid": None, "graduated": {
+        "inner_multipliers": [0, 2], "scales": []}},
+        "graduated: graduated sweep needs at least one scale"),
     # decoded and copied into config.json, but read by no command
     "recommender_section": ("sweep", {"recommender": {
         "breakpoints": [[0, 0.0001], [25, 0.001]]}},
@@ -711,6 +719,8 @@ class TestFinetune:
         config = write_config(tmp_path / "c.json", cfg)
         assert main(["finetune", config, "--out", str(out)]) == 0
         record = read_ledger_lines(out / "ledger.jsonl")[0]
+        assert record["kind"] == "custom"
+        assert record["ll"] is record["il"] is record["scale"] is None
         # reference: transfer-init model with the same head seed, untouched
         source = load_checkpoint(source_run / "source.ftlb")
         ds = load_dataset(data_root / "near")

@@ -162,6 +162,9 @@ class TestGridSpec:
             GridSpec(ll_values=(0.0,))
         with pytest.raises(ValueError):
             GridSpec(ll_values=(0.01,), min_il=0.1)
+        # each (ll, il) cell would run, and be recorded, twice
+        with pytest.raises(ValueError, match="rates must not repeat"):
+            GridSpec(ll_values=(0.1, 0.01, 0.1), min_il=0.01)
 
     @pytest.mark.parametrize("kwargs, bad", [
         (dict(ll_values=(math.inf,), min_il=0.01), "inf"),
@@ -182,6 +185,10 @@ class TestGridSpec:
         assert values == (0.0,) + tuple(10.0 ** k for k in range(300, 309))
 
 
+# the stage names of the default net: five conv stages and its head
+*INNER, HEAD = [stage.name for stage in mini_staged_spec()]
+
+
 class TestGraduatedSchedule:
     def test_default_multipliers_and_scales(self):
         spec = GraduatedSpec()
@@ -192,7 +199,7 @@ class TestGraduatedSchedule:
                                7.0, 10.0)
 
     def test_default_layout_one_multiplier_per_stage(self):
-        sched = graduated_schedule(GraduatedSpec(), scale=1.0)
+        sched = graduated_schedule(GraduatedSpec(), 1.0, INNER, HEAD)
         assert sched.stage_multipliers == {"conv1": 0.0, "conv2": 1.0,
                                            "conv3": 2.0, "conv4": 4.0,
                                            "conv5": 8.0, "fc": 16.0}
@@ -201,14 +208,14 @@ class TestGraduatedSchedule:
     def test_shared_first_layout(self):
         spec = GraduatedSpec(inner_multipliers=(0.0, 1.0, 2.0, 5.0),
                              layout="shared_first")
-        sched = graduated_schedule(spec, scale=1.0)
+        sched = graduated_schedule(spec, 1.0, INNER, HEAD)
         assert sched.stage_multipliers == {"conv1": 0.0, "conv2": 0.0,
                                            "conv3": 1.0, "conv4": 2.0,
                                            "conv5": 5.0, "fc": 16.0}
 
     def test_shared_first_leaves_extra_multipliers_unused(self):
         spec = GraduatedSpec(layout="shared_first")
-        sched = graduated_schedule(spec, scale=0.5)
+        sched = graduated_schedule(spec, 0.5, INNER, HEAD)
         assert sched.stage_multipliers == {"conv1": 0.0, "conv2": 0.0,
                                            "conv3": 1.0, "conv4": 2.0,
                                            "conv5": 4.0, "fc": 16.0}
@@ -217,25 +224,25 @@ class TestGraduatedSchedule:
     def test_shared_first_needs_two_stages(self):
         with pytest.raises(ValueError, match="at least two inner stages"):
             graduated_schedule(GraduatedSpec(layout="shared_first"), 1.0,
-                               inner_stage_names=("conv1",))
+                               ("conv1",), HEAD)
 
     def test_shared_first_needs_a_multiplier_for_all_but_one_stage(self):
         spec = GraduatedSpec(inner_multipliers=(0.0, 1.0, 2.0),
                              layout="shared_first")
         with pytest.raises(ValueError, match="5 inner stages need at least "
                                              "4 multipliers for shared_first"):
-            graduated_schedule(spec, 1.0)
+            graduated_schedule(spec, 1.0, INNER, HEAD)
 
     def test_worked_example_conv3_at_half_scale(self):
         # conv3 multiplier 2, base rate 0.001, scale 0.5 -> exactly 0.001
-        sched = graduated_schedule(GraduatedSpec(), scale=0.5)
+        sched = graduated_schedule(GraduatedSpec(), 0.5, INNER, HEAD)
         policy = LrPolicy(0.001, step_size=10, total_iterations=100)
         eff = effective_lr(policy, 0, sched.stage_multipliers["conv3"],
                            sched.scale)
         assert eff == 0.001
 
     def test_quarter_scale_effective_multipliers(self):
-        sched = graduated_schedule(GraduatedSpec(), scale=0.25)
+        sched = graduated_schedule(GraduatedSpec(), 0.25, INNER, HEAD)
         eff = {name: m * sched.scale
                for name, m in sched.stage_multipliers.items()}
         assert eff == {"conv1": 0.0, "conv2": 0.25, "conv3": 0.5, "conv4": 1.0,
@@ -243,7 +250,7 @@ class TestGraduatedSchedule:
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError, match="scale"):
-            graduated_schedule(GraduatedSpec(), scale=0.0)
+            graduated_schedule(GraduatedSpec(), 0.0, INNER, HEAD)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -252,6 +259,9 @@ class TestGraduatedSchedule:
             GraduatedSpec(scales=(1.0, 0.5))
         with pytest.raises(ValueError, match="layout"):
             GraduatedSpec(layout="diagonal")
+        # a sweep would run only its baselines
+        with pytest.raises(ValueError, match="at least one scale"):
+            GraduatedSpec(scales=())
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(scales=(1.0, math.inf)), "scales must be positive and finite, "
@@ -274,8 +284,7 @@ class TestGraduatedSchedule:
 
     def test_multiplier_count_must_match_stage_count(self):
         with pytest.raises(ValueError, match="multipliers"):
-            graduated_schedule(GraduatedSpec(), 1.0,
-                               inner_stage_names=("conv1", "conv2"))
+            graduated_schedule(GraduatedSpec(), 1.0, ("conv1", "conv2"), HEAD)
 
     def test_seventy_task_job_accounting(self):
         assert 70 * len(GraduatedSpec().scales) == 770

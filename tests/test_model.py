@@ -13,10 +13,11 @@ from ftlab import binio, codec, model
 from ftlab.codec import decode
 from ftlab.data import LabeledDataset
 from ftlab.experiment import FinetuneTask, run_ll_experiment
-from ftlab.model import (CheckpointError, LayerSpec, StageSpec, arch_digest,
-                         build_staged_network, checkpoint_from_model,
-                         layer_shapes, load_checkpoint, mini_staged_spec,
-                         model_from_checkpoint, save_checkpoint, transfer_init)
+from ftlab.model import (CheckpointError, LayerSpec, MiniNet, StageSpec,
+                         arch_digest, build_staged_network,
+                         checkpoint_from_model, layer_shapes, load_checkpoint,
+                         mini_staged_spec, model_from_checkpoint,
+                         save_checkpoint, transfer_init)
 from ftlab.nn_core import Conv2d, backward, forward, grad_check, run_stages
 from ftlab.optim import LrPolicy, train, uniform_schedule
 
@@ -162,6 +163,20 @@ class TestLayerShapes:
     def test_even_kernel_rejected(self, kernel_size):
         with pytest.raises(ValueError, match="kernel size must be odd"):
             layer_shapes(mini_staged_spec((2, 3), (1, 8, 8), kernel_size), (1, 8, 8))
+
+    @pytest.mark.parametrize("kernel_size", [2, 4])
+    def test_mini_staged_spec_rejects_an_invalid_net_when_called(
+            self, kernel_size):
+        with pytest.raises(ValueError, match="kernel size must be odd"):
+            mini_staged_spec((2, 3), (1, 8, 8), kernel_size)
+
+    def test_mini_staged_spec_is_the_stages_of_mininet(self):
+        args = ((2, 3), (1, 8, 8), 5, True, "head", (False, False))
+        assert mini_staged_spec(*args) == MiniNet(*args).stages()
+        assert [s.name for s in mini_staged_spec(*args)] == ["conv1", "conv2",
+                                                             "head"]
+        assert MiniNet() == MiniNet((4, 4, 8, 8, 8), (1, 16, 16), 3, False,
+                                    "fc", None)
 
     def test_dense_below_head_needs_out_features(self):
         spec = (StageSpec("hidden", (LayerSpec("dense"),)),
