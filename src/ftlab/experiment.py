@@ -8,13 +8,15 @@ append-only JSONL ledger from which all report numbers are recomputable.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 from collections import Counter
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -222,9 +224,12 @@ def read_ledger(path) -> tuple[list[RunRecord], int]:
 class FinetuneTask:
     """A target learning task: id plus its train/validation datasets.
 
-    prefixes memoizes the frozen-stage output over the two sets by
-    optim.prefix_key, so every job that freezes the same stages with the
-    same weights computes it once; run_job hands it to train, which fills it.
+    prefixes memoizes, for the task's lifetime, the frozen-stage output over
+    the two sets by optim.prefix_key (the frozen architecture, the input
+    shape and the frozen weight bytes), so the jobs that freeze the same
+    stages with the same weights compute it once: run_job hands it to train,
+    which fills it on a miss. Each forked worker of run_jobs fills its own
+    copy.
     """
 
     task_id: str
@@ -242,8 +247,8 @@ class JobFailure:
 
 @dataclass(frozen=True)
 class JobInputs:
-    """What the jobs of one call share. Pool workers inherit it by fork, and
-    each worker fills its own copy of the tasks' prefix memos."""
+    """What the jobs of one call share. Forked workers inherit it, nothing
+    pickled, and each fills its own copy of the tasks' prefix memos."""
 
     source: Checkpoint | tuple    # or (stage specs, input_shape): random init
     tasks: Mapping[str, FinetuneTask]
@@ -254,7 +259,7 @@ class JobInputs:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One job: all that a pool worker is sent for it."""
+    """One job: what it trains, with which seeds, and where it saves."""
 
     kind: str     # "source" | "ll" | "grid" | "graduated" | "baseline" | "custom"
     name: str                     # names the job in a JobFailure
@@ -386,61 +391,71 @@ def _sweep_job(kind, name, task_id, schedule, parts, out_dir, filename,
 
 def run_jobs(inputs: JobInputs, specs: Sequence[JobSpec],
              workers: int = 1) -> tuple[list[RunRecord], list[JobFailure]]:
-    """Run every job; records and failures come back in submission order.
+    """Run every job through run_job; records and failures come back in
+    submission order, with the same bytes at any worker count. Each training
+    command's jobs run here, from cli._run_and_record.
 
-    With workers > 1 the jobs run in up to that many forked processes; only
-    the specs and the outcomes are pickled. A job that raises, or whose
-    worker process dies, becomes a JobFailure.
+    The caller and min(workers, len(specs)) - 1 forked workers run the jobs:
+    worker k starts with job k and the caller with the next (see _outcomes).
+    Each worker sends its outcomes over its own pipe. A job that raises, or
+    whose worker dies, is a JobFailure, and the other jobs still run. A job
+    that kills the caller ends the command. Any exception in the caller,
+    KeyboardInterrupt included, kills and reaps every worker before it
+    propagates.
     """
-    if workers > 1 and len(specs) > 1:
-        outcomes = _pool_outcomes(inputs, specs, workers)
-    else:
-        outcomes = [_outcome(inputs, spec) for spec in specs]
+    forks = max(min(workers, len(specs)) - 1, 0)
+    with contextlib.ExitStack() as stack:
+        counter = os.pipe()
+        for fd in counter:
+            stack.callback(os.close, fd)
+        os.write(counter[1], (forks + 1).to_bytes(8, "little"))
+        pipes = []
+        for k in range(forks):
+            r, w = os.pipe()
+            pipes.append(stack.enter_context(open(r, "rb")))
+            if (pid := os.fork()) == 0:
+                _work(_outcomes(inputs, specs, k, counter), w, pipes)
+            stack.callback(os.waitpid, pid, 0)     # runs after the kill
+            stack.callback(os.kill, pid, signal.SIGKILL)
+            os.close(w)
+        done = dict(_outcomes(inputs, specs, forks, counter))
+        for pipe in pipes:
+            with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                while True:     # to the end of what the worker sent
+                    done.update([pickle.load(pipe)])
+    outcomes = [done.get(i, (None, JobFailure(s.name, "worker process died")))
+                for i, s in enumerate(specs)]
     return ([r for r, _ in outcomes if r is not None],
             [f for _, f in outcomes if f is not None])
 
 
-def _outcome(inputs: JobInputs, spec: JobSpec):
-    try:
-        return run_job(inputs, spec), None
-    except Exception as e:  # noqa: BLE001 - partial-failure policy
-        return None, JobFailure(spec.name, f"{type(e).__name__}: {e}", str(e))
-
-
-_worker_inputs = None   # the JobInputs, in a pool worker
-
-
-def _enter_worker(inputs: JobInputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
-
-
-def _worker_outcome(spec: JobSpec):
-    return _outcome(_worker_inputs, spec)
-
-
-def _pool_outcomes(inputs, specs, workers):
-    # Imported here: runs without a pool need not load multiprocessing (about
-    # 1 MB). Fork hands inputs to the workers unpickled. It is spelled out
-    # because Python 3.14 no longer makes it the default start method.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(min(workers, len(specs)),
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_enter_worker,
-                             initargs=(inputs,)) as pool:
-        futures = [pool.submit(_worker_outcome, spec) for spec in specs]
+def _outcomes(inputs: JobInputs, specs: Sequence[JobSpec], i: int, counter):
+    """(index, outcome) of job i and then of each job claimed from counter,
+    a pipe that holds the lowest unclaimed index: a process reads it and
+    writes back the next, and any other that reads meanwhile waits."""
+    while i < len(specs):
         try:
-            return [_pool_outcome(f, spec) for f, spec in zip(futures, specs)]
-        finally:
-            pool.shutdown(cancel_futures=True)
+            outcome = run_job(inputs, specs[i]), None
+        except Exception as e:  # noqa: BLE001 - partial-failure policy
+            outcome = None, JobFailure(specs[i].name,
+                                       f"{type(e).__name__}: {e}", str(e))
+        yield i, outcome
+        i = int.from_bytes(os.read(counter[0], 8), "little")
+        os.write(counter[1], (i + 1).to_bytes(8, "little"))
 
 
-def _pool_outcome(future, spec: JobSpec):
+def _work(outcomes, fd: int, pipes) -> None:
+    """A forked worker: send each (index, outcome) to fd as a pickle, then
+    exit without returning. One cut short by its death will not load."""
     try:
-        return future.result()
-    except BrokenExecutor:   # the pool lost a worker process
-        return None, JobFailure(spec.name, "worker process died")
+        for pipe in pipes:      # so that a send fails once the caller is gone
+            pipe.close()
+        with open(fd, "wb") as out:
+            for item in outcomes:
+                pickle.dump(item, out)
+                out.flush()
+    finally:
+        os._exit(0)
 
 
 @dataclass
@@ -483,7 +498,9 @@ def run_il_ll_grid(source: Checkpoint, task: FinetuneTask, grid: GridSpec,
 
 
 def _rate_table(records: Sequence[RunRecord]) -> dict:
-    """(task, source) -> LL -> IL -> accuracy; a cell's last record wins."""
+    """(task, source) -> LL -> IL -> best accuracy, from the ll and grid
+    records; a cell's last record wins. Reports and run_il_ll_grid read
+    their per-LL numbers from this one table."""
     table: dict = {}
     for r in records:
         if r.kind in ("ll", "grid") and r.ll is not None and r.il is not None:
@@ -533,10 +550,13 @@ ACCURACY_NOTE = "accuracy = best top-1 over evaluation points"
 
 
 def report_from_records(records: Sequence[RunRecord]) -> dict:
-    """Recompute every reported number from raw ledger records: a gain table
-    (accuracy per LL with inner stages frozen, and % gain) and a best-rate
-    table (alpha, beta, max accuracy per LL, and max_diff), both read from
-    one rate table, and a scale_sweep section if any record is graduated."""
+    """Recompute every reported number from raw ledger records; this is the
+    one analysis behind every report. A gain table (accuracy per LL with
+    inner stages frozen, and % gain) reads the rate table's IL=0 column; a
+    best-rate table (alpha, beta, max accuracy per LL, and max_diff) reads
+    its LLs with at least two ILs, through the per-LL summaries that
+    run_il_ll_grid uses too. A scale_sweep section is added if any record
+    is graduated."""
     gain_table, best_rate_table = [], []
     for (task, source), by_ll_il in sorted(_rate_table(records).items()):
         by_ll = {ll: ils[0.0] for ll, ils in by_ll_il.items() if 0.0 in ils}

@@ -37,6 +37,14 @@ class CheckpointError(Exception):
     """Raised when a checkpoint cannot be read or does not fit a model."""
 
 
+def _check_size(name: str, size) -> None:
+    """A layer size must be None (unset) or a positive integer."""
+    if size is not None and (isinstance(size, bool) or
+                             not isinstance(size, (int, np.integer))
+                             or size <= 0):
+        raise ValueError(f"{name} must be a positive integer, got {size!r}")
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """One layer inside a stage; size fields depend on kind."""
@@ -51,12 +59,7 @@ class LayerSpec:
         if self.kind not in _LAYER_CLASSES:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         for name in ("out_channels", "kernel_size", "out_features"):
-            size = getattr(self, name)
-            if size is not None and (isinstance(size, bool) or
-                                     not isinstance(size, (int, np.integer))
-                                     or size <= 0):
-                raise ValueError(f"{name} must be a positive integer, "
-                                 f"got {size!r}")
+            _check_size(name, getattr(self, name))
         if self.kind == "conv2d" and not self.out_channels:
             raise ValueError("conv2d layer needs out_channels")
         if self.kind == "residual-add" and not self.inner:
@@ -118,6 +121,10 @@ class MiniNet:
     pools: tuple[bool, ...] | None = None
 
     def __post_init__(self):
+        _check_size("kernel_size", self.kernel_size)
+        if not self.widths:
+            raise ValueError("widths must list at least one stage width, "
+                             "got []")
         layer_shapes(self.stages(), self.input_shape)
 
     def stages(self) -> tuple[StageSpec, ...]:

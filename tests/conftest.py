@@ -6,7 +6,6 @@ import os
 import struct
 import subprocess
 import sys
-import time
 
 import numpy as np
 import pytest
@@ -143,27 +142,18 @@ def tensor_records(items) -> bytes:
                     + np.asarray(arr, "<f4").tobytes() for name, arr in items)
 
 
-def die_in_worker(monkeypatch, job_name: str, checkpoint_dir=None,
-                  others: int = 0) -> None:
-    """Make the job named job_name end its worker process with os._exit(3).
+def die_in_worker(monkeypatch, job_name: str) -> None:
+    """Make the job named job_name end its process with os._exit(3).
 
-    Forked pool workers inherit the patched runner; never run it serially.
-    With checkpoint_dir set, the job first waits until that directory holds
-    the checkpoints of `others` other jobs, and then a little longer, so
-    that every other job has finished and sent its record back.
+    Name the first job of a list that runs at workers >= 2: forked worker 0
+    runs it, so the calling process, the test's, lives on.
     """
     run_job = experiment.run_job
 
     def dying(inputs, spec):
-        if spec.name != job_name:
-            return run_job(inputs, spec)
-        if checkpoint_dir is not None:
-            deadline = time.monotonic() + 60
-            while (len(os.listdir(checkpoint_dir)) < others
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
-            time.sleep(0.5)
-        os._exit(3)
+        if spec.name == job_name:
+            os._exit(3)
+        return run_job(inputs, spec)
 
     monkeypatch.setattr(experiment, "run_job", dying)
 

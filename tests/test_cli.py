@@ -245,6 +245,12 @@ MALFORMED_CONFIGS = {
                    "out_channels must be a positive integer"),
     "even_kernel": ("train-source", {"model": dict(TINY_MODEL, kernel_size=4)},
                     "kernel size must be odd"),
+    # trained nothing, but the head's shape check named no model field
+    "no_widths": ("train-source", {"model": dict(TINY_MODEL, widths=[])},
+                  "widths must list at least one stage width"),
+    "no_widths_zero_kernel": ("train-source", {"model": dict(
+        TINY_MODEL, widths=[], kernel_size=0)},
+        "kernel_size must be a positive integer, got 0"),
     "pools_wrong_length": ("train-source",
                            {"model": dict(TINY_MODEL, pools=[True])},
                            "pools and widths must have the same length"),
@@ -1032,6 +1038,16 @@ class TestSweep:
         assert len(trees[0]) == 3 + 8
         assert trees[0] == trees[1]
 
+    def test_one_worker_does_not_load_multiprocessing(self, tmp_path,
+                                                      data_root, source_run):
+        config = write_config(tmp_path / "c.json",
+                              self.graduated_cfg(data_root, source_run))
+        argv = ["sweep", config, "--out", str(tmp_path / "o"), "--workers", "1"]
+        done = run_python("-c", "import sys\nfrom ftlab.cli import main\n"
+                          f"assert main({argv!r}) == 0\n"
+                          "print('multiprocessing' in sys.modules)")
+        assert done.stdout.splitlines()[-1] == "False"
+
     def test_dead_worker_gives_partial_sweep(self, tmp_path, data_root,
                                              source_run, capsys, monkeypatch):
         config = write_config(tmp_path / "c.json",
@@ -1039,14 +1055,14 @@ class TestSweep:
         whole = tmp_path / "whole"
         assert main(["sweep", config, "--out", str(whole)]) == 0
         out = tmp_path / "o"
-        # the last of the 8 jobs dies once the others have saved their models
-        die_in_worker(monkeypatch, "far baseline", out / "checkpoints", others=7)
+        # the first of the 8 jobs kills its worker; the other 7 still run
+        die_in_worker(monkeypatch, "near scale=0.25")
         assert main(["sweep", config, "--out", str(out), "--workers", "2"]) == 2
         err = capsys.readouterr().err
-        assert "failed job far baseline: worker process died" in err
+        assert "failed job near scale=0.25: worker process died" in err
         lines = (out / "ledger.jsonl").read_bytes().splitlines(keepends=True)
         assert lines == (whole / "ledger.jsonl").read_bytes().splitlines(
-            keepends=True)[:7]
+            keepends=True)[1:]
         assert "status: partial" in (out / "report.txt").read_text()
 
     @pytest.mark.parametrize("field, value, message", [

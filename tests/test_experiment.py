@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import signal
 import sys
 
 import numpy as np
@@ -10,12 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import die_in_worker
-from ftlab import optim
+from ftlab import experiment, optim
 from ftlab.data import SyntheticDomainSpec, gen_synthetic_domain, split_train_val
 from ftlab.experiment import (ACCURACY_NOTE, RECOMMENDER_BREAKPOINTS,
                               FinetuneTask, GraduatedSpec, GridSpec,
-                              JobFailure, JobInputs, RunRecord, alpha,
-                              append_records, beta, derive_seed,
+                              JobFailure, JobInputs, JobSpec, RunRecord,
+                              alpha, append_records, beta, derive_seed,
                               graduated_schedule, percent_gain,
                               read_ledger, recommend_multipliers,
                               render_report, report_from_records,
@@ -24,7 +26,7 @@ from ftlab.experiment import (ACCURACY_NOTE, RECOMMENDER_BREAKPOINTS,
 from ftlab.model import (build_staged_network, checkpoint_from_model,
                          load_checkpoint, mini_staged_spec, save_checkpoint)
 from ftlab.nn_core import Conv2d
-from ftlab.optim import LrPolicy, effective_lr
+from ftlab.optim import LrPolicy, MultiplierSchedule, effective_lr
 
 # reference accuracy pairs: (target, source, best, other, reported gain)
 REPORTED_GAIN_ROWS = [
@@ -729,6 +731,12 @@ class TestRunGrid:
             assert pooled.records == serial.records
             assert pooled.summaries == serial.summaries
             assert pooled.max_diff == serial.max_diff
+        # more workers than jobs: IL 0 and 0.01 at LL 0.01
+        two = GridSpec(ll_values=(0.01,), min_il=0.01)
+        assert (run_il_ll_grid(source, task, two, FAST_POLICY, 6, seed=3,
+                               workers=3).records
+                == run_il_ll_grid(source, task, two, FAST_POLICY, 6,
+                                  seed=3).records)
         # the IL=0 cell of a pooled grid still reproduces the head-only job
         cell = next(r for r in pooled.records if r.ll == 0.1 and r.il == 0.0)
         solo = run_ll_experiment(source, task, 0.1, FAST_POLICY, 6, seed=3)
@@ -738,13 +746,13 @@ class TestRunGrid:
 
 class TestScaleSweep:
     def sweep(self, tmp_path, workers=1, tasks=None, batch_size=6,
-              out_dir=None):
+              out_dir=None, scales=(0.25, 1.0, 4.0)):
         """The records and failures of a 2-task sweep over 3 scales."""
         source = small_source_checkpoint(tmp_path)
         if tasks is None:
             tasks = [small_task("taskA", seed=21), small_task("taskB", seed=22)]
         spec = GraduatedSpec(inner_multipliers=(0.0, 2.0), head_multiplier=4.0,
-                             scales=(0.25, 1.0, 4.0))
+                             scales=scales)
         specs = scale_jobs(source, [t.task_id for t in tasks], spec,
                            master_seed=7, out_dir=out_dir)
         if out_dir is not None:
@@ -772,6 +780,10 @@ class TestScaleSweep:
         serial = self.sweep(tmp_path)
         for workers in (2, 3):
             assert self.sweep(tmp_path, workers=workers) == serial
+        # more workers than jobs: one task at one scale, and its baseline
+        two = [small_task("taskA", seed=21)]
+        assert (self.sweep(tmp_path, 3, two, scales=(1.0,))
+                == self.sweep(tmp_path, 1, two, scales=(1.0,)))
 
     def failing_tasks(self):
         # taskB trains on 16 examples, so batch 20 fails every one of its jobs
@@ -790,13 +802,56 @@ class TestScaleSweep:
 
     def test_dead_worker_costs_only_its_job(self, tmp_path, monkeypatch):
         serial, _ = self.sweep(tmp_path, out_dir=tmp_path / "serial")
-        out_dir = tmp_path / "pooled"
-        # the last job dies once the other 7 have saved their checkpoints
-        die_in_worker(monkeypatch, "taskB baseline", out_dir / "checkpoints",
-                      others=7)
-        records, failures = self.sweep(tmp_path, workers=2, out_dir=out_dir)
-        assert failures == [JobFailure("taskB baseline", "worker process died")]
-        assert records == serial[:7]
+        # the first job kills its worker; the other 7 still run
+        die_in_worker(monkeypatch, "taskA scale=0.25")
+        records, failures = self.sweep(tmp_path, workers=2,
+                                       out_dir=tmp_path / "pooled")
+        assert failures == [JobFailure("taskA scale=0.25",
+                                       "worker process died")]
+        assert records == serial[1:]
+
+    def test_interrupt_in_caller_leaves_no_worker(self, tmp_path,
+                                                  monkeypatch):
+        run_job = experiment.run_job
+
+        def interrupted(inputs, spec):
+            if spec.name == "taskA scale=1":    # the caller's first job
+                raise KeyboardInterrupt
+            return run_job(inputs, spec)
+
+        monkeypatch.setattr(experiment, "run_job", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.sweep(tmp_path, workers=2, out_dir=tmp_path / "o")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # the worker was stopped, not left to run the other 7 jobs
+        assert len(os.listdir(tmp_path / "o" / "checkpoints")) < 7
+
+    def test_each_job_runs_once_with_more_workers_than_cores(
+            self, tmp_path, monkeypatch):
+        ran = tmp_path / "ran"
+
+        def logged(inputs, spec):       # one O_APPEND write per job run
+            with open(ran, "a", encoding="utf-8") as f:
+                f.write(f"{spec.seed}\n")
+            return RunRecord("custom", spec.task_id, "none", spec.seed, 0.5, 0.5)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("run_jobs took over 60 s")
+
+        monkeypatch.setattr(experiment, "run_job", logged)
+        specs = [JobSpec("custom", f"job {i}", "t", MultiplierSchedule({}), i,
+                         0, 0) for i in range(500)]
+        inputs = JobInputs(None, {}, FAST_POLICY, 1, 0.9)
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:    # 6 processes: more than a CI runner's 4 cores
+            records, failures = run_jobs(inputs, specs, workers=6)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert failures == [] and [r.seed for r in records] == list(range(500))
+        assert sorted(map(int, ran.read_text().split())) == list(range(500))
 
     def test_seeds_derived_from_master_task_and_scale(self, tmp_path):
         records, _ = self.sweep(tmp_path)

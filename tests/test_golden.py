@@ -2,7 +2,7 @@
 
 The source fixture's checkpoint and ledger, and every file of a small grid
 sweep and a small graduated sweep but config.json, are hashed; each sweep
-runs at --workers 1 and 2 and must give the same digests at both.
+runs at --workers 1, 2 and 3 and must give the same digests at each.
 Training computes in float32, the precision the files hold. The final and
 best float32 parameters of a small from-scratch train() are hashed too, and
 those of a head-only and a conv1-frozen train() transferred from it; so are
@@ -106,15 +106,16 @@ def test_result_bytes_match_golden(tmp_path, data_root, source_run):
     for kind, cfg in sweep_cfgs(data_root, source_run).items():
         config = write_config(tmp_path / f"{kind}.json", cfg)
         runs = {}
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             out = tmp_path / f"{kind}-w{workers}"
             assert main(["sweep", config, "--out", str(out),
                          "--workers", str(workers)]) == 0
             runs[workers] = sweep_digests(out, kind)
         got.update(runs[1])
-        mismatches += [f"{name} differs between --workers 1 and 2"
-                       for name in sorted(set(runs[1]) | set(runs[2]))
-                       if runs[1].get(name) != runs[2].get(name)]
+        mismatches += [f"{name} differs between --workers 1 and {workers}"
+                       for workers in (2, 3)
+                       for name in sorted(set(runs[1]) | set(runs[workers]))
+                       if runs[1].get(name) != runs[workers].get(name)]
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     mismatches += [f"{name}: new digest {got.get(name, '(missing)')}"
                    for name in sorted(set(want) | set(got))
